@@ -10,8 +10,10 @@
 //!    as-is, with no model, simulator or native work;
 //! 2. **model-pruned search**: the candidate space is pruned against the
 //!    cache window (Eq. 11) and ranked with the closed-form
-//!    [`ModelEvaluator`], then the top few finalists are re-scored by
-//!    the cache-simulator-backed [`SimEvaluator`];
+//!    [`ModelEvaluator`] — traffic, tile concurrency and group
+//!    efficiency through one roofline ([`score`]) — then the top few
+//!    finalists that differ in `(dw, groups, tg.size())` are re-scored
+//!    by the cache-simulator-backed [`SimEvaluator`];
 //! 3. **optional native refinement**: the best sim-ranked finalists are
 //!    probed with wall-clock [`NativeEvaluator`] runs on a proxy grid;
 //! 4. **store**: the winner is recorded and, for a file-backed cache,
@@ -21,10 +23,12 @@
 //! the same key pick the same winner; the native stage trades that for
 //! measured truth, which is exactly what the cache then pins down.
 
-use crate::fingerprint::host_fingerprint;
+use crate::fingerprint::{host_fingerprint, is_current_revision};
 use crate::prune::{prune, CacheWindow};
 use crate::space::SearchSpace;
-use crate::tuner::{Evaluator, ModelEvaluator, NativeEvaluator, SimEvaluator};
+use crate::tuner::{
+    score, Evaluator, Factors, ModelEvaluator, NativeEvaluator, SimEvaluator, TileModel,
+};
 use em_field::GridDims;
 use em_json::{self as jsonio, JValue};
 use mwd_core::MwdConfig;
@@ -199,7 +203,10 @@ impl TuneCache {
     }
 
     /// Load a file-backed cache; a missing file is an empty cache (first
-    /// run), a malformed one is an error naming the path.
+    /// run), a malformed one is an error naming the path. Entries
+    /// written under another model revision are dropped (they can never
+    /// hit again), and the next [`save`](Self::save) rewrites the file
+    /// without them.
     pub fn load(path: &Path) -> Result<TuneCache, String> {
         let mut cache = TuneCache {
             path: Some(path.to_path_buf()),
@@ -227,7 +234,11 @@ impl TuneCache {
         for (i, e) in entries.iter().enumerate() {
             let entry = TuneEntry::from_json(e)
                 .map_err(|e| format!("tuning cache {} entry #{i}: {e}", path.display()))?;
-            cache.entries.push(entry);
+            if is_current_revision(&entry.fingerprint) {
+                cache.entries.push(entry);
+            } else {
+                cache.dirty = true;
+            }
         }
         Ok(cache)
     }
@@ -395,34 +406,45 @@ pub fn resolve(
     })
 }
 
-/// The miss path: model-pruned search, sim scoring, optional native
-/// refinement. Deterministic up to the native stage.
-fn tune_miss(
-    key: &TuneKey,
-    opts: &ResolveOptions,
-) -> Result<(MwdConfig, f64, Stage, usize), String> {
+/// The candidates a miss ranks: the default space for the key's thread
+/// count, pruned against the cache window (Eq. 11). The window's lower
+/// bound is a reuse argument — blocks that small leave the cache idle
+/// while the grid streams from memory — so it is dropped for a grid that
+/// is itself resident in the usable cache.
+pub fn search_candidates(key: &TuneKey, opts: &ResolveOptions) -> Result<Vec<MwdConfig>, String> {
     let dims = key.dims;
     let threads = key.threads.max(1);
-    let space = SearchSpace::default_for(threads);
-    let cands = space.candidates(dims, threads);
+    let cands = SearchSpace::default_for(threads).candidates(dims, threads);
     if cands.is_empty() {
         return Err(format!(
             "no valid MWD candidate for {dims} at {threads} thread(s)"
         ));
     }
-    let (mut kept, _) = prune(cands.clone(), dims, &opts.machine, opts.window);
-    if kept.is_empty() {
-        // Degenerate grids/windows: rank everything instead of failing.
-        kept = cands;
+    let mut window = opts.window;
+    if dims.state_bytes() as f64 <= opts.machine.usable_l3() {
+        window.lo_frac = 0.0;
     }
+    let (kept, _) = prune(cands.clone(), dims, &opts.machine, window);
+    // Degenerate grids/windows: rank everything instead of failing.
+    Ok(if kept.is_empty() { cands } else { kept })
+}
 
-    // Stage: model ranking of every pruned survivor (closed form, cheap).
-    let mut model = ModelEvaluator {
-        machine: opts.machine,
-        dims,
-        threads,
-    };
-    let mut ranked: Vec<(MwdConfig, f64)> = kept
+/// One finalist of the miss path with the factors behind its score.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct Finalist {
+    pub config: MwdConfig,
+    pub score_mlups: f64,
+    pub factors: Factors,
+}
+
+/// The deterministic part of the miss path: model ranking of every
+/// pruned survivor, then cache-simulator scoring of the `sim_top` best
+/// that differ in `(dw, groups, tg.size())`. Best first.
+pub fn finalists(key: &TuneKey, opts: &ResolveOptions) -> Result<Vec<Finalist>, String> {
+    let dims = key.dims;
+    let threads = key.threads.max(1);
+    let mut model = ModelEvaluator::new(opts.machine, dims, threads);
+    let mut ranked: Vec<(MwdConfig, f64)> = search_candidates(key, opts)?
         .into_iter()
         .map(|c| {
             let s = model.evaluate(&c);
@@ -433,21 +455,55 @@ fn tune_miss(
     // deterministic for a fixed MachineSpec.
     ranked.sort_by(|a, b| b.1.total_cmp(&a.1));
 
-    // Stage: cache-simulator scoring of the model finalists.
-    let sim_top = opts.sim_top.max(1).min(ranked.len());
+    // Variants of one diamond that differ only in BZ or TG shape move
+    // the same bytes, so simulating them again decides nothing.
+    let mut picked: Vec<MwdConfig> = Vec::new();
+    for (c, _) in &ranked {
+        if picked.len() == opts.sim_top.max(1) {
+            break;
+        }
+        let same = |p: &MwdConfig| (p.dw, p.groups, p.tg.size()) == (c.dw, c.groups, c.tg.size());
+        if !picked.iter().any(same) {
+            picked.push(*c);
+        }
+    }
+
     let mut sim = SimEvaluator::new(opts.machine, dims, threads);
+    sim.tiles = model.tiles;
     if opts.sim_proxy_cap > 0 {
         sim.proxy_cap = opts.sim_proxy_cap;
     }
-    let mut finalists: Vec<(MwdConfig, f64)> = ranked[..sim_top]
-        .iter()
-        .map(|(c, _)| (*c, sim.evaluate(c)))
+    let mut out: Vec<Finalist> = picked
+        .into_iter()
+        .map(|config| {
+            let factors = sim.factors(&config);
+            let score_mlups = score(&opts.machine, &config, threads, &factors);
+            Finalist {
+                config,
+                score_mlups,
+                factors,
+            }
+        })
         .collect();
-    finalists.sort_by(|a, b| b.1.total_cmp(&a.1));
-    let (mut best, mut best_score) = finalists[0];
+    out.sort_by(|a, b| b.score_mlups.total_cmp(&a.score_mlups));
+    Ok(out)
+}
+
+/// The miss path: [`finalists`], then optional native refinement.
+/// Deterministic up to the native stage.
+fn tune_miss(
+    key: &TuneKey,
+    opts: &ResolveOptions,
+) -> Result<(MwdConfig, f64, Stage, usize), String> {
+    let dims = key.dims;
+    let finalists = finalists(key, opts)?;
+    let (mut best, mut best_score) = (finalists[0].config, finalists[0].score_mlups);
     let mut stage = Stage::Sim;
 
     // Stage: native refinement of the sim finalists on a proxy grid.
+    // The proxy's shorter y extent admits fewer concurrent diamonds than
+    // the real grid, so each measurement is carried over by the ratio of
+    // the two list-scheduled speed-ups.
     let mut probes = 0;
     if opts.refine_top > 0 {
         let k = opts.refine_top.min(finalists.len());
@@ -457,9 +513,11 @@ fn tune_miss(
             nz: dims.nz.clamp(1, 24),
         };
         let mut native = NativeEvaluator::new(proxy, opts.probe_steps.max(1));
+        let mut proxy_tiles = TileModel::new(opts.machine, proxy);
         let mut measured: Option<(MwdConfig, f64)> = None;
-        for (cand, _) in &finalists[..k] {
-            let s = native.evaluate(cand);
+        for f in &finalists[..k] {
+            let cand = &f.config;
+            let s = native.evaluate(cand) * f.factors.concurrency / proxy_tiles.concurrency(cand);
             probes += 1;
             if s > 0.0 && measured.as_ref().is_none_or(|(_, ms)| s > *ms) {
                 measured = Some((*cand, s));
@@ -554,6 +612,47 @@ mod tests {
         let hit = resolve(&mut reloaded, &k, &quick_opts()).unwrap();
         assert!(hit.cache_hit);
         assert_eq!(hit.config, first.config);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn entries_of_an_older_model_revision_miss_and_are_overwritten() {
+        let dir = std::env::temp_dir().join(format!("autotune_cache_rev_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let path = dir.join("tune_cache.json");
+        let k = key(GridDims::new(16, 16, 24), 2);
+        // What the traffic-only scoring stored for this key, under the
+        // fingerprint format that carried no model revision.
+        let revision = format!("-m{}-", crate::fingerprint::MODEL_REVISION);
+        let stale_config = MwdConfig::one_wd(32, 1, 2);
+        let mut stale = TuneCache {
+            path: Some(path.clone()),
+            entries: vec![TuneEntry {
+                fingerprint: k.fingerprint.replacen(&revision, "-", 1),
+                dims: format!("{}", k.dims),
+                engine: k.engine.clone(),
+                threads: k.threads,
+                config: stale_config,
+                score_mlups: 18.8,
+                stage: Stage::Sim,
+                native_probes: 0,
+            }],
+            dirty: true,
+        };
+        assert!(stale.save().unwrap());
+
+        let mut cache = TuneCache::load(&path).unwrap();
+        let first = resolve(&mut cache, &k, &quick_opts()).unwrap();
+        assert!(!first.cache_hit, "a stale entry must not be served");
+        assert_ne!(first.config, stale_config);
+        assert!(cache.save().unwrap());
+
+        let mut reloaded = TuneCache::load(&path).unwrap();
+        assert_eq!(reloaded.len(), 1, "the stale entry is gone from the file");
+        let hit = resolve(&mut reloaded, &k, &quick_opts()).unwrap();
+        assert!(hit.cache_hit);
+        assert_eq!(hit.config, first.config);
+        assert!(!reloaded.save().unwrap(), "a pure hit rewrites nothing");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

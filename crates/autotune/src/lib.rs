@@ -34,10 +34,14 @@ pub mod tuner;
 pub use em_json as jsonio;
 
 pub use cache::{
-    default_cache_path, resolve, Resolution, ResolveOptions, Stage, TuneCache, TuneEntry, TuneKey,
+    default_cache_path, finalists, resolve, search_candidates, Finalist, Resolution,
+    ResolveOptions, Stage, TuneCache, TuneEntry, TuneKey,
 };
 pub use fingerprint::{host_fingerprint, machine_slug};
 pub use prune::{cache_fit, CacheWindow};
 pub use shared::SharedTuneCache;
 pub use space::{Candidate, SearchSpace};
-pub use tuner::{autotune, Evaluator, ModelEvaluator, NativeEvaluator, SimEvaluator, TuneResult};
+pub use tuner::{
+    autotune, list_schedule, score, Evaluator, Factors, ModelEvaluator, NativeEvaluator, Schedule,
+    SimEvaluator, TileModel, TuneResult,
+};

@@ -1,28 +1,194 @@
 //! The tuner: prune with the cache model, score survivors, keep the best.
+//!
+//! Every model-side score is one roofline,
+//! `min(P_core(t) * concurrency / groups * group_eff, b_S / B_C)`
+//! ([`score`]): the traffic term `B_C` is Eq. 12 or the cache
+//! simulator's measurement, the two parallel terms come from the
+//! [`TilePlan`] the executor would actually run ([`TileModel`]).
 
 use crate::prune::{prune, CacheWindow};
 use crate::space::{Candidate, SearchSpace};
 use em_field::{GridDims, State};
 use mem_sim::simulate_mwd_engine;
-use mwd_core::run_mwd;
-use perf_models::MachineSpec;
+use mwd_core::{run_mwd, DiamondWidth, TilePlan, WavefrontSpec};
+use perf_models::{perf_mlups_parallel, MachineSpec};
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, HashMap, VecDeque};
 
 /// Scores a candidate in MLUP/s (higher is better).
 pub trait Evaluator {
     fn evaluate(&mut self, cand: &Candidate) -> f64;
 }
 
+/// Outcome of list-scheduling a plan: `work / makespan` is the speed-up
+/// the tile DAG admits on that many thread groups.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Schedule {
+    /// Tiles scheduled (all of the plan's).
+    pub tiles: usize,
+    /// Total half-updates, the cost unit.
+    pub work: u64,
+    /// Time at which the last tile finishes.
+    pub makespan: u64,
+}
+
+impl Schedule {
+    pub fn speedup(&self) -> f64 {
+        self.work as f64 / self.makespan.max(1) as f64
+    }
+}
+
+/// FIFO list-scheduling of `plan` on `groups` thread groups with
+/// [`Tile::half_updates`](mwd_core::Tile::half_updates) as tile cost:
+/// the policy of `mwd_core::ReadyQueue` (roots in enumeration order, a
+/// dependent enqueued when its last parent completes, a free group
+/// takes the queue's front), with every group equally fast.
+pub fn list_schedule(plan: &TilePlan, groups: usize) -> Schedule {
+    let mut parents = plan.parents.clone();
+    let mut ready: VecDeque<usize> = plan.roots().into();
+    // (finish time, tile): the earliest finisher frees its group first,
+    // ties by tile index so the result is deterministic.
+    let mut running: BinaryHeap<Reverse<(u64, usize)>> = BinaryHeap::new();
+    let mut now = 0u64;
+    let mut tiles = 0usize;
+    loop {
+        while running.len() < groups.max(1) {
+            let Some(t) = ready.pop_front() else { break };
+            running.push(Reverse((now + plan.tiles[t].half_updates() as u64, t)));
+        }
+        let Some(Reverse((finish, t))) = running.pop() else {
+            break;
+        };
+        now = finish;
+        tiles += 1;
+        for &d in &plan.dependents[t] {
+            parents[d] -= 1;
+            if parents[d] == 0 {
+                ready.push_back(d);
+            }
+        }
+    }
+    Schedule {
+        tiles,
+        work: plan.total_half_updates() as u64,
+        makespan: now,
+    }
+}
+
+/// The three factors of a candidate's score.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct Factors {
+    /// Bytes per LUP the candidate moves (Eq. 12 or simulated).
+    pub code_balance: f64,
+    /// List-scheduled speed-up of its tile plan on its groups,
+    /// `1 ..= groups`.
+    pub concurrency: f64,
+    /// Share of a thread's time left after per-item dispatch, barriers
+    /// and cross-core sharing
+    /// ([`MachineSpec::group_efficiency`]).
+    pub group_eff: f64,
+}
+
+/// Weight of the bandwidth-utilisation discount in [`score`]. A machine
+/// slows down before it reaches the bandwidth wall the roofline draws,
+/// so of two configurations the cores can run about equally fast, the
+/// one that moves fewer bytes is the better bet. Sized on the paper-scale
+/// figures: at 18 threads on 384^3 the tuner has to prefer `Dw = 12`
+/// (a third of the bandwidth) to `Dw = 8, BZ = 6` (half of it, 5 % more
+/// group efficiency), or the MWD curve of Fig. 6 leaves the paper's
+/// band of at least 38 % bandwidth saving. At two threads the discount is 2 % for
+/// `Dw = 8` and 5 % for `Dw = 4`: smaller than any concurrency gap.
+const BANDWIDTH_HEADROOM: f64 = 0.3;
+
+/// The one scoring function of the model and simulator stages, MLUP/s:
+/// the roofline `min(P_core(t) * concurrency / groups * group_eff,
+/// b_S / B_C)`, discounted by the share of the memory bandwidth it
+/// draws.
+pub fn score(machine: &MachineSpec, cand: &Candidate, threads: usize, f: &Factors) -> f64 {
+    let parallel = f.concurrency / cand.groups as f64 * f.group_eff;
+    let est = perf_mlups_parallel(machine, threads, f.code_balance, parallel);
+    est.mlups * (1.0 - BANDWIDTH_HEADROOM * est.mem_bw_used / machine.mem_bw)
+}
+
+/// Time steps of the plans the parallel terms are read from, in diamond
+/// widths: 16 tile rows, enough for the schedule to reach its steady
+/// state (the speed-up does not move between 16 and 2400 steps).
+const PLAN_DIAMONDS: usize = 8;
+
+/// The parallel terms of every candidate on one grid, read from the
+/// tile plans the executor would run. Plans and schedules are memoised
+/// per `dw` and `(dw, groups)`: a resolve builds at most one plan per
+/// diamond width of the search space.
+pub struct TileModel {
+    machine: MachineSpec,
+    dims: GridDims,
+    plans: HashMap<usize, TilePlan>,
+    speedups: HashMap<(usize, usize), f64>,
+}
+
+impl TileModel {
+    pub fn new(machine: MachineSpec, dims: GridDims) -> Self {
+        TileModel {
+            machine,
+            dims,
+            plans: HashMap::new(),
+            speedups: HashMap::new(),
+        }
+    }
+
+    fn plan(&mut self, dw: usize) -> &TilePlan {
+        let ny = self.dims.ny;
+        self.plans.entry(dw).or_insert_with(|| {
+            let d = DiamondWidth::new(dw).expect("candidates carry valid diamond widths");
+            TilePlan::build(d, ny, PLAN_DIAMONDS * dw)
+        })
+    }
+
+    /// List-scheduled speed-up of the candidate's plan on its groups.
+    pub fn concurrency(&mut self, cand: &Candidate) -> f64 {
+        if cand.groups == 1 {
+            return 1.0;
+        }
+        let key = (cand.dw, cand.groups);
+        if let Some(&s) = self.speedups.get(&key) {
+            return s;
+        }
+        let s = list_schedule(self.plan(cand.dw), cand.groups).speedup();
+        self.speedups.insert(key, s);
+        s
+    }
+
+    /// Group efficiency at the candidate's mean work item: the executor
+    /// issues one item per (tile row, wavefront position), so a member's
+    /// mean item is the tile's cells over `rows x positions x tg.size()`.
+    pub fn group_eff(&mut self, cand: &Candidate) -> f64 {
+        let (nx, nz) = (self.dims.nx, self.dims.nz);
+        let wf = WavefrontSpec::new(cand.bz).expect("candidates carry valid wavefronts");
+        let plan = self.plan(cand.dw);
+        let items: usize = plan
+            .tiles
+            .iter()
+            .map(|t| t.rows.len() * wf.positions(nz, t.max_lag()).count())
+            .sum();
+        let lups = (plan.total_half_updates() * nx * nz) as f64 / 2.0;
+        let item_lups = lups / (items * cand.tg.size()) as f64;
+        self.machine.group_efficiency(item_lups, cand.tg.size())
+    }
+}
+
 /// Simulator-backed evaluator: replays the candidate's traversal through
-/// the cache model of `machine` and applies the roofline. Evaluates on a
-/// proxy grid with the *true* Nx (which sets the per-row cache footprint,
-/// Eq. 11) but reduced ny/nz/nt for speed; the tile working set and hence
-/// the candidate ranking are Nx-dominated.
+/// the cache model of `machine` for its code balance and applies
+/// [`score`]. Evaluates on a proxy grid with the *true* Nx (which sets
+/// the per-row cache footprint, Eq. 11) but reduced ny/nz/nt for speed;
+/// the tile working set and hence the traffic are Nx-dominated. The
+/// parallel terms are those of the true grid.
 pub struct SimEvaluator {
     pub machine: MachineSpec,
     pub dims: GridDims,
     pub threads: usize,
     /// Cap for the proxy ny/nz (0 = no reduction).
     pub proxy_cap: usize,
+    pub(crate) tiles: TileModel,
 }
 
 impl SimEvaluator {
@@ -32,6 +198,7 @@ impl SimEvaluator {
             dims,
             threads,
             proxy_cap: 96,
+            tiles: TileModel::new(machine, dims),
         }
     }
 
@@ -54,10 +221,8 @@ impl SimEvaluator {
             nt,
         )
     }
-}
 
-impl Evaluator for SimEvaluator {
-    fn evaluate(&mut self, cand: &Candidate) -> f64 {
+    pub fn factors(&mut self, cand: &Candidate) -> Factors {
         let (dims, nt) = self.proxy_dims(cand.dw);
         let r = simulate_mwd_engine(
             &self.machine,
@@ -68,45 +233,64 @@ impl Evaluator for SimEvaluator {
             cand.groups,
             self.threads,
         );
-        r.mlups
+        Factors {
+            code_balance: r.code_balance,
+            concurrency: self.tiles.concurrency(cand),
+            group_eff: self.tiles.group_eff(cand),
+        }
     }
 }
 
-/// Closed-form evaluator: Eq. 12 code balance + roofline, with a
-/// feasibility penalty from Eq. 11 (per-stream cache shares). Orders of
-/// magnitude faster than the simulator; the figure harness uses it to
-/// pick per-point configurations before running one full simulation of
-/// the winner — mirroring how the paper's auto-tuner leans on the models
-/// to bound the search.
+impl Evaluator for SimEvaluator {
+    fn evaluate(&mut self, cand: &Candidate) -> f64 {
+        let f = self.factors(cand);
+        score(&self.machine, cand, self.threads, &f)
+    }
+}
+
+/// Closed-form evaluator: Eq. 12 code balance with a feasibility penalty
+/// from Eq. 11 (per-stream cache shares), the parallel terms of the
+/// candidate's tile plan, and [`score`]. Orders of magnitude faster than
+/// the simulator; the figure harness uses it to pick per-point
+/// configurations before running one full simulation of the winner —
+/// mirroring how the paper's auto-tuner leans on the models to bound the
+/// search.
 pub struct ModelEvaluator {
     pub machine: MachineSpec,
     pub dims: GridDims,
     pub threads: usize,
+    pub(crate) tiles: TileModel,
 }
 
-impl Evaluator for ModelEvaluator {
-    fn evaluate(&mut self, cand: &Candidate) -> f64 {
+impl ModelEvaluator {
+    pub fn new(machine: MachineSpec, dims: GridDims, threads: usize) -> Self {
+        ModelEvaluator {
+            machine,
+            dims,
+            threads,
+            tiles: TileModel::new(machine, dims),
+        }
+    }
+
+    pub fn factors(&mut self, cand: &Candidate) -> Factors {
         let usable = self.machine.usable_l3();
         let total = crate::prune::total_block_bytes(cand, self.dims);
         // Feasibility: blocks beyond the usable cache thrash; model the
         // penalty as reverting toward the spatial-blocking code balance.
-        let bc = if total <= usable {
-            perf_models::code_balance_diamond(cand.dw)
-        } else {
-            let over = (total / usable).min(8.0);
-            perf_models::code_balance_diamond(cand.dw) * over
-        };
-        let bc = bc.min(perf_models::code_balance_spatial());
-        let est = perf_models::perf_mlups(&self.machine, self.threads, bc);
-        // Mild preferences observed in practice and in the paper: larger
-        // wavefronts cost cache for no balance gain; extreme x-splits
-        // fragment the contiguous dimension. A small bandwidth-headroom
-        // bonus breaks core-bound ties toward lower code balance (larger
-        // diamonds), matching the tuner behavior in Figs. 6d/8b.
-        let bz_penalty = 1.0 - 0.002 * (cand.bz as f64 - 1.0);
-        let x_penalty = 1.0 - 0.002 * (cand.tg.x as f64 - 1.0);
-        let headroom = 1.0 + 0.01 * (1.0 - bc / perf_models::code_balance_naive());
-        est.mlups * bz_penalty * x_penalty * headroom
+        let over = (total / usable).clamp(1.0, 8.0);
+        let bc = perf_models::code_balance_diamond(cand.dw) * over;
+        Factors {
+            code_balance: bc.min(perf_models::code_balance_spatial()),
+            concurrency: self.tiles.concurrency(cand),
+            group_eff: self.tiles.group_eff(cand),
+        }
+    }
+}
+
+impl Evaluator for ModelEvaluator {
+    fn evaluate(&mut self, cand: &Candidate) -> f64 {
+        let f = self.factors(cand);
+        score(&self.machine, cand, self.threads, &f)
     }
 }
 
@@ -283,6 +467,94 @@ mod tests {
         assert!(score > 0.0, "native probe must complete, got {score}");
         let invalid = Candidate::one_wd(5, 2, 2);
         assert_eq!(ev.evaluate(&invalid), f64::NEG_INFINITY);
+    }
+
+    fn plan(dw: usize, ny: usize, nt: usize) -> TilePlan {
+        TilePlan::build(DiamondWidth::new(dw).unwrap(), ny, nt)
+    }
+
+    #[test]
+    fn one_group_schedules_at_speedup_exactly_one() {
+        for (dw, ny, nt) in [(2, 5, 7), (8, 16, 64), (32, 16, 40), (12, 120, 48)] {
+            let s = list_schedule(&plan(dw, ny, nt), 1);
+            assert_eq!(s.makespan, s.work, "dw={dw} ny={ny} nt={nt}");
+            assert_eq!(s.speedup(), 1.0);
+        }
+    }
+
+    #[test]
+    fn speedup_never_exceeds_the_group_count() {
+        for dw in [2, 4, 8, 12, 16, 24, 32] {
+            for ny in [4, 16, 37, 120] {
+                let p = plan(dw, ny, 8 * dw);
+                for groups in 1..=8 {
+                    let s = list_schedule(&p, groups);
+                    assert_eq!(s.tiles, p.tiles.len());
+                    let x = s.speedup();
+                    assert!(
+                        (1.0..=groups as f64).contains(&x),
+                        "dw={dw} ny={ny} groups={groups}: {x}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_diamond_spanning_y_leaves_the_other_groups_idle() {
+        // dw >= 2*ny: every tile row holds one diamond (plus clipped
+        // slivers), so the tile DAG is a chain.
+        for (dw, ny) in [(32, 16), (24, 12), (16, 8), (8, 4), (32, 5)] {
+            let p = plan(dw, ny, 8 * dw);
+            for groups in 2..=8 {
+                let x = list_schedule(&p, groups).speedup();
+                assert!(x < 1.1, "dw={dw} ny={ny} groups={groups}: {x}");
+            }
+        }
+    }
+
+    #[test]
+    fn narrow_diamonds_keep_two_groups_busy_on_sixteen_lines() {
+        // The in-cache finding of the benchmark, from the plan alone.
+        let at = |dw: usize| list_schedule(&plan(dw, 16, 8 * dw), 2).speedup();
+        assert!(at(4) > 1.95 && at(8) > 1.95, "{} {}", at(4), at(8));
+        assert!(at(12) < 1.6 && at(16) < 1.4, "{} {}", at(12), at(16));
+        assert!(at(32) < 1.05, "{}", at(32));
+    }
+
+    #[test]
+    fn one_group_schedule_matches_the_executor_drain() {
+        let dims = GridDims::new(6, 10, 5);
+        let (cfg, nt) = (Candidate::one_wd(4, 2, 1), 9);
+        let mut state = State::zeros(dims);
+        state.fields.fill_deterministic(1);
+        state.coeffs.fill_deterministic(2);
+        let stats = run_mwd(&mut state, &cfg, nt).unwrap();
+        let s = list_schedule(&plan(cfg.dw, dims.ny, nt), 1);
+        assert_eq!(s.tiles, stats.tiles);
+        assert_eq!(s.makespan, s.work);
+        // The plan counts (y, t) half-updates; the executor whole cells.
+        assert_eq!(s.work as usize * dims.nx * dims.nz, stats.half_updates);
+    }
+
+    #[test]
+    fn shared_tiles_score_below_private_tiles_of_the_same_diamond() {
+        let dims = GridDims::new(16, 16, 24);
+        let mut ev = super::ModelEvaluator::new(HSW, dims, 2);
+        let private = Candidate::one_wd(8, 4, 2);
+        for tg in mwd_core::TgShape::enumerate(2) {
+            let shared = Candidate {
+                tg,
+                groups: 1,
+                ..private
+            };
+            assert!(ev.evaluate(&private) > ev.evaluate(&shared), "{shared:?}");
+        }
+        // ...and a wider wavefront amortises the per-item dispatch.
+        let f1 = ev.factors(&Candidate::one_wd(8, 1, 2));
+        let f4 = ev.factors(&private);
+        assert!(f4.group_eff > f1.group_eff, "{f1:?} {f4:?}");
+        assert_eq!(f1.concurrency, f4.concurrency);
     }
 
     #[test]

@@ -1,4 +1,5 @@
-//! Property tests for the tuner's pruning stage and determinism.
+//! Property tests for the tuner's pruning stage, its parallelism-aware
+//! choices and determinism.
 //!
 //! The pruning soundness property re-derives candidate feasibility from
 //! Eq. 11 first principles (`groups x cache_block_bytes` against the
@@ -6,8 +7,12 @@
 //! regression in either `prune` or `total_block_bytes` breaks the test
 //! instead of cancelling out.
 
-use autotune::{autotune, cache_fit, CacheWindow, Candidate, ModelEvaluator, SearchSpace};
+use autotune::{
+    autotune, cache_fit, resolve, search_candidates, CacheWindow, Candidate, ModelEvaluator,
+    ResolveOptions, SearchSpace, TileModel, TuneCache, TuneKey,
+};
 use em_field::GridDims;
+use mwd_core::{DiamondWidth, TilePlan};
 use perf_models::{cache_block_bytes, MachineSpec};
 use proptest::prelude::*;
 
@@ -75,11 +80,7 @@ proptest! {
         let dims = GridDims::new(nx, nyz, nyz);
         let space = SearchSpace::default_for(threads);
         let run = || {
-            let mut ev = ModelEvaluator {
-                machine: HSW,
-                dims,
-                threads,
-            };
+            let mut ev = ModelEvaluator::new(HSW, dims, threads);
             autotune(&space, dims, &HSW, threads, CacheWindow::default(), &mut ev)
                 .expect("non-empty spaces always tune")
         };
@@ -106,5 +107,93 @@ proptest! {
         prop_assert_eq!(max.to_bits(), a.best_score.to_bits());
         prop_assert!(a.best.validate(dims).is_ok());
         prop_assert_eq!(a.best.threads(), threads);
+    }
+}
+
+proptest! {
+    // Each case pays two full miss paths (simulator stage included).
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// `resolve` (model + simulator stages) is a pure function of the
+    /// key for a fixed `MachineSpec`, and what it picks keeps its thread
+    /// groups busy: the list-scheduled speed-up per group is within 0.9
+    /// of the best any ranked candidate reaches, and it never asks for
+    /// more groups than its plan ever has runnable tiles.
+    #[test]
+    fn resolve_is_deterministic_and_picks_schedulable_plans(
+        nx in 8usize..96,
+        ny in 4usize..160,
+        nz in 8usize..48,
+        threads in 1usize..8,
+    ) {
+        let dims = GridDims::new(nx, ny, nz);
+        let opts = ResolveOptions { sim_top: 2, sim_proxy_cap: 16, ..Default::default() };
+        let key = TuneKey::for_host(&opts.machine, dims, "mwd", threads);
+        let run = || resolve(&mut TuneCache::in_memory(), &key, &opts).expect("resolves");
+        let (a, b) = (run(), run());
+        prop_assert_eq!(a.config, b.config);
+        prop_assert_eq!(a.score_mlups.to_bits(), b.score_mlups.to_bits());
+        prop_assert!(a.config.validate(dims).is_ok());
+        prop_assert_eq!(a.config.threads(), threads);
+
+        let mut tiles = TileModel::new(opts.machine, dims);
+        let mut per_group = |c: &Candidate| tiles.concurrency(c) / c.groups as f64;
+        let best = search_candidates(&key, &opts)
+            .unwrap()
+            .iter()
+            .map(&mut per_group)
+            .fold(0.0, f64::max);
+        let got = per_group(&a.config);
+        prop_assert!(got >= 0.9 * best, "{:?}: {} of {}", a.config, got, best);
+
+        // Tiles of one row are mutually independent: the widest row is
+        // the most the plan ever offers at once.
+        let plan = TilePlan::build(DiamondWidth::new(a.config.dw).unwrap(), ny, 8 * a.config.dw);
+        let widest = (plan.tiles.first().unwrap().k..=plan.tiles.last().unwrap().k)
+            .map(|k| plan.tiles.iter().filter(|t| t.k == k).count())
+            .max()
+            .unwrap();
+        prop_assert!(a.config.groups <= widest, "{:?} on {} tiles a row", a.config, widest);
+    }
+
+}
+
+/// The calibration grids of the README's tuning table, under the default
+/// options at two threads: what the tuner resolves must be able to use
+/// the second core.
+#[test]
+fn in_cache_grids_resolve_to_two_concurrent_private_tiles() {
+    let opts = ResolveOptions::default();
+    for dims in [GridDims::new(16, 16, 24), GridDims::new(16, 16, 64)] {
+        let key = TuneKey::for_host(&opts.machine, dims, "mwd", 2);
+        let cfg = resolve(&mut TuneCache::in_memory(), &key, &opts)
+            .unwrap()
+            .config;
+        assert_eq!(cfg.tg.size(), 1, "{dims}: {cfg:?}");
+        let speedup = TileModel::new(opts.machine, dims).concurrency(&cfg);
+        assert!(speedup >= 1.8, "{dims}: {cfg:?} schedules at {speedup}");
+    }
+}
+
+#[test]
+fn the_memory_grid_resolves_to_two_groups() {
+    let opts = ResolveOptions::default();
+    let key = TuneKey::for_host(&opts.machine, GridDims::cubic(120), "mwd", 2);
+    let cfg = resolve(&mut TuneCache::in_memory(), &key, &opts)
+        .unwrap()
+        .config;
+    assert_eq!((cfg.groups, cfg.tg.size()), (2, 1), "{cfg:?}");
+}
+
+#[test]
+fn one_thread_never_resolves_a_unit_wavefront_on_short_rows() {
+    let opts = ResolveOptions::default();
+    for (ny, nz) in [(16, 24), (16, 64), (16, 96), (24, 72), (48, 48)] {
+        let dims = GridDims::new(16, ny, nz);
+        let key = TuneKey::for_host(&opts.machine, dims, "mwd", 1);
+        let cfg = resolve(&mut TuneCache::in_memory(), &key, &opts)
+            .unwrap()
+            .config;
+        assert!(cfg.bz > 1, "{dims}: {cfg:?}");
     }
 }

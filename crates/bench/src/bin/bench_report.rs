@@ -2,8 +2,8 @@
 //!
 //! ```text
 //! cargo run --release -p em_bench --bin bench_report -- \
-//!     [--dims N] [--steps N] [--threads N] [--max-threads N] \
-//!     [--engine FILTER] [--with-scenarios]
+//!     [--dims N|X,Y,Z] [--steps N] [--threads N] [--max-threads N] \
+//!     [--engine FILTER] [--with-scenarios] [--tune-regret]
 //! ```
 //!
 //! Measures wall-clock MLUP/s per engine (naive / spatial / 1WD / MWD)
@@ -25,26 +25,34 @@
 //! (`--cache FILE`, default `results/tune_cache.json`); the report then
 //! records the tuned config and whether it was a cache hit.
 //!
+//! `--tune-regret` is a mode of its own: it natively measures every
+//! candidate the tuner ranks for `--dims` at `--threads` (best of three
+//! `run_mwd` calls each), prints them next to the model's score and its
+//! three factors, reports `chosen / best measured`, and merges the table
+//! into the report under `tune_regret`. `--steps` defaults to about five
+//! million LUPs per call there.
+//!
 //! `--phases` appends a span-recorded MWD run whose per-phase wall time
 //! (frontier setup, queue wait, diamond update) is folded into the
 //! report under `phases`.
 
 use em_bench::report::{
     available_parallelism, measure_kernels_filtered, measure_mwd_phases, measure_scenario_filtered,
-    measure_tuned_kernel, BenchReport,
+    measure_tune_regret, measure_tuned_kernel, BenchReport,
 };
 use em_field::GridDims;
 use std::path::PathBuf;
 
 fn main() {
-    let mut dims_n = 48usize;
-    let mut steps = 4usize;
+    let mut dims = GridDims::cubic(48);
+    let mut steps: Option<usize> = None;
     let mut threads: Option<usize> = None;
     let mut max_threads: Option<usize> = None;
     let mut engine_filter: Option<String> = None;
     let mut with_scenarios = false;
     let mut tune = false;
     let mut phases = false;
+    let mut tune_regret = false;
     let mut cache: Option<PathBuf> = None;
 
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -56,8 +64,13 @@ fn main() {
                 .unwrap_or_else(|| die(&format!("{flag} needs a positive integer")))
         };
         match a.as_str() {
-            "--dims" => dims_n = num("--dims"),
-            "--steps" => steps = num("--steps"),
+            "--dims" => {
+                dims = it
+                    .next()
+                    .and_then(|v| parse_dims(v))
+                    .unwrap_or_else(|| die("--dims needs N or X,Y,Z (positive integers)"))
+            }
+            "--steps" => steps = Some(num("--steps")),
             "--threads" => threads = Some(num("--threads")),
             "--max-threads" => max_threads = Some(num("--max-threads")),
             "--engine" => {
@@ -70,6 +83,7 @@ fn main() {
             "--with-scenarios" => with_scenarios = true,
             "--tune" => tune = true,
             "--phases" => phases = true,
+            "--tune-regret" => tune_regret = true,
             "--cache" => {
                 cache = Some(PathBuf::from(
                     it.next().unwrap_or_else(|| die("--cache needs a path")),
@@ -78,9 +92,9 @@ fn main() {
             }
             other => die(&format!(
                 "unknown option `{other}` \
-                 (usage: bench_report [--dims N] [--steps N] [--threads N] \
+                 (usage: bench_report [--dims N|X,Y,Z] [--steps N] [--threads N] \
                  [--max-threads N] [--engine FILTER] [--with-scenarios] \
-                 [--tune] [--cache FILE] [--phases])"
+                 [--tune] [--cache FILE] [--phases] [--tune-regret])"
             )),
         }
     }
@@ -96,7 +110,30 @@ fn main() {
     }
     let filter = engine_filter.as_deref();
 
-    let dims = GridDims::cubic(dims_n);
+    if tune_regret {
+        let steps = steps.unwrap_or_else(|| (5_000_000 / dims.cells()).clamp(16, 4096));
+        println!("tune regret: {dims} grid, {steps} steps per call, {threads} threads");
+        let regret = measure_tune_regret(dims, threads, steps).unwrap_or_else(|e| die(&e));
+        print!("{}", regret.table());
+        let chosen = regret.chosen_row();
+        println!(
+            "chosen {} (concurrency {:.2}, tg size {}): {:.1} MLUP/s; best measured {}: {:.1} \
+             MLUP/s; chosen / best measured = {:.3}",
+            regret.chosen.to_compact(),
+            chosen.factors.concurrency,
+            regret.chosen.tg.size(),
+            chosen.measured_mlups,
+            regret.best().config.to_compact(),
+            regret.best().measured_mlups,
+            regret.chosen_over_best()
+        );
+        match regret.write() {
+            Ok(path) => println!("merged tune_regret into {}", path.display()),
+            Err(e) => die(&e),
+        }
+        return;
+    }
+    let steps = steps.unwrap_or(4);
     println!(
         "kernel benchmark: {dims} grid, {steps} steps, {threads} threads \
          (host reports {host}), isa {}",
@@ -173,6 +210,19 @@ fn main() {
     match report.write() {
         Ok(path) => println!("\nwrote {} (rev {})", path.display(), report.git_rev),
         Err(e) => die(&format!("cannot write BENCH_results.json: {e}")),
+    }
+}
+
+/// `N` (cubic) or `X,Y,Z`.
+fn parse_dims(v: &str) -> Option<GridDims> {
+    let n: Vec<usize> = v
+        .split(',')
+        .map(|p| p.parse().ok().filter(|&n| n > 0))
+        .collect::<Option<_>>()?;
+    match n[..] {
+        [n] => Some(GridDims::cubic(n)),
+        [x, y, z] => Some(GridDims::new(x, y, z)),
+        _ => None,
     }
 }
 

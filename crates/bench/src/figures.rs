@@ -84,11 +84,7 @@ pub fn tune_point(paper_dims: GridDims, threads: usize, tg_sizes: Option<&[usize
     if let Some(s) = tg_sizes {
         space.tg_sizes = s.to_vec();
     }
-    let mut ev = ModelEvaluator {
-        machine: HSW,
-        dims: paper_dims,
-        threads,
-    };
+    let mut ev = ModelEvaluator::new(HSW, paper_dims, threads);
     autotune(
         &space,
         paper_dims,

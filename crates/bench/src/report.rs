@@ -9,7 +9,7 @@
 //! catalog (coefficients, PML, sources and all).
 
 use crate::harness::results_dir;
-use autotune::{ResolveOptions, TuneCache, TuneKey};
+use autotune::{Factors, ModelEvaluator, ResolveOptions, TuneCache, TuneKey};
 use em_field::{GridDims, State};
 use em_kernels::{run_naive, step_spatial_mt, SpatialConfig};
 use em_obs::{PhaseTotal, Recorder};
@@ -224,6 +224,167 @@ pub fn measure_tuned_kernel(
             score_mlups: r.score_mlups,
         }),
         phases: Vec::new(),
+    })
+}
+
+/// One natively measured candidate of the tune-regret table.
+#[derive(Clone, Debug)]
+pub struct RegretRow {
+    pub config: MwdConfig,
+    /// The closed-form model's score and the factors behind it.
+    pub score_mlups: f64,
+    pub factors: Factors,
+    /// Best of three `run_mwd` calls.
+    pub measured_mlups: f64,
+}
+
+/// Ground truth for the tuner's model: every candidate the miss path
+/// ranks, measured, next to what the model made of it.
+#[derive(Clone, Debug)]
+pub struct TuneRegret {
+    pub dims: GridDims,
+    pub threads: usize,
+    pub steps: usize,
+    /// What `resolve` picks under the default options.
+    pub chosen: MwdConfig,
+    /// In measured order (the search space's enumeration order).
+    pub rows: Vec<RegretRow>,
+}
+
+impl TuneRegret {
+    pub fn best(&self) -> &RegretRow {
+        self.rows
+            .iter()
+            .max_by(|a, b| a.measured_mlups.total_cmp(&b.measured_mlups))
+            .expect("a regret table has at least one row")
+    }
+
+    /// The chosen configuration's row.
+    pub fn chosen_row(&self) -> &RegretRow {
+        self.rows
+            .iter()
+            .find(|r| r.config == self.chosen)
+            .expect("the resolved config is one of the ranked candidates")
+    }
+
+    /// `chosen / best measured`: 1.0 means the model picked the fastest.
+    pub fn chosen_over_best(&self) -> f64 {
+        self.chosen_row().measured_mlups / self.best().measured_mlups
+    }
+
+    /// The table, fastest measured first.
+    pub fn table(&self) -> String {
+        let mut rows: Vec<&RegretRow> = self.rows.iter().collect();
+        rows.sort_by(|a, b| b.measured_mlups.total_cmp(&a.measured_mlups));
+        let cells: Vec<Vec<String>> = rows
+            .iter()
+            .map(|r| {
+                vec![
+                    r.config.to_compact(),
+                    format!("{:.1}", r.measured_mlups),
+                    format!("{:.1}", r.score_mlups),
+                    format!("{:.0}", r.factors.code_balance),
+                    format!("{:.2}", r.factors.concurrency),
+                    format!("{:.3}", r.factors.group_eff),
+                    if r.config == self.chosen {
+                        "<- chosen"
+                    } else {
+                        ""
+                    }
+                    .to_string(),
+                ]
+            })
+            .collect();
+        crate::harness::table(
+            &[
+                "config",
+                "measured",
+                "model",
+                "B/LUP",
+                "concurrency",
+                "group_eff",
+                "",
+            ],
+            &cells,
+        )
+    }
+
+    pub fn to_json(&self) -> Json {
+        let row = |r: &RegretRow| {
+            Json::obj(vec![
+                ("config", Json::str(r.config.to_compact())),
+                ("measured_mlups", Json::Num(r.measured_mlups)),
+                ("model_mlups", Json::Num(r.score_mlups)),
+                ("code_balance", Json::Num(r.factors.code_balance)),
+                ("concurrency", Json::Num(r.factors.concurrency)),
+                ("group_eff", Json::Num(r.factors.group_eff)),
+            ])
+        };
+        Json::obj(vec![
+            ("dims", Json::str(format!("{}", self.dims))),
+            ("threads", Json::Int(self.threads as i64)),
+            ("steps", Json::Int(self.steps as i64)),
+            ("chosen", Json::str(self.chosen.to_compact())),
+            ("best_measured", Json::str(self.best().config.to_compact())),
+            ("chosen_over_best", Json::Num(self.chosen_over_best())),
+            ("rows", Json::Arr(self.rows.iter().map(row).collect())),
+        ])
+    }
+
+    /// Merge into `results/BENCH_results.json` under `tune_regret`,
+    /// keeping whatever else the file holds; returns the path.
+    pub fn write(&self) -> Result<PathBuf, String> {
+        let path = results_dir().join("BENCH_results.json");
+        let mut doc = std::fs::read_to_string(&path)
+            .ok()
+            .and_then(|t| em_scenarios::json::parse(&t).ok())
+            .filter(|d| d.as_obj().is_some())
+            .unwrap_or(Json::Obj(vec![]));
+        doc.set("tune_regret", self.to_json());
+        std::fs::write(&path, doc.pretty())
+            .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
+        Ok(path)
+    }
+}
+
+/// Natively measure every candidate the tuner's miss path ranks for
+/// `dims` at `threads`: the same `run_mwd` call as the benchmark's grid
+/// workloads on one long-lived state (fields refilled before each run),
+/// best of three.
+pub fn measure_tune_regret(
+    dims: GridDims,
+    threads: usize,
+    steps: usize,
+) -> Result<TuneRegret, String> {
+    let ropts = ResolveOptions::default();
+    let key = TuneKey::for_host(&ropts.machine, dims, "mwd", threads);
+    let chosen = autotune::resolve(&mut TuneCache::in_memory(), &key, &ropts)?.config;
+    let mut model = ModelEvaluator::new(ropts.machine, dims, threads);
+    let mut s = State::zeros(dims);
+    s.coeffs.fill_deterministic(43);
+    let mut rows = Vec::new();
+    for config in autotune::search_candidates(&key, &ropts)? {
+        let mut best = f64::INFINITY;
+        for _ in 0..3 {
+            s.fields.fill_deterministic(42);
+            let t0 = std::time::Instant::now();
+            run_mwd(&mut s, &config, steps)?;
+            best = best.min(t0.elapsed().as_secs_f64());
+        }
+        let factors = model.factors(&config);
+        rows.push(RegretRow {
+            config,
+            score_mlups: autotune::score(&ropts.machine, &config, threads, &factors),
+            factors,
+            measured_mlups: mlups(dims, steps, best),
+        });
+    }
+    Ok(TuneRegret {
+        dims,
+        threads,
+        steps,
+        chosen,
+        rows,
     })
 }
 

@@ -10,10 +10,18 @@
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
+/// An atomic on a cache line of its own, so stores to a neighbouring
+/// field do not invalidate the line its readers poll.
+#[repr(align(64))]
+pub(crate) struct Padded(pub(crate) AtomicUsize);
+
 pub struct SpinBarrier {
     n: usize,
-    arrived: AtomicUsize,
-    phase: AtomicUsize,
+    /// Written by every arrival.
+    arrived: Padded,
+    /// Polled by every spinner, written once per phase: kept off the
+    /// line the arrivals' `fetch_add`s bounce between cores.
+    phase: Padded,
 }
 
 impl SpinBarrier {
@@ -21,8 +29,8 @@ impl SpinBarrier {
         assert!(n > 0, "barrier needs at least one participant");
         SpinBarrier {
             n,
-            arrived: AtomicUsize::new(0),
-            phase: AtomicUsize::new(0),
+            arrived: Padded(AtomicUsize::new(0)),
+            phase: Padded(AtomicUsize::new(0)),
         }
     }
 
@@ -37,17 +45,17 @@ impl SpinBarrier {
             // Single-participant groups (1WD) skip synchronization.
             return true;
         }
-        let phase = self.phase.load(Ordering::Relaxed);
+        let phase = self.phase.0.load(Ordering::Relaxed);
         // AcqRel: acquire earlier arrivers' writes, release ours.
-        if self.arrived.fetch_add(1, Ordering::AcqRel) == self.n - 1 {
-            self.arrived.store(0, Ordering::Relaxed);
+        if self.arrived.0.fetch_add(1, Ordering::AcqRel) == self.n - 1 {
+            self.arrived.0.store(0, Ordering::Relaxed);
             // Release our (and transitively everyone's) writes to spinners.
-            self.phase.store(phase.wrapping_add(1), Ordering::Release);
+            self.phase.0.store(phase.wrapping_add(1), Ordering::Release);
             true
         } else {
             let mut spins = 0u32;
             // Acquire pairs with the leader's release above.
-            while self.phase.load(Ordering::Acquire) == phase {
+            while self.phase.0.load(Ordering::Acquire) == phase {
                 spins += 1;
                 if spins < 64 {
                     std::hint::spin_loop();

@@ -24,7 +24,7 @@
 //! The end-to-end check is the bitwise oracle: for any configuration and
 //! thread count, `run_mwd` must produce exactly the bits of `step_naive`.
 
-use crate::barrier::SpinBarrier;
+use crate::barrier::{Padded, SpinBarrier};
 use crate::cancel::CancelToken;
 use crate::config::{split_range, split_range_aligned, MwdConfig};
 use crate::queue::ReadyQueue;
@@ -279,15 +279,16 @@ const SHUTDOWN: usize = usize::MAX;
 
 struct GroupCtx {
     barrier: SpinBarrier,
-    /// Tile index + 1, or SHUTDOWN.
-    slot: AtomicUsize,
+    /// Tile index + 1, or SHUTDOWN. On its own line: the members read
+    /// it right after the publish barrier, whose counters sit beside it.
+    slot: Padded,
 }
 
 impl GroupCtx {
     fn new(tg_size: usize) -> Self {
         GroupCtx {
             barrier: SpinBarrier::new(tg_size),
-            slot: AtomicUsize::new(0),
+            slot: Padded(AtomicUsize::new(0)),
         }
     }
 }
@@ -328,14 +329,14 @@ fn worker(
                 queue.close();
             }
             let next = queue.pop().map(|t| t + 1).unwrap_or(SHUTDOWN);
-            group.slot.store(next, Ordering::Release);
+            group.slot.0.store(next, Ordering::Release);
         }
         // Publish barrier: members learn the tile; pairs with the leader's
         // release store and closes the previous tile's epoch.
         group.barrier.wait();
         log.end(wait);
         my_barriers += 1;
-        let slot = group.slot.load(Ordering::Acquire);
+        let slot = group.slot.0.load(Ordering::Acquire);
         if slot == SHUTDOWN {
             break;
         }

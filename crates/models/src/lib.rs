@@ -20,4 +20,4 @@ pub use balance::{
     code_balance_spatial, wavefront_width, BYTES_PER_CELL, FLOPS_PER_LUP,
 };
 pub use machine::MachineSpec;
-pub use roofline::{mem_bound_mlups, perf_mlups, PerfEstimate};
+pub use roofline::{mem_bound_mlups, perf_mlups, perf_mlups_parallel, PerfEstimate};

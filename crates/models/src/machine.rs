@@ -35,6 +35,26 @@ pub struct MachineSpec {
     /// `eff(t) = 1 / (1 + alpha * (t - 1))`. Calibrated so 18 threads
     /// give the paper's ~75% MWD parallel efficiency.
     pub parallel_alpha: f64,
+    /// Dispatch cost of one executor work item (one diamond row at one
+    /// wavefront position: window arithmetic, six component-kernel
+    /// calls, the row barrier), in LUPs of core time. Calibrated on the
+    /// `nx = 16` grids of the README's tuning table, where the item is
+    /// small enough to see it: `dw=8, bz=1` runs at 0.8x of `bz=3..6`.
+    pub item_overhead_lups: f64,
+    /// Extra cost per item of a shared tile (`tg.size() > 1`), in LUPs:
+    /// one barrier crossing with work between crossings (170-300 ns
+    /// measured) plus the first touch of lines another core just wrote.
+    pub sync_overhead_lups: f64,
+    /// Fraction of a shared tile's item work spent fetching operands
+    /// that another member of the group wrote in the previous row
+    /// (cross-core transfer between private caches), per unit of the
+    /// remote operand share `1 - 1/tg.size()`. Together with
+    /// `sync_overhead_lups` it is sized so that a shared tile scores
+    /// below 1WD tiles of the same diamond whenever those fit the cache
+    /// window, and still at >= 0.9 for the paper's 9-thread groups on
+    /// `nx = 480` rows — the rule of the paper and of arXiv 1510.04995:
+    /// share a tile only to afford a larger diamond.
+    pub share_cost: f64,
 }
 
 impl MachineSpec {
@@ -51,6 +71,9 @@ impl MachineSpec {
         usable_cache_fraction: 0.5,
         core_lups: 9.6e6,
         parallel_alpha: 0.0196,
+        item_overhead_lups: 4.0,
+        sync_overhead_lups: 8.0,
+        share_cost: 0.15,
     };
 
     /// Usable L3 bytes for tile data (the paper's red vertical line in
@@ -67,6 +90,21 @@ impl MachineSpec {
     /// In-core (cache-decoupled) performance limit at `threads`, LUP/s.
     pub fn core_bound(&self, threads: usize) -> f64 {
         self.core_lups * threads as f64 * self.efficiency(threads)
+    }
+
+    /// Fraction of a thread's time spent updating cells when its work
+    /// arrives in items of `item_lups` LUPs each and its group has
+    /// `tg_size` members: `w / (w + overhead)`, the overhead being the
+    /// dispatch cost plus, for a shared tile, the barrier and the
+    /// cross-core transfer of the `1 - 1/tg_size` of its operands that
+    /// other members wrote.
+    pub fn group_efficiency(&self, item_lups: f64, tg_size: usize) -> f64 {
+        let mut overhead = self.item_overhead_lups;
+        if tg_size > 1 {
+            let remote = 1.0 - 1.0 / tg_size as f64;
+            overhead += self.sync_overhead_lups + self.share_cost * remote * item_lups;
+        }
+        item_lups / (item_lups + overhead)
     }
 }
 

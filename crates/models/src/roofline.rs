@@ -21,7 +21,20 @@ pub struct PerfEstimate {
 }
 
 pub fn perf_mlups(machine: &MachineSpec, threads: usize, code_balance: f64) -> PerfEstimate {
-    let core = machine.core_bound(threads) / 1e6;
+    perf_mlups_parallel(machine, threads, code_balance, 1.0)
+}
+
+/// The roofline with the core leg scaled by `parallel_eff`, the share
+/// of the `threads` cores' time a configuration can keep busy (tile
+/// concurrency x group efficiency for an MWD run):
+/// `P = min(P_core(t) * parallel_eff, b_S / B_C)`.
+pub fn perf_mlups_parallel(
+    machine: &MachineSpec,
+    threads: usize,
+    code_balance: f64,
+    parallel_eff: f64,
+) -> PerfEstimate {
+    let core = machine.core_bound(threads) * parallel_eff / 1e6;
     let mem = mem_bound_mlups(machine, code_balance);
     let mlups = core.min(mem);
     PerfEstimate {

@@ -18,11 +18,7 @@ fn main() {
     let threads = 18;
     let space = SearchSpace::default_for(threads);
     let n_total = space.candidates(dims, threads).len();
-    let mut ev = ModelEvaluator {
-        machine: hsw,
-        dims,
-        threads,
-    };
+    let mut ev = ModelEvaluator::new(hsw, dims, threads);
     let result = autotune(&space, dims, &hsw, threads, CacheWindow::default(), &mut ev)
         .expect("tuning succeeds");
 

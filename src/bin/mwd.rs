@@ -563,6 +563,19 @@ fn cmd_tune(args: &[String]) -> Result<ExitCode, String> {
                     engine_kind,
                     threads
                 );
+                // Why a configuration wins: the finalists of the miss
+                // path with the three factors behind each score.
+                for f in tuner::finalists(&key, &ropts)? {
+                    println!(
+                        "    {:<32} {:>7.1} MLUP/s = min(core x {:.2}/{} x {:.3}, bw / {:.0} B/LUP)",
+                        f.config.to_compact(),
+                        f.score_mlups,
+                        f.factors.concurrency,
+                        f.config.groups,
+                        f.factors.group_eff,
+                        f.factors.code_balance,
+                    );
+                }
             }
             continue;
         }

@@ -283,6 +283,9 @@ fn tune_round_trip_second_invocation_is_a_pure_cache_hit() {
     );
     assert_eq!(exit_code(&dry), 0, "{}", stderr(&dry));
     assert!(stdout(&dry).contains("hit"), "{}", stdout(&dry));
+    // ...and says why the winner won: the finalists' three factors.
+    assert!(stdout(&dry).contains("min(core x"), "{}", stdout(&dry));
+    assert!(stdout(&dry).contains("B/LUP"), "{}", stdout(&dry));
     assert_eq!(std::fs::read_to_string(&cache).unwrap(), body);
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -30,7 +30,7 @@ use crate::tuner::{
     score, Evaluator, Factors, ModelEvaluator, NativeEvaluator, SimEvaluator, TileModel,
 };
 use em_field::GridDims;
-use em_json::{self as jsonio, JValue};
+use em_json::Json;
 use mwd_core::MwdConfig;
 use perf_models::MachineSpec;
 use std::path::{Path, PathBuf};
@@ -133,32 +133,32 @@ impl TuneEntry {
         key_id(&self.fingerprint, &self.dims, &self.engine, self.threads)
     }
 
-    fn to_json(&self) -> JValue {
-        JValue::Obj(vec![
-            ("fingerprint".to_string(), JValue::str(&self.fingerprint)),
-            ("dims".to_string(), JValue::str(&self.dims)),
-            ("engine".to_string(), JValue::str(&self.engine)),
-            ("threads".to_string(), JValue::Num(self.threads as f64)),
-            ("config".to_string(), JValue::str(self.config.to_compact())),
-            ("score_mlups".to_string(), JValue::Num(self.score_mlups)),
-            ("stage".to_string(), JValue::str(self.stage.as_str())),
+    fn to_json(&self) -> Json {
+        Json::Obj(vec![
+            ("fingerprint".to_string(), Json::str(&self.fingerprint)),
+            ("dims".to_string(), Json::str(&self.dims)),
+            ("engine".to_string(), Json::str(&self.engine)),
+            ("threads".to_string(), Json::Num(self.threads as f64)),
+            ("config".to_string(), Json::str(self.config.to_compact())),
+            ("score_mlups".to_string(), Json::Num(self.score_mlups)),
+            ("stage".to_string(), Json::str(self.stage.as_str())),
             (
                 "native_probes".to_string(),
-                JValue::Num(self.native_probes as f64),
+                Json::Num(self.native_probes as f64),
             ),
         ])
     }
 
-    fn from_json(v: &JValue) -> Result<TuneEntry, String> {
+    fn from_json(v: &Json) -> Result<TuneEntry, String> {
         let str_field = |key: &str| -> Result<String, String> {
             v.get(key)
-                .and_then(JValue::as_str)
+                .and_then(Json::as_str)
                 .map(str::to_string)
                 .ok_or_else(|| format!("entry is missing string field `{key}`"))
         };
         let num_field = |key: &str| -> Result<f64, String> {
             v.get(key)
-                .and_then(JValue::as_f64)
+                .and_then(Json::as_f64)
                 .ok_or_else(|| format!("entry is missing numeric field `{key}`"))
         };
         Ok(TuneEntry {
@@ -219,8 +219,8 @@ impl TuneCache {
         let text = std::fs::read_to_string(path)
             .map_err(|e| format!("cannot read tuning cache {}: {e}", path.display()))?;
         let doc =
-            jsonio::parse(&text).map_err(|e| format!("tuning cache {}: {e}", path.display()))?;
-        let version = doc.get("version").and_then(JValue::as_f64).unwrap_or(0.0);
+            em_json::parse(&text).map_err(|e| format!("tuning cache {}: {e}", path.display()))?;
+        let version = doc.get("version").and_then(Json::as_f64).unwrap_or(0.0);
         if version != CACHE_VERSION {
             return Err(format!(
                 "tuning cache {}: unsupported version {version} (expected {CACHE_VERSION})",
@@ -229,7 +229,7 @@ impl TuneCache {
         }
         let entries = doc
             .get("entries")
-            .and_then(JValue::as_arr)
+            .and_then(Json::as_arr)
             .ok_or_else(|| format!("tuning cache {}: missing `entries` array", path.display()))?;
         for (i, e) in entries.iter().enumerate() {
             let entry = TuneEntry::from_json(e)
@@ -279,12 +279,12 @@ impl TuneCache {
         self.dirty = true;
     }
 
-    fn to_json(&self) -> JValue {
-        JValue::Obj(vec![
-            ("version".to_string(), JValue::Num(CACHE_VERSION)),
+    fn to_json(&self) -> Json {
+        Json::Obj(vec![
+            ("version".to_string(), Json::Num(CACHE_VERSION)),
             (
                 "entries".to_string(),
-                JValue::Arr(self.entries.iter().map(TuneEntry::to_json).collect()),
+                Json::Arr(self.entries.iter().map(TuneEntry::to_json).collect()),
             ),
         ])
     }

@@ -19,8 +19,7 @@
 //! staged lookup → model-pruned search → optional native refinement
 //! pipeline, [`shared`] wraps the cache in a lock for concurrent
 //! resolvers (the job service's admission path), and the shared
-//! [`em_json`] crate (re-exported as [`jsonio`]) reads/writes the cache
-//! file.
+//! [`em_json`] crate reads/writes the cache file.
 
 pub mod cache;
 pub mod fingerprint;
@@ -28,10 +27,6 @@ pub mod prune;
 pub mod shared;
 pub mod space;
 pub mod tuner;
-
-/// Historical module path: the cache's JSON I/O now lives in the shared
-/// `em_json` crate.
-pub use em_json as jsonio;
 
 pub use cache::{
     default_cache_path, finalists, resolve, search_candidates, Finalist, Resolution,

@@ -11,9 +11,10 @@
 use crate::harness::results_dir;
 use autotune::{Factors, ModelEvaluator, ResolveOptions, TuneCache, TuneKey};
 use em_field::{GridDims, State};
+use em_json::Json;
 use em_kernels::{run_naive, step_spatial_mt, SpatialConfig};
 use em_obs::{PhaseTotal, Recorder};
-use em_scenarios::{Json, ScenarioSpec};
+use em_scenarios::ScenarioSpec;
 use em_solver::Engine;
 use mwd_core::{run_mwd, run_mwd_bc_rec, MwdBoundary, MwdConfig};
 use std::path::{Path, PathBuf};
@@ -337,7 +338,7 @@ impl TuneRegret {
         let path = results_dir().join("BENCH_results.json");
         let mut doc = std::fs::read_to_string(&path)
             .ok()
-            .and_then(|t| em_scenarios::json::parse(&t).ok())
+            .and_then(|t| em_json::parse(&t).ok())
             .filter(|d| d.as_obj().is_some())
             .unwrap_or(Json::Obj(vec![]));
         doc.set("tune_regret", self.to_json());

@@ -62,6 +62,25 @@ pub struct RunStats {
     pub threads: usize,
 }
 
+/// Everything about one MWD run beyond `(state, cfg, nt)`. The default
+/// is the paper's benchmark call: Dirichlet boundaries, no span
+/// recording, a token that never fires.
+#[derive(Clone, Debug, Default)]
+pub struct MwdRun {
+    pub boundary: MwdBoundary,
+    /// Per-thread-group phase spans (`frontier_setup`, `queue_wait`,
+    /// `diamond_update`) go here. Disabled, instrumentation reduces to
+    /// one branch per call site, so the updates stay bit-identical.
+    pub recorder: Recorder,
+    /// Span id the phase spans nest under (0 = root).
+    pub trace_parent: u64,
+    /// Group leaders check the token before every tile claim; on a halt
+    /// the queue is closed, every group winds down at its next claim,
+    /// and the halt error is returned. The field state is then mid-plan
+    /// and must be discarded.
+    pub cancel: CancelToken,
+}
+
 /// Run `nt` time steps of the THIIM update with MWD temporal blocking.
 ///
 /// Builds the tile plan for `(ny, nt, dw)`, then lets
@@ -69,24 +88,11 @@ pub struct RunStats {
 /// Any valid configuration yields results bit-identical to
 /// [`em_kernels::run_naive`].
 pub fn run_mwd(state: &mut State, cfg: &MwdConfig, nt: usize) -> Result<RunStats, String> {
-    run_mwd_bc(state, cfg, nt, MwdBoundary::Dirichlet)
+    MwdRun::default().run(state, cfg, nt)
 }
 
-/// [`run_mwd`] with an explicit boundary selection.
-pub fn run_mwd_bc(
-    state: &mut State,
-    cfg: &MwdConfig,
-    nt: usize,
-    boundary: MwdBoundary,
-) -> Result<RunStats, String> {
-    run_mwd_bc_rec(state, cfg, nt, boundary, &Recorder::disabled(), 0)
-}
-
-/// [`run_mwd_bc`] with span recording: per-thread-group phase spans
-/// (`frontier_setup`, `queue_wait`, `diamond_update`) nest under
-/// `parent`. With a disabled recorder this is exactly [`run_mwd_bc`] —
-/// instrumentation reduces to one branch per call site, so the updates
-/// stay bit-identical.
+/// [`run_mwd`] with an explicit boundary selection and span recording
+/// under `parent`; shorthand for the matching [`MwdRun`].
 pub fn run_mwd_bc_rec(
     state: &mut State,
     cfg: &MwdConfig,
@@ -95,183 +101,102 @@ pub fn run_mwd_bc_rec(
     rec: &Recorder,
     parent: u64,
 ) -> Result<RunStats, String> {
-    let dims = state.dims();
-    cfg.validate(dims)?;
-    if nt == 0 {
-        return Ok(RunStats {
-            threads: cfg.threads(),
-            ..RunStats::default()
-        });
-    }
-    let mut log = rec.thread("mwd_plan", parent);
-    let setup = log.start("frontier_setup");
-    let plan = TilePlan::build(cfg.diamond()?, dims.ny, nt);
-    log.end_kv(
-        setup,
-        if rec.is_enabled() {
-            vec![("tiles", plan.tiles.len().to_string())]
-        } else {
-            Vec::new()
-        },
-    );
-    drop(log);
-    run_mwd_with_plan_bc_rec(state, cfg, &plan, boundary, rec, parent)
-}
-
-/// [`run_mwd_bc_rec`] observing a [`CancelToken`]: group leaders check
-/// the token before every tile claim; on cancellation the queue is
-/// closed, every group winds down at its next claim, and the halt
-/// error is returned. The field state is then mid-plan and must be
-/// discarded — callers only use this path for work whose results are
-/// dropped on cancellation.
-pub fn run_mwd_bc_rec_cancel(
-    state: &mut State,
-    cfg: &MwdConfig,
-    nt: usize,
-    boundary: MwdBoundary,
-    rec: &Recorder,
-    parent: u64,
-    cancel: &CancelToken,
-) -> Result<RunStats, String> {
-    let dims = state.dims();
-    cfg.validate(dims)?;
-    if nt == 0 {
-        return Ok(RunStats {
-            threads: cfg.threads(),
-            ..RunStats::default()
-        });
-    }
-    let plan = TilePlan::build(cfg.diamond()?, dims.ny, nt);
-    run_mwd_with_plan_bc_rec_cancel(state, cfg, &plan, boundary, rec, parent, cancel)
-}
-
-/// Run a pre-built tile plan (the auto-tuner reuses plans across probes).
-pub fn run_mwd_with_plan(
-    state: &mut State,
-    cfg: &MwdConfig,
-    plan: &TilePlan,
-) -> Result<RunStats, String> {
-    run_mwd_with_plan_bc(state, cfg, plan, MwdBoundary::Dirichlet)
-}
-
-/// [`run_mwd_with_plan`] with an explicit boundary selection.
-pub fn run_mwd_with_plan_bc(
-    state: &mut State,
-    cfg: &MwdConfig,
-    plan: &TilePlan,
-    boundary: MwdBoundary,
-) -> Result<RunStats, String> {
-    run_mwd_with_plan_bc_rec(state, cfg, plan, boundary, &Recorder::disabled(), 0)
-}
-
-/// [`run_mwd_with_plan_bc`] with span recording; see [`run_mwd_bc_rec`].
-pub fn run_mwd_with_plan_bc_rec(
-    state: &mut State,
-    cfg: &MwdConfig,
-    plan: &TilePlan,
-    boundary: MwdBoundary,
-    rec: &Recorder,
-    parent: u64,
-) -> Result<RunStats, String> {
-    run_mwd_with_plan_bc_rec_cancel(
-        state,
-        cfg,
-        plan,
+    MwdRun {
         boundary,
-        rec,
-        parent,
-        &CancelToken::none(),
-    )
+        recorder: rec.clone(),
+        trace_parent: parent,
+        ..MwdRun::default()
+    }
+    .run(state, cfg, nt)
 }
 
-/// [`run_mwd_with_plan_bc_rec`] observing a [`CancelToken`]; see
-/// [`run_mwd_bc_rec_cancel`] for the wind-down semantics.
-#[allow(clippy::too_many_arguments)]
-pub fn run_mwd_with_plan_bc_rec_cancel(
-    state: &mut State,
-    cfg: &MwdConfig,
-    plan: &TilePlan,
-    boundary: MwdBoundary,
-    rec: &Recorder,
-    parent: u64,
-    cancel: &CancelToken,
-) -> Result<RunStats, String> {
-    let dims = state.dims();
-    cfg.validate(dims)?;
-    if plan.ny != dims.ny {
-        return Err(format!(
-            "plan ny={} does not match grid ny={}",
-            plan.ny, dims.ny
-        ));
-    }
-    if plan.dw.get() != cfg.dw {
-        return Err(format!(
-            "plan dw={} does not match config dw={}",
-            plan.dw.get(),
-            cfg.dw
-        ));
-    }
-
-    let wf = cfg.wavefront()?;
-    let queue = ReadyQueue::new(plan);
-    let tg_size = cfg.tg.size();
-    let groups: Vec<GroupCtx> = (0..cfg.groups).map(|_| GroupCtx::new(tg_size)).collect();
-    let half_updates = AtomicUsize::new(0);
-    let barriers = AtomicUsize::new(0);
-    let tiles_run = AtomicUsize::new(0);
-
-    // Raw view shared by all workers; see the module-level safety argument.
-    let g = RawGrid::new(state);
-
-    std::thread::scope(|scope| {
-        for (gi, group) in groups.iter().enumerate() {
-            for member in 0..tg_size {
-                let queue = &queue;
-                let half_updates = &half_updates;
-                let barriers = &barriers;
-                let tiles_run = &tiles_run;
-                let rec = rec.clone();
-                scope.spawn(move || {
-                    let log = if rec.is_enabled() {
-                        rec.thread(&format!("mwd g{gi}.{member}"), parent)
-                    } else {
-                        rec.thread("", parent)
-                    };
-                    worker(
-                        &g,
-                        plan,
-                        cfg,
-                        wf,
-                        queue,
-                        group,
-                        member,
-                        boundary,
-                        log,
-                        half_updates,
-                        barriers,
-                        tiles_run,
-                        cancel,
-                    );
-                });
-            }
+impl MwdRun {
+    /// The one executor body: validate, build the tile plan, drain it.
+    pub fn run(&self, state: &mut State, cfg: &MwdConfig, nt: usize) -> Result<RunStats, String> {
+        let (rec, parent) = (&self.recorder, self.trace_parent);
+        let dims = state.dims();
+        cfg.validate(dims)?;
+        if nt == 0 {
+            return Ok(RunStats {
+                threads: cfg.threads(),
+                ..RunStats::default()
+            });
         }
-    });
+        let mut log = rec.thread("mwd_plan", parent);
+        let setup = log.start("frontier_setup");
+        let plan = TilePlan::build(cfg.diamond()?, dims.ny, nt);
+        log.end_kv(
+            setup,
+            if rec.is_enabled() {
+                vec![("tiles", plan.tiles.len().to_string())]
+            } else {
+                Vec::new()
+            },
+        );
+        drop(log);
 
-    // A closed queue means a leader observed the token and abandoned
-    // the plan: the field state is mid-update and must not be used.
-    if queue.is_closed() {
-        return Err(cancel
-            .halt_error()
-            .unwrap_or_else(|| "cancelled: executor queue closed".to_string()));
+        let wf = cfg.wavefront()?;
+        let queue = ReadyQueue::new(&plan);
+        let tg_size = cfg.tg.size();
+        let groups: Vec<GroupCtx> = (0..cfg.groups).map(|_| GroupCtx::new(tg_size)).collect();
+        let half_updates = AtomicUsize::new(0);
+        let barriers = AtomicUsize::new(0);
+        let tiles_run = AtomicUsize::new(0);
+
+        // Raw view shared by all workers; see the module-level safety argument.
+        let g = RawGrid::new(state);
+
+        std::thread::scope(|scope| {
+            for (gi, group) in groups.iter().enumerate() {
+                for member in 0..tg_size {
+                    let (plan, queue) = (&plan, &queue);
+                    let half_updates = &half_updates;
+                    let barriers = &barriers;
+                    let tiles_run = &tiles_run;
+                    let rec = rec.clone();
+                    scope.spawn(move || {
+                        let log = if rec.is_enabled() {
+                            rec.thread(&format!("mwd g{gi}.{member}"), parent)
+                        } else {
+                            rec.thread("", parent)
+                        };
+                        worker(
+                            &g,
+                            plan,
+                            cfg,
+                            wf,
+                            queue,
+                            group,
+                            member,
+                            self.boundary,
+                            log,
+                            half_updates,
+                            barriers,
+                            tiles_run,
+                            &self.cancel,
+                        );
+                    });
+                }
+            }
+        });
+
+        // A closed queue means a leader observed the token and abandoned
+        // the plan: the field state is mid-update and must not be used.
+        if queue.is_closed() {
+            return Err(self
+                .cancel
+                .halt_error()
+                .unwrap_or_else(|| "cancelled: executor queue closed".to_string()));
+        }
+
+        Ok(RunStats {
+            tiles: tiles_run.load(Ordering::Relaxed),
+            // Workers accumulate component-cell updates; six per field cell.
+            half_updates: half_updates.load(Ordering::Relaxed) / 6,
+            barriers: barriers.load(Ordering::Relaxed),
+            threads: cfg.threads(),
+        })
     }
-
-    Ok(RunStats {
-        tiles: tiles_run.load(Ordering::Relaxed),
-        // Workers accumulate component-cell updates; six per field cell.
-        half_updates: half_updates.load(Ordering::Relaxed) / 6,
-        barriers: barriers.load(Ordering::Relaxed),
-        threads: cfg.threads(),
-    })
 }
 
 /// Sentinel published to a group's slot when the queue is drained.
@@ -457,6 +382,20 @@ mod tests {
         s
     }
 
+    fn periodic_x() -> MwdRun {
+        MwdRun {
+            boundary: MwdBoundary::PeriodicX,
+            ..MwdRun::default()
+        }
+    }
+
+    fn with_token(cancel: CancelToken) -> MwdRun {
+        MwdRun {
+            cancel,
+            ..MwdRun::default()
+        }
+    }
+
     fn assert_mwd_matches_naive(dims: GridDims, cfg: MwdConfig, nt: usize, seed: u64) {
         let mut reference = filled(dims, seed);
         let mut tiled = reference.clone();
@@ -610,7 +549,7 @@ mod tests {
             for _ in 0..5 {
                 step_naive_with_boundary(&mut reference, Boundary::PeriodicX);
             }
-            run_mwd_bc(&mut tiled, &cfg, 5, MwdBoundary::PeriodicX).expect("runs");
+            periodic_x().run(&mut tiled, &cfg, 5).expect("runs");
             // The halo cells differ (naive writes wrap copies there), so
             // compare interiors via the component-wise norm.
             for comp in em_field::Component::ALL {
@@ -634,8 +573,8 @@ mod tests {
         let mut a = filled(dims, 11);
         let mut b = a.clone();
         let cfg = MwdConfig::one_wd(4, 1, 1);
-        run_mwd_bc(&mut a, &cfg, 3, MwdBoundary::Dirichlet).unwrap();
-        run_mwd_bc(&mut b, &cfg, 3, MwdBoundary::PeriodicX).unwrap();
+        run_mwd(&mut a, &cfg, 3).unwrap();
+        periodic_x().run(&mut b, &cfg, 3).unwrap();
         assert!(!a.fields.bit_eq(&b.fields));
     }
 
@@ -653,16 +592,7 @@ mod tests {
         };
         let token = CancelToken::none();
         token.cancel();
-        let err = run_mwd_bc_rec_cancel(
-            &mut s,
-            &cfg,
-            6,
-            MwdBoundary::Dirichlet,
-            &Recorder::disabled(),
-            0,
-            &token,
-        )
-        .unwrap_err();
+        let err = with_token(token).run(&mut s, &cfg, 6).unwrap_err();
         assert!(err.starts_with(crate::cancel::CANCELLED_PREFIX), "{err}");
     }
 
@@ -672,16 +602,7 @@ mod tests {
         let mut s = filled(dims, 22);
         let cfg = MwdConfig::one_wd(4, 2, 2);
         let token = CancelToken::with_deadline(std::time::Duration::from_millis(0));
-        let err = run_mwd_bc_rec_cancel(
-            &mut s,
-            &cfg,
-            4,
-            MwdBoundary::Dirichlet,
-            &Recorder::disabled(),
-            0,
-            &token,
-        )
-        .unwrap_err();
+        let err = with_token(token).run(&mut s, &cfg, 4).unwrap_err();
         assert!(err.starts_with(crate::cancel::TIMEOUT_PREFIX), "{err}");
     }
 
@@ -692,16 +613,9 @@ mod tests {
         let mut plain = filled(dims, 23);
         let mut cancellable = plain.clone();
         run_mwd(&mut plain, &cfg, 5).unwrap();
-        let stats = run_mwd_bc_rec_cancel(
-            &mut cancellable,
-            &cfg,
-            5,
-            MwdBoundary::Dirichlet,
-            &Recorder::disabled(),
-            0,
-            &CancelToken::none(),
-        )
-        .unwrap();
+        let stats = with_token(CancelToken::none())
+            .run(&mut cancellable, &cfg, 5)
+            .unwrap();
         assert!(plain.fields.bit_eq(&cancellable.fields));
         assert_eq!(stats.half_updates, 2 * dims.cells() * 5);
     }

@@ -36,11 +36,7 @@ pub use budget::{BudgetSplit, ThreadBudget};
 pub use cancel::{CancelState, CancelToken};
 pub use config::{split_range, split_range_aligned, MwdConfig, TgShape};
 pub use diamond::{diamond_rows, DiamondRow, DiamondWidth};
-pub use executor::{
-    run_mwd, run_mwd_bc, run_mwd_bc_rec, run_mwd_bc_rec_cancel, run_mwd_with_plan,
-    run_mwd_with_plan_bc, run_mwd_with_plan_bc_rec, run_mwd_with_plan_bc_rec_cancel, MwdBoundary,
-    RunStats,
-};
+pub use executor::{run_mwd, run_mwd_bc_rec, MwdBoundary, MwdRun, RunStats};
 pub use queue::ReadyQueue;
 pub use tiling::{ClippedRow, Tile, TilePlan};
 pub use wavefront::WavefrontSpec;

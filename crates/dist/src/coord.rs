@@ -1,31 +1,31 @@
-//! The dist coordinator: launches workers, wires the halo topology,
-//! drives the period lockstep and assembles the batch-identical
-//! outcome.
+//! The dist coordinator: launches workers, wires the halo topology and
+//! drives the period lockstep — everything that is *distributed* about
+//! a dist solve, and nothing else.
 //!
 //! Bit identity with the single-process solver is the subsystem's
 //! oracle, and the order-dependent f64 reductions make it delicate:
 //! `relative_change` and `energy()` sum in component-major interior
-//! order over the *global* grid. The coordinator therefore gathers
-//! every slab's fields once per period and replicates
-//! `run_to_convergence_cancel`'s loop — same comparison, same `prev`
-//! bookkeeping, same period accounting — on the reassembled grid, and
-//! the final analysis outputs are computed by the same `em_solver`
-//! functions a local run uses.
+//! order over the *global* grid. The slab group is therefore a
+//! [`Stepper`] under the one solver loop: each period it gathers every
+//! slab's fields into the caller's full-grid state, and the convergence
+//! test, the period accounting and the analysis outputs are the batch
+//! runner's own ([`em_scenarios::run_job`]) — the same code a local run
+//! goes through, not a copy of it.
 
 use std::net::{TcpListener, TcpStream};
 use std::process::{Child, Command, Stdio};
-use std::sync::mpsc::RecvTimeoutError;
+use std::sync::mpsc::{Receiver, RecvTimeoutError};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use em_faults::FaultInjector;
-use em_field::{norms, FieldSet};
-use em_obs::{Recorder, Registry, ThreadLog};
-use em_scenarios::{ConvergenceDecl, JobOutcome, ScenarioJob, ScenarioSpec};
-use em_solver::analysis;
+use em_field::State;
+use em_obs::{Counter, Histogram, Recorder, Registry, ThreadLog};
+use em_scenarios::{run_job, JobOutcome, ScenarioSpec};
+use em_solver::Stepper;
 use mwd_core::cancel::{CancelToken, CANCELLED_PREFIX, TIMEOUT_PREFIX};
 
-use crate::decomp::split_z;
+use crate::decomp::{split_z, Slab};
 use crate::proto::{self, FrameError, Msg};
 use crate::slab::{boundary_for, paste_fields};
 use crate::worker::{run_worker, WorkerConfig};
@@ -97,22 +97,19 @@ pub fn run_dist(spec: &ScenarioSpec, opts: &DistOptions) -> Result<Vec<JobOutcom
     spec.validate()?;
     boundary_for(&spec.engine)?;
     split_z(spec.dims().nz, opts.workers)?;
-    let jobs = spec.jobs();
-    let mut outcomes = Vec::with_capacity(jobs.len());
-    for (index, job) in jobs.iter().enumerate() {
-        outcomes.push(run_dist_job(spec, job, index, opts));
-    }
-    Ok(outcomes)
-}
-
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
+    let solve = |(index, job)| {
+        run_job(
+            spec,
+            job,
+            spec.engine,
+            index,
+            false,
+            None,
+            &opts.cancel,
+            |solver| launch(spec, index, opts, solver.steps_per_period()),
+        )
+    };
+    Ok(spec.jobs().iter().enumerate().map(solve).collect())
 }
 
 /// A worker failure keeps its cooperative-halt prefix (so the service
@@ -123,53 +120,6 @@ fn worker_failure(index: usize, msg: &str) -> String {
     } else {
         format!("dist worker {index} failed: {msg}")
     }
-}
-
-fn run_dist_job(
-    spec: &ScenarioSpec,
-    job: &ScenarioJob,
-    index: usize,
-    opts: &DistOptions,
-) -> JobOutcome {
-    let t0 = Instant::now();
-    let decl = spec.engine;
-    // The skeleton mirrors the batch runner's `blank_outcome` so a
-    // dist artifact differs from a local one in no field but the
-    // (stripped-for-comparison) wall clock.
-    let mut outcome = JobOutcome {
-        job: index,
-        scenario: job.scenario.clone(),
-        sweep_index: job.sweep_index,
-        lambda_nm: job.lambda_nm,
-        lambda_cells: job.lambda_cells,
-        dims: format!("{}", spec.dims()),
-        spec_hash: spec.content_hash(),
-        engine: decl.label(),
-        threads: decl.threads(),
-        dry_run: false,
-        converged: false,
-        periods: 0,
-        steps: 0,
-        rel_change: f64::INFINITY,
-        energy: 0.0,
-        back_iteration_cells: 0,
-        absorption: Vec::new(),
-        intensity_profile: None,
-        wall_secs: 0.0,
-        error: None,
-        artifact: None,
-        tuned: None,
-    };
-    let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        solve_dist(spec, job, index, opts, &mut outcome)
-    }));
-    let result =
-        caught.unwrap_or_else(|p| Err(format!("job panicked: {}", panic_message(p.as_ref()))));
-    if let Err(e) = result {
-        outcome.error = Some(e);
-    }
-    outcome.wall_secs = t0.elapsed().as_secs_f64();
-    outcome
 }
 
 enum Joiner {
@@ -193,23 +143,19 @@ impl Run {
         }
         Ok(())
     }
-
-    fn abort(&mut self, reason: &str) {
-        for w in self.ctrl.iter_mut() {
-            let _ = proto::send(
-                w,
-                &Msg::Abort {
-                    reason: reason.to_string(),
-                },
-            );
-        }
-    }
 }
 
 impl Drop for Run {
     fn drop(&mut self) {
+        // The one abort site: every failed or cancelled solve unwinds
+        // through here, so no error path sends its own.
         if !self.finished {
-            self.abort("coordinator shutting down");
+            let abort = Msg::Abort {
+                reason: "coordinator shutting down".to_string(),
+            };
+            for w in self.ctrl.iter_mut() {
+                let _ = proto::send(w, &abort);
+            }
         }
         // Closing the control sockets unblocks any worker still
         // reading; thread workers then exit on their own. Child
@@ -258,22 +204,32 @@ fn recv_setup(stream: &mut TcpStream, deadline: Instant, what: &str) -> Result<M
     }
 }
 
-fn solve_dist(
+/// The slab group as the solver's [`Stepper`]: one `step_n` is one
+/// lockstep period — send `Continue`, gather every worker's
+/// `PeriodDone`, paste the slabs into the caller's full-grid fields.
+struct SlabGroup {
+    run: Run,
+    rx: Receiver<(usize, Result<Msg, String>)>,
+    slabs: Vec<Slab>,
+    /// Per worker: the halo exchange counter and wait histogram.
+    metrics: Option<Vec<(Arc<Counter>, Arc<Histogram>)>>,
+    /// Per worker: the `dist-worker-{i}` trace timeline.
+    tlogs: Vec<ThreadLog>,
+    /// The only step count a period can have (see [`Stepper::step_n`]).
+    spp: usize,
+    period: usize,
+}
+
+/// Spawn the workers, hand each its slab of job `job_index`, relay the
+/// halo topology and wait until all are `Ready`.
+fn launch(
     spec: &ScenarioSpec,
-    job: &ScenarioJob,
     job_index: usize,
     opts: &DistOptions,
-    outcome: &mut JobOutcome,
-) -> Result<(), String> {
-    // A job that is already halted (drain hit between jobs) must not
-    // pay for worker spawn + teardown.
-    if let Some(err) = opts.cancel.halt_error() {
-        return Err(err);
-    }
+    spp: usize,
+) -> Result<SlabGroup, String> {
     let workers = opts.workers;
-    let dims = spec.dims();
-    let slabs = split_z(dims.nz, workers)?;
-    boundary_for(&spec.engine)?;
+    let slabs = split_z(spec.dims().nz, workers)?;
 
     let listener = TcpListener::bind("127.0.0.1:0")
         .map_err(|e| format!("cannot bind the coordinator listener: {e}"))?;
@@ -367,12 +323,6 @@ fn solve_dist(
         .map(|s| s.expect("all connected"))
         .collect();
 
-    // The full solver gives us the position-dependent coefficients
-    // (workers rebuild and crop the same thing), the gather target, and
-    // the physics constants the analysis outputs need.
-    let mut solver = spec.build_solver(job)?;
-    outcome.back_iteration_cells = solver.back_iteration_cells;
-    let spp = solver.steps_per_period();
     let threads_per_worker = (opts.threads / workers).max(1);
     let deadline_ms = opts
         .cancel
@@ -462,26 +412,46 @@ fn solve_dist(
             })
             .collect()
     });
-    let mut tlogs: Vec<ThreadLog> = (0..workers)
+    let tlogs: Vec<ThreadLog> = (0..workers)
         .map(|i| {
             opts.trace
                 .thread(&format!("dist-worker-{i}"), opts.trace_parent)
         })
         .collect();
 
-    // The convergence loop is a line-for-line replica of
-    // `ThiimSolver::run_to_convergence_cancel`, with `step_n` replaced
-    // by the lockstep round and the fields by the gathered grid.
-    let ConvergenceDecl { tol, max_periods } = spec.convergence;
-    let mut prev: Option<FieldSet> = None;
-    let mut rel = f64::INFINITY;
-    let mut converged = false;
-    let mut periods_done = max_periods;
-    'periods: for period in 1..=max_periods {
-        if let Some(err) = opts.cancel.halt_error() {
-            run.abort(&err);
-            return Err(err);
+    Ok(SlabGroup {
+        run,
+        rx,
+        slabs,
+        metrics,
+        tlogs,
+        spp,
+        period: 0,
+    })
+}
+
+impl Stepper for SlabGroup {
+    fn step_n(&mut self, state: &mut State, n: usize, cancel: &CancelToken) -> Result<(), String> {
+        // `Msg::Continue` carries no count: a worker always advances
+        // one whole period of its own solver's length.
+        if n != self.spp {
+            return Err(format!(
+                "a dist slab group steps whole periods of {} steps, not {n}",
+                self.spp
+            ));
         }
+        self.period += 1;
+        let SlabGroup {
+            run,
+            rx,
+            slabs,
+            metrics,
+            tlogs,
+            period,
+            ..
+        } = self;
+        let period = *period;
+        let workers = slabs.len();
         let mut spans: Vec<_> = tlogs
             .iter_mut()
             .map(|t| Some(t.start("dist_period")))
@@ -490,8 +460,7 @@ fn solve_dist(
         let mut pending = workers;
         let mut seen = vec![false; workers];
         while pending > 0 {
-            if let Some(err) = opts.cancel.halt_error() {
-                run.abort(&err);
+            if let Some(err) = cancel.halt_error() {
                 return Err(err);
             }
             match rx.recv_timeout(WAIT_SLICE) {
@@ -505,11 +474,9 @@ fn solve_dist(
                     }),
                 )) => {
                     if p as usize != period || seen[i] {
-                        let err = format!("worker {i} is out of lockstep at period {period}");
-                        run.abort(&err);
-                        return Err(err);
+                        return Err(format!("worker {i} is out of lockstep at period {period}"));
                     }
-                    paste_fields(&mut solver.state.fields, slabs[i], &fields)?;
+                    paste_fields(&mut state.fields, slabs[i], &fields)?;
                     if let Some(m) = &metrics {
                         m[i].0.add(exchanges);
                         for w in &wait_secs {
@@ -531,62 +498,60 @@ fn solve_dist(
                     pending -= 1;
                 }
                 Ok((i, Ok(Msg::WorkerErr { message, .. }))) => {
-                    let err = worker_failure(i, &message);
-                    run.abort(&err);
-                    return Err(err);
+                    return Err(worker_failure(i, &message));
                 }
                 Ok((i, Ok(other))) => {
-                    let err = format!(
+                    return Err(format!(
                         "unexpected control message kind {} from worker {i}",
                         other.kind()
-                    );
-                    run.abort(&err);
-                    return Err(err);
+                    ));
                 }
-                Ok((i, Err(e))) => {
-                    let err = worker_failure(i, &e);
-                    run.abort(&err);
-                    return Err(err);
-                }
+                Ok((i, Err(e))) => return Err(worker_failure(i, &e)),
                 Err(RecvTimeoutError::Timeout) => continue,
                 Err(RecvTimeoutError::Disconnected) => {
                     return Err("every control reader exited".to_string());
                 }
             }
         }
-        if let Some(p) = &prev {
-            rel = norms::relative_change(&solver.state.fields, p);
-            if rel < tol {
-                converged = true;
-                periods_done = period;
-                break 'periods;
-            }
-        }
-        prev = Some(solver.state.fields.clone());
+        Ok(())
     }
 
-    run.send_all(&Msg::Finish)?;
-    run.finished = true;
-    drop(run); // joins workers cleanly before we measure/report
+    /// `Finish` ends the lockstep; dropping the group then joins the
+    /// workers, so they are gone before the analysis is timed.
+    fn finish(mut self) -> Result<(), String> {
+        self.run.send_all(&Msg::Finish)?;
+        self.run.finished = true;
+        Ok(())
+    }
+}
 
-    outcome.converged = converged;
-    outcome.periods = periods_done;
-    outcome.steps = periods_done * spp;
-    outcome.rel_change = rel;
-    outcome.energy = solver.fields().energy();
-    for slab in &spec.outputs.absorption {
-        let a = analysis::absorption_in_slab(
-            solver.fields(),
-            &solver.config.scene,
-            job.lambda_nm,
-            solver.omega,
-            slab.z_lo,
-            slab.z_hi,
-        );
-        outcome.absorption.push((slab.name.clone(), a));
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn the_slab_group_steps_whole_periods_only() {
+        // No workers: the gather has nothing to wait for, so only the
+        // step-count contract is exercised.
+        let mut group = SlabGroup {
+            run: Run {
+                ctrl: Vec::new(),
+                joiners: Vec::new(),
+                finished: true,
+            },
+            rx: std::sync::mpsc::channel().1,
+            slabs: Vec::new(),
+            metrics: None,
+            tlogs: Vec::new(),
+            spp: 11,
+            period: 0,
+        };
+        let mut state = State::zeros(em_field::GridDims::cubic(2));
+        let token = CancelToken::none();
+        let err = group.step_n(&mut state, 10, &token).unwrap_err();
+        assert!(err.contains("whole periods of 11 steps"), "{err}");
+        assert_eq!(group.period, 0, "a refused call is not a period");
+        group.step_n(&mut state, 11, &token).unwrap();
+        assert_eq!(group.period, 1);
     }
-    if spec.outputs.intensity_profile {
-        outcome.intensity_profile = Some(analysis::intensity_profile_z(solver.fields()));
-    }
-    Ok(())
 }

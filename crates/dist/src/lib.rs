@@ -1,7 +1,8 @@
 //! # em_dist — distributed solves by z-axis domain decomposition
 //!
 //! Splits the global grid along z into `N` contiguous slabs, each
-//! solved by a worker running the existing engine stack, with the
+//! stepped by a worker's phase-split row-parallel sweep (not the MWD
+//! engine: the declared engine only selects the boundary mode), with the
 //! boundary planes exchanged once per phase over local sockets. The
 //! wire is a thin hand-rolled length-prefixed binary protocol
 //! ([`proto`]) with FNV-1a-128 frame checksums; communication overlaps
@@ -14,16 +15,18 @@
 //! Within a THIIM phase every cell reads only frozen opposite-kind
 //! fields plus its own previous value, so any spatial partition of a
 //! phase reproduces the reference bits; the order-dependent pieces —
-//! the convergence functional and the analysis reductions — run on the
-//! coordinator over the gathered global grid in the exact single-
-//! process order ([`coord`]).
+//! the convergence functional and the analysis reductions — run over
+//! the gathered global grid in the single-process code itself: the slab
+//! group is an [`em_solver::Stepper`] under the solver's one convergence
+//! loop and the batch runner's one outcome assembler ([`coord`]).
 //!
 //! Module map:
 //! - [`proto`] — framing, checksums, message codec.
 //! - [`decomp`] — the balanced contiguous z split.
 //! - [`slab`] — cropping, plane/slab codecs, split-phase stepping.
 //! - [`worker`] — one slab's lockstep solve loop.
-//! - [`coord`] — launch, topology relay, gather, convergence, outcome.
+//! - [`coord`] — launch, topology relay, the lockstep gather as a
+//!   `Stepper`, abort/reap.
 
 pub mod coord;
 pub mod decomp;

@@ -30,7 +30,7 @@
 //! periodic x/y exchanges compose with the remote z exchange.
 
 use em_field::{Component, FieldKind, FieldSet, State};
-use em_kernels::boundary::{exchange_x_halo, exchange_y_halo};
+use em_kernels::boundary::{exchange_x_halo, exchange_y_halo, Boundary};
 use em_kernels::update::update_component_rows;
 use em_kernels::RawGrid;
 use em_scenarios::EngineDecl;
@@ -53,25 +53,17 @@ pub const H_HALO: [Component; 4] = [
     Component::Hyz,
 ];
 
-/// Horizontal boundary treatment of the slab stepper, derived from the
-/// engine declaration. The z boundary is always Dirichlet globally and
-/// halo-exchange at slab cuts.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum SlabBoundary {
-    Dirichlet,
-    PeriodicX,
-    PeriodicXY,
-}
-
-/// The horizontal boundary the declared engine implies. `auto` has no
-/// structure until tuned, so dist solves require a concrete engine.
-pub fn boundary_for(decl: &EngineDecl) -> Result<SlabBoundary, String> {
+/// The horizontal boundary the declared engine implies for the slab
+/// stepper (z is always Dirichlet globally and halo-exchange at slab
+/// cuts). `auto` has no structure until tuned, so dist solves require a
+/// concrete engine.
+pub fn boundary_for(decl: &EngineDecl) -> Result<Boundary, String> {
     match decl {
         EngineDecl::Naive | EngineDecl::Spatial { .. } | EngineDecl::Mwd { .. } => {
-            Ok(SlabBoundary::Dirichlet)
+            Ok(Boundary::Dirichlet)
         }
-        EngineDecl::NaivePeriodicXY => Ok(SlabBoundary::PeriodicXY),
-        EngineDecl::MwdPeriodicX { .. } => Ok(SlabBoundary::PeriodicX),
+        EngineDecl::NaivePeriodicXY => Ok(Boundary::PeriodicXY),
+        EngineDecl::MwdPeriodicX { .. } => Ok(Boundary::PeriodicX),
         EngineDecl::Auto { .. } => Err(
             "distributed solves need a concrete engine; resolve `auto` first (mwd tune)"
                 .to_string(),
@@ -225,11 +217,11 @@ pub fn paste_fields(global: &mut FieldSet, slab: Slab, data: &[u8]) -> Result<()
 /// Refresh the slab-local periodic halos for the phase about to read
 /// `kind`. Purely local: no kernel reads the x/y halo of a z halo
 /// plane, so the wrap copies never need remote data.
-pub fn local_exchange(state: &mut State, boundary: SlabBoundary, kind: FieldKind) {
+pub fn local_exchange(state: &mut State, boundary: Boundary, kind: FieldKind) {
     match boundary {
-        SlabBoundary::Dirichlet => {}
-        SlabBoundary::PeriodicX => exchange_x_halo(state, kind),
-        SlabBoundary::PeriodicXY => {
+        Boundary::Dirichlet => {}
+        Boundary::PeriodicX => exchange_x_halo(state, kind),
+        Boundary::PeriodicXY => {
             exchange_x_halo(state, kind);
             exchange_y_halo(state, kind);
         }
@@ -282,7 +274,7 @@ pub fn phase_rows(state: &mut State, kind: FieldKind, z_lo: usize, z_hi: usize, 
 mod tests {
     use super::*;
     use em_field::{Cplx, GridDims};
-    use em_kernels::boundary::{step_naive_with_boundary, Boundary};
+    use em_kernels::boundary::step_naive_with_boundary;
 
     fn filled(dims: GridDims, seed: u64) -> State {
         let mut s = State::zeros(dims);

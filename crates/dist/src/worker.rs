@@ -22,13 +22,14 @@ use std::time::{Duration, Instant};
 
 use em_faults::{ConnFault, FaultInjector};
 use em_field::{FieldKind, State};
+use em_kernels::boundary::Boundary;
 use em_scenarios::ScenarioSpec;
 
 use crate::decomp::Slab;
 use crate::proto::{self, FrameError, Msg};
 use crate::slab::{
-    boundary_for, crop_state, extract_plane, inject_plane, local_exchange, phase_rows,
-    SlabBoundary, E_HALO, H_HALO,
+    boundary_for, crop_state, extract_plane, inject_plane, local_exchange, phase_rows, E_HALO,
+    H_HALO,
 };
 
 /// How long a worker polls between abort/deadline checks while blocked
@@ -189,7 +190,7 @@ fn wait_ctrl(rx: &Receiver<Result<Msg, String>>, deadline: Option<Instant>) -> R
 
 struct SlabJob {
     state: State,
-    boundary: SlabBoundary,
+    boundary: Boundary,
     spp: usize,
     threads: usize,
     slab: Slab,

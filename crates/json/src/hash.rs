@@ -80,6 +80,19 @@ mod tests {
     }
 
     #[test]
+    fn small_input_changes_flip_the_key() {
+        // The job service's key shape: (spec TOML, engine, fingerprint).
+        let base = content_hash(&["name = \"a\"", "mwd(dw=4)", "1t-avx2"]);
+        for other in [
+            ["name = \"b\"", "mwd(dw=4)", "1t-avx2"],
+            ["name = \"a\"", "mwd(dw=8)", "1t-avx2"],
+            ["name = \"a\"", "mwd(dw=4)", "1t-scalar"],
+        ] {
+            assert_ne!(base, content_hash(&other));
+        }
+    }
+
+    #[test]
     fn part_boundaries_matter() {
         assert_ne!(content_hash(&["ab", "c"]), content_hash(&["a", "bc"]));
         assert_ne!(content_hash(&["abc"]), content_hash(&["ab", "c"]));

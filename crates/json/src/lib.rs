@@ -20,9 +20,6 @@ use std::fmt::Write as _;
 
 pub mod hash;
 
-/// Historical alias: `autotune::jsonio` named this type `JValue`.
-pub type JValue = Json;
-
 /// A JSON value. Build with the constructors, render with
 /// [`Json::pretty`] or [`Json::compact`], read back with [`parse`].
 #[derive(Clone, Debug)]

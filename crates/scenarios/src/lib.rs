@@ -28,9 +28,9 @@
 //!   sharing one [`mwd_core::ThreadBudget`] with each job's intra-solve
 //!   thread groups, deterministic result ordering, and one JSON artifact
 //!   per job plus a batch summary;
-//! - [`json`]: a re-export of the shared [`em_json`] crate, whose
-//!   [`Json`] value type those artifacts (and the bench harness's
-//!   `BENCH_results.json`, the tuning cache, and the job service) use.
+//! - [`Json`]: the shared [`em_json`] crate's value type, which those
+//!   artifacts (and the bench harness's `BENCH_results.json`, the tuning
+//!   cache, and the job service) use.
 //!
 //! The `mwd` CLI binary in the umbrella crate (`list`, `show`, `run`,
 //! `batch`) is a thin shell over this crate.
@@ -42,15 +42,11 @@ pub mod runner;
 pub mod spec;
 pub mod toml;
 
-/// Historical module path: the JSON writer now lives in the shared
-/// `em_json` crate (which also carries the parser).
-pub use em_json as json;
-
 pub use em_json::Json;
 pub use library::{builtin, builtin_names, builtins};
 pub use runner::{
-    run_batch, write_artifacts, BatchOptions, BatchReport, JobOutcome, TunePlan, TuneRecord,
-    CANCELLED_PREFIX, TIMEOUT_PREFIX,
+    run_batch, run_job, write_artifacts, BatchOptions, BatchReport, JobOutcome, TunePlan,
+    TuneRecord, CANCELLED_PREFIX, TIMEOUT_PREFIX,
 };
 pub use spec::{
     ConvergenceDecl, EngineDecl, GridSpec, LayerDecl, OutputsDecl, PhysicsSpec, PmlDecl,

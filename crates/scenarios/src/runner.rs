@@ -14,10 +14,10 @@
 //! / `batch_summary.csv` pair, all after the concurrent phase so the
 //! files appear in a stable order.
 
-use crate::json::Json;
 use crate::spec::{ConvergenceDecl, EngineDecl, ScenarioJob, ScenarioSpec};
 use autotune::{ResolveOptions, TuneCache, TuneKey};
-use em_solver::analysis;
+use em_json::Json;
+use em_solver::{analysis, Engine, EngineStepper, Stepper, ThiimSolver};
 use mwd_core::{CancelToken, ThreadBudget};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -375,7 +375,7 @@ pub fn run_batch(specs: &[ScenarioSpec], opts: &BatchOptions) -> Result<BatchRep
     let plan = opts.tune.clone().unwrap_or_default();
     let mut cache: Option<TuneCache> = None;
     let mut freshly_tuned: std::collections::HashSet<String> = std::collections::HashSet::new();
-    let mut engines: Vec<EngineDecl> = Vec::with_capacity(jobs.len());
+    let mut engines: Vec<(EngineDecl, Engine)> = Vec::with_capacity(jobs.len());
     let mut tune_records: Vec<Option<TuneRecord>> = vec![None; jobs.len()];
     let mut tlog = opts.trace.thread("batch_tune", 0);
     for (i, (spec, _)) in jobs.iter().enumerate() {
@@ -438,9 +438,10 @@ pub fn run_batch(specs: &[ScenarioSpec], opts: &BatchOptions) -> Result<BatchRep
                 config: r.config.to_compact(),
             });
         }
-        decl.to_engine(spec.dims())
+        let engine = decl
+            .to_engine(spec.dims())
             .map_err(|e| format!("scenario `{}`: [engine] {e}", spec.name))?;
-        engines.push(decl);
+        engines.push((decl, engine));
     }
     drop(tlog);
     // Persist new answers before stepping anything: even an aborted
@@ -455,7 +456,7 @@ pub fn run_batch(specs: &[ScenarioSpec], opts: &BatchOptions) -> Result<BatchRep
     // caller pinned the pool size, shrink it so the worst-case demand
     // `workers * max(engine threads)` stays within the budget.
     if opts.workers == 0 {
-        let widest = engines.iter().map(EngineDecl::threads).max().unwrap_or(1);
+        let widest = engines.iter().map(|(d, _)| d.threads()).max().unwrap_or(1);
         workers = workers.min((opts.budget.total() / widest).max(1));
     }
 
@@ -500,6 +501,7 @@ pub fn run_batch(specs: &[ScenarioSpec], opts: &BatchOptions) -> Result<BatchRep
                     let running = in_flight.fetch_add(1, Ordering::SeqCst) + 1;
                     max_in_flight.fetch_max(running, Ordering::SeqCst);
                     let (spec, job) = &jobs[i];
+                    let (decl, engine) = &engines[i];
                     if !opts.quiet {
                         println!(
                             "[{:>2}/{}] {} lambda={} nm on {} ...",
@@ -507,7 +509,7 @@ pub fn run_batch(specs: &[ScenarioSpec], opts: &BatchOptions) -> Result<BatchRep
                             jobs.len(),
                             job.scenario,
                             job.lambda_nm,
-                            engines[i].label()
+                            decl.label()
                         );
                     }
                     let jspan = wlog.start("job");
@@ -515,13 +517,18 @@ pub fn run_batch(specs: &[ScenarioSpec], opts: &BatchOptions) -> Result<BatchRep
                     let outcome = run_job(
                         spec,
                         job,
-                        engines[i],
+                        *decl,
                         i,
                         opts.dry_run,
                         tune_records[i].clone(),
-                        &opts.trace,
-                        jspan_id,
                         token,
+                        |_| {
+                            Ok(EngineStepper {
+                                engine,
+                                recorder: opts.trace.clone(),
+                                trace_parent: jspan_id,
+                            })
+                        },
                     );
                     if jspan_id != 0 {
                         wlog.end_kv(
@@ -529,7 +536,7 @@ pub fn run_batch(specs: &[ScenarioSpec], opts: &BatchOptions) -> Result<BatchRep
                             vec![
                                 ("scenario", job.scenario.clone()),
                                 ("lambda_nm", job.lambda_nm.to_string()),
-                                ("engine", engines[i].label()),
+                                ("engine", decl.label()),
                                 ("job", i.to_string()),
                             ],
                         );
@@ -573,7 +580,7 @@ pub fn run_batch(specs: &[ScenarioSpec], opts: &BatchOptions) -> Result<BatchRep
                 let mut o = blank_outcome(
                     spec,
                     job,
-                    engines[i],
+                    engines[i].0,
                     i,
                     opts.dry_run,
                     tune_records[i].clone(),
@@ -676,17 +683,22 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
+/// Solve one job and assemble its outcome: the single place a solver is
+/// built, driven to convergence and analysed, whatever advances its
+/// fields. `stepper` is called once the solver exists (a distributed
+/// group needs its period length) and inside the panic guard, so a
+/// stepper that fails to come up lands in the outcome like any other
+/// job error. `decl` only labels the outcome.
 #[allow(clippy::too_many_arguments)]
-fn run_job(
+pub fn run_job<S: Stepper>(
     spec: &ScenarioSpec,
     job: &ScenarioJob,
     decl: EngineDecl,
     index: usize,
     dry_run: bool,
     tuned: Option<TuneRecord>,
-    trace: &em_obs::Recorder,
-    trace_parent: u64,
     cancel: &CancelToken,
+    stepper: impl FnOnce(&ThiimSolver) -> Result<S, String>,
 ) -> JobOutcome {
     let t0 = std::time::Instant::now();
     let mut outcome = blank_outcome(spec, job, decl, index, dry_run, tuned);
@@ -695,18 +707,23 @@ fn run_job(
     // job slot and tear down the scoped pool mid-batch.
     let caught =
         std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| -> Result<(), String> {
-            let engine = decl.to_engine(spec.dims())?;
             if dry_run {
                 // Prove the scene resolves (materials, preset) without
                 // paying for coefficient assembly or stepping.
                 spec.build_scene()?;
                 return Ok(());
             }
+            // A job that is already halted (drain hit between jobs)
+            // must not pay for coefficient assembly or worker spawn.
+            if let Some(err) = cancel.halt_error() {
+                return Err(err);
+            }
             let mut solver = spec.build_solver(job)?;
-            solver.set_recorder(trace.clone(), trace_parent);
             outcome.back_iteration_cells = solver.back_iteration_cells;
+            let mut stepper = stepper(&solver)?;
             let ConvergenceDecl { tol, max_periods } = spec.convergence;
-            let report = solver.run_to_convergence_cancel(&engine, tol, max_periods, cancel)?;
+            let report = solver.run_to_convergence_with(&mut stepper, tol, max_periods, cancel)?;
+            stepper.finish()?;
             outcome.converged = report.converged;
             outcome.periods = report.periods;
             outcome.steps = report.steps;
@@ -951,6 +968,7 @@ mod tests {
         // panic_message directly on the payload shapes catch_unwind
         // produces, and the run_job path with a healthy spec for the
         // no-panic side.
+        let engine = Engine::Naive;
         let ok = run_job(
             &spec,
             &job,
@@ -958,9 +976,8 @@ mod tests {
             0,
             true,
             None,
-            &em_obs::Recorder::disabled(),
-            0,
             &CancelToken::none(),
+            |_| Ok(EngineStepper::untraced(&engine)),
         );
         assert!(ok.error.is_none());
         let s: Box<dyn std::any::Any + Send> = Box::new("str payload");

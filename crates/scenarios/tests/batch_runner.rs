@@ -383,3 +383,46 @@ fn sweep_jobs_order_is_deterministic_within_a_scenario() {
     assert_eq!(report.outcomes[0].sweep_index, 0);
     assert_eq!(report.outcomes[1].sweep_index, 1);
 }
+
+#[test]
+fn a_traced_mwd_batch_records_every_executor_phase_and_changes_no_artifact_byte() {
+    // The solver path must reach the same executor body as a bare
+    // `run_mwd_bc_rec` call: all three phase spans, nested under the
+    // job's span, and tracing stays bit-neutral.
+    let mut spec = work_spec("traced");
+    spec.engine = EngineDecl::Mwd {
+        dw: 4,
+        bz: 2,
+        tg_x: 1,
+        tg_z: 1,
+        tg_c: 1,
+        groups: 2,
+    };
+    spec.convergence.max_periods = 2;
+    let trace = em_obs::Recorder::enabled();
+    let traced = run_batch(
+        std::slice::from_ref(&spec),
+        &BatchOptions {
+            trace: trace.clone(),
+            ..Default::default()
+        },
+    )
+    .unwrap();
+    let plain = run_batch(&[spec], &BatchOptions::default()).unwrap();
+    assert!(traced.outcomes[0].error.is_none());
+    assert_eq!(
+        traced.outcomes[0].to_json_canonical().pretty(),
+        plain.outcomes[0].to_json_canonical().pretty(),
+    );
+
+    let spans = trace.drain().spans;
+    let job = spans.iter().find(|s| s.name == "job").expect("job span");
+    for phase in ["frontier_setup", "queue_wait", "diamond_update"] {
+        let found: Vec<_> = spans.iter().filter(|s| s.name == phase).collect();
+        assert!(!found.is_empty(), "the solver path records `{phase}`");
+        assert!(
+            found.iter().all(|s| s.parent == job.id),
+            "`{phase}` nests under the job span"
+        );
+    }
+}

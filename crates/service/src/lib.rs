@@ -11,7 +11,7 @@
 //!   `std::net::TcpListener` (no new dependencies, matching the
 //!   offline/vendored constraint): request parsing with header/body
 //!   limits and chunked-transfer decoding, JSON responses;
-//! - [`hash`]: the canonical content hash. A job's identity is
+//! - the canonical content hash ([`em_json::hash`]). A job's identity is
 //!   `FNV-1a-128(resolved spec TOML, engine config, host/ISA
 //!   fingerprint)` — two submissions with equal hashes are
 //!   interchangeable by construction;
@@ -48,7 +48,6 @@
 
 #[cfg(target_os = "linux")]
 pub(crate) mod event_loop;
-pub mod hash;
 pub mod http;
 pub mod scheduler;
 pub mod server;
@@ -57,7 +56,6 @@ pub mod stats;
 pub mod store;
 pub mod submit;
 
-pub use hash::content_hash;
 pub use http::{Body, Limits, Request, Response};
 pub use scheduler::{
     CancelError, CancelOutcome, Scheduler, SchedulerConfig, Submission, SubmitError,

@@ -22,10 +22,10 @@
 //! [`SharedTuneCache`] at admission time, so the tuned configuration is
 //! part of the job's content key and stays warm across all requests.
 
-use crate::hash::content_hash;
 use crate::stats::ServiceStats;
 use crate::store::ResultStore;
 use autotune::{host_fingerprint, ResolveOptions, SharedTuneCache, TuneKey};
+use em_json::hash::content_hash;
 use em_json::Json;
 use em_scenarios::runner::{run_batch, BatchOptions};
 use em_scenarios::spec::EngineDecl;

@@ -813,7 +813,7 @@ fn job_result(name: &str, ctx: &ServeCtx) -> (Response, bool) {
 }
 
 fn result_by_key(key: &str, ctx: &ServeCtx) -> (Response, bool) {
-    if !crate::hash::is_key(key) {
+    if !em_json::hash::is_key(key) {
         return (
             Response::error(400, &format!("malformed result key `{key}`")),
             false,

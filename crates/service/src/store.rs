@@ -1,6 +1,6 @@
 //! The content-addressed result store.
 //!
-//! Results are keyed by [`crate::hash::content_hash`] over `(resolved
+//! Results are keyed by [`em_json::hash::content_hash`] over `(resolved
 //! spec, engine config, host/ISA fingerprint)` and hold the *canonical*
 //! artifact bytes (wall-clock-free outcome JSON, see
 //! [`em_scenarios::JobOutcome::to_json_canonical`]). Because the key
@@ -25,7 +25,7 @@
 //! <payload bytes>\n#em-store-integrity fnv1a128=<32 hex> len=<16 digits>\n
 //! ```
 //!
-//! where the hash is [`crate::hash::content_hash_bytes`] over the
+//! where the hash is [`em_json::hash::content_hash_bytes`] over the
 //! payload. Writes go `write tmp → fsync → rename → fsync(dir)`, so a
 //! crash leaves either the old state or the complete new file. Every
 //! disk read (the eager warm reload in [`ResultStore::open`]) verifies
@@ -58,7 +58,7 @@ const FOOTER_LEN: usize = FOOTER_TAG.len() + 32 + 5 + 16 + 1;
 fn encode_footer(payload: &[u8]) -> String {
     format!(
         "\n#em-store-integrity fnv1a128={} len={:016}\n",
-        crate::hash::content_hash_bytes(payload),
+        em_json::hash::content_hash_bytes(payload),
         payload.len()
     )
 }
@@ -91,7 +91,7 @@ fn verify_and_strip(bytes: &[u8]) -> Result<&[u8], String> {
             payload.len()
         ));
     }
-    let actual = crate::hash::content_hash_bytes(payload);
+    let actual = em_json::hash::content_hash_bytes(payload);
     if actual.as_bytes() != hash {
         return Err(format!(
             "integrity hash mismatch: footer {}, payload {actual}",
@@ -167,7 +167,7 @@ impl ResultStore {
             let Some(key) = name.to_str().and_then(|n| n.strip_suffix(".json")) else {
                 continue;
             };
-            if !crate::hash::is_key(key) {
+            if !em_json::hash::is_key(key) {
                 continue;
             }
             let path = item.path();
@@ -366,7 +366,7 @@ mod tests {
     use em_faults::FaultPlan;
 
     fn key(n: u8) -> String {
-        crate::hash::content_hash(&["test", &n.to_string()])
+        em_json::hash::content_hash(&["test", &n.to_string()])
     }
 
     fn temp_dir(tag: &str) -> PathBuf {

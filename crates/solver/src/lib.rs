@@ -38,5 +38,5 @@ pub use coeffs::{build_coefficients, CoeffOptions};
 pub use geometry::{Layer, Scene, Sphere};
 pub use materials::{Material, MaterialId};
 pub use pml::PmlSpec;
-pub use solver::{ConvergenceReport, Engine, SolverConfig, ThiimSolver};
+pub use solver::{ConvergenceReport, Engine, EngineStepper, SolverConfig, Stepper, ThiimSolver};
 pub use source::SourceSpec;

@@ -14,7 +14,7 @@ use crate::source::SourceSpec;
 use em_field::{norms, FieldSet, GridDims, State};
 use em_kernels::boundary::{step_naive_with_boundary, Boundary};
 use em_kernels::{step_spatial_mt, SpatialConfig};
-use mwd_core::{CancelToken, MwdConfig};
+use mwd_core::{CancelToken, MwdBoundary, MwdConfig, MwdRun};
 
 /// Execution engine selection.
 #[derive(Clone, Debug)]
@@ -71,6 +71,92 @@ pub struct ConvergenceReport {
     pub converged: bool,
 }
 
+/// The seam between the one convergence loop and whatever advances the
+/// fields: a local [`Engine`] or a distributed slab group. It is crossed
+/// once per period, never per step.
+pub trait Stepper {
+    /// Advance `state` by `n` time steps, observing `cancel`. On a halt
+    /// the fields are mid-update and must be discarded along with the
+    /// returned prefixed error.
+    fn step_n(&mut self, state: &mut State, n: usize, cancel: &CancelToken) -> Result<(), String>;
+
+    /// Called once after the last period: release what the stepper
+    /// holds (remote workers, sockets). Local engines hold nothing.
+    fn finish(self) -> Result<(), String>
+    where
+        Self: Sized,
+    {
+        Ok(())
+    }
+}
+
+/// The local [`Stepper`]: an [`Engine`] plus where the MWD executor's
+/// phase spans go.
+pub struct EngineStepper<'a> {
+    pub engine: &'a Engine,
+    /// Span recorder for the MWD engines; a disabled one makes every
+    /// instrumentation point a no-op.
+    pub recorder: em_obs::Recorder,
+    /// Ambient parent span id for executor spans (0 = root).
+    pub trace_parent: u64,
+}
+
+impl<'a> EngineStepper<'a> {
+    pub fn untraced(engine: &'a Engine) -> Self {
+        EngineStepper {
+            engine,
+            recorder: em_obs::Recorder::disabled(),
+            trace_parent: 0,
+        }
+    }
+}
+
+/// `n` whole-grid sweeps of a sequential engine, checking the token
+/// once per time step.
+fn sweep_n(
+    state: &mut State,
+    n: usize,
+    cancel: &CancelToken,
+    step: impl Fn(&mut State),
+) -> Result<(), String> {
+    for _ in 0..n {
+        if let Some(err) = cancel.halt_error() {
+            return Err(err);
+        }
+        step(state);
+    }
+    Ok(())
+}
+
+impl Stepper for EngineStepper<'_> {
+    /// The MWD engines check the token at every tile claim; the
+    /// sequential engines check once per time step.
+    fn step_n(&mut self, state: &mut State, n: usize, cancel: &CancelToken) -> Result<(), String> {
+        let mwd = |state: &mut State, cfg: &MwdConfig, boundary: MwdBoundary| {
+            let run = MwdRun {
+                boundary,
+                recorder: self.recorder.clone(),
+                trace_parent: self.trace_parent,
+                cancel: cancel.clone(),
+            };
+            run.run(state, cfg, n).map(|_| ())
+        };
+        match self.engine {
+            Engine::Naive => sweep_n(state, n, cancel, |s| {
+                step_naive_with_boundary(s, Boundary::Dirichlet)
+            }),
+            Engine::NaivePeriodicXY => sweep_n(state, n, cancel, |s| {
+                step_naive_with_boundary(s, Boundary::PeriodicXY)
+            }),
+            Engine::Spatial { cfg, threads } => {
+                sweep_n(state, n, cancel, |s| step_spatial_mt(s, *cfg, *threads))
+            }
+            Engine::Mwd(cfg) => mwd(state, cfg, MwdBoundary::Dirichlet),
+            Engine::MwdPeriodicX(cfg) => mwd(state, cfg, MwdBoundary::PeriodicX),
+        }
+    }
+}
+
 /// The solver: state + physics parameters.
 pub struct ThiimSolver {
     pub state: State,
@@ -80,10 +166,6 @@ pub struct ThiimSolver {
     /// Cells using the Eq. 5 back iteration.
     pub back_iteration_cells: usize,
     steps_done: usize,
-    /// Span recorder for the MWD engines; disabled (free) by default.
-    recorder: em_obs::Recorder,
-    /// Ambient parent span id for executor spans (0 = root).
-    trace_parent: u64,
 }
 
 impl ThiimSolver {
@@ -101,17 +183,7 @@ impl ThiimSolver {
             back_iteration_cells: back,
             config,
             steps_done: 0,
-            recorder: em_obs::Recorder::disabled(),
-            trace_parent: 0,
         }
-    }
-
-    /// Record executor phase spans into `rec`, nested under `parent`
-    /// (0 for root spans). The default disabled recorder makes every
-    /// instrumentation point a no-op.
-    pub fn set_recorder(&mut self, rec: em_obs::Recorder, parent: u64) {
-        self.recorder = rec;
-        self.trace_parent = parent;
     }
 
     /// Time steps per optical period.
@@ -128,64 +200,15 @@ impl ThiimSolver {
         self.step_n_cancel(engine, n, &CancelToken::none())
     }
 
-    /// [`Self::step_n`] observing a [`CancelToken`]. The MWD engines
-    /// check at every tile claim; the sequential engines check once
-    /// per time step. On a halt the fields are mid-update and must be
-    /// discarded along with the returned prefixed error.
+    /// [`Self::step_n`] observing a [`CancelToken`]; see
+    /// [`Stepper::step_n`] for the halt semantics.
     pub fn step_n_cancel(
         &mut self,
         engine: &Engine,
         n: usize,
         cancel: &CancelToken,
     ) -> Result<(), String> {
-        match engine {
-            Engine::Naive => {
-                for _ in 0..n {
-                    if let Some(err) = cancel.halt_error() {
-                        return Err(err);
-                    }
-                    step_naive_with_boundary(&mut self.state, Boundary::Dirichlet);
-                }
-            }
-            Engine::NaivePeriodicXY => {
-                for _ in 0..n {
-                    if let Some(err) = cancel.halt_error() {
-                        return Err(err);
-                    }
-                    step_naive_with_boundary(&mut self.state, Boundary::PeriodicXY);
-                }
-            }
-            Engine::Spatial { cfg, threads } => {
-                for _ in 0..n {
-                    if let Some(err) = cancel.halt_error() {
-                        return Err(err);
-                    }
-                    step_spatial_mt(&mut self.state, *cfg, *threads);
-                }
-            }
-            Engine::Mwd(cfg) => {
-                mwd_core::run_mwd_bc_rec_cancel(
-                    &mut self.state,
-                    cfg,
-                    n,
-                    mwd_core::MwdBoundary::Dirichlet,
-                    &self.recorder,
-                    self.trace_parent,
-                    cancel,
-                )?;
-            }
-            Engine::MwdPeriodicX(cfg) => {
-                mwd_core::run_mwd_bc_rec_cancel(
-                    &mut self.state,
-                    cfg,
-                    n,
-                    mwd_core::MwdBoundary::PeriodicX,
-                    &self.recorder,
-                    self.trace_parent,
-                    cancel,
-                )?;
-            }
-        }
+        EngineStepper::untraced(engine).step_n(&mut self.state, n, cancel)?;
         self.steps_done += n;
         Ok(())
     }
@@ -201,14 +224,27 @@ impl ThiimSolver {
         self.run_to_convergence_cancel(engine, tol, max_periods, &CancelToken::none())
     }
 
-    /// [`Self::run_to_convergence`] observing a [`CancelToken`]: the
-    /// token is checked at least once per period (and within the
-    /// period by the engines themselves), so a cancelled or expired
-    /// job halts within one solver period of the event — returning the
-    /// token's prefixed halt error instead of a report.
+    /// [`Self::run_to_convergence`] observing a [`CancelToken`]; see
+    /// [`Self::run_to_convergence_with`].
     pub fn run_to_convergence_cancel(
         &mut self,
         engine: &Engine,
+        tol: f64,
+        max_periods: usize,
+        cancel: &CancelToken,
+    ) -> Result<ConvergenceReport, String> {
+        let mut stepper = EngineStepper::untraced(engine);
+        self.run_to_convergence_with(&mut stepper, tol, max_periods, cancel)
+    }
+
+    /// The one convergence loop, over any [`Stepper`]. The token is
+    /// checked before every period (and within the period by the
+    /// stepper itself), so a cancelled or expired job halts within one
+    /// solver period of the event — returning the token's prefixed halt
+    /// error instead of a report.
+    pub fn run_to_convergence_with<S: Stepper + ?Sized>(
+        &mut self,
+        stepper: &mut S,
         tol: f64,
         max_periods: usize,
         cancel: &CancelToken,
@@ -217,7 +253,11 @@ impl ThiimSolver {
         let mut prev: Option<FieldSet> = None;
         let mut rel = f64::INFINITY;
         for period in 1..=max_periods {
-            self.step_n_cancel(engine, spp, cancel)?;
+            if let Some(err) = cancel.halt_error() {
+                return Err(err);
+            }
+            stepper.step_n(&mut self.state, spp, cancel)?;
+            self.steps_done += spp;
             if let Some(p) = &prev {
                 rel = norms::relative_change(&self.state.fields, p);
                 if rel < tol {
@@ -292,13 +332,68 @@ mod tests {
             tg: mwd_core::TgShape { x: 1, z: 1, c: 3 },
             groups: 2,
         };
+        // `step_n_cancel`, not the convergence loop: the loop's own
+        // per-period check would answer before the executor is reached.
+        let err = s.step_n_cancel(&Engine::Mwd(cfg), 5, &token).unwrap_err();
+        assert!(
+            err.starts_with(mwd_core::cancel::CANCELLED_PREFIX),
+            "want cancelled prefix, got: {err}"
+        );
+    }
+
+    /// A [`Stepper`] that touches no field: it records the `n` of every
+    /// call and can cancel a token from inside a chosen call.
+    #[derive(Default)]
+    struct FakeStepper {
+        calls: Vec<usize>,
+        cancel_in_call: Option<(usize, CancelToken)>,
+    }
+
+    impl Stepper for FakeStepper {
+        fn step_n(&mut self, _: &mut State, n: usize, _: &CancelToken) -> Result<(), String> {
+            self.calls.push(n);
+            if let Some((call, token)) = &self.cancel_in_call {
+                if self.calls.len() == *call {
+                    token.cancel();
+                }
+            }
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn the_loop_cannot_converge_before_period_two() {
+        // Unchanging fields have zero relative change, but period 1 has
+        // nothing to compare against.
+        let mut s = ThiimSolver::new(vacuum_wave_config(32, 12.0));
+        let spp = s.steps_per_period();
+        let mut fake = FakeStepper::default();
+        let r = s
+            .run_to_convergence_with(&mut fake, 1e-3, 50, &CancelToken::none())
+            .unwrap();
+        assert!(r.converged);
+        assert_eq!((r.periods, r.rel_change), (2, 0.0));
+        assert_eq!(fake.calls, vec![spp, spp], "one crossing per period");
+        assert_eq!(r.steps, r.periods * spp);
+        assert_eq!(s.steps_done(), r.steps);
+    }
+
+    #[test]
+    fn a_token_cancelled_between_periods_stops_the_loop_without_another_step() {
+        let mut s = ThiimSolver::new(vacuum_wave_config(32, 12.0));
+        let token = CancelToken::none();
+        let mut fake = FakeStepper {
+            cancel_in_call: Some((2, token.clone())),
+            ..Default::default()
+        };
         let err = s
-            .run_to_convergence_cancel(&Engine::Mwd(cfg), 1e-2, 50, &token)
+            .run_to_convergence_with(&mut fake, 0.0, 10, &token)
             .unwrap_err();
         assert!(
             err.starts_with(mwd_core::cancel::CANCELLED_PREFIX),
             "want cancelled prefix, got: {err}"
         );
+        assert_eq!(fake.calls.len(), 2, "no step_n after the cancel");
     }
 
     #[test]

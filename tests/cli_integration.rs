@@ -5,8 +5,8 @@
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
+use thiim_mwd::json::{self, Json};
 use thiim_mwd::scenarios::{builtin_names, ScenarioSpec};
-use thiim_mwd::tuner::jsonio::{self, JValue};
 
 fn temp_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("mwd_cli_{tag}_{}", std::process::id()));
@@ -139,11 +139,11 @@ fn run_writes_one_schema_conforming_artifact_per_job() {
 
     let artifact = out_dir.join(format!("00_cli-smoke_0550nm_{}.json", hash12(&spec)));
     assert!(artifact.is_file(), "missing {}", artifact.display());
-    let v = jsonio::parse(&std::fs::read_to_string(&artifact).unwrap()).unwrap();
+    let v = json::parse(&std::fs::read_to_string(&artifact).unwrap()).unwrap();
     assert_eq!(v.get("scenario").unwrap().as_str(), Some("cli-smoke"));
     assert_eq!(v.get("converged").unwrap().as_bool(), Some(false));
     assert_eq!(v.get("periods").unwrap().as_f64(), Some(1.0));
-    assert_eq!(v.get("error"), Some(&JValue::Null));
+    assert_eq!(v.get("error"), Some(&Json::Null));
     assert!(v.get("energy").unwrap().as_f64().unwrap() > 0.0);
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -170,8 +170,7 @@ fn batch_summary_has_the_documented_schema_in_job_order() {
     assert_eq!(exit_code(&out), 0, "{}", stderr(&out));
 
     let summary =
-        jsonio::parse(&std::fs::read_to_string(out_dir.join("batch_summary.json")).unwrap())
-            .unwrap();
+        json::parse(&std::fs::read_to_string(out_dir.join("batch_summary.json")).unwrap()).unwrap();
     let jobs = summary.as_arr().expect("summary is a JSON array");
     assert_eq!(jobs.len(), 2);
     for (i, (job, name)) in jobs.iter().zip(["job-a", "job-b"]).enumerate() {
@@ -199,7 +198,7 @@ fn batch_summary_has_the_documented_schema_in_job_order() {
         assert_eq!(job.get("job").unwrap().as_f64(), Some(i as f64));
         assert_eq!(job.get("scenario").unwrap().as_str(), Some(name));
         assert_eq!(job.get("dims").unwrap().as_str(), Some("4x4x24"));
-        assert_eq!(job.get("error"), Some(&JValue::Null));
+        assert_eq!(job.get("error"), Some(&Json::Null));
     }
     let csv = std::fs::read_to_string(out_dir.join("batch_summary.csv")).unwrap();
     assert_eq!(csv.lines().count(), 3, "header + one row per job");
@@ -248,7 +247,7 @@ fn tune_round_trip_second_invocation_is_a_pure_cache_hit() {
     );
     assert!(cache.is_file());
     let body = std::fs::read_to_string(&cache).unwrap();
-    let doc = jsonio::parse(&body).unwrap();
+    let doc = json::parse(&body).unwrap();
     let entries = doc.get("entries").unwrap().as_arr().unwrap();
     assert_eq!(entries.len(), 1);
     let config = entries[0].get("config").unwrap().as_str().unwrap();
@@ -316,7 +315,7 @@ fn run_with_tune_records_provenance_in_the_artifact() {
     let first = run("out1");
     assert_eq!(exit_code(&first), 0, "{}", stderr(&first));
     let art = |out: &str| {
-        jsonio::parse(
+        json::parse(
             &std::fs::read_to_string(
                 dir.join(out)
                     .join(format!("00_tuned-run_0550nm_{}.json", hash12(&spec))),
@@ -450,7 +449,7 @@ fn serve_answers_jobs_dedupes_and_drains_on_sigterm() {
     // Submit, poll to completion, fetch the artifact.
     let (status, body) = http(&addr, "POST", "/jobs", spec_toml.as_bytes());
     assert_eq!(status, 202, "{body}");
-    let sub = jsonio::parse(&body).unwrap();
+    let sub = json::parse(&body).unwrap();
     let job = sub.get("job").unwrap().as_str().unwrap().to_string();
     let key = sub.get("key").unwrap().as_str().unwrap().to_string();
     let deadline = std::time::Instant::now() + std::time::Duration::from_secs(60);
@@ -458,7 +457,7 @@ fn serve_answers_jobs_dedupes_and_drains_on_sigterm() {
         assert!(std::time::Instant::now() < deadline, "job never finished");
         let (s, b) = http(&addr, "GET", &format!("/jobs/{job}"), b"");
         assert_eq!(s, 200, "{b}");
-        let state = jsonio::parse(&b)
+        let state = json::parse(&b)
             .unwrap()
             .get("state")
             .unwrap()
@@ -477,7 +476,7 @@ fn serve_answers_jobs_dedupes_and_drains_on_sigterm() {
     // The identical spec is served from the store, byte-identical.
     let (status, body) = http(&addr, "POST", "/jobs", spec_toml.as_bytes());
     assert_eq!(status, 200, "{body}");
-    let dup = jsonio::parse(&body).unwrap();
+    let dup = json::parse(&body).unwrap();
     assert_eq!(dup.get("status").unwrap().as_str(), Some("cached"));
     let (status, cached) = http(&addr, "GET", &format!("/results/{key}"), b"");
     assert_eq!(status, 200);
@@ -550,15 +549,14 @@ fn batch_sigterm_drains_and_still_writes_the_summary() {
     // The drain still writes the full summary: one entry per job,
     // each either completed or cancelled.
     let summary =
-        jsonio::parse(&std::fs::read_to_string(out_dir.join("batch_summary.json")).unwrap())
-            .unwrap();
+        json::parse(&std::fs::read_to_string(out_dir.join("batch_summary.json")).unwrap()).unwrap();
     let jobs = summary.as_arr().expect("summary is an array");
     assert_eq!(jobs.len(), 3);
     let mut completed = 0;
     let mut cancelled = 0;
     for job in jobs {
         match job.get("error") {
-            Some(JValue::Null) | None => {
+            Some(Json::Null) | None => {
                 completed += 1;
                 assert!(job.get("energy").unwrap().as_f64().unwrap() > 0.0);
             }

@@ -12,29 +12,38 @@
 //! runner's own ([`em_scenarios::run_job`]) — the same code a local run
 //! goes through, not a copy of it.
 
-use std::net::{TcpListener, TcpStream};
+use std::net::{Shutdown, TcpListener, TcpStream};
 use std::process::{Child, Command, Stdio};
-use std::sync::mpsc::{Receiver, RecvTimeoutError};
+use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use em_faults::FaultInjector;
-use em_field::State;
+use em_field::{GridDims, State};
 use em_obs::{Counter, Histogram, Recorder, Registry, ThreadLog};
-use em_scenarios::{run_job, JobOutcome, ScenarioSpec};
+use em_scenarios::{run_job, EngineDecl, JobOutcome, ScenarioSpec};
 use em_solver::Stepper;
 use mwd_core::cancel::{CancelToken, CANCELLED_PREFIX, TIMEOUT_PREFIX};
 
-use crate::decomp::{split_z, Slab};
+use crate::decomp::{halo_depth, split_z, Slab};
 use crate::proto::{self, FrameError, Msg};
-use crate::slab::{boundary_for, paste_fields};
+use crate::slab::paste_planes;
 use crate::worker::{run_worker, WorkerConfig};
 
-/// Counter: halo planes received and applied, labelled per worker.
+/// Counter: halo blocks (one neighbour's `k` planes of all twelve
+/// field arrays) received and applied, labelled per worker.
 pub const HALO_EXCHANGES_METRIC: &str = "em_halo_exchanges_total";
 /// Histogram: seconds each worker spent blocked waiting for a halo
-/// plane, labelled per worker.
+/// block, labelled per worker.
 pub const HALO_WAIT_METRIC: &str = "em_halo_wait_seconds";
+/// Histogram: where each worker-period went, labelled per worker and
+/// `phase` = `compute` (engine steps), `exchange` (halo send + wait +
+/// paste) or `gather` (building and sending the period's fields).
+pub const PERIOD_PHASE_METRIC: &str = "em_dist_period_phase_seconds";
+/// Gauge: the halo depth `k` of the most recent slab group.
+pub const HALO_DEPTH_METRIC: &str = "em_dist_halo_depth";
+/// The `phase` label values of [`PERIOD_PHASE_METRIC`].
+pub const PERIOD_PHASES: [&str; 3] = ["compute", "exchange", "gather"];
 
 /// Poll slice for coordinator waits (cancellation stays responsive).
 const WAIT_SLICE: Duration = Duration::from_millis(25);
@@ -57,8 +66,8 @@ pub enum Launcher {
 pub struct DistOptions {
     /// Worker count (z slabs). Must satisfy `1 <= workers <= nz`.
     pub workers: usize,
-    /// Engine threads across the whole job; each worker gets
-    /// `max(1, threads / workers)`.
+    /// Engine threads across the whole job: each worker's share is
+    /// `max(1, threads / workers)`, and the declared engine must fit it.
     pub threads: usize,
     pub launcher: Launcher,
     /// Deadline / stop flag for the whole solve; aborts propagate to
@@ -94,9 +103,7 @@ impl Default for DistOptions {
 /// including error bookkeeping: per-job failures land in the outcome's
 /// `error` field, and only spec-level problems return `Err`.
 pub fn run_dist(spec: &ScenarioSpec, opts: &DistOptions) -> Result<Vec<JobOutcome>, String> {
-    spec.validate()?;
-    boundary_for(&spec.engine)?;
-    split_z(spec.dims().nz, opts.workers)?;
+    preflight(spec, opts)?;
     let solve = |(index, job)| {
         run_job(
             spec,
@@ -110,6 +117,60 @@ pub fn run_dist(spec: &ScenarioSpec, opts: &DistOptions) -> Result<Vec<JobOutcom
         )
     };
     Ok(spec.jobs().iter().enumerate().map(solve).collect())
+}
+
+/// Everything that can be refused before a worker exists: the spec,
+/// the split, the per-worker thread budget, and the declared engine
+/// against every extended slab shape a job of this spec can be handed
+/// (the halo depth varies with a job's period length, up to the cap
+/// the split allows).
+fn preflight(spec: &ScenarioSpec, opts: &DistOptions) -> Result<(), String> {
+    spec.validate()?;
+    // `auto` has no structure until tuned; tuning per slab shape is a
+    // follow-up.
+    if matches!(spec.engine, EngineDecl::Auto { .. }) {
+        return Err(
+            "distributed solves need a concrete engine; resolve `auto` first (mwd tune)"
+                .to_string(),
+        );
+    }
+    let dims = spec.dims();
+    let slabs = split_z(dims.nz, opts.workers)?;
+    let share = (opts.threads / opts.workers).max(1);
+    if spec.engine.threads() > share {
+        return Err(format!(
+            "scenario `{}`: [engine] `{}` needs {} thread(s) per worker, but {} thread(s) \
+             over {} worker(s) leave {share}",
+            spec.name,
+            spec.engine.label(),
+            spec.engine.threads(),
+            opts.threads,
+            opts.workers
+        ));
+    }
+    // One slab is the whole grid, which `validate` already covered.
+    let deepest = if slabs.len() > 1 {
+        halo_depth(usize::MAX, &slabs)
+    } else {
+        0
+    };
+    for k in 1..=deepest {
+        for (i, slab) in slabs.iter().enumerate() {
+            let ext = slab.extended(k, dims.nz);
+            spec.engine
+                .to_engine(GridDims::new(dims.nx, dims.ny, ext.nz))
+                .map_err(|e| {
+                    format!(
+                        "scenario `{}`: [engine] does not fit slab {i} (planes {}..{} \
+                         with a {k}-deep halo): {e}",
+                        spec.name,
+                        ext.z0,
+                        ext.z0 + ext.nz
+                    )
+                })?;
+        }
+    }
+    Ok(())
 }
 
 /// A worker failure keeps its cooperative-halt prefix (so the service
@@ -132,6 +193,8 @@ enum Joiner {
 /// no worker behind.
 struct Run {
     ctrl: Vec<TcpStream>,
+    /// The steady-state control readers, one per worker.
+    readers: Vec<std::thread::JoinHandle<()>>,
     joiners: Vec<Joiner>,
     finished: bool,
 }
@@ -157,10 +220,16 @@ impl Drop for Run {
                 let _ = proto::send(w, &abort);
             }
         }
-        // Closing the control sockets unblocks any worker still
-        // reading; thread workers then exit on their own. Child
-        // processes get a short grace period, then SIGKILL.
-        self.ctrl.clear();
+        // Shutting the control sockets ends our readers (blocked on
+        // clones of them) and unblocks any worker still reading; thread
+        // workers then exit on their own. Child processes get a short
+        // grace period, then SIGKILL.
+        for s in self.ctrl.drain(..) {
+            let _ = s.shutdown(Shutdown::Both);
+        }
+        for r in self.readers.drain(..) {
+            let _ = r.join();
+        }
         for j in self.joiners.drain(..) {
             match j {
                 Joiner::Thread(h) => {
@@ -209,16 +278,25 @@ fn recv_setup(stream: &mut TcpStream, deadline: Instant, what: &str) -> Result<M
 /// `PeriodDone`, paste the slabs into the caller's full-grid fields.
 struct SlabGroup {
     run: Run,
-    rx: Receiver<(usize, Result<Msg, String>)>,
+    /// What every control reader delivers, tagged with its worker.
+    rx: Receiver<(usize, Delivery)>,
+    /// Per worker: where a pasted gather buffer goes back for reuse.
+    spare: Vec<Sender<Vec<u8>>>,
     slabs: Vec<Slab>,
-    /// Per worker: the halo exchange counter and wait histogram.
-    metrics: Option<Vec<(Arc<Counter>, Arc<Histogram>)>>,
+    /// Per worker: the halo exchange counter, the wait histogram and
+    /// the [`PERIOD_PHASES`] histograms.
+    metrics: Option<Vec<WorkerMetrics>>,
     /// Per worker: the `dist-worker-{i}` trace timeline.
     tlogs: Vec<ThreadLog>,
     /// The only step count a period can have (see [`Stepper::step_n`]).
     spp: usize,
     period: usize,
 }
+
+type WorkerMetrics = (Arc<Counter>, Arc<Histogram>, [Arc<Histogram>; 3]);
+
+/// A verified frame `(kind, payload)`, or why the stream ended.
+type Delivery = Result<(u8, Vec<u8>), String>;
 
 /// Spawn the workers, hand each its slab of job `job_index`, relay the
 /// halo topology and wait until all are `Ready`.
@@ -230,6 +308,7 @@ fn launch(
 ) -> Result<SlabGroup, String> {
     let workers = opts.workers;
     let slabs = split_z(spec.dims().nz, workers)?;
+    let halo = halo_depth(spp, &slabs);
 
     let listener = TcpListener::bind("127.0.0.1:0")
         .map_err(|e| format!("cannot bind the coordinator listener: {e}"))?;
@@ -243,6 +322,7 @@ fn launch(
 
     let mut run = Run {
         ctrl: Vec::new(),
+        readers: Vec::new(),
         joiners: Vec::new(),
         finished: false,
     };
@@ -323,7 +403,6 @@ fn launch(
         .map(|s| s.expect("all connected"))
         .collect();
 
-    let threads_per_worker = (opts.threads / workers).max(1);
     let deadline_ms = opts
         .cancel
         .deadline()
@@ -338,7 +417,7 @@ fn launch(
             workers: workers as u32,
             z0: slab.z0 as u32,
             nz_local: slab.nz as u32,
-            threads: threads_per_worker as u32,
+            halo: halo as u32,
             job_index: job_index as u32,
             deadline_ms,
             spec_toml: spec_toml.clone(),
@@ -364,31 +443,36 @@ fn launch(
         }
     }
 
-    // Steady state: per-worker reader threads funnel control messages
+    // Steady state: per-worker reader threads funnel verified frames
     // into one channel so a dead worker can never wedge the gather.
-    let (tx, rx) = std::sync::mpsc::channel::<(usize, Result<Msg, String>)>();
+    // Each reads into the buffer the coordinator last handed back, so a
+    // period allocates nothing.
+    let (tx, rx) = std::sync::mpsc::channel();
+    let mut spare = Vec::new();
     for (i, s) in run.ctrl.iter().enumerate() {
         s.set_read_timeout(None)
             .map_err(|e| format!("control read timeout: {e}"))?;
         let mut r = s.try_clone().map_err(|e| format!("control clone: {e}"))?;
         let tx = tx.clone();
-        std::thread::spawn(move || loop {
-            match proto::recv(&mut r) {
-                Ok(msg) => {
-                    if tx.send((i, Ok(msg))).is_err() {
-                        return;
-                    }
-                }
-                Err(FrameError::Eof) => {
-                    let _ = tx.send((i, Err("control stream closed".to_string())));
-                    return;
-                }
-                Err(e) => {
-                    let _ = tx.send((i, Err(format!("control stream: {e}"))));
-                    return;
-                }
+        let (spare_tx, spare_rx) = std::sync::mpsc::channel::<Vec<u8>>();
+        spare.push(spare_tx);
+        let reader = move || loop {
+            let mut buf = spare_rx.try_recv().unwrap_or_default();
+            let frame = match proto::read_frame_into(&mut r, &mut buf) {
+                Ok(kind) => Ok((kind, buf)),
+                Err(FrameError::Eof) => Err("control stream closed".to_string()),
+                Err(e) => Err(format!("control stream: {e}")),
+            };
+            let end = frame.is_err();
+            if tx.send((i, frame)).is_err() || end {
+                return;
             }
-        });
+        };
+        let handle = std::thread::Builder::new()
+            .name(format!("dist-ctrl-{i}"))
+            .spawn(reader)
+            .map_err(|e| format!("cannot spawn control reader {i}: {e}"))?;
+        run.readers.push(handle);
     }
     drop(tx);
 
@@ -400,18 +484,33 @@ fn launch(
                 (
                     reg.counter(
                         HALO_EXCHANGES_METRIC,
-                        "Halo planes received and applied by dist workers",
+                        "Halo blocks received and applied by dist workers",
                         &labels,
                     ),
                     reg.histogram(
                         HALO_WAIT_METRIC,
-                        "Seconds dist workers spent blocked waiting for a halo plane",
+                        "Seconds dist workers spent blocked waiting for a halo block",
                         &labels,
                     ),
+                    PERIOD_PHASES.map(|phase| {
+                        reg.histogram(
+                            PERIOD_PHASE_METRIC,
+                            "Seconds of each dist worker-period by phase",
+                            &[labels[0], ("phase", phase)],
+                        )
+                    }),
                 )
             })
             .collect()
     });
+    if let Some(reg) = &opts.registry {
+        reg.gauge(
+            HALO_DEPTH_METRIC,
+            "Halo depth k (planes per cut, steps per exchange) of the latest slab group",
+            &[],
+        )
+        .set(halo as f64);
+    }
     let tlogs: Vec<ThreadLog> = (0..workers)
         .map(|i| {
             opts.trace
@@ -422,6 +521,7 @@ fn launch(
     Ok(SlabGroup {
         run,
         rx,
+        spare,
         slabs,
         metrics,
         tlogs,
@@ -444,6 +544,7 @@ impl Stepper for SlabGroup {
         let SlabGroup {
             run,
             rx,
+            spare,
             slabs,
             metrics,
             tlogs,
@@ -463,55 +564,72 @@ impl Stepper for SlabGroup {
             if let Some(err) = cancel.halt_error() {
                 return Err(err);
             }
-            match rx.recv_timeout(WAIT_SLICE) {
-                Ok((
-                    i,
-                    Ok(Msg::PeriodDone {
-                        period: p,
-                        exchanges,
-                        wait_secs,
-                        fields,
-                    }),
-                )) => {
-                    if p as usize != period || seen[i] {
-                        return Err(format!("worker {i} is out of lockstep at period {period}"));
-                    }
-                    paste_fields(&mut state.fields, slabs[i], &fields)?;
-                    if let Some(m) = &metrics {
-                        m[i].0.add(exchanges);
-                        for w in &wait_secs {
-                            m[i].1.observe(*w);
-                        }
-                    }
-                    if let Some(span) = spans[i].take() {
-                        let wait: f64 = wait_secs.iter().sum();
-                        tlogs[i].end_kv(
-                            span,
-                            vec![
-                                ("period", period.to_string()),
-                                ("halo_exchanges", exchanges.to_string()),
-                                ("halo_wait_s", format!("{wait:.6}")),
-                            ],
-                        );
-                    }
-                    seen[i] = true;
-                    pending -= 1;
-                }
-                Ok((i, Ok(Msg::WorkerErr { message, .. }))) => {
-                    return Err(worker_failure(i, &message));
-                }
-                Ok((i, Ok(other))) => {
-                    return Err(format!(
-                        "unexpected control message kind {} from worker {i}",
-                        other.kind()
-                    ));
-                }
+            let (i, kind, frame) = match rx.recv_timeout(WAIT_SLICE) {
+                Ok((i, Ok((kind, frame)))) => (i, kind, frame),
                 Ok((i, Err(e))) => return Err(worker_failure(i, &e)),
                 Err(RecvTimeoutError::Timeout) => continue,
                 Err(RecvTimeoutError::Disconnected) => {
                     return Err("every control reader exited".to_string());
                 }
+            };
+            match Msg::decode(kind, &frame).map_err(|e| worker_failure(i, &e))? {
+                (
+                    Msg::PeriodDone {
+                        period: p,
+                        exchanges,
+                        wait_secs,
+                        compute_s,
+                        exchange_s,
+                        gather_s,
+                    },
+                    fields,
+                ) => {
+                    if p as usize != period || seen[i] {
+                        return Err(format!("worker {i} is out of lockstep at period {period}"));
+                    }
+                    let slab = slabs[i];
+                    paste_planes(&mut state.fields, slab.z0..slab.z0 + slab.nz, fields)
+                        .map_err(|e| worker_failure(i, &e))?;
+                    let phases = [compute_s, exchange_s, gather_s];
+                    if let Some(m) = &metrics {
+                        m[i].0.add(exchanges);
+                        for w in &wait_secs {
+                            m[i].1.observe(*w);
+                        }
+                        for (h, v) in m[i].2.iter().zip(phases) {
+                            h.observe(v);
+                        }
+                    }
+                    if let Some(span) = spans[i].take() {
+                        let wait: f64 = wait_secs.iter().sum();
+                        let mut kv = vec![
+                            ("period", period.to_string()),
+                            ("halo_exchanges", exchanges.to_string()),
+                            ("halo_wait_s", format!("{wait:.6}")),
+                        ];
+                        kv.extend(
+                            ["compute_s", "exchange_s", "gather_s"]
+                                .into_iter()
+                                .zip(phases.map(|v| format!("{v:.6}"))),
+                        );
+                        tlogs[i].end_kv(span, kv);
+                    }
+                    seen[i] = true;
+                    pending -= 1;
+                }
+                (Msg::WorkerErr { message, .. }, _) => {
+                    return Err(worker_failure(i, &message));
+                }
+                (other, _) => {
+                    return Err(format!(
+                        "unexpected control message kind {} from worker {i}",
+                        other.kind()
+                    ));
+                }
             }
+            // The reader takes the buffer back for the next gather; a
+            // reader that is gone has already said why.
+            let _ = spare[i].send(frame);
         }
         Ok(())
     }
@@ -536,10 +654,12 @@ mod tests {
         let mut group = SlabGroup {
             run: Run {
                 ctrl: Vec::new(),
+                readers: Vec::new(),
                 joiners: Vec::new(),
                 finished: true,
             },
             rx: std::sync::mpsc::channel().1,
+            spare: Vec::new(),
             slabs: Vec::new(),
             metrics: None,
             tlogs: Vec::new(),

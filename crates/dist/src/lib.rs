@@ -1,32 +1,41 @@
 //! # em_dist — distributed solves by z-axis domain decomposition
 //!
-//! Splits the global grid along z into `N` contiguous slabs, each
-//! stepped by a worker's phase-split row-parallel sweep (not the MWD
-//! engine: the declared engine only selects the boundary mode), with the
-//! boundary planes exchanged once per phase over local sockets. The
-//! wire is a thin hand-rolled length-prefixed binary protocol
-//! ([`proto`]) with FNV-1a-128 frame checksums; communication overlaps
-//! computation at step granularity (boundary planes are posted before
-//! the interior update and awaited only for the one boundary row each
-//! phase still owes).
+//! Splits the global grid along z into `N` contiguous slabs, one per
+//! worker. Each worker keeps its slab extended by `k` halo planes
+//! across every cut face, advances the extended block `k` time steps
+//! at a time with the **declared engine** (an `mwd` spec really runs
+//! the MWD executor, per slab), then swaps the `k` owned boundary
+//! planes of all twelve field arrays with each neighbour in one message
+//! per direction. A cell's value after `s` steps depends only on data
+//! within `s` planes of it, so whatever is wrong at the extended edge
+//! has not reached an owned plane when the halo is refreshed: the
+//! planes in between were computed redundantly by both sides and are
+//! thrown away ([`slab`] has the argument, [`decomp::halo_depth`] the
+//! rule for `k`). One period of `spp` steps costs `ceil(spp / k)`
+//! exchanges instead of `2 * spp`.
+//!
+//! The wire is a thin hand-rolled length-prefixed binary protocol
+//! ([`proto`]) over local sockets. Field rows travel as the arrays
+//! store them, through one reusable frame buffer per direction, under
+//! a word-at-a-time checksum: one copy and one checksum pass per side.
 //!
 //! The subsystem's contract is **bit identity**: a decomposed solve
-//! produces exactly the artifact the single-process solver would.
-//! Within a THIIM phase every cell reads only frozen opposite-kind
-//! fields plus its own previous value, so any spatial partition of a
-//! phase reproduces the reference bits; the order-dependent pieces —
-//! the convergence functional and the analysis reductions — run over
-//! the gathered global grid in the single-process code itself: the slab
-//! group is an [`em_solver::Stepper`] under the solver's one convergence
-//! loop and the batch runner's one outcome assembler ([`coord`]).
+//! produces exactly the artifact the single-process solver would. Every
+//! owned cell sees the IEEE operations of the global sweep on the same
+//! inputs; the order-dependent pieces — the convergence functional and
+//! the analysis reductions — run over the gathered global grid in the
+//! single-process code itself: the slab group is an
+//! [`em_solver::Stepper`] under the solver's one convergence loop and
+//! the batch runner's one outcome assembler ([`coord`]).
 //!
 //! Module map:
-//! - [`proto`] — framing, checksums, message codec.
-//! - [`decomp`] — the balanced contiguous z split.
-//! - [`slab`] — cropping, plane/slab codecs, split-phase stepping.
+//! - [`proto`] — framing, checksum, message codec.
+//! - [`decomp`] — the balanced contiguous z split, slab extension, the
+//!   halo-depth rule.
+//! - [`slab`] — cropping and the row codec of halo blocks and gathers.
 //! - [`worker`] — one slab's lockstep solve loop.
-//! - [`coord`] — launch, topology relay, the lockstep gather as a
-//!   `Stepper`, abort/reap.
+//! - [`coord`] — pre-flight, launch, topology relay, the lockstep gather
+//!   as a `Stepper`, abort/reap.
 
 pub mod coord;
 pub mod decomp;
@@ -34,6 +43,9 @@ pub mod proto;
 pub mod slab;
 pub mod worker;
 
-pub use coord::{run_dist, DistOptions, Launcher, HALO_EXCHANGES_METRIC, HALO_WAIT_METRIC};
-pub use decomp::{split_z, Slab};
+pub use coord::{
+    run_dist, DistOptions, Launcher, HALO_DEPTH_METRIC, HALO_EXCHANGES_METRIC, HALO_WAIT_METRIC,
+    PERIOD_PHASES, PERIOD_PHASE_METRIC,
+};
+pub use decomp::{halo_depth, split_z, Slab};
 pub use worker::{run_worker, WorkerConfig};

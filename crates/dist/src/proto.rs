@@ -1,19 +1,27 @@
 //! The wire protocol between the dist coordinator and its workers.
 //!
-//! One frame layout serves both the control plane (assign / continue /
-//! finish / abort) and the halo plane (boundary-plane payloads):
+//! One frame layout serves the control plane (assign / continue /
+//! finish / abort) and the data plane (halo blocks, the per-period
+//! gather):
 //!
 //! ```text
-//! [u32 LE payload length][u8 kind][payload][32 ASCII hex checksum]
+//! [u32 LE payload length][u8 kind][payload][u64 LE checksum]
 //! ```
 //!
-//! The checksum is the FNV-1a-128 content hash from `em_json` over
-//! `kind || payload` — the same hash that names result-store artifacts,
-//! so the whole system shares one integrity primitive. Every parse
-//! failure is an `Err`, never a panic: torn frames (short reads),
-//! oversized length prefixes, checksum mismatches and malformed
-//! payloads all surface as [`FrameError`] so a chaos-injected partner
-//! can never take the peer down with it.
+//! The payload is a small typed header ([`Msg`]) optionally followed by
+//! a bulk body of field rows. A sender builds the whole frame in one
+//! reusable buffer ([`begin_frame`], append the body, [`seal_frame`]);
+//! a receiver reads it into one reusable buffer ([`read_frame_into`])
+//! and pastes rows straight out of it — one copy and one checksum pass
+//! per side. The checksum ([`checksum`]) is a word-at-a-time 4-lane
+//! multiply-rotate hash in the XXH64 mould: it guards a local wire
+//! against torn frames and flipped bits, not against an adversary, and
+//! it runs at memory speed where the byte-serial FNV-1a-128 that names
+//! store artifacts (`em_json::hash`, untouched) does not. Every parse
+//! failure is an `Err`, never a panic: short reads, oversized length
+//! prefixes, checksum mismatches and malformed payloads all surface as
+//! [`FrameError`] so a chaos-injected partner can never take the peer
+//! down with it.
 
 use std::io::{Read, Write};
 
@@ -22,8 +30,11 @@ use std::io::{Read, Write};
 /// enough that a corrupted length prefix cannot OOM the process.
 pub const MAX_FRAME: usize = 256 << 20;
 
+/// Bytes in front of a payload (length, kind).
+const HEAD: usize = 4 + 1;
+
 /// Bytes of frame overhead around a payload (length, kind, checksum).
-pub const FRAME_OVERHEAD: usize = 4 + 1 + 32;
+pub const FRAME_OVERHEAD: usize = HEAD + 8;
 
 /// Why a frame could not be read.
 #[derive(Debug)]
@@ -54,24 +65,86 @@ impl std::fmt::Display for FrameError {
     }
 }
 
-/// Serialize one frame to its wire bytes.
-pub fn frame_bytes(kind: u8, payload: &[u8]) -> Vec<u8> {
-    let mut hashed = Vec::with_capacity(payload.len() + 1);
-    hashed.push(kind);
-    hashed.extend_from_slice(payload);
-    let sum = em_json::hash::content_hash_bytes(&hashed);
-    let mut out = Vec::with_capacity(FRAME_OVERHEAD + payload.len());
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.push(kind);
-    out.extend_from_slice(payload);
-    out.extend_from_slice(sum.as_bytes());
-    out
+const P1: u64 = 0x9E37_79B1_85EB_CA87;
+const P2: u64 = 0xC2B2_AE3D_27D4_EB4F;
+const P3: u64 = 0x1656_67B1_9E37_79F9;
+const P4: u64 = 0x85EB_CA77_C2B2_AE63;
+
+#[inline]
+fn round(acc: u64, word: u64) -> u64 {
+    acc.wrapping_add(word.wrapping_mul(P2))
+        .rotate_left(31)
+        .wrapping_mul(P1)
 }
 
-/// Write one frame.
-pub fn write_frame(w: &mut impl Write, kind: u8, payload: &[u8]) -> std::io::Result<()> {
-    w.write_all(&frame_bytes(kind, payload))?;
-    w.flush()
+#[inline]
+fn word(bytes: &[u8]) -> u64 {
+    u64::from_le_bytes(bytes.try_into().expect("8 bytes"))
+}
+
+/// Fold one word into the running hash: a bijection of `h` for a fixed
+/// word and of the word for a fixed `h`.
+#[inline]
+fn mix(h: u64, w: u64) -> u64 {
+    (h ^ round(0, w))
+        .rotate_left(27)
+        .wrapping_mul(P1)
+        .wrapping_add(P4)
+}
+
+/// The frame checksum over `kind` and `payload`: four independent
+/// multiply-rotate lanes eat 32 bytes per iteration, the tail goes word
+/// by word, and the header (`kind`, length) is folded in last — a flip
+/// in the kind byte or the length prefix alone always changes the sum.
+pub fn checksum(kind: u8, payload: &[u8]) -> u64 {
+    let mut lanes = [P1.wrapping_add(P2), P2, 0, 0u64.wrapping_sub(P1)];
+    let mut stripes = payload.chunks_exact(32);
+    for s in &mut stripes {
+        for (lane, w) in lanes.iter_mut().zip(s.chunks_exact(8)) {
+            *lane = round(*lane, word(w));
+        }
+    }
+    let mut h = lanes.into_iter().fold(P3, mix);
+    let mut words = stripes.remainder().chunks_exact(8);
+    for w in &mut words {
+        h = mix(h, word(w));
+    }
+    for &byte in words.remainder() {
+        h = mix(h, byte as u64);
+    }
+    h = mix(h, ((payload.len() as u64) << 8) | kind as u64);
+    h ^= h >> 33;
+    h = h.wrapping_mul(P2);
+    h ^= h >> 29;
+    h = h.wrapping_mul(P3);
+    h ^ (h >> 32)
+}
+
+/// Start a frame of `msg` in `buf` (cleared first): the length slot,
+/// the kind and the message header. The caller appends the bulk body,
+/// if the message has one, then calls [`seal_frame`].
+pub fn begin_frame(buf: &mut Vec<u8>, msg: &Msg) {
+    buf.clear();
+    buf.extend_from_slice(&[0, 0, 0, 0, msg.kind()]);
+    msg.encode(buf);
+}
+
+/// Finish the frame begun in `buf`: patch the length prefix and append
+/// the checksum. `buf` is then the frame's wire bytes.
+pub fn seal_frame(buf: &mut Vec<u8>) {
+    let len = buf.len() - HEAD;
+    buf[..4].copy_from_slice(&(len as u32).to_le_bytes());
+    let sum = checksum(buf[4], &buf[HEAD..]);
+    buf.extend_from_slice(&sum.to_le_bytes());
+}
+
+/// Serialize one frame to its wire bytes.
+pub fn frame_bytes(kind: u8, payload: &[u8]) -> Vec<u8> {
+    let mut out = Vec::with_capacity(FRAME_OVERHEAD + payload.len());
+    out.extend_from_slice(&[0, 0, 0, 0, kind]);
+    out.extend_from_slice(payload);
+    seal_frame(&mut out);
+    out
 }
 
 fn read_exact_or(r: &mut impl Read, buf: &mut [u8], started: bool) -> Result<(), FrameError> {
@@ -96,32 +169,34 @@ fn read_exact_or(r: &mut impl Read, buf: &mut [u8], started: bool) -> Result<(),
     Ok(())
 }
 
-/// Read one frame, verifying length cap and checksum.
-pub fn read_frame(r: &mut impl Read) -> Result<(u8, Vec<u8>), FrameError> {
-    let mut len_buf = [0u8; 4];
-    read_exact_or(r, &mut len_buf, false)?;
-    let len = u32::from_le_bytes(len_buf) as usize;
+/// Read one frame's payload into `buf` (resized to fit, so a buffer
+/// reused for equal-sized frames is never refilled), verifying length
+/// cap and checksum. Returns the frame kind.
+pub fn read_frame_into(r: &mut impl Read, buf: &mut Vec<u8>) -> Result<u8, FrameError> {
+    let mut head = [0u8; HEAD];
+    read_exact_or(r, &mut head, false)?;
+    let len = u32::from_le_bytes(head[..4].try_into().expect("4 bytes")) as usize;
+    let kind = head[4];
     if len > MAX_FRAME {
         return Err(FrameError::TooLarge(len));
     }
-    let mut kind_buf = [0u8; 1];
-    read_exact_or(r, &mut kind_buf, true)?;
-    let mut payload = vec![0u8; len];
-    read_exact_or(r, &mut payload, true)?;
-    let mut sum = [0u8; 32];
-    read_exact_or(r, &mut sum, true)?;
-
-    let mut hashed = Vec::with_capacity(len + 1);
-    hashed.push(kind_buf[0]);
-    hashed.extend_from_slice(&payload);
-    let want = em_json::hash::content_hash_bytes(&hashed);
-    if want.as_bytes() != sum {
+    buf.resize(len + 8, 0);
+    read_exact_or(r, buf, true)?;
+    let sum = word(&buf[len..]);
+    buf.truncate(len);
+    if checksum(kind, buf) != sum {
         return Err(FrameError::Corrupt(format!(
-            "checksum mismatch on kind {} ({len}-byte payload)",
-            kind_buf[0]
+            "checksum mismatch on kind {kind} ({len}-byte payload)"
         )));
     }
-    Ok((kind_buf[0], payload))
+    Ok(kind)
+}
+
+/// Read one frame into a fresh buffer.
+pub fn read_frame(r: &mut impl Read) -> Result<(u8, Vec<u8>), FrameError> {
+    let mut payload = Vec::new();
+    let kind = read_frame_into(r, &mut payload)?;
+    Ok((kind, payload))
 }
 
 // ------------------------------------------------------------ payloads
@@ -143,12 +218,6 @@ pub fn put_f64(buf: &mut Vec<u8>, v: f64) {
 pub fn put_str(buf: &mut Vec<u8>, s: &str) {
     put_u32(buf, s.len() as u32);
     buf.extend_from_slice(s.as_bytes());
-}
-
-/// Length-prefixed byte blob.
-pub fn put_bytes(buf: &mut Vec<u8>, b: &[u8]) {
-    put_u32(buf, b.len() as u32);
-    buf.extend_from_slice(b);
 }
 
 /// Bounds-checked payload reader; every accessor errors (never panics)
@@ -174,6 +243,10 @@ impl<'a> Cursor<'a> {
         Ok(s)
     }
 
+    pub fn u8(&mut self, what: &str) -> Result<u8, String> {
+        Ok(self.take(1, what)?[0])
+    }
+
     pub fn u32(&mut self, what: &str) -> Result<u32, String> {
         let b = self.take(4, what)?;
         Ok(u32::from_le_bytes(b.try_into().expect("4 bytes")))
@@ -195,38 +268,39 @@ impl<'a> Cursor<'a> {
         String::from_utf8(b.to_vec()).map_err(|_| format!("{what} is not UTF-8"))
     }
 
-    pub fn bytes(&mut self, what: &str) -> Result<Vec<u8>, String> {
-        let n = self.u32(what)? as usize;
-        Ok(self.take(n, what)?.to_vec())
-    }
-
-    /// Assert the payload is fully consumed (catches trailing garbage).
-    pub fn done(&self, what: &str) -> Result<(), String> {
-        if self.pos != self.buf.len() {
-            return Err(format!(
-                "{what}: {} trailing byte(s) after the payload",
-                self.buf.len() - self.pos
-            ));
-        }
-        Ok(())
+    /// Everything not yet consumed: the bulk body behind a header.
+    pub fn rest(self) -> &'a [u8] {
+        &self.buf[self.pos..]
     }
 }
 
 // ------------------------------------------------------------ messages
 
+/// Which face of the *sender's* slab a halo block was cut from.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Side {
+    /// The sender's lowest owned planes, bound for its lower neighbour.
+    Bottom,
+    /// The sender's highest owned planes, bound for its upper neighbour.
+    Top,
+}
+
 /// Every message the coordinator and workers exchange, on either the
-/// control stream or a worker-to-worker halo link.
+/// control stream or a worker-to-worker halo link. `Halo` and
+/// `PeriodDone` are headers: the field rows they announce follow as
+/// the frame's bulk body (see [`Msg::decode`]).
 #[derive(Clone, Debug, PartialEq)]
 pub enum Msg {
     /// Worker -> coordinator, first frame on the control stream.
     Hello { index: u32 },
-    /// Coordinator -> worker: the job and this worker's z-slab.
+    /// Coordinator -> worker: the job, this worker's z-slab and the
+    /// halo depth `k` (= steps between exchanges) of the whole group.
     Assign {
         index: u32,
         workers: u32,
         z0: u32,
         nz_local: u32,
-        threads: u32,
+        halo: u32,
         job_index: u32,
         /// Remaining deadline in ms (0 = none).
         deadline_ms: u64,
@@ -239,17 +313,22 @@ pub enum Msg {
     ConnectDown { port: u16 },
     /// Worker -> coordinator: slab built, halo links wired.
     Ready,
-    /// Halo link: the sender's top E boundary plane for `step`.
-    HaloE { step: u32, data: Vec<u8> },
-    /// Halo link: the sender's bottom H boundary plane for `step`.
-    HaloH { step: u32, data: Vec<u8> },
-    /// Worker -> coordinator: one period done; slab fields plus halo
-    /// telemetry (exchange count and per-wait seconds this period).
+    /// Halo link: exchange number `block` of the solve; the body holds
+    /// `planes` owned z planes of all twelve field arrays.
+    Halo { block: u32, side: Side, planes: u32 },
+    /// Worker -> coordinator: one period done. The body holds the
+    /// slab's owned planes; the header is the period's telemetry: halo
+    /// blocks applied, each blocked wait, and where the worker's time
+    /// went. `gather_s` covers building *and sending* a gather frame, so
+    /// it is the previous period's (0 in period 1) — a frame cannot time
+    /// its own send.
     PeriodDone {
         period: u32,
         exchanges: u64,
         wait_secs: Vec<f64>,
-        fields: Vec<u8>,
+        compute_s: f64,
+        exchange_s: f64,
+        gather_s: f64,
     },
     /// Coordinator -> worker: run one more period.
     Continue,
@@ -269,8 +348,7 @@ impl Msg {
             Msg::ListenPort { .. } => 3,
             Msg::ConnectDown { .. } => 4,
             Msg::Ready => 5,
-            Msg::HaloE { .. } => 6,
-            Msg::HaloH { .. } => 7,
+            Msg::Halo { .. } => 6,
             Msg::PeriodDone { .. } => 8,
             Msg::Continue => 9,
             Msg::Finish => 10,
@@ -279,59 +357,68 @@ impl Msg {
         }
     }
 
-    pub fn encode(&self) -> Vec<u8> {
-        let mut b = Vec::new();
+    /// Append this message's header to `b`.
+    pub fn encode(&self, b: &mut Vec<u8>) {
         match self {
-            Msg::Hello { index } => put_u32(&mut b, *index),
+            Msg::Hello { index } => put_u32(b, *index),
             Msg::Assign {
                 index,
                 workers,
                 z0,
                 nz_local,
-                threads,
+                halo,
                 job_index,
                 deadline_ms,
                 spec_toml,
             } => {
-                put_u32(&mut b, *index);
-                put_u32(&mut b, *workers);
-                put_u32(&mut b, *z0);
-                put_u32(&mut b, *nz_local);
-                put_u32(&mut b, *threads);
-                put_u32(&mut b, *job_index);
-                put_u64(&mut b, *deadline_ms);
-                put_str(&mut b, spec_toml);
+                put_u32(b, *index);
+                put_u32(b, *workers);
+                put_u32(b, *z0);
+                put_u32(b, *nz_local);
+                put_u32(b, *halo);
+                put_u32(b, *job_index);
+                put_u64(b, *deadline_ms);
+                put_str(b, spec_toml);
             }
-            Msg::ListenPort { port } | Msg::ConnectDown { port } => put_u32(&mut b, *port as u32),
+            Msg::ListenPort { port } | Msg::ConnectDown { port } => put_u32(b, *port as u32),
             Msg::Ready | Msg::Continue | Msg::Finish => {}
-            Msg::HaloE { step, data } | Msg::HaloH { step, data } => {
-                put_u32(&mut b, *step);
-                put_bytes(&mut b, data);
+            Msg::Halo {
+                block,
+                side,
+                planes,
+            } => {
+                put_u32(b, *block);
+                b.push(*side as u8);
+                put_u32(b, *planes);
             }
             Msg::PeriodDone {
                 period,
                 exchanges,
                 wait_secs,
-                fields,
+                compute_s,
+                exchange_s,
+                gather_s,
             } => {
-                put_u32(&mut b, *period);
-                put_u64(&mut b, *exchanges);
-                put_u32(&mut b, wait_secs.len() as u32);
-                for w in wait_secs {
-                    put_f64(&mut b, *w);
+                put_u32(b, *period);
+                put_u64(b, *exchanges);
+                put_u32(b, wait_secs.len() as u32);
+                for w in wait_secs.iter().chain([compute_s, exchange_s, gather_s]) {
+                    put_f64(b, *w);
                 }
-                put_bytes(&mut b, fields);
             }
-            Msg::Abort { reason } => put_str(&mut b, reason),
+            Msg::Abort { reason } => put_str(b, reason),
             Msg::WorkerErr { index, message } => {
-                put_u32(&mut b, *index);
-                put_str(&mut b, message);
+                put_u32(b, *index);
+                put_str(b, message);
             }
         }
-        b
     }
 
-    pub fn decode(kind: u8, payload: &[u8]) -> Result<Msg, String> {
+    /// Decode a frame payload into its message and bulk body. Only
+    /// `Halo` and `PeriodDone` may carry a body (whoever pastes it
+    /// checks its length against the grid); trailing bytes behind any
+    /// other message are an error.
+    pub fn decode(kind: u8, payload: &[u8]) -> Result<(Msg, &[u8]), String> {
         let mut c = Cursor::new(payload);
         let msg = match kind {
             1 => Msg::Hello {
@@ -342,7 +429,7 @@ impl Msg {
                 workers: c.u32("Assign.workers")?,
                 z0: c.u32("Assign.z0")?,
                 nz_local: c.u32("Assign.nz_local")?,
-                threads: c.u32("Assign.threads")?,
+                halo: c.u32("Assign.halo")?,
                 job_index: c.u32("Assign.job_index")?,
                 deadline_ms: c.u64("Assign.deadline_ms")?,
                 spec_toml: c.str("Assign.spec_toml")?,
@@ -354,19 +441,20 @@ impl Msg {
                 port: port_of(c.u32("ConnectDown.port")?)?,
             },
             5 => Msg::Ready,
-            6 => Msg::HaloE {
-                step: c.u32("HaloE.step")?,
-                data: c.bytes("HaloE.data")?,
-            },
-            7 => Msg::HaloH {
-                step: c.u32("HaloH.step")?,
-                data: c.bytes("HaloH.data")?,
+            6 => Msg::Halo {
+                block: c.u32("Halo.block")?,
+                side: match c.u8("Halo.side")? {
+                    0 => Side::Bottom,
+                    1 => Side::Top,
+                    other => return Err(format!("Halo.side {other} is neither face")),
+                },
+                planes: c.u32("Halo.planes")?,
             },
             8 => {
                 let period = c.u32("PeriodDone.period")?;
                 let exchanges = c.u64("PeriodDone.exchanges")?;
                 let n = c.u32("PeriodDone.waits")? as usize;
-                if n > MAX_FRAME / 8 {
+                if n > payload.len() / 8 {
                     return Err(format!("PeriodDone claims {n} wait samples"));
                 }
                 let mut wait_secs = Vec::with_capacity(n);
@@ -377,7 +465,9 @@ impl Msg {
                     period,
                     exchanges,
                     wait_secs,
-                    fields: c.bytes("PeriodDone.fields")?,
+                    compute_s: c.f64("PeriodDone.compute_s")?,
+                    exchange_s: c.f64("PeriodDone.exchange_s")?,
+                    gather_s: c.f64("PeriodDone.gather_s")?,
                 }
             }
             9 => Msg::Continue,
@@ -391,8 +481,14 @@ impl Msg {
             },
             other => return Err(format!("unknown frame kind {other}")),
         };
-        c.done("message payload")?;
-        Ok(msg)
+        let body = c.rest();
+        if !body.is_empty() && !matches!(msg, Msg::Halo { .. } | Msg::PeriodDone { .. }) {
+            return Err(format!(
+                "{} trailing byte(s) after a kind-{kind} message",
+                body.len()
+            ));
+        }
+        Ok((msg, body))
     }
 }
 
@@ -400,15 +496,26 @@ fn port_of(v: u32) -> Result<u16, String> {
     u16::try_from(v).map_err(|_| format!("port {v} out of range"))
 }
 
-/// Send one message as a frame.
+/// Send one body-less message as a frame.
 pub fn send(w: &mut impl Write, msg: &Msg) -> Result<(), String> {
-    write_frame(w, msg.kind(), &msg.encode()).map_err(|e| format!("send failed: {e}"))
+    let mut frame = Vec::new();
+    begin_frame(&mut frame, msg);
+    seal_frame(&mut frame);
+    w.write_all(&frame)
+        .and_then(|_| w.flush())
+        .map_err(|e| format!("send failed: {e}"))
 }
 
-/// Receive and decode one message.
+/// Receive and decode one body-less message.
 pub fn recv(r: &mut impl Read) -> Result<Msg, FrameError> {
     let (kind, payload) = read_frame(r)?;
-    Msg::decode(kind, &payload).map_err(FrameError::Corrupt)
+    match Msg::decode(kind, &payload).map_err(FrameError::Corrupt)? {
+        (msg, []) => Ok(msg),
+        (_, body) => Err(FrameError::Corrupt(format!(
+            "unexpected {}-byte bulk body on kind {kind}",
+            body.len()
+        ))),
+    }
 }
 
 #[cfg(test)]
@@ -418,9 +525,48 @@ mod tests {
     #[test]
     fn frame_roundtrip() {
         let bytes = frame_bytes(6, b"hello halo");
+        assert_eq!(bytes.len(), FRAME_OVERHEAD + 10);
         let (kind, payload) = read_frame(&mut bytes.as_slice()).unwrap();
         assert_eq!(kind, 6);
         assert_eq!(payload, b"hello halo");
+    }
+
+    #[test]
+    fn a_frame_built_in_place_equals_the_one_shot_frame() {
+        let msg = Msg::Halo {
+            block: 4,
+            side: Side::Top,
+            planes: 2,
+        };
+        let body: Vec<u8> = (0..77).collect();
+        let mut built = vec![0xee; 300];
+        begin_frame(&mut built, &msg);
+        built.extend_from_slice(&body);
+        seal_frame(&mut built);
+        let mut payload = Vec::new();
+        msg.encode(&mut payload);
+        payload.extend_from_slice(&body);
+        assert_eq!(built, frame_bytes(msg.kind(), &payload));
+        assert_eq!(Msg::decode(msg.kind(), &payload).unwrap(), (msg, &body[..]));
+    }
+
+    #[test]
+    fn the_checksum_sees_every_byte_the_kind_and_the_length() {
+        // Lengths straddle the 32-byte stripe, the word tail and the
+        // byte tail.
+        for len in [0usize, 1, 7, 8, 9, 31, 32, 33, 63, 64, 100] {
+            let data: Vec<u8> = (0..len as u32).map(|i| (i * 37 + 11) as u8).collect();
+            let sum = checksum(3, &data);
+            assert_ne!(sum, checksum(4, &data), "kind, len {len}");
+            for at in 0..len {
+                let mut flipped = data.clone();
+                flipped[at] ^= 0x10;
+                assert_ne!(sum, checksum(3, &flipped), "byte {at} of {len}");
+            }
+            let mut longer = data.clone();
+            longer.push(0);
+            assert_ne!(sum, checksum(3, &longer), "zero-extension of {len}");
+        }
     }
 
     #[test]
@@ -451,7 +597,7 @@ mod tests {
                 workers: 2,
                 z0: 12,
                 nz_local: 12,
-                threads: 4,
+                halo: 4,
                 job_index: 0,
                 deadline_ms: 1500,
                 spec_toml: "name = \"x\"".to_string(),
@@ -459,19 +605,18 @@ mod tests {
             Msg::ListenPort { port: 40123 },
             Msg::ConnectDown { port: 40123 },
             Msg::Ready,
-            Msg::HaloE {
-                step: 7,
-                data: vec![1, 2, 3],
-            },
-            Msg::HaloH {
-                step: 8,
-                data: vec![],
+            Msg::Halo {
+                block: 7,
+                side: Side::Bottom,
+                planes: 6,
             },
             Msg::PeriodDone {
                 period: 2,
                 exchanges: 44,
                 wait_secs: vec![0.25, 1e-6],
-                fields: vec![9; 17],
+                compute_s: 0.5,
+                exchange_s: 0.125,
+                gather_s: 0.0,
             },
             Msg::Continue,
             Msg::Finish,
@@ -484,15 +629,31 @@ mod tests {
             },
         ];
         for m in msgs {
-            let decoded = Msg::decode(m.kind(), &m.encode()).unwrap();
-            assert_eq!(decoded, m);
+            let mut wire = Vec::new();
+            send(&mut wire, &m).unwrap();
+            assert_eq!(recv(&mut wire.as_slice()).unwrap(), m);
         }
     }
 
     #[test]
-    fn trailing_garbage_is_rejected() {
-        let mut p = Msg::Ready.encode();
+    fn only_bulk_messages_may_trail_a_body() {
+        let mut p = Vec::new();
+        Msg::Ready.encode(&mut p);
         p.push(0);
         assert!(Msg::decode(5, &p).is_err());
+        let halo = Msg::Halo {
+            block: 0,
+            side: Side::Top,
+            planes: 1,
+        };
+        let mut frame = Vec::new();
+        begin_frame(&mut frame, &halo);
+        frame.push(9);
+        seal_frame(&mut frame);
+        // `recv` is the body-less door: a bulk frame is refused there.
+        assert!(matches!(
+            recv(&mut frame.as_slice()),
+            Err(FrameError::Corrupt(_))
+        ));
     }
 }

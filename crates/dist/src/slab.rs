@@ -1,95 +1,65 @@
-//! Slab-local state: cropping, halo-plane and field-slab codecs, and
-//! the phase-split stepper each worker runs.
+//! Slab-local state: cropping an (extended) slab out of the full grid
+//! and the one row codec halo blocks and the per-period gather share.
 //!
-//! ## Why phase-split stepping is bit-identical
+//! ## Why `k` steps per exchange are bit-identical
 //!
-//! Within one THIIM phase every component update reads only arrays of
-//! the *opposite* field kind (frozen for the whole phase) plus its own
-//! cell, so any partition of a phase's cell updates — across threads or
-//! across processes — produces the same f64 bits as the sequential
-//! sweep, provided each cell sees the correct neighbor values. A slab
-//! therefore only needs the single boundary plane of the neighboring
-//! slab (stencil radius 1 along z) at the right moment:
+//! One THIIM step updates a cell from its own previous value and from
+//! neighbours at most one plane away in z (`H` reads `E` at `z - 1`,
+//! `E` reads `H` at `z + 1`), so the value of a cell after `s` steps
+//! depends only on initial values within `s` planes of it — its
+//! dependence cone. A worker therefore keeps its slab *extended* by
+//! `k` halo planes across each cut face ([`Slab::extended`]), fills
+//! them with the neighbour's owned planes, and runs the declared engine
+//! over the whole extended block for up to `k` steps. The engine treats
+//! the extended edge as a Dirichlet wall, which is wrong, and the error
+//! creeps inward one plane per step: after `s <= k` steps only planes
+//! within `s` of an extended edge are stale. Owned planes start `k`
+//! planes in, so the error never reaches one; every owned cell has seen
+//! exactly the IEEE operations on exactly the inputs the global sweep
+//! gives it (the engines are bit-identical to the naive sweep on any
+//! grid, the extended block included). The halo planes — the shrinking
+//! trapezoid at the cut — were computed twice, once by each side
+//! (Wittmann/Hager/Wellein, arXiv 0912.4506); then both sides swap
+//! their `k` owned boundary planes of all twelve field arrays and the
+//! halo is exact again. A face on the global boundary is physical, is
+//! not extended, and the array halo realizes it as in a local solve.
 //!
-//! * the **H phase** reads E at `z-1` — worker `i > 0` needs the top E
-//!   plane of worker `i-1` *before* updating its own `z = 0` row;
-//! * the **E phase** reads H at `z+1` — worker `i < N-1` needs the
-//!   bottom H plane of worker `i+1` (as updated *this* step) before
-//!   updating its own top row.
-//!
-//! Overlap falls out of the same split: post the boundary-plane send,
-//! update the interior rows, then wait for the halo and finish the one
-//! boundary row (arXiv 0912.4506's comm/compute scheme at period — here
-//! step — granularity).
-//!
-//! Only four E and four H arrays cross a z cut: the z-derivative
-//! components `Hxy`/`Hyx` read the Ey/Ex split pairs, `Exy`/`Eyx` read
-//! the Hy/Hx split pairs. The z-components (`Ezx`…`Hzy`) differentiate
-//! along x or y only and never look across the cut, and no kernel reads
-//! the x/y halo *of* a z halo plane — which is why the slab-local
-//! periodic x/y exchanges compose with the remote z exchange.
+//! Periodic x/y wraps are taken by the engine itself, inside halo
+//! planes like anywhere else: a wrap never leaves its z plane, so a
+//! stale plane stays confined to its own cone.
 
-use em_field::{Component, FieldKind, FieldSet, State};
-use em_kernels::boundary::{exchange_x_halo, exchange_y_halo, Boundary};
-use em_kernels::update::update_component_rows;
-use em_kernels::RawGrid;
-use em_scenarios::EngineDecl;
+use std::ops::Range;
+
+use em_field::{Array3C, Component, FieldSet, GridDims, State};
 
 use crate::decomp::Slab;
 
-/// The E split arrays a z+ neighbor's H phase reads across the cut.
-pub const E_HALO: [Component; 4] = [
-    Component::Exy,
-    Component::Exz,
-    Component::Eyx,
-    Component::Eyz,
-];
-
-/// The H split arrays a z- neighbor's E phase reads across the cut.
-pub const H_HALO: [Component; 4] = [
-    Component::Hxy,
-    Component::Hxz,
-    Component::Hyx,
-    Component::Hyz,
-];
-
-/// The horizontal boundary the declared engine implies for the slab
-/// stepper (z is always Dirichlet globally and halo-exchange at slab
-/// cuts). `auto` has no structure until tuned, so dist solves require a
-/// concrete engine.
-pub fn boundary_for(decl: &EngineDecl) -> Result<Boundary, String> {
-    match decl {
-        EngineDecl::Naive | EngineDecl::Spatial { .. } | EngineDecl::Mwd { .. } => {
-            Ok(Boundary::Dirichlet)
-        }
-        EngineDecl::NaivePeriodicXY => Ok(Boundary::PeriodicXY),
-        EngineDecl::MwdPeriodicX { .. } => Ok(Boundary::PeriodicX),
-        EngineDecl::Auto { .. } => Err(
-            "distributed solves need a concrete engine; resolve `auto` first (mwd tune)"
-                .to_string(),
-        ),
-    }
+/// Flat index of the first `re` value of every interior x-row of
+/// `arr` in the planes `z`, in z-then-y order.
+fn row_starts(arr: &Array3C, z: Range<usize>) -> impl Iterator<Item = usize> {
+    let (first, ys, zs) = (arr.idx(0, 0, 0), arr.y_stride(), arr.z_stride());
+    let ny = arr.dims().ny;
+    z.flat_map(move |z| (0..ny).map(move |y| first + z * zs + y * ys))
 }
 
-/// Copy this slab's share of a full-grid state (fields, coefficient
-/// and source arrays) into a slab-sized state. Halos stay zero, which
-/// preserves the global Dirichlet faces; cut faces are filled by the
-/// per-step halo exchange.
-pub fn crop_state(full: &State, slab: Slab) -> State {
+/// Copy the z planes of `range` out of a full-grid state (fields,
+/// coefficient and source arrays) into a state of that many planes. An
+/// extended slab crops its halo planes with it, so they start exact.
+/// The array halos stay zero, which preserves the global Dirichlet
+/// faces.
+pub fn crop_state(full: &State, range: Slab) -> State {
     let d = full.dims();
-    let mut out = State::zeros(em_field::GridDims::new(d.nx, d.ny, slab.nz));
-    let copy = |dst: &mut em_field::Array3C, src: &em_field::Array3C| {
-        for z in 0..slab.nz {
-            for y in 0..d.ny {
-                for x in 0..d.nx {
-                    dst.set(
-                        x as isize,
-                        y as isize,
-                        z as isize,
-                        src.get(x as isize, y as isize, (slab.z0 + z) as isize),
-                    );
-                }
-            }
+    let mut out = State::zeros(GridDims::new(d.nx, d.ny, range.nz));
+    let copy = |dst: &mut Array3C, src: &Array3C| {
+        let (from, to) = (
+            row_starts(src, range.z0..range.z0 + range.nz),
+            row_starts(dst, 0..range.nz),
+        );
+        let (src_im, dst_im) = (src.im_offset(), dst.im_offset());
+        let (src, dst) = (src.as_slice(), dst.as_mut_slice());
+        for (s, t) in from.zip(to) {
+            dst[t..t + d.nx].copy_from_slice(&src[s..s + d.nx]);
+            dst[dst_im + t..dst_im + t + d.nx].copy_from_slice(&src[src_im + s..src_im + s + d.nx]);
         }
     };
     for comp in Component::ALL {
@@ -103,178 +73,73 @@ pub fn crop_state(full: &State, slab: Slab) -> State {
     out
 }
 
-// ------------------------------------------------------------- codecs
+// -------------------------------------------------------------- codec
 
-/// Wire size of one halo plane (4 components, interior cells, re+im).
+/// Wire size of the four z-derivative components of one plane — a
+/// third of a plane of all twelve ([`planes_len`]). Halo blocks no
+/// longer come in this unit; it remains the size the benchmark probes
+/// the frame codec with.
 pub fn plane_len(nx: usize, ny: usize) -> usize {
     4 * nx * ny * 16
 }
 
-/// Serialize the interior `(x, y)` cells of plane `z` of each listed
-/// component, row-major, `re` then `im` per cell, f64 little-endian.
-pub fn extract_plane(fields: &FieldSet, comps: &[Component], z: isize) -> Vec<u8> {
-    let d = fields.dims();
-    let mut out = Vec::with_capacity(comps.len() * d.nx * d.ny * 16);
-    for &comp in comps {
+/// Wire size of `planes` z planes of all twelve field arrays.
+pub fn planes_len(dims: GridDims, planes: usize) -> usize {
+    3 * plane_len(dims.nx, dims.ny) * planes
+}
+
+/// Append the planes `z` of all twelve field arrays to `buf`:
+/// component-major, then z, then y, each interior x-row as its `re`
+/// values then its `im` values (f64 little-endian) — the arrays' own
+/// split layout, so both directions move whole rows.
+pub fn put_planes(buf: &mut Vec<u8>, fields: &FieldSet, z: Range<usize>) {
+    let nx = fields.dims().nx;
+    let mut at = buf.len();
+    buf.resize(at + planes_len(fields.dims(), z.len()), 0);
+    for comp in Component::ALL {
         let arr = fields.comp(comp);
-        for y in 0..d.ny as isize {
-            for x in 0..d.nx as isize {
-                let v = arr.get(x, y, z);
-                out.extend_from_slice(&v.re.to_le_bytes());
-                out.extend_from_slice(&v.im.to_le_bytes());
+        let (flat, im) = (arr.as_slice(), arr.im_offset());
+        for base in row_starts(arr, z.clone()) {
+            for part in [&flat[base..base + nx], &flat[im + base..im + base + nx]] {
+                for (dst, v) in buf[at..at + 8 * nx].chunks_exact_mut(8).zip(part) {
+                    dst.copy_from_slice(&v.to_le_bytes());
+                }
+                at += 8 * nx;
             }
         }
     }
-    out
 }
 
-/// Paste a received halo plane into plane `z` (typically `-1` or
-/// `nz`). Length-checked; errors never panic.
-pub fn inject_plane(
-    fields: &mut FieldSet,
-    comps: &[Component],
-    z: isize,
-    data: &[u8],
-) -> Result<(), String> {
+/// Paste a [`put_planes`] body into the planes `z` of `fields`.
+/// Length-checked; errors never panic.
+pub fn paste_planes(fields: &mut FieldSet, z: Range<usize>, data: &[u8]) -> Result<(), String> {
     let d = fields.dims();
-    if data.len() != comps.len() * d.nx * d.ny * 16 {
+    if z.end > d.nz || data.len() != planes_len(d, z.len()) {
         return Err(format!(
-            "halo plane has {} bytes, expected {} for {}x{}",
+            "field block has {} bytes, expected {} for planes {z:?} of {d}",
             data.len(),
-            comps.len() * d.nx * d.ny * 16,
-            d.nx,
-            d.ny
+            planes_len(d, z.len())
         ));
     }
-    let mut at = 0;
-    for &comp in comps {
+    let mut words = data.chunks_exact(8);
+    for comp in Component::ALL {
         let arr = fields.comp_mut(comp);
-        for y in 0..d.ny as isize {
-            for x in 0..d.nx as isize {
-                let re = f64::from_le_bytes(data[at..at + 8].try_into().expect("8 bytes"));
-                let im = f64::from_le_bytes(data[at + 8..at + 16].try_into().expect("8 bytes"));
-                at += 16;
-                arr.set(x, y, z, em_field::Cplx::new(re, im));
-            }
-        }
-    }
-    Ok(())
-}
-
-/// Serialize every interior cell of all twelve field arrays (the
-/// per-period gather payload).
-pub fn encode_fields(fields: &FieldSet) -> Vec<u8> {
-    let d = fields.dims();
-    let mut out = Vec::with_capacity(12 * d.nx * d.ny * d.nz * 16);
-    for comp in Component::ALL {
-        let arr = fields.comp(comp);
-        for z in 0..d.nz as isize {
-            for y in 0..d.ny as isize {
-                for x in 0..d.nx as isize {
-                    let v = arr.get(x, y, z);
-                    out.extend_from_slice(&v.re.to_le_bytes());
-                    out.extend_from_slice(&v.im.to_le_bytes());
-                }
-            }
-        }
-    }
-    out
-}
-
-/// Paste a worker's gathered slab fields into the coordinator's
-/// full-grid field set at `slab`.
-pub fn paste_fields(global: &mut FieldSet, slab: Slab, data: &[u8]) -> Result<(), String> {
-    let d = global.dims();
-    if data.len() != 12 * d.nx * d.ny * slab.nz * 16 {
-        return Err(format!(
-            "slab payload has {} bytes, expected {} for {}x{}x{}",
-            data.len(),
-            12 * d.nx * d.ny * slab.nz * 16,
-            d.nx,
-            d.ny,
-            slab.nz
-        ));
-    }
-    let mut at = 0;
-    for comp in Component::ALL {
-        let arr = global.comp_mut(comp);
-        for z in 0..slab.nz as isize {
-            for y in 0..d.ny as isize {
-                for x in 0..d.nx as isize {
-                    let re = f64::from_le_bytes(data[at..at + 8].try_into().expect("8 bytes"));
-                    let im = f64::from_le_bytes(data[at + 8..at + 16].try_into().expect("8 bytes"));
-                    at += 16;
-                    arr.set(x, y, z + slab.z0 as isize, em_field::Cplx::new(re, im));
+        let (starts, im) = (row_starts(arr, z.clone()), arr.im_offset());
+        let flat = arr.as_mut_slice();
+        for base in starts {
+            for start in [base, im + base] {
+                for (v, w) in flat[start..start + d.nx].iter_mut().zip(&mut words) {
+                    *v = f64::from_le_bytes(w.try_into().expect("8 bytes"));
                 }
             }
         }
     }
     Ok(())
-}
-
-// ----------------------------------------------------------- stepping
-
-/// Refresh the slab-local periodic halos for the phase about to read
-/// `kind`. Purely local: no kernel reads the x/y halo of a z halo
-/// plane, so the wrap copies never need remote data.
-pub fn local_exchange(state: &mut State, boundary: Boundary, kind: FieldKind) {
-    match boundary {
-        Boundary::Dirichlet => {}
-        Boundary::PeriodicX => exchange_x_halo(state, kind),
-        Boundary::PeriodicXY => {
-            exchange_x_halo(state, kind);
-            exchange_y_halo(state, kind);
-        }
-    }
-}
-
-/// Update all six components of `kind` over the z rows `z_lo..z_hi`,
-/// splitting rows round-robin over `threads` OS threads. Any partition
-/// of a phase is bit-identical (see module docs), so the thread count
-/// affects wall time only.
-pub fn phase_rows(state: &mut State, kind: FieldKind, z_lo: usize, z_hi: usize, threads: usize) {
-    if z_hi <= z_lo {
-        return;
-    }
-    let dims = state.dims();
-    let comps = Component::of(kind);
-    let g = RawGrid::new(state);
-    let t = threads.clamp(1, z_hi - z_lo);
-    if t == 1 {
-        for comp in comps {
-            // SAFETY: single-threaded; each component nest writes only
-            // its own array and reads frozen opposite-kind arrays (same
-            // argument as `step_naive`).
-            unsafe { update_component_rows(&g, comp, z_lo..z_hi, 0..dims.ny, 0..dims.nx) };
-        }
-        return;
-    }
-    std::thread::scope(|s| {
-        for w in 0..t {
-            s.spawn(move || {
-                for comp in comps {
-                    let mut z = z_lo + w;
-                    while z < z_hi {
-                        // SAFETY: threads own disjoint z rows of each
-                        // component array; stencil reads target frozen
-                        // opposite-kind arrays and the written cell
-                        // itself, so no data race (RawGrid contract).
-                        unsafe {
-                            update_component_rows(&g, comp, z..z + 1, 0..dims.ny, 0..dims.nx)
-                        };
-                        z += t;
-                    }
-                }
-            });
-        }
-    });
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use em_field::{Cplx, GridDims};
-    use em_kernels::boundary::step_naive_with_boundary;
 
     fn filled(dims: GridDims, seed: u64) -> State {
         let mut s = State::zeros(dims);
@@ -284,62 +149,41 @@ mod tests {
     }
 
     #[test]
-    fn phase_rows_threading_is_bit_identical() {
-        let dims = GridDims::new(5, 4, 9);
-        let mut a = filled(dims, 3);
-        let mut b = a.clone();
-        phase_rows(&mut a, FieldKind::H, 0, 9, 1);
-        phase_rows(&mut a, FieldKind::E, 0, 9, 1);
-        phase_rows(&mut b, FieldKind::H, 0, 9, 3);
-        phase_rows(&mut b, FieldKind::E, 0, 9, 3);
-        assert!(a.fields.bit_eq(&b.fields));
-    }
-
-    #[test]
-    fn split_phases_match_step_naive() {
-        let dims = GridDims::new(4, 4, 8);
-        let mut a = filled(dims, 11);
-        let mut b = a.clone();
-        step_naive_with_boundary(&mut a, Boundary::Dirichlet);
-        // Same step, phases split at an arbitrary interior row.
-        phase_rows(&mut b, FieldKind::H, 3, 8, 2);
-        phase_rows(&mut b, FieldKind::H, 0, 3, 2);
-        phase_rows(&mut b, FieldKind::E, 0, 5, 2);
-        phase_rows(&mut b, FieldKind::E, 5, 8, 2);
-        assert!(a.fields.bit_eq(&b.fields));
-    }
-
-    #[test]
-    fn plane_codec_roundtrips() {
+    fn plane_blocks_roundtrip_between_z_ranges() {
+        // nx = 3: rows are neither a lane multiple nor aligned.
         let dims = GridDims::new(3, 4, 5);
         let s = filled(dims, 7);
-        let bytes = extract_plane(&s.fields, &E_HALO, 2);
-        assert_eq!(bytes.len(), plane_len(3, 4));
+        let mut bytes = vec![0xab; 5];
+        put_planes(&mut bytes, &s.fields, 2..4);
+        assert_eq!(bytes.len(), 5 + planes_len(dims, 2));
+        assert_eq!(planes_len(dims, 2), 2 * 12 * 3 * 4 * 16);
         let mut t = State::zeros(dims);
-        inject_plane(&mut t.fields, &E_HALO, -1, &bytes).unwrap();
-        for comp in E_HALO {
-            for y in 0..4 {
-                for x in 0..3 {
-                    assert_eq!(
-                        t.fields.comp(comp).get(x, y, -1),
-                        s.fields.comp(comp).get(x, y, 2)
-                    );
-                }
+        paste_planes(&mut t.fields, 0..2, &bytes[5..]).unwrap();
+        for comp in Component::ALL {
+            let (got, want) = (t.fields.comp(comp), s.fields.comp(comp));
+            for (x, y) in (0..3).flat_map(|x| (0..4).map(move |y| (x, y))) {
+                assert_eq!(got.get(x, y, 0), want.get(x, y, 2));
+                assert_eq!(got.get(x, y, 1), want.get(x, y, 3));
             }
+            assert!(got.halo_is_zero(), "rows only: the array halo is untouched");
         }
-        assert!(inject_plane(&mut t.fields, &E_HALO, -1, &bytes[1..]).is_err());
+        assert!(paste_planes(&mut t.fields, 0..2, &bytes[6..]).is_err());
+        assert!(paste_planes(&mut t.fields, 4..6, &bytes[5..]).is_err());
     }
 
     #[test]
     fn slab_gather_reassembles_the_full_grid() {
         let dims = GridDims::new(3, 3, 10);
         let s = filled(dims, 19);
-        let slabs = crate::decomp::split_z(10, 3).unwrap();
         let mut whole = FieldSet::zeros(dims);
-        for slab in slabs {
-            let cropped = crop_state(&s, slab);
-            let bytes = encode_fields(&cropped.fields);
-            paste_fields(&mut whole, slab, &bytes).unwrap();
+        for slab in crate::decomp::split_z(10, 3).unwrap() {
+            // A worker gathers the owned planes of its extended slab.
+            let ext = slab.extended(2, 10);
+            let cropped = crop_state(&s, ext);
+            let lo = slab.z0 - ext.z0;
+            let mut bytes = Vec::new();
+            put_planes(&mut bytes, &cropped.fields, lo..lo + slab.nz);
+            paste_planes(&mut whole, slab.z0..slab.z0 + slab.nz, &bytes).unwrap();
         }
         assert!(whole.bit_eq(&s.fields));
     }
@@ -348,8 +192,7 @@ mod tests {
     fn crop_preserves_coefficients_and_fields() {
         let dims = GridDims::new(3, 3, 6);
         let s = filled(dims, 23);
-        let slab = Slab { z0: 2, nz: 3 };
-        let c = crop_state(&s, slab);
+        let c = crop_state(&s, Slab { z0: 2, nz: 3 });
         assert_eq!(c.dims(), GridDims::new(3, 3, 3));
         assert_eq!(
             c.fields.comp(Component::Hyx).get(1, 2, 0),
@@ -365,6 +208,5 @@ mod tests {
         );
         // Halos are zero after a crop.
         assert!(c.fields.comp(Component::Hyx).halo_is_zero());
-        let _ = Cplx::ZERO;
     }
 }

@@ -1,39 +1,40 @@
 //! The dist worker: solves one z-slab in lockstep with its neighbors.
 //!
-//! A worker connects to the coordinator, receives its job + slab
-//! assignment, builds the *full* solver (coefficients depend on global
-//! grid position), crops its slab, wires halo links to its z neighbors
-//! and then runs periods on demand. Per time step it posts its boundary
-//! planes, updates the interior rows while the sockets carry the halos,
-//! and finishes the one boundary row per phase once the halo lands —
-//! communication/computation overlap at step granularity.
+//! A worker connects to the coordinator, receives its job, slab and
+//! halo depth `k`, builds the *full* solver (coefficients depend on
+//! global grid position), crops its slab extended by `k` halo planes
+//! per cut face, wires a link to each z neighbor and then runs periods
+//! on demand: advance the extended slab up to `k` steps with the
+//! declared engine, swap `k` boundary planes with each neighbor, repeat
+//! until the period is done, gather the owned planes to the coordinator
+//! (see [`crate::slab`] for why that is bit-identical).
 //!
-//! Every socket has a dedicated reader (and the halo links a dedicated
-//! writer) thread, so the compute thread never blocks on a peer that
-//! went away: all waits are timeout slices that observe the abort flag
-//! and the job deadline.
+//! All of it happens on the worker's one thread, through two reusable
+//! frame buffers. Socket waits are timeout slices that observe the
+//! job's token, so a peer that went away never wedges it; the only
+//! other thread reads the control stream, so that an `Abort` (or the
+//! coordinator's death) trips the token mid-step, and it is joined
+//! before [`run_worker`] returns.
 
-use std::io::Write as _;
-use std::net::{TcpListener, TcpStream};
+use std::io::{Read, Write};
+use std::net::{Shutdown, TcpListener, TcpStream};
+use std::ops::Range;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use em_faults::{ConnFault, FaultInjector};
-use em_field::{FieldKind, State};
-use em_kernels::boundary::Boundary;
+use em_field::State;
 use em_scenarios::ScenarioSpec;
+use em_solver::{Engine, EngineStepper, Stepper};
+use mwd_core::cancel::{CancelToken, TIMEOUT_PREFIX};
 
 use crate::decomp::Slab;
-use crate::proto::{self, FrameError, Msg};
-use crate::slab::{
-    boundary_for, crop_state, extract_plane, inject_plane, local_exchange, phase_rows, E_HALO,
-    H_HALO,
-};
+use crate::proto::{self, Msg, Side};
+use crate::slab::{crop_state, paste_planes, put_planes};
 
-/// How long a worker polls between abort/deadline checks while blocked
-/// on a peer.
+/// How long a worker blocks on a peer between token checks.
 const WAIT_SLICE: Duration = Duration::from_millis(25);
 
 /// How a worker reaches its coordinator, plus optional wire faults.
@@ -46,137 +47,205 @@ pub struct WorkerConfig {
     pub faults: Option<Arc<FaultInjector>>,
 }
 
-/// One direction of a halo link: a writer thread draining `tx` and a
-/// reader thread feeding `rx`, so posts never block the compute loop.
-struct HaloLink {
-    tx: Sender<Msg>,
-    rx: Receiver<Result<Msg, String>>,
+/// A halo link as the frame codec sees it: every read or write that
+/// times out after [`WAIT_SLICE`] checks the token and goes on, so
+/// blocking I/O stays responsive to aborts and deadlines.
+struct Patient<'a> {
+    stream: &'a TcpStream,
+    cancel: &'a CancelToken,
 }
 
-fn spawn_halo_link(
-    stream: TcpStream,
-    index: usize,
-    faults: Option<Arc<FaultInjector>>,
-) -> Result<HaloLink, String> {
+impl Patient<'_> {
+    fn retry<T>(&self, mut io: impl FnMut(&TcpStream) -> std::io::Result<T>) -> std::io::Result<T> {
+        use std::io::ErrorKind::{TimedOut, WouldBlock};
+        loop {
+            match io(self.stream) {
+                Err(e) if matches!(e.kind(), TimedOut | WouldBlock) => {
+                    if let Some(halt) = self.cancel.halt_error() {
+                        return Err(std::io::Error::other(halt));
+                    }
+                }
+                done => return done,
+            }
+        }
+    }
+}
+
+impl Read for Patient<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        self.retry(|mut s| s.read(buf))
+    }
+}
+
+impl Write for Patient<'_> {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        self.retry(|mut s| s.write(buf))
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
+/// One cut face of this worker's slab: the link across it and the
+/// planes, in extended-slab coordinates, that cross it.
+struct Cut {
+    link: TcpStream,
+    /// The face of this slab the cut is on.
+    side: Side,
+    /// The owned planes the neighbor's halo mirrors.
+    send: Range<usize>,
+    /// The halo planes mirroring the neighbor's owned planes.
+    recv: Range<usize>,
+}
+
+fn halo_link(stream: TcpStream) -> Result<TcpStream, String> {
     stream
         .set_nodelay(true)
-        .map_err(|e| format!("halo link nodelay: {e}"))?;
-    let (out_tx, out_rx) = std::sync::mpsc::channel::<Msg>();
-    let (in_tx, in_rx) = std::sync::mpsc::channel::<Result<Msg, String>>();
-
-    let mut w = stream
-        .try_clone()
-        .map_err(|e| format!("halo link clone: {e}"))?;
-    std::thread::spawn(move || {
-        while let Ok(msg) = out_rx.recv() {
-            let step = match &msg {
-                Msg::HaloE { step, .. } | Msg::HaloH { step, .. } => *step,
-                _ => 0,
-            };
-            let mut bytes = proto::frame_bytes(msg.kind(), &msg.encode());
-            if let Some(inj) = &faults {
-                let ident = format!("dist-w{index}-s{step}");
-                if inj.conn_fault(&ident) == ConnFault::DropMid {
-                    // Injected worker death: sever the link mid-solve;
-                    // the peer sees EOF and the coordinator aborts.
-                    let _ = w.shutdown(std::net::Shutdown::Both);
-                    return;
-                }
-                // Flips land on the framed bytes (after the checksum
-                // was computed), so the receiver's integrity check —
-                // not luck — catches them.
-                inj.flip_bit(&mut bytes, &ident);
-            }
-            if w.write_all(&bytes).and_then(|_| w.flush()).is_err() {
-                return;
-            }
-        }
-    });
-
-    let mut r = stream;
-    std::thread::spawn(move || loop {
-        match proto::recv(&mut r) {
-            Ok(msg) => {
-                if in_tx.send(Ok(msg)).is_err() {
-                    return;
-                }
-            }
-            Err(FrameError::Eof) => {
-                let _ = in_tx.send(Err("halo link closed by peer".to_string()));
-                return;
-            }
-            Err(e) => {
-                let _ = in_tx.send(Err(format!("halo link: {e}")));
-                return;
-            }
-        }
-    });
-
-    Ok(HaloLink {
-        tx: out_tx,
-        rx: in_rx,
-    })
+        .and_then(|_| stream.set_read_timeout(Some(WAIT_SLICE)))
+        .and_then(|_| stream.set_write_timeout(Some(WAIT_SLICE)))
+        .map_err(|e| format!("halo link setup: {e}"))?;
+    Ok(stream)
 }
 
-/// Wait for one halo plane of the expected kind and step ordinal.
-fn wait_halo(
-    link: &HaloLink,
-    kind: FieldKind,
-    step: u32,
-    stop: &AtomicBool,
-    deadline: Option<Instant>,
-) -> Result<Vec<u8>, String> {
-    loop {
-        if stop.load(Ordering::SeqCst) {
-            return Err(format!(
-                "{} abort requested",
-                mwd_core::cancel::CANCELLED_PREFIX
-            ));
+/// Where one period's time went; rides in `PeriodDone`.
+#[derive(Default)]
+struct PeriodStats {
+    exchanges: u64,
+    wait_secs: Vec<f64>,
+    compute_s: f64,
+    exchange_s: f64,
+}
+
+struct SlabJob<'a> {
+    /// The extended slab.
+    state: State,
+    engine: Engine,
+    /// The owned planes within `state`.
+    owned: Range<usize>,
+    halo: usize,
+    spp: usize,
+    /// In exchange order: even-numbered cuts of the chain first, so
+    /// every worker's first swap has a partner that is not waiting on a
+    /// third.
+    cuts: &'a [Cut],
+    /// Exchanges completed since the solve began (the lockstep ordinal).
+    block: u32,
+    cancel: CancelToken,
+    cfg: &'a WorkerConfig,
+    /// Reusable frame buffers: outgoing (halo blocks, gathers), incoming.
+    out: Vec<u8>,
+    inb: Vec<u8>,
+}
+
+impl SlabJob<'_> {
+    /// A wire failure while the token is tripped *is* the halt.
+    fn wire_error(&self, what: &str, e: impl std::fmt::Display) -> String {
+        self.cancel
+            .halt_error()
+            .unwrap_or_else(|| format!("{what}: {e}"))
+    }
+
+    fn halo_head(&self, side: Side) -> Msg {
+        Msg::Halo {
+            block: self.block,
+            side,
+            planes: self.halo as u32,
         }
-        if let Some(d) = deadline {
-            if Instant::now() >= d {
-                return Err(format!(
-                    "{} deadline expired waiting for a halo plane",
-                    mwd_core::cancel::TIMEOUT_PREFIX
-                ));
+    }
+
+    /// Send the owned planes at cut `c`.
+    fn send_block(&mut self, c: usize) -> Result<(), String> {
+        let head = self.halo_head(self.cuts[c].side);
+        proto::begin_frame(&mut self.out, &head);
+        put_planes(&mut self.out, &self.state.fields, self.cuts[c].send.clone());
+        proto::seal_frame(&mut self.out);
+        if let Some(inj) = &self.cfg.faults {
+            let ident = format!("dist-w{}-s{}", self.cfg.index, self.block);
+            if inj.conn_fault(&ident) == ConnFault::DropMid {
+                // Injected worker death: sever the link mid-solve; the
+                // peer sees EOF too.
+                let _ = self.cuts[c].link.shutdown(Shutdown::Both);
+                return Err("injected fault: halo link severed".to_string());
+            }
+            // Flips land on the sealed frame, so the receiver's
+            // checksum — not luck — catches them.
+            inj.flip_bit(&mut self.out, &ident);
+        }
+        let mut link = Patient {
+            stream: &self.cuts[c].link,
+            cancel: &self.cancel,
+        };
+        link.write_all(&self.out)
+            .map_err(|e| self.wire_error("halo send", e))
+    }
+
+    /// Receive the neighbor's planes at cut `c` into the halo.
+    fn recv_block(&mut self, c: usize, stats: &mut PeriodStats) -> Result<(), String> {
+        let t0 = Instant::now();
+        let mut link = Patient {
+            stream: &self.cuts[c].link,
+            cancel: &self.cancel,
+        };
+        let kind = proto::read_frame_into(&mut link, &mut self.inb)
+            .map_err(|e| self.wire_error("halo link", e))?;
+        stats.wait_secs.push(t0.elapsed().as_secs_f64());
+        let want = self.halo_head(match self.cuts[c].side {
+            Side::Top => Side::Bottom,
+            Side::Bottom => Side::Top,
+        });
+        let (got, body) = Msg::decode(kind, &self.inb)?;
+        if got != want {
+            return Err(format!("halo skew: got {got:?}, expected {want:?}"));
+        }
+        paste_planes(&mut self.state.fields, self.cuts[c].recv.clone(), body)?;
+        stats.exchanges += 1;
+        Ok(())
+    }
+
+    /// Swap `halo` boundary planes across every cut: the lower worker
+    /// of a cut sends then receives, the upper one receives then sends,
+    /// so neither blocks writing into a peer that is itself writing.
+    fn exchange(&mut self, stats: &mut PeriodStats) -> Result<(), String> {
+        for c in 0..self.cuts.len() {
+            if self.cuts[c].side == Side::Top {
+                self.send_block(c)?;
+                self.recv_block(c, stats)?;
+            } else {
+                self.recv_block(c, stats)?;
+                self.send_block(c)?;
             }
         }
-        match link.rx.recv_timeout(WAIT_SLICE) {
-            Ok(Ok(Msg::HaloE { step: s, data })) if kind == FieldKind::E => {
-                if s != step {
-                    return Err(format!("halo step skew: got E step {s}, expected {step}"));
-                }
-                return Ok(data);
-            }
-            Ok(Ok(Msg::HaloH { step: s, data })) if kind == FieldKind::H => {
-                if s != step {
-                    return Err(format!("halo step skew: got H step {s}, expected {step}"));
-                }
-                return Ok(data);
-            }
-            Ok(Ok(other)) => {
-                return Err(format!(
-                    "unexpected message on the halo link: kind {}",
-                    other.kind()
-                ))
-            }
-            Ok(Err(e)) => return Err(e),
-            Err(RecvTimeoutError::Timeout) => continue,
-            Err(RecvTimeoutError::Disconnected) => return Err("halo link closed".to_string()),
+        self.block += 1;
+        Ok(())
+    }
+
+    /// One period: up to `halo` steps of the declared engine over the
+    /// extended slab, then an exchange, until `spp` steps are done.
+    fn period(&mut self) -> Result<PeriodStats, String> {
+        let mut stats = PeriodStats::default();
+        let mut left = self.spp;
+        while left > 0 {
+            let steps = left.min(self.halo);
+            let t0 = Instant::now();
+            EngineStepper::untraced(&self.engine).step_n(&mut self.state, steps, &self.cancel)?;
+            let t1 = Instant::now();
+            self.exchange(&mut stats)?;
+            stats.compute_s += (t1 - t0).as_secs_f64();
+            stats.exchange_s += t1.elapsed().as_secs_f64();
+            left -= steps;
         }
+        Ok(stats)
     }
 }
 
 /// Wait for the next control message.
 fn wait_ctrl(rx: &Receiver<Result<Msg, String>>, deadline: Option<Instant>) -> Result<Msg, String> {
     loop {
-        if let Some(d) = deadline {
-            if Instant::now() >= d {
-                return Err(format!(
-                    "{} deadline expired waiting for the coordinator",
-                    mwd_core::cancel::TIMEOUT_PREFIX
-                ));
-            }
+        if deadline.is_some_and(|d| Instant::now() >= d) {
+            return Err(format!(
+                "{TIMEOUT_PREFIX} deadline expired waiting for the coordinator"
+            ));
         }
         match rx.recv_timeout(WAIT_SLICE) {
             Ok(msg) => return msg,
@@ -188,92 +257,14 @@ fn wait_ctrl(rx: &Receiver<Result<Msg, String>>, deadline: Option<Instant>) -> R
     }
 }
 
-struct SlabJob {
-    state: State,
-    boundary: Boundary,
-    spp: usize,
-    threads: usize,
-    slab: Slab,
-    has_lower: bool,
-    has_upper: bool,
-}
-
-/// One full time step with overlapped halo exchange. Returns the wait
-/// seconds spent blocked on halos and bumps `exchanges` per applied
-/// plane.
-#[allow(clippy::too_many_arguments)]
-fn step_once(
-    job: &mut SlabJob,
-    down: Option<&HaloLink>,
-    up: Option<&HaloLink>,
-    step: u32,
-    stop: &AtomicBool,
-    deadline: Option<Instant>,
-    exchanges: &mut u64,
-    waits: &mut Vec<f64>,
-) -> Result<(), String> {
-    let nzl = job.slab.nz;
-
-    // ---- H phase (reads E at z-1). Post our top E plane up first: the
-    // upper neighbor's bottom row needs it, and our E arrays stay
-    // frozen through the whole H phase.
-    local_exchange(&mut job.state, job.boundary, FieldKind::E);
-    if let Some(link) = up {
-        let plane = extract_plane(&job.state.fields, &E_HALO, nzl as isize - 1);
-        link.tx
-            .send(Msg::HaloE { step, data: plane })
-            .map_err(|_| "halo writer exited".to_string())?;
-    }
-    let h_lo = usize::from(job.has_lower);
-    phase_rows(&mut job.state, FieldKind::H, h_lo, nzl, job.threads);
-    if let Some(link) = down {
-        let t0 = Instant::now();
-        let plane = wait_halo(link, FieldKind::E, step, stop, deadline)?;
-        waits.push(t0.elapsed().as_secs_f64());
-        inject_plane(&mut job.state.fields, &E_HALO, -1, &plane)?;
-        *exchanges += 1;
-        phase_rows(&mut job.state, FieldKind::H, 0, 1, job.threads);
-    }
-
-    // ---- E phase (reads H at z+1, post-H-phase values). Our bottom H
-    // row is final now; ship it down before updating any E row.
-    local_exchange(&mut job.state, job.boundary, FieldKind::H);
-    if let Some(link) = down {
-        let plane = extract_plane(&job.state.fields, &H_HALO, 0);
-        link.tx
-            .send(Msg::HaloH { step, data: plane })
-            .map_err(|_| "halo writer exited".to_string())?;
-    }
-    let e_hi = nzl - usize::from(job.has_upper);
-    phase_rows(&mut job.state, FieldKind::E, 0, e_hi, job.threads);
-    if let Some(link) = up {
-        let t0 = Instant::now();
-        let plane = wait_halo(link, FieldKind::H, step, stop, deadline)?;
-        waits.push(t0.elapsed().as_secs_f64());
-        inject_plane(&mut job.state.fields, &H_HALO, nzl as isize, &plane)?;
-        *exchanges += 1;
-        phase_rows(&mut job.state, FieldKind::E, nzl - 1, nzl, job.threads);
-    }
-    Ok(())
-}
-
-/// Accept one halo connection with abort/deadline checks.
-fn accept_halo(
-    listener: &TcpListener,
-    stop: &AtomicBool,
-    deadline: Option<Instant>,
-) -> Result<TcpStream, String> {
+/// Accept the upper neighbor's halo connection, observing the token.
+fn accept_halo(listener: &TcpListener, cancel: &CancelToken) -> Result<TcpStream, String> {
     listener
         .set_nonblocking(true)
         .map_err(|e| format!("halo listener nonblocking: {e}"))?;
     loop {
-        if stop.load(Ordering::SeqCst) {
-            return Err("abort requested while waiting for the upper neighbor".to_string());
-        }
-        if let Some(d) = deadline {
-            if Instant::now() >= d {
-                return Err("timeout: upper neighbor never connected".to_string());
-            }
+        if let Some(halt) = cancel.halt_error() {
+            return Err(format!("{halt} (waiting for the upper neighbor)"));
         }
         match listener.accept() {
             Ok((s, _)) => {
@@ -290,109 +281,126 @@ fn accept_halo(
     }
 }
 
+/// The control reader: decouples the compute loop from the socket so
+/// `Abort` (and coordinator death) trips the token mid-step. Ends on
+/// `Finish`, `Abort` or any stream error — a shut socket included.
+fn pump_control(mut r: TcpStream, stop: &AtomicBool, tx: Sender<Result<Msg, String>>) {
+    loop {
+        match proto::recv(&mut r) {
+            Ok(msg) => {
+                if matches!(msg, Msg::Abort { .. }) {
+                    stop.store(true, Ordering::SeqCst);
+                }
+                let end = matches!(msg, Msg::Abort { .. } | Msg::Finish);
+                if tx.send(Ok(msg)).is_err() || end {
+                    return;
+                }
+            }
+            Err(e) => {
+                stop.store(true, Ordering::SeqCst);
+                let _ = tx.send(Err(format!("control stream: {e}")));
+                return;
+            }
+        }
+    }
+}
+
+/// Shuts a socket when dropped: what ends a reader blocked on a clone
+/// of it, on every way out of the scope that joins that reader.
+struct Hangup<'a>(&'a TcpStream);
+
+impl Drop for Hangup<'_> {
+    fn drop(&mut self) {
+        let _ = self.0.shutdown(Shutdown::Both);
+    }
+}
+
 /// Run one worker to completion. Returns `Ok` on a clean finish or a
 /// coordinator-requested abort; `Err` carries the failure the worker
-/// also reported upstream as a `WorkerErr`.
+/// also reported upstream as a `WorkerErr`. No thread or socket of it
+/// outlives the call.
 pub fn run_worker(cfg: &WorkerConfig) -> Result<(), String> {
     let control = TcpStream::connect(&cfg.connect)
         .map_err(|e| format!("cannot reach the coordinator at {}: {e}", cfg.connect))?;
     control
         .set_nodelay(true)
         .map_err(|e| format!("control nodelay: {e}"))?;
-    let mut ctrl_w = control
+    let reader = control
         .try_clone()
         .map_err(|e| format!("control clone: {e}"))?;
-    let result = run_inner(cfg, &control, &mut ctrl_w);
-    if let Err(e) = &result {
-        let _ = proto::send(
-            &mut ctrl_w,
-            &Msg::WorkerErr {
-                index: cfg.index as u32,
-                message: e.clone(),
-            },
-        );
-    }
-    result
+    let stop = Arc::new(AtomicBool::new(false));
+    let (ctrl_tx, ctrl_rx) = std::sync::mpsc::channel();
+    std::thread::scope(|s| {
+        let _hangup = Hangup(&control);
+        let stop = &stop;
+        s.spawn(move || pump_control(reader, stop, ctrl_tx));
+        let mut cuts = Vec::new();
+        let result = run_inner(cfg, &control, stop, &ctrl_rx, &mut cuts);
+        if let Err(e) = &result {
+            let _ = proto::send(
+                &mut &control,
+                &Msg::WorkerErr {
+                    index: cfg.index as u32,
+                    message: e.clone(),
+                },
+            );
+            // Hold the halo links (`cuts`) until the coordinator has
+            // answered with its abort, a second at most: a neighbor that
+            // saw a link close first would report that instead of the
+            // cause.
+            while matches!(ctrl_rx.recv_timeout(Duration::from_secs(1)), Ok(Ok(_))) {}
+        }
+        result
+    })
 }
 
 fn run_inner(
     cfg: &WorkerConfig,
-    control: &TcpStream,
-    ctrl_w: &mut TcpStream,
+    mut ctrl_w: &TcpStream,
+    stop: &Arc<AtomicBool>,
+    ctrl_rx: &Receiver<Result<Msg, String>>,
+    cuts: &mut Vec<Cut>,
 ) -> Result<(), String> {
     proto::send(
-        ctrl_w,
+        &mut ctrl_w,
         &Msg::Hello {
             index: cfg.index as u32,
         },
     )?;
 
-    // Control reader thread: decouples the compute loop from the
-    // socket so Abort (and coordinator death) interrupts halo waits.
-    let stop = Arc::new(AtomicBool::new(false));
-    let (ctrl_tx, ctrl_rx) = std::sync::mpsc::channel::<Result<Msg, String>>();
-    {
-        let mut r = control
-            .try_clone()
-            .map_err(|e| format!("control clone: {e}"))?;
-        let stop = stop.clone();
-        std::thread::spawn(move || loop {
-            match proto::recv(&mut r) {
-                Ok(msg) => {
-                    if matches!(msg, Msg::Abort { .. }) {
-                        stop.store(true, Ordering::SeqCst);
-                    }
-                    let end = matches!(msg, Msg::Abort { .. } | Msg::Finish);
-                    if ctrl_tx.send(Ok(msg)).is_err() || end {
-                        return;
-                    }
-                }
-                Err(e) => {
-                    stop.store(true, Ordering::SeqCst);
-                    let _ = ctrl_tx.send(Err(format!("control stream: {e}")));
-                    return;
-                }
-            }
-        });
-    }
-
     // The assignment must arrive promptly; a coordinator that died
     // before assigning must not leave an immortal worker behind.
     let setup_dl = Some(Instant::now() + Duration::from_secs(60));
-    let assign = match wait_ctrl(&ctrl_rx, setup_dl)? {
-        Msg::Assign {
-            index,
-            workers,
-            z0,
-            nz_local,
-            threads,
-            job_index,
-            deadline_ms,
-            spec_toml,
-        } => {
-            if index as usize != cfg.index {
-                return Err(format!(
-                    "assignment for worker {index} delivered to worker {}",
-                    cfg.index
-                ));
-            }
-            (
-                workers as usize,
-                Slab {
-                    z0: z0 as usize,
-                    nz: nz_local as usize,
-                },
-                threads as usize,
-                job_index as usize,
-                deadline_ms,
-                spec_toml,
-            )
-        }
-        Msg::Abort { .. } => return Ok(()),
-        other => return Err(format!("expected Assign, got kind {}", other.kind())),
+    let assign = wait_ctrl(ctrl_rx, setup_dl)?;
+    let Msg::Assign {
+        index,
+        workers,
+        z0,
+        nz_local,
+        halo,
+        job_index,
+        deadline_ms,
+        spec_toml,
+    } = assign
+    else {
+        return match assign {
+            Msg::Abort { .. } => Ok(()),
+            other => Err(format!("expected Assign, got kind {}", other.kind())),
+        };
     };
-    let (workers, slab, threads, job_index, deadline_ms, spec_toml) = assign;
+    if index as usize != cfg.index {
+        return Err(format!(
+            "assignment for worker {index} delivered to worker {}",
+            cfg.index
+        ));
+    }
+    let (workers, halo, job_index) = (workers as usize, halo as usize, job_index as usize);
+    let slab = Slab {
+        z0: z0 as usize,
+        nz: nz_local as usize,
+    };
     let deadline = (deadline_ms > 0).then(|| Instant::now() + Duration::from_millis(deadline_ms));
+    let cancel = CancelToken::with_flag(stop.clone(), deadline);
 
     let spec = ScenarioSpec::from_toml_str(&spec_toml)?;
     spec.validate()?;
@@ -400,22 +408,38 @@ fn run_inner(
     let sjob = jobs
         .get(job_index)
         .ok_or_else(|| format!("job index {job_index} out of range ({} jobs)", jobs.len()))?;
-    let boundary = boundary_for(&spec.engine)?;
+    // The assignment is wire input: the extended slab must exist and
+    // a neighbor across a cut must own the `halo` planes it sends.
+    let (nz, top) = (spec.dims().nz, slab.z0 + slab.nz);
+    let fits = halo > 0
+        && slab.nz > 0
+        && top <= nz
+        && (workers == 1 || halo <= slab.nz)
+        && (slab.z0 == 0 || halo <= slab.z0)
+        && (top == nz || halo <= nz - top);
+    if !fits {
+        return Err(format!(
+            "unusable assignment: planes {}..{top} of {nz}, halo depth {halo}",
+            slab.z0
+        ));
+    }
 
     // The coefficient build is position-dependent (PML profiles, the
     // source plane, layered scenes), so build the full grid and crop.
     let solver = spec.build_solver(sjob)?;
     let spp = solver.steps_per_period();
-    let state = crop_state(&solver.state, slab);
+    let ext = slab.extended(halo, nz);
+    let state = crop_state(&solver.state, ext);
     drop(solver);
-
-    let has_lower = cfg.index > 0;
-    let has_upper = cfg.index + 1 < workers;
+    let engine = spec.engine.to_engine(state.dims())?;
+    let lo = slab.z0 - ext.z0;
+    let owned = lo..lo + slab.nz;
 
     // Halo wiring: every non-top worker listens for its upper neighbor;
     // the coordinator relays the port to that neighbor, which connects
     // down. Lower link first (ConnectDown arrives on the control
     // stream), then the blocking accept.
+    let (has_lower, has_upper) = (cfg.index > 0, cfg.index + 1 < workers);
     let listener = if has_upper {
         let l = TcpListener::bind("127.0.0.1:0")
             .map_err(|e| format!("cannot bind a halo listener: {e}"))?;
@@ -423,73 +447,77 @@ fn run_inner(
             .local_addr()
             .map_err(|e| format!("halo listener addr: {e}"))?
             .port();
-        proto::send(ctrl_w, &Msg::ListenPort { port })?;
+        proto::send(&mut ctrl_w, &Msg::ListenPort { port })?;
         Some(l)
     } else {
         None
     };
-    let down = if has_lower {
-        let port = match wait_ctrl(&ctrl_rx, deadline)? {
+    if has_lower {
+        let port = match wait_ctrl(ctrl_rx, deadline)? {
             Msg::ConnectDown { port } => port,
             Msg::Abort { .. } => return Ok(()),
             other => return Err(format!("expected ConnectDown, got kind {}", other.kind())),
         };
         let s = TcpStream::connect(("127.0.0.1", port))
             .map_err(|e| format!("cannot reach the lower neighbor on port {port}: {e}"))?;
-        Some(spawn_halo_link(s, cfg.index, cfg.faults.clone())?)
-    } else {
-        None
-    };
-    let up = match &listener {
-        Some(l) => {
-            let s = accept_halo(l, &stop, deadline)?;
-            Some(spawn_halo_link(s, cfg.index, cfg.faults.clone())?)
-        }
-        None => None,
-    };
+        cuts.push(Cut {
+            link: halo_link(s)?,
+            side: Side::Bottom,
+            send: owned.start..owned.start + halo,
+            recv: 0..owned.start,
+        });
+    }
+    if let Some(l) = &listener {
+        cuts.push(Cut {
+            link: halo_link(accept_halo(l, &cancel)?)?,
+            side: Side::Top,
+            send: owned.end - halo..owned.end,
+            recv: owned.end..ext.nz,
+        });
+    }
+    // Cut `c` joins workers `c` and `c + 1`; even cuts swap first.
+    if cfg.index.is_multiple_of(2) {
+        cuts.reverse();
+    }
 
-    proto::send(ctrl_w, &Msg::Ready)?;
+    proto::send(&mut ctrl_w, &Msg::Ready)?;
 
     let mut job = SlabJob {
         state,
-        boundary,
+        engine,
+        owned,
+        halo,
         spp,
-        threads: threads.max(1),
-        slab,
-        has_lower,
-        has_upper,
+        cuts,
+        block: 0,
+        cancel,
+        cfg,
+        out: Vec::new(),
+        inb: Vec::new(),
     };
-    let mut step: u32 = 0;
     let mut period: u32 = 0;
+    let mut gather_s = 0.0;
     loop {
-        match wait_ctrl(&ctrl_rx, deadline)? {
+        match wait_ctrl(ctrl_rx, deadline)? {
             Msg::Continue => {
                 period += 1;
-                let mut exchanges = 0u64;
-                let mut waits = Vec::new();
-                for _ in 0..job.spp {
-                    step_once(
-                        &mut job,
-                        down.as_ref(),
-                        up.as_ref(),
-                        step,
-                        &stop,
-                        deadline,
-                        &mut exchanges,
-                        &mut waits,
-                    )?;
-                    step += 1;
-                }
-                let fields = crate::slab::encode_fields(&job.state.fields);
-                proto::send(
-                    ctrl_w,
-                    &Msg::PeriodDone {
-                        period,
-                        exchanges,
-                        wait_secs: waits,
-                        fields,
-                    },
-                )?;
+                let stats = job.period()?;
+                let t0 = Instant::now();
+                let head = Msg::PeriodDone {
+                    period,
+                    exchanges: stats.exchanges,
+                    wait_secs: stats.wait_secs,
+                    compute_s: stats.compute_s,
+                    exchange_s: stats.exchange_s,
+                    gather_s,
+                };
+                proto::begin_frame(&mut job.out, &head);
+                put_planes(&mut job.out, &job.state.fields, job.owned.clone());
+                proto::seal_frame(&mut job.out);
+                ctrl_w
+                    .write_all(&job.out)
+                    .map_err(|e| job.wire_error("gather send", e))?;
+                gather_s = t0.elapsed().as_secs_f64();
             }
             Msg::Finish | Msg::Abort { .. } => return Ok(()),
             other => return Err(format!("unexpected control message kind {}", other.kind())),

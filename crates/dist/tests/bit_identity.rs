@@ -7,10 +7,23 @@
 //! Comparison is on `JobOutcome::to_json_canonical()` (the artifact
 //! JSON minus the wall clock), so any drift in any reported field
 //! fails loudly with the scenario name attached.
+//!
+//! The deep-halo geometry gets its own cases: a table of halo depths
+//! (`k = 1`, `k` equal to the period, periods `k` does not divide, a
+//! slab with two cut faces, engines that wrap periodically inside halo
+//! planes), a canary that steps once past `k` and must go wrong, and a
+//! flipped halo bit that must fail the job.
 
-use em_dist::{run_dist, DistOptions};
+use std::sync::Arc;
+
+use em_dist::slab::{crop_state, put_planes};
+use em_dist::{halo_depth, run_dist, split_z, DistOptions};
+use em_field::{GridDims, State};
 use em_scenarios::gen::{generate, Family, GenParams};
-use em_scenarios::{builtins, run_batch, BatchOptions, ScenarioSpec};
+use em_scenarios::{
+    builtins, run_batch, BatchOptions, EngineDecl, PmlDecl, ScenarioSpec, SourceDecl,
+};
+use em_solver::{Engine, EngineStepper, Stepper};
 
 /// Cap the convergence loop so the suite stays test-sized; both sides
 /// solve the same capped spec, so identity is still fully exercised
@@ -51,7 +64,8 @@ fn distributed(spec: &ScenarioSpec, workers: usize) -> Vec<String> {
         spec,
         &DistOptions {
             workers,
-            threads: 2,
+            // Exactly the budget the declared engine asks of each worker.
+            threads: workers * spec.engine.threads(),
             ..DistOptions::default()
         },
     )
@@ -119,6 +133,137 @@ fn fuzz_specs_decompose_bit_identically_over_2_and_3_workers() {
     }
 }
 
+/// The vacuum slab re-cut to `nz` planes at `lambda_cells` per
+/// wavelength (which fixes the period length) on `engine`.
+fn slab_case(nz: usize, lambda_cells: f64, engine: EngineDecl) -> ScenarioSpec {
+    let mut spec = capped(&em_scenarios::builtin("vacuum-slab").unwrap());
+    spec.grid.nz = nz;
+    spec.physics.lambda_cells = lambda_cells;
+    spec.pml = Some(PmlDecl::with_thickness((nz / 4).min(8)));
+    spec.source = Some(SourceDecl::x_polarized(nz / 2, 1.0));
+    spec.engine = engine;
+    spec
+}
+
+/// Every shape the halo rule can hand a worker, each asserted to be
+/// the shape it claims to be before it is solved both ways.
+#[test]
+fn deep_halo_geometries_decompose_bit_identically() {
+    let mwd = |periodic: bool| {
+        let (dw, bz, tg_x, tg_z, tg_c, groups) = (4, 2, 1, 1, 1, 1);
+        if periodic {
+            EngineDecl::MwdPeriodicX {
+                dw,
+                bz,
+                tg_x,
+                tg_z,
+                tg_c,
+                groups,
+            }
+        } else {
+            EngineDecl::Mwd {
+                dw,
+                bz,
+                tg_x,
+                tg_z,
+                tg_c,
+                groups,
+            }
+        }
+    };
+    // (nz, lambda_cells, workers, engine, expected spp, expected k)
+    let cases = [
+        // spp % k != 0: five exchanges of 4 steps and one of 2.
+        (64, 12.0, 2, EngineDecl::NaivePeriodicXY, 22, 4),
+        (64, 12.0, 2, mwd(false), 22, 4),
+        // A middle slab with two cut faces at k > 1, wraps inside halo
+        // planes taken by the engine.
+        (90, 12.0, 3, mwd(true), 22, 2),
+        (90, 12.0, 3, EngineDecl::NaivePeriodicXY, 22, 2),
+        // Slabs too thin for any redundancy budget: k clamps to 1.
+        (24, 12.0, 3, EngineDecl::Naive, 22, 1),
+        (9, 12.0, 3, mwd(true), 22, 1),
+        // A period shorter than the cap: k clamps to spp, one exchange
+        // per period.
+        (96, 4.0, 2, mwd(false), 7, 7),
+    ];
+    for (nz, lambda_cells, workers, engine, spp, k) in cases {
+        let spec = slab_case(nz, lambda_cells, engine);
+        let tag = format!("nz={nz} workers={workers} {}", engine.label());
+        let solver = spec.build_solver(&spec.jobs()[0]).expect(&tag);
+        assert_eq!(solver.steps_per_period(), spp, "{tag}");
+        assert_eq!(halo_depth(spp, &split_z(nz, workers).unwrap()), k, "{tag}");
+        assert_identical(&spec, &[workers]);
+    }
+}
+
+fn owned_bytes(state: &State, planes: std::ops::Range<usize>) -> Vec<u8> {
+    let mut bytes = Vec::new();
+    put_planes(&mut bytes, &state.fields, planes);
+    bytes
+}
+
+/// The dependence-cone argument, and its canary: `k` steps on a
+/// `k`-deep halo leave every owned plane equal to the global sweep;
+/// one step more, still on that one exchange, lets the stale edge reach
+/// the owned plane at each cut — and nowhere deeper.
+#[test]
+fn a_step_past_the_halo_depth_corrupts_exactly_the_planes_at_the_cut() {
+    let (nz, k) = (20, 3);
+    let mut global = State::zeros(GridDims::new(5, 4, nz));
+    global.fields.fill_deterministic(41);
+    global.coeffs.fill_deterministic(42);
+    let step = |state: &mut State, n: usize| {
+        EngineStepper::untraced(&Engine::Naive)
+            .step_n(state, n, &mwd_core::CancelToken::none())
+            .unwrap();
+    };
+    for steps in [k, k + 1] {
+        let mut want = global.clone();
+        step(&mut want, steps);
+        for slab in split_z(nz, 3).unwrap() {
+            let ext = slab.extended(k, nz);
+            let mut local = crop_state(&global, ext);
+            step(&mut local, steps);
+            let lo = slab.z0 - ext.z0;
+            for z in 0..slab.nz {
+                let got = owned_bytes(&local, lo + z..lo + z + 1);
+                let same = got == owned_bytes(&want, slab.z0 + z..slab.z0 + z + 1);
+                let at_cut =
+                    (z == 0 && slab.z0 > 0) || (z + 1 == slab.nz && slab.z0 + slab.nz < nz);
+                assert_eq!(
+                    same,
+                    steps == k || !at_cut,
+                    "{steps} steps on a {k}-deep halo, slab at {}, owned plane {z}",
+                    slab.z0
+                );
+            }
+        }
+    }
+}
+
+/// The chaos seam on the halo wire: an injector flips one bit of every
+/// sealed halo frame, the receiver's checksum refuses it, and the job
+/// fails by name instead of stepping on corrupt planes.
+#[test]
+fn a_flipped_halo_bit_is_caught_by_the_frame_checksum() {
+    let spec = capped(&em_scenarios::builtin("vacuum-slab").unwrap());
+    let plan = em_faults::FaultPlan::parse("seed=5").unwrap();
+    let outcomes = run_dist(
+        &spec,
+        &DistOptions {
+            workers: 2,
+            threads: 2,
+            faults: Some(Arc::new(em_faults::FaultInjector::new(plan))),
+            ..DistOptions::default()
+        },
+    )
+    .unwrap();
+    let err = outcomes[0].error.as_deref().expect("the job must fail");
+    assert!(err.contains("dist worker"), "{err}");
+    assert!(err.contains("corrupt frame"), "{err}");
+}
+
 /// Degenerate and invalid decompositions fail fast with a message, and
 /// a 1-worker "decomposition" (no halo links at all) still matches.
 #[test]
@@ -157,4 +302,21 @@ fn dist_validates_its_inputs() {
     )
     .unwrap_err();
     assert!(err.contains("concrete engine"), "{err}");
+
+    // The per-worker thread share is a budget: bragg-mirror declares
+    // six engine threads, four threads over two workers leave two.
+    let bragg = capped(&em_scenarios::builtin("bragg-mirror").unwrap());
+    let err = run_dist(
+        &bragg,
+        &DistOptions {
+            workers: 2,
+            threads: 4,
+            ..DistOptions::default()
+        },
+    )
+    .unwrap_err();
+    assert!(
+        err.contains("needs 6 thread(s) per worker") && err.contains("leave 2"),
+        "{err}"
+    );
 }

@@ -6,17 +6,26 @@ use crate::complex::Cplx;
 use crate::component::Component;
 use crate::fields::FieldSet;
 
-/// Visit every interior x-row of `a` as two contiguous slices
-/// `(re_row, im_row)` — the split-plane layout makes each row
-/// unit-stride, so reductions stream instead of gathering cell by cell.
-fn for_each_interior_row(a: &Array3C, mut f: impl FnMut(&[f64], &[f64])) {
+/// Flat `(re, im)` start index of every interior x-row of `a`, in
+/// storage order (z, then y). The split-plane layout makes each row
+/// unit-stride, so reductions stream instead of gathering cell by cell;
+/// arrays of equal dims share one layout, hence one set of indices.
+fn interior_rows(a: &Array3C) -> impl Iterator<Item = (usize, usize)> + '_ {
     let d = a.dims();
-    let (buf, im) = (a.as_slice(), a.im_offset());
-    for z in 0..d.nz {
-        for y in 0..d.ny {
+    (0..d.nz).flat_map(move |z| {
+        (0..d.ny).map(move |y| {
             let base = a.idx(0, y as isize, z as isize);
-            f(&buf[base..base + d.nx], &buf[im + base..im + base + d.nx]);
-        }
+            (base, a.im_offset() + base)
+        })
+    })
+}
+
+/// Visit every interior x-row of `a` as two contiguous slices
+/// `(re_row, im_row)`.
+fn for_each_interior_row(a: &Array3C, mut f: impl FnMut(&[f64], &[f64])) {
+    let (buf, nx) = (a.as_slice(), a.dims().nx);
+    for (re, im) in interior_rows(a) {
+        f(&buf[re..re + nx], &buf[im..im + nx]);
     }
 }
 
@@ -53,13 +62,26 @@ pub fn l2_diff(a: &Array3C, b: &Array3C) -> f64 {
 /// Relative L2 change between two field sets:
 /// `||a - b||_2 / max(||b||_2, eps)` summed over all 12 components.
 /// This is the THIIM convergence functional.
+///
+/// The value is order-sensitive and lands in every artifact, so the
+/// summation order is fixed: one `num` and one `den` chain, component-
+/// major, then z, y, x. Walking rows as slices only takes the index
+/// arithmetic out of the loop; the two chains stay sequential.
 pub fn relative_change(a: &FieldSet, b: &FieldSet) -> f64 {
+    assert_eq!(a.dims(), b.dims());
+    let nx = a.dims().nx;
     let mut num = 0.0;
     let mut den = 0.0;
     for &c in &Component::ALL {
-        for ((_, va), (_, vb)) in a.comp(c).iter_interior().zip(b.comp(c).iter_interior()) {
-            num += (va - vb).norm_sqr();
-            den += vb.norm_sqr();
+        let (fa, fb) = (a.comp(c).as_slice(), b.comp(c).as_slice());
+        for (re, im) in interior_rows(a.comp(c)) {
+            let (a_re, a_im) = (&fa[re..re + nx], &fa[im..im + nx]);
+            let (b_re, b_im) = (&fb[re..re + nx], &fb[im..im + nx]);
+            for x in 0..nx {
+                let (dr, di) = (a_re[x] - b_re[x], a_im[x] - b_im[x]);
+                num += dr * dr + di * di;
+                den += b_re[x] * b_re[x] + b_im[x] * b_im[x];
+            }
         }
     }
     (num / den.max(f64::MIN_POSITIVE)).sqrt()
@@ -126,6 +148,49 @@ mod tests {
         a.fill_deterministic(5);
         b.fill_deterministic(5);
         assert_eq!(relative_change(&a, &b), 0.0);
+    }
+
+    /// The cell-by-cell formulation `relative_change` replaced, kept as
+    /// its reference: same expression, same two chains, same order.
+    fn relative_change_by_cell(a: &FieldSet, b: &FieldSet) -> f64 {
+        let mut num = 0.0;
+        let mut den = 0.0;
+        for &c in &Component::ALL {
+            for ((_, va), (_, vb)) in a.comp(c).iter_interior().zip(b.comp(c).iter_interior()) {
+                num += (va - vb).norm_sqr();
+                den += vb.norm_sqr();
+            }
+        }
+        (num / den.max(f64::MIN_POSITIVE)).sqrt()
+    }
+
+    #[test]
+    fn relative_change_by_rows_is_bit_identical_to_by_cell() {
+        // nx = 5, 7, 13: rows that are no multiple of any SIMD lane.
+        for (i, d) in [(5, 3, 4), (8, 2, 3), (7, 5, 2), (13, 1, 1), (16, 4, 6)]
+            .into_iter()
+            .enumerate()
+        {
+            let dims = GridDims::new(d.0, d.1, d.2);
+            let mut a = FieldSet::zeros(dims);
+            let mut b = FieldSet::zeros(dims);
+            a.fill_deterministic(100 + i as u64);
+            b.fill_deterministic(200 + i as u64);
+            let (rows, cells) = (relative_change(&a, &b), relative_change_by_cell(&a, &b));
+            assert!(rows.is_finite() && rows > 0.0);
+            assert_eq!(rows.to_bits(), cells.to_bits(), "dims {dims}");
+            // Halo contents must not enter the sum.
+            a.comp_mut(Component::Exy)
+                .set(-1, 0, 0, Cplx::new(9.0, 9.0));
+            b.comp_mut(Component::Hzy)
+                .set(0, d.1 as isize, 0, Cplx::new(-4.0, 2.0));
+            assert_eq!(relative_change(&a, &b).to_bits(), cells.to_bits());
+        }
+        let zero = FieldSet::zeros(GridDims::cubic(2));
+        assert_eq!(
+            relative_change(&zero, &zero).to_bits(),
+            relative_change_by_cell(&zero, &zero).to_bits()
+        );
     }
 
     #[test]

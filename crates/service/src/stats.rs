@@ -169,12 +169,12 @@ impl ServiceStats {
         // per-worker series on the same names.
         stats.registry.counter(
             em_dist::HALO_EXCHANGES_METRIC,
-            "Halo planes received and applied by dist workers",
+            "Halo blocks received and applied by dist workers",
             &[("worker", "0")],
         );
         stats.registry.histogram(
             em_dist::HALO_WAIT_METRIC,
-            "Seconds dist workers spent blocked waiting for a halo plane",
+            "Seconds dist workers spent blocked waiting for a halo block",
             &[("worker", "0")],
         );
         stats

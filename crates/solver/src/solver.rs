@@ -11,7 +11,7 @@ use crate::coeffs::{build_coefficients, CoeffOptions};
 use crate::geometry::Scene;
 use crate::pml::PmlSpec;
 use crate::source::SourceSpec;
-use em_field::{norms, FieldSet, GridDims, State};
+use em_field::{norms, Component, FieldSet, GridDims, State};
 use em_kernels::boundary::{step_naive_with_boundary, Boundary};
 use em_kernels::{step_spatial_mt, SpatialConfig};
 use mwd_core::{CancelToken, MwdBoundary, MwdConfig, MwdRun};
@@ -258,18 +258,27 @@ impl ThiimSolver {
             }
             stepper.step_n(&mut self.state, spp, cancel)?;
             self.steps_done += spp;
-            if let Some(p) = &prev {
-                rel = norms::relative_change(&self.state.fields, p);
-                if rel < tol {
-                    return Ok(ConvergenceReport {
-                        periods: period,
-                        steps: self.steps_done,
-                        rel_change: rel,
-                        converged: true,
-                    });
+            let fields = &self.state.fields;
+            match &mut prev {
+                Some(p) => {
+                    rel = norms::relative_change(fields, p);
+                    if rel < tol {
+                        return Ok(ConvergenceReport {
+                            periods: period,
+                            steps: self.steps_done,
+                            rel_change: rel,
+                            converged: true,
+                        });
+                    }
+                    // One retained snapshot, overwritten in place.
+                    for c in Component::ALL {
+                        p.comp_mut(c)
+                            .as_mut_slice()
+                            .copy_from_slice(fields.comp(c).as_slice());
+                    }
                 }
+                None => prev = Some(fields.clone()),
             }
-            prev = Some(self.state.fields.clone());
         }
         Ok(ConvergenceReport {
             periods: max_periods,

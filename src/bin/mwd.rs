@@ -817,6 +817,7 @@ fn cmd_dist_run(args: &[String]) -> Result<ExitCode, String> {
 
     let t0 = std::time::Instant::now();
     let mut outcomes = Vec::new();
+    let mut summaries = Vec::new();
     let mut workers_used = 1;
     for spec in &specs {
         // The flag overrides the spec's `workers` knob without
@@ -835,10 +836,13 @@ fn cmd_dist_run(args: &[String]) -> Result<ExitCode, String> {
             cancel: cancel.clone(),
             trace: recorder.clone(),
             trace_parent: 0,
-            registry: None,
+            // One registry per spec: its per-worker series are this
+            // spec's summary line.
+            registry: Some(std::sync::Arc::new(thiim_mwd::obs::Registry::new())),
             faults: None,
         };
         outcomes.extend(run_dist(spec, &opts)?);
+        summaries.push(dist_summary(&spec.name, &opts));
     }
     // Renumber into one flat batch, mirroring `run_batch`'s
     // deterministic job order across specs.
@@ -870,6 +874,9 @@ fn cmd_dist_run(args: &[String]) -> Result<ExitCode, String> {
         );
     }
     print_report(&report, false);
+    for line in &summaries {
+        println!("{line}");
+    }
     if report.cancelled() > 0 {
         println!(
             "interrupted: {} job(s) drained cleanly (completed work was kept)",
@@ -882,6 +889,49 @@ fn cmd_dist_run(args: &[String]) -> Result<ExitCode, String> {
         return Ok(ExitCode::FAILURE);
     }
     Ok(ExitCode::SUCCESS)
+}
+
+/// Where one spec's worker-periods went, summed over its workers from
+/// the series the coordinator recorded into `opts.registry`: the halo
+/// depth `k`, halo blocks applied (at most `2 * ceil(spp / k)` per
+/// worker-period), blocked halo waits, and seconds per period phase.
+fn dist_summary(name: &str, opts: &thiim_mwd::dist::DistOptions) -> String {
+    use thiim_mwd::dist::{
+        HALO_DEPTH_METRIC, HALO_EXCHANGES_METRIC, HALO_WAIT_METRIC, PERIOD_PHASES,
+        PERIOD_PHASE_METRIC,
+    };
+    let reg = opts.registry.as_ref().expect("dist run registers metrics");
+    let (mut exchanges, mut wait_s, mut periods) = (0, 0.0, 0);
+    let mut phase_s = [0.0; 3];
+    for w in 0..opts.workers {
+        let idx = w.to_string();
+        let worker = ("worker", idx.as_str());
+        exchanges += reg.counter(HALO_EXCHANGES_METRIC, "", &[worker]).get();
+        wait_s += reg
+            .histogram(HALO_WAIT_METRIC, "", &[worker])
+            .snapshot()
+            .sum;
+        let phases = PERIOD_PHASES.map(|phase| {
+            reg.histogram(PERIOD_PHASE_METRIC, "", &[worker, ("phase", phase)])
+                .snapshot()
+        });
+        // One observation per phase per worker-period.
+        periods += phases[0].count();
+        for (total, snap) in phase_s.iter_mut().zip(&phases) {
+            *total += snap.sum;
+        }
+    }
+    format!(
+        "dist {name}: workers {}, halo depth {}, worker-periods {periods}, \
+         halo_exchanges {exchanges} ({:.2} per worker-period), halo_wait_s {wait_s:.6}, \
+         compute_s {:.6}, exchange_s {:.6}, gather_s {:.6}",
+        opts.workers,
+        reg.gauge(HALO_DEPTH_METRIC, "", &[]).get(),
+        exchanges as f64 / periods.max(1) as f64,
+        phase_s[0],
+        phase_s[1],
+        phase_s[2],
+    )
 }
 
 /// The worker side of `mwd dist run` — spawned by the coordinator,

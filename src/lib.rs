@@ -21,8 +21,8 @@
 //! - [`scenarios`]: declarative workload specs, the built-in scenario
 //!   catalog and the concurrent batch runner behind the `mwd` CLI;
 //! - [`dist`]: distributed solves — z-axis domain decomposition over
-//!   worker processes with overlapped halo exchange, bit-identical to
-//!   the single-process solver;
+//!   worker processes, `k`-step deep-halo slabs on the declared
+//!   engine, bit-identical to the single-process solver;
 //! - [`service`]: the `mwd serve` HTTP job daemon — content-addressed
 //!   result cache, admission-controlled scheduling, graceful drain;
 //! - [`json`]: the shared JSON value type every artifact, report,

@@ -1,7 +1,9 @@
 //! Regenerate the paper's tables and figures on the simulated Haswell.
 //!
 //! Usage:
-//!   figures <sect3|fig5|fig6|fig7|fig8|validate|shapes|all> [--full|--tiny]
+//!   figures [sect3|fig5|fig6|fig7|fig8|validate|shapes|thin|all] [--full|--tiny]
+//!
+//! The figure defaults to `all`, the scale to the minutes-long `Quick`.
 //!
 //! Results are printed as aligned tables (with the paper's reference
 //! shapes where applicable) and written to `results/*.csv`.
@@ -9,17 +11,37 @@
 use em_bench::harness::{f1, f2, sparkline, table, write_csv};
 use em_bench::{fig5, fig6, fig7, fig8, paper, sect3, shapes, thin_domain, validate, Scale};
 
+const USAGE: &str =
+    "usage: figures [sect3|fig5|fig6|fig7|fig8|validate|shapes|thin|all] [--full|--tiny]";
+
+/// The figure name (default `all`) and the scale (default `Quick`), in
+/// any order.
+fn parse_args(args: &[String]) -> Result<(&str, Scale), String> {
+    let mut what = None;
+    let mut scale = Scale::Quick;
+    for a in args {
+        match a.as_str() {
+            "--full" => scale = Scale::Full,
+            "--tiny" => scale = Scale::Tiny,
+            "sect3" | "fig5" | "fig6" | "fig7" | "fig8" | "validate" | "shapes" | "thin"
+            | "all"
+                if what.is_none() =>
+            {
+                what = Some(a.as_str())
+            }
+            other => return Err(format!("unknown figure or option '{other}'")),
+        }
+    }
+    Ok((what.unwrap_or("all"), scale))
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let what = args.first().map(String::as_str).unwrap_or("all");
-    let scale = if args.iter().any(|a| a == "--full") {
-        Scale::Full
-    } else if args.iter().any(|a| a == "--tiny") {
-        Scale::Tiny
-    } else {
-        Scale::Quick
-    };
-
+    let (what, scale) = parse_args(&args).unwrap_or_else(|e| {
+        eprintln!("{e}");
+        eprintln!("{USAGE}");
+        std::process::exit(2)
+    });
     match what {
         "sect3" => run_sect3(),
         "fig5" => run_fig5(scale),
@@ -29,7 +51,8 @@ fn main() {
         "validate" => run_validate(scale),
         "shapes" => run_shapes(),
         "thin" => run_thin(scale),
-        "all" => {
+        // "all": `parse_args` admits no other name.
+        _ => {
             run_sect3();
             run_shapes();
             run_validate(scale);
@@ -38,13 +61,6 @@ fn main() {
             run_fig7(scale);
             run_fig8(scale);
             run_thin(scale);
-        }
-        other => {
-            eprintln!("unknown figure '{other}'");
-            eprintln!(
-                "usage: figures <sect3|fig5|fig6|fig7|fig8|validate|shapes|thin|all> [--full|--tiny]"
-            );
-            std::process::exit(2);
         }
     }
 }
@@ -422,4 +438,24 @@ fn run_thin(scale: Scale) {
         &["thin_axis", "dims", "dw", "mlups", "gbs", "blup"],
         &rows,
     );
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn figure_and_scale_parse_independently() {
+        let args = |a: &[&str]| a.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+        assert_eq!(parse_args(&args(&[])), Ok(("all", Scale::Quick)));
+        assert_eq!(parse_args(&args(&["--tiny"])), Ok(("all", Scale::Tiny)));
+        assert_eq!(
+            parse_args(&args(&["fig5", "--full"])),
+            Ok(("fig5", Scale::Full))
+        );
+        assert_eq!(
+            parse_args(&args(&["nope"])),
+            Err("unknown figure or option 'nope'".to_string())
+        );
+    }
 }

@@ -100,16 +100,6 @@ impl CancelToken {
     }
 }
 
-/// Whether an outcome error string marks an explicit cancellation.
-pub fn is_cancelled_error(e: &str) -> bool {
-    e.starts_with(CANCELLED_PREFIX)
-}
-
-/// Whether an outcome error string marks a deadline expiry.
-pub fn is_timeout_error(e: &str) -> bool {
-    e.starts_with(TIMEOUT_PREFIX)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -130,8 +120,8 @@ mod tests {
         clone.cancel();
         assert_eq!(t.state(), CancelState::Cancelled);
         let err = t.halt_error().unwrap();
-        assert!(is_cancelled_error(&err), "{err}");
-        assert!(!is_timeout_error(&err));
+        assert!(err.starts_with(CANCELLED_PREFIX), "{err}");
+        assert!(!err.starts_with(TIMEOUT_PREFIX));
     }
 
     #[test]
@@ -139,7 +129,7 @@ mod tests {
         let t = CancelToken::with_deadline(Duration::from_millis(0));
         assert_eq!(t.state(), CancelState::Expired);
         let err = t.halt_error().unwrap();
-        assert!(is_timeout_error(&err), "{err}");
+        assert!(err.starts_with(TIMEOUT_PREFIX), "{err}");
     }
 
     #[test]

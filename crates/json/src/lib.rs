@@ -1,8 +1,8 @@
 //! # em-json — the workspace's one JSON dialect
 //!
 //! Hand-rolled (no crates.io in this environment, consistent with the
-//! vendored `proptest`/`criterion` shims) and shared: result artifacts
-//! and bench reports write it, the tuning cache and the job service
+//! vendored `proptest` shim) and shared: result artifacts and the
+//! tune-regret table write it, the tuning cache and the job service
 //! read it back, and the integration tests use the parser to check the
 //! writers' schemas. One implementation keeps the two directions honest
 //! against each other.

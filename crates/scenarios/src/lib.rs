@@ -11,7 +11,7 @@
 //!   and precise error messages;
 //! - [`toml`]: a hand-rolled parser/serializer for the TOML subset the
 //!   scenario files use (no crates.io in this environment, consistent
-//!   with the vendored `proptest`/`criterion` shims);
+//!   with the vendored `proptest` shim);
 //! - [`codec`]: the explicit `ScenarioSpec` ⇄ TOML mapping with
 //!   unknown-key detection;
 //! - [`library`]: the built-in catalog — the paper's tandem solar cell
@@ -29,8 +29,7 @@
 //!   thread groups, deterministic result ordering, and one JSON artifact
 //!   per job plus a batch summary;
 //! - [`Json`]: the shared [`em_json`] crate's value type, which those
-//!   artifacts (and the bench harness's `BENCH_results.json`, the tuning
-//!   cache, and the job service) use.
+//!   artifacts (and the tuning cache and the job service) use.
 //!
 //! The `mwd` CLI binary in the umbrella crate (`list`, `show`, `run`,
 //! `batch`) is a thin shell over this crate.

@@ -2,7 +2,7 @@
 //! files use.
 //!
 //! This build environment has no crates.io access, so — consistent with
-//! the vendored-shim approach for `proptest`/`criterion` — the format
+//! the vendored-shim approach for `proptest` — the format
 //! support is written here rather than pulled in. The subset covers
 //! exactly what scenario specs need and nothing more:
 //!

@@ -7,8 +7,6 @@
 //!         [--engine KIND] [--max-periods M] [--deadline-ms D] [--seed S]
 //!         [--retries K] [--allow-failures]
 //!         [--report FILE] [--min-dedupe-hits K] [--shutdown] [--quiet]
-//!         [--sustained-secs S [--connections N] [--keepalive]
-//!          [--pipeline D] [--min-rps F]]
 //! ```
 //!
 //! The workload is `N` submissions drawn from a pool of
@@ -22,28 +20,18 @@
 //! Every completed request fetches its artifact and the bytes are
 //! compared per variant: a cached result that differs from the first
 //! solve of the same variant is counted as a mismatch and fails the
-//! run. The summary (and `--report`, merged into `BENCH_results.json`
-//! under the `loadgen` key) therefore certifies both the hit rate and
-//! bit-identical serving.
-//!
-//! With `--sustained-secs S` the mixed workload is replaced by a
-//! sustained-throughput benchmark on one *cached* artifact: warm a
-//! single variant to the result store, then hammer `GET /results/:key`
-//! for `S` seconds per phase. The first phase opens a fresh connection
-//! per request (the per-connection baseline); with `--keepalive`, a
-//! second phase holds `--connections` persistent HTTP/1.1 connections
-//! open, each with up to `--pipeline` requests in flight. Every
-//! response is byte-verified against the warmed artifact, and the
-//! report (under the separate `loadgen_sustained` key) records both
-//! phases plus the keep-alive speedup.
+//! run. The summary (and the `--report` file) therefore certifies both
+//! the hit rate and bit-identical serving. Sustained cached-GET
+//! throughput is the repo benchmark's `serve-mix` workload, not this
+//! tool's.
 
 use em_json::Json;
 use em_obs::{Histogram, HistogramSnapshot};
 use em_scenarios::gen::{generate, splitmix64, Family, GenParams};
 use std::collections::HashMap;
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{Read, Write};
 use std::net::TcpStream;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -75,26 +63,11 @@ OPTIONS:
                            (default 0)
     --allow-failures       report failures/timeouts without failing the
                            run (result mismatches still fail it)
-    --report <file>        merge the report into this JSON file
-                           (default results/BENCH_results.json)
+    --report <file>        write the JSON report to this file
+                           (default results/loadgen_report.json)
     --min-dedupe-hits <k>  exit 1 if fewer requests were deduped
     --shutdown             POST /shutdown when done
     --quiet                suppress per-request lines
-
-SUSTAINED MODE (cached-result throughput):
-    --sustained-secs <s>   replace the mixed workload: warm one variant
-                           into the result store, then hammer its
-                           `GET /results/:key` for <s> seconds per
-                           phase, byte-verifying every response
-    --connections <n>      client connections per phase
-                           (default: --concurrency)
-    --keepalive            add a second phase over persistent HTTP/1.1
-                           connections (vs the connect-per-request
-                           baseline) and report the speedup
-    --pipeline <d>         pipelined requests in flight per keep-alive
-                           connection (default 1)
-    --min-rps <f>          exit 1 if the best phase's throughput is
-                           below this floor
 ";
 
 struct Opts {
@@ -115,11 +88,6 @@ struct Opts {
     min_dedupe_hits: Option<usize>,
     shutdown: bool,
     quiet: bool,
-    sustained_secs: Option<u64>,
-    connections: Option<usize>,
-    keepalive: bool,
-    pipeline: usize,
-    min_rps: Option<f64>,
 }
 
 fn parse_opts(args: &[String]) -> Result<Opts, String> {
@@ -137,15 +105,10 @@ fn parse_opts(args: &[String]) -> Result<Opts, String> {
         seed: 7,
         retries: 0,
         allow_failures: false,
-        report: PathBuf::from("results/BENCH_results.json"),
+        report: PathBuf::from("results/loadgen_report.json"),
         min_dedupe_hits: None,
         shutdown: false,
         quiet: false,
-        sustained_secs: None,
-        connections: None,
-        keepalive: false,
-        pipeline: 1,
-        min_rps: None,
     };
     let mut it = args.iter();
     while let Some(a) = it.next() {
@@ -204,35 +167,6 @@ fn parse_opts(args: &[String]) -> Result<Opts, String> {
             }
             "--shutdown" => o.shutdown = true,
             "--quiet" => o.quiet = true,
-            "--sustained-secs" => {
-                o.sustained_secs = Some(
-                    value("--sustained-secs")?
-                        .parse::<u64>()
-                        .ok()
-                        .filter(|&s| s >= 1)
-                        .ok_or("--sustained-secs needs a positive integer")?,
-                )
-            }
-            "--connections" => {
-                o.connections = Some(parse_count(&value("--connections")?, "--connections")?)
-            }
-            "--keepalive" => o.keepalive = true,
-            "--pipeline" => {
-                o.pipeline = value("--pipeline")?
-                    .parse::<usize>()
-                    .ok()
-                    .filter(|&d| d >= 1)
-                    .ok_or("--pipeline needs a positive integer")?
-            }
-            "--min-rps" => {
-                o.min_rps = Some(
-                    value("--min-rps")?
-                        .parse::<f64>()
-                        .ok()
-                        .filter(|f| f.is_finite() && *f > 0.0)
-                        .ok_or("--min-rps needs a positive number")?,
-                )
-            }
             "--help" | "-h" => {
                 print!("{USAGE}");
                 std::process::exit(0);
@@ -245,16 +179,6 @@ fn parse_opts(args: &[String]) -> Result<Opts, String> {
     }
     if o.concurrency == 0 {
         return Err("--concurrency must be positive".to_string());
-    }
-    if o.sustained_secs.is_none()
-        && (o.keepalive || o.connections.is_some() || o.pipeline != 1 || o.min_rps.is_some())
-    {
-        return Err(
-            "--connections/--keepalive/--pipeline/--min-rps need --sustained-secs".to_string(),
-        );
-    }
-    if o.connections == Some(0) {
-        return Err("--connections must be positive".to_string());
     }
     Ok(o)
 }
@@ -643,29 +567,19 @@ fn probe_health(o: &Opts) -> Result<(), String> {
     Ok(())
 }
 
-/// Merge `report` into the JSON file at `path` under `key`, so
-/// bench_report's measurements (and the other loadgen mode's section)
-/// in the same file survive.
-fn merge_report(path: &PathBuf, key: &str, report: Json) -> Result<(), String> {
+/// Write `report`, whole, to the JSON file at `path`.
+fn write_report(path: &Path, report: &Json) -> Result<(), String> {
     if let Some(dir) = path.parent() {
         if !dir.as_os_str().is_empty() {
             std::fs::create_dir_all(dir)
                 .map_err(|e| format!("cannot create {}: {e}", dir.display()))?;
         }
     }
-    let mut doc = std::fs::read_to_string(path)
-        .ok()
-        .and_then(|t| em_json::parse(&t).ok())
-        .filter(|d| d.as_obj().is_some())
-        .unwrap_or(Json::Obj(vec![]));
-    doc.set(key, report);
-    std::fs::write(path, doc.pretty()).map_err(|e| format!("cannot write {}: {e}", path.display()))
+    std::fs::write(path, report.pretty())
+        .map_err(|e| format!("cannot write {}: {e}", path.display()))
 }
 
 fn run(o: &Opts) -> Result<ExitCode, String> {
-    if o.sustained_secs.is_some() {
-        return run_sustained(o);
-    }
     // The variant pool: U distinct specs; requests beyond U repeat one.
     let unique = ((o.requests as f64) * (1.0 - o.dup_ratio)).round().max(1.0) as usize;
     let unique = unique.min(o.requests);
@@ -837,7 +751,7 @@ fn run(o: &Opts) -> Result<ExitCode, String> {
             ]),
         ));
     }
-    merge_report(&o.report, "loadgen", Json::obj(report_pairs))?;
+    write_report(&o.report, &Json::obj(report_pairs))?;
 
     println!(
         "\n{} requests in {:.2}s ({:.1}/s) against {}",
@@ -881,308 +795,6 @@ fn run(o: &Opts) -> Result<ExitCode, String> {
     // expects them (`--allow-failures`, chaos/deadline runs).
     let gating_failures = if o.allow_failures { 0 } else { failures };
     if gating_failures > 0 || mismatches > 0 || !enough_hits {
-        return Ok(ExitCode::FAILURE);
-    }
-    Ok(ExitCode::SUCCESS)
-}
-
-/// One sustained phase's tallies, summed over all client threads.
-struct PhaseResult {
-    requests: usize,
-    failures: usize,
-    mismatches: usize,
-    wall_secs: f64,
-}
-
-impl PhaseResult {
-    fn rps(&self) -> f64 {
-        self.requests as f64 / self.wall_secs.max(1e-9)
-    }
-
-    fn doc(&self) -> Json {
-        Json::obj(vec![
-            ("requests", Json::Int(self.requests as i64)),
-            ("requests_per_sec", Json::Num(self.rps())),
-            ("failures", Json::Int(self.failures as i64)),
-            ("mismatches", Json::Int(self.mismatches as i64)),
-            ("wall_secs", Json::Num(self.wall_secs)),
-        ])
-    }
-}
-
-/// Run one timed phase: `threads` clients hammer until `secs` elapse,
-/// each returning `(requests, failures, mismatches)`.
-fn sustained_phase<W>(threads: usize, secs: u64, worker: W) -> PhaseResult
-where
-    W: Fn(Instant) -> (usize, usize, usize) + Sync,
-{
-    let t0 = Instant::now();
-    let deadline = t0 + Duration::from_secs(secs);
-    let mut out = PhaseResult {
-        requests: 0,
-        failures: 0,
-        mismatches: 0,
-        wall_secs: 0.0,
-    };
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|_| scope.spawn(|| worker(deadline)))
-            .collect();
-        for h in handles {
-            let (r, f, m) = h.join().unwrap();
-            out.requests += r;
-            out.failures += f;
-            out.mismatches += m;
-        }
-    });
-    out.wall_secs = t0.elapsed().as_secs_f64();
-    out
-}
-
-/// Read one `Content-Length`-framed response off a persistent
-/// connection without consuming past it — the framing a keep-alive
-/// client needs where `http()` just reads to EOF.
-fn read_framed(r: &mut BufReader<TcpStream>) -> Result<(u16, Vec<u8>), String> {
-    let mut line = String::new();
-    if r.read_line(&mut line).map_err(|e| e.to_string())? == 0 {
-        return Err("connection closed".to_string());
-    }
-    let status: u16 = line
-        .split(' ')
-        .nth(1)
-        .and_then(|s| s.trim().parse().ok())
-        .ok_or_else(|| format!("malformed status line: {}", line.trim()))?;
-    let mut content_length = 0usize;
-    loop {
-        let mut h = String::new();
-        if r.read_line(&mut h).map_err(|e| e.to_string())? == 0 {
-            return Err("connection closed mid-headers".to_string());
-        }
-        let h = h.trim_end();
-        if h.is_empty() {
-            break;
-        }
-        if let Some((k, v)) = h.split_once(':') {
-            if k.eq_ignore_ascii_case("content-length") {
-                content_length = v
-                    .trim()
-                    .parse()
-                    .map_err(|_| format!("bad content-length: {}", v.trim()))?;
-            }
-        }
-    }
-    let mut body = vec![0u8; content_length];
-    r.read_exact(&mut body).map_err(|e| e.to_string())?;
-    Ok((status, body))
-}
-
-/// One keep-alive client: hold a persistent connection, keep up to
-/// `pipeline` requests in flight, byte-verify every response.
-/// Reconnects (counting a failure) if the connection tears while time
-/// remains; past the deadline, drains what is already in flight.
-fn keepalive_worker(
-    addr: &str,
-    request: &[u8],
-    expected: &[u8],
-    pipeline: usize,
-    deadline: Instant,
-) -> (usize, usize, usize) {
-    let (mut requests, mut failures, mut mismatches) = (0usize, 0usize, 0usize);
-    'reconnect: while Instant::now() < deadline {
-        let stream = match TcpStream::connect(addr) {
-            Ok(s) => s,
-            Err(_) => {
-                failures += 1;
-                std::thread::sleep(Duration::from_millis(10));
-                continue;
-            }
-        };
-        let _ = stream.set_nodelay(true);
-        let _ = stream.set_read_timeout(Some(Duration::from_secs(30)));
-        let mut writer = match stream.try_clone() {
-            Ok(w) => w,
-            Err(_) => {
-                failures += 1;
-                continue;
-            }
-        };
-        let mut reader = BufReader::new(stream);
-        let mut in_flight = 0usize;
-        for _ in 0..pipeline {
-            if writer.write_all(request).is_err() {
-                failures += 1;
-                continue 'reconnect;
-            }
-            in_flight += 1;
-        }
-        loop {
-            match read_framed(&mut reader) {
-                Ok((200, body)) => {
-                    in_flight -= 1;
-                    requests += 1;
-                    if body != expected {
-                        mismatches += 1;
-                    }
-                }
-                Ok(_) => {
-                    in_flight -= 1;
-                    failures += 1;
-                }
-                Err(_) => {
-                    failures += 1;
-                    continue 'reconnect;
-                }
-            }
-            if Instant::now() < deadline {
-                if writer.write_all(request).is_err() {
-                    failures += 1;
-                    continue 'reconnect;
-                }
-                in_flight += 1;
-            } else if in_flight == 0 {
-                break 'reconnect;
-            }
-        }
-    }
-    (requests, failures, mismatches)
-}
-
-/// `--sustained-secs`: cached-result throughput. Warm one variant into
-/// the result store, then hammer its `/results/:key` — first with a
-/// fresh connection per request (the per-connection baseline), then
-/// (with `--keepalive`) over persistent pipelined connections — and
-/// record both phases plus the speedup under `loadgen_sustained`.
-fn run_sustained(o: &Opts) -> Result<ExitCode, String> {
-    let secs = o.sustained_secs.unwrap();
-    let connections = o.connections.unwrap_or(o.concurrency).max(1);
-    probe_health(o)?;
-
-    let base_toml = match &o.spec_file {
-        Some(p) => Some(
-            std::fs::read_to_string(p).map_err(|e| format!("cannot read {}: {e}", p.display()))?,
-        ),
-        None => None,
-    };
-    let mut family_counts = HashMap::new();
-    let body = variant_body(o, &base_toml, &mut family_counts, 0)?;
-
-    // Warm: solve the variant once, then re-submit — the second answer
-    // must be `cached` and names the stable `/results/:key` path every
-    // phase will hammer. Its bytes become the expected artifact.
-    let warm = drive_one(o, &body, 0, 0);
-    if warm.failed {
-        return Err(format!("warm-up solve failed: {}", warm.status));
-    }
-    let ex = http(&o.addr, "POST", "/jobs", Some(body.as_bytes()))?;
-    let doc = em_json::parse(&ex.payload).unwrap_or(Json::Null);
-    if ex.status != 200 || doc.get("status").and_then(Json::as_str) != Some("cached") {
-        return Err(format!(
-            "warm-up re-submission was not served from the store (HTTP {})",
-            ex.status
-        ));
-    }
-    let path = doc
-        .get("result")
-        .and_then(Json::as_str)
-        .ok_or("cached response without result path")?
-        .to_string();
-    let expected = {
-        let ex = http(&o.addr, "GET", &path, None)?;
-        if ex.status != 200 {
-            return Err(format!("warm-up fetch {path}: http-{}", ex.status));
-        }
-        ex.payload
-    };
-    println!(
-        "sustained: warmed {path} ({} bytes), {secs}s per phase, {connections} connection(s)",
-        expected.len()
-    );
-
-    // Phase 1 — per-connection baseline: every request pays connect,
-    // close, and a read-to-EOF.
-    let baseline = sustained_phase(connections, secs, |deadline| {
-        let (mut requests, mut failures, mut mismatches) = (0usize, 0usize, 0usize);
-        while Instant::now() < deadline {
-            match http(&o.addr, "GET", &path, None) {
-                Ok(ex) if ex.status == 200 => {
-                    requests += 1;
-                    if ex.payload != expected {
-                        mismatches += 1;
-                    }
-                }
-                Ok(_) | Err(_) => failures += 1,
-            }
-        }
-        (requests, failures, mismatches)
-    });
-    println!(
-        "per-connection: {} requests in {:.2}s ({:.0}/s), failures {}, mismatches {}",
-        baseline.requests,
-        baseline.wall_secs,
-        baseline.rps(),
-        baseline.failures,
-        baseline.mismatches
-    );
-
-    // Phase 2 — keep-alive: persistent connections, pipelined requests.
-    let keep = o.keepalive.then(|| {
-        let request = format!("GET {path} HTTP/1.1\r\nHost: {}\r\n\r\n", o.addr).into_bytes();
-        let phase = sustained_phase(connections, secs, |deadline| {
-            keepalive_worker(&o.addr, &request, expected.as_bytes(), o.pipeline, deadline)
-        });
-        println!(
-            "keepalive [pipeline {}]: {} requests in {:.2}s ({:.0}/s), failures {}, mismatches {}",
-            o.pipeline,
-            phase.requests,
-            phase.wall_secs,
-            phase.rps(),
-            phase.failures,
-            phase.mismatches
-        );
-        println!(
-            "keepalive speedup: {:.1}x over per-connection",
-            phase.rps() / baseline.rps().max(1e-9)
-        );
-        phase
-    });
-
-    let mut report_pairs = vec![
-        ("addr", Json::str(&o.addr)),
-        ("path", Json::str(&path)),
-        ("artifact_bytes", Json::Int(expected.len() as i64)),
-        ("connections", Json::Int(connections as i64)),
-        ("pipeline", Json::Int(o.pipeline as i64)),
-        ("duration_secs", Json::Int(secs as i64)),
-        ("per_connection", baseline.doc()),
-    ];
-    if let Some(phase) = &keep {
-        report_pairs.push(("keepalive", phase.doc()));
-        report_pairs.push((
-            "keepalive_speedup",
-            Json::Num(phase.rps() / baseline.rps().max(1e-9)),
-        ));
-    }
-    merge_report(&o.report, "loadgen_sustained", Json::obj(report_pairs))?;
-    println!("report: {}", o.report.display());
-
-    if o.shutdown {
-        let s = http(&o.addr, "POST", "/shutdown", None)?.status;
-        println!("shutdown requested (HTTP {s})");
-    }
-
-    let failures = baseline.failures + keep.as_ref().map_or(0, |p| p.failures);
-    let mismatches = baseline.mismatches + keep.as_ref().map_or(0, |p| p.mismatches);
-    let best_rps = keep.as_ref().map_or(baseline.rps(), |p| p.rps());
-    println!("failures: {failures}, result mismatches: {mismatches}");
-    let rps_ok = o.min_rps.is_none_or(|floor| best_rps >= floor);
-    if !rps_ok {
-        eprintln!(
-            "error: {best_rps:.0} req/s, below the required {:.0}",
-            o.min_rps.unwrap_or(0.0)
-        );
-    }
-    let gating_failures = if o.allow_failures { 0 } else { failures };
-    if gating_failures > 0 || mismatches > 0 || !rps_ok {
         return Ok(ExitCode::FAILURE);
     }
     Ok(ExitCode::SUCCESS)

@@ -1,5 +1,5 @@
 //! The `loadgen` binary against an in-process daemon: mixed workload,
-//! dedupe accounting, report merging, and the `--min-dedupe-hits` gate.
+//! dedupe accounting, the report file, and the `--min-dedupe-hits` gate.
 
 use em_service::{Server, ServerConfig};
 use mwd_core::ThreadBudget;
@@ -39,18 +39,13 @@ fn loadgen(dir: &Path, args: &[&str]) -> std::process::Output {
 }
 
 #[test]
-fn loadgen_reports_dedupe_and_latency_into_the_bench_file() {
+fn loadgen_reports_dedupe_and_latency_into_its_report_file() {
     let dir = std::env::temp_dir().join(format!("loadgen_cli_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
     std::fs::write(dir.join("tiny.toml"), TINY_SPEC).unwrap();
-    // Pre-existing bench data must survive the merge.
-    std::fs::create_dir_all(dir.join("results")).unwrap();
-    std::fs::write(
-        dir.join("results/BENCH_results.json"),
-        "{\n  \"git_rev\": \"test\"\n}\n",
-    )
-    .unwrap();
+    // Whatever the report path held before is replaced, not merged into.
+    std::fs::write(dir.join("report.json"), "{\n  \"stale\": true\n}\n").unwrap();
 
     let server = Server::bind(&ServerConfig {
         addr: "127.0.0.1:0".to_string(),
@@ -82,6 +77,8 @@ fn loadgen_reports_dedupe_and_latency_into_the_bench_file() {
             "tiny.toml",
             "--min-dedupe-hits",
             "4",
+            "--report",
+            "report.json",
             "--quiet",
             "--shutdown",
         ],
@@ -97,12 +94,10 @@ fn loadgen_reports_dedupe_and_latency_into_the_bench_file() {
     assert_eq!(summary.completed, 7, "7 unique variants solved");
     assert_eq!(summary.failed, 0);
 
-    // The report merged into BENCH_results.json without clobbering it.
-    let doc =
-        em_json::parse(&std::fs::read_to_string(dir.join("results/BENCH_results.json")).unwrap())
-            .unwrap();
-    assert_eq!(doc.get("git_rev").unwrap().as_str(), Some("test"));
-    let lg = doc.get("loadgen").expect("loadgen section");
+    // The report is the whole file at --report.
+    assert!(stdout.contains("report: report.json"), "{stdout}");
+    let lg = em_json::parse(&std::fs::read_to_string(dir.join("report.json")).unwrap()).unwrap();
+    assert!(lg.get("stale").is_none(), "the old file was replaced");
     assert_eq!(lg.get("requests").unwrap().as_i64(), Some(14));
     assert_eq!(lg.get("dedupe_hits").unwrap().as_i64(), Some(7));
     assert_eq!(lg.get("failures").unwrap().as_i64(), Some(0));

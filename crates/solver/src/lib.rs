@@ -17,7 +17,7 @@
 //! - [`solver`]: the iteration driver with convergence monitoring,
 //!   runnable on any engine (naive / spatial / MWD);
 //! - [`builder`]: fluent one-stop construction of solver configs, shared
-//!   by the examples, the scenario library and the benches;
+//!   by the examples and the scenario library;
 //! - [`analysis`]: Poynting flux and per-layer absorption.
 //!
 //! Units are normalized: cell size = 1, vacuum light speed = 1,

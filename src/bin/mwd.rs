@@ -24,7 +24,7 @@
 //! in-flight jobs finish, artifacts/summaries are written, and the
 //! tuning cache is persisted.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use thiim_mwd::scenarios::runner::{run_batch, BatchOptions, BatchReport, TunePlan};
 use thiim_mwd::scenarios::spec::EngineDecl;
@@ -382,29 +382,7 @@ fn cmd_run_or_batch(args: &[String], batch: bool) -> Result<ExitCode, String> {
 
     let report = run_batch(&specs, &opts)?;
     if let Some(path) = &o.trace {
-        let trace = recorder.drain();
-        trace
-            .write_chrome(path)
-            .map_err(|e| format!("cannot write trace {}: {e}", path.display()))?;
-        println!(
-            "trace: {} span(s) on {} thread(s) -> {}{}",
-            trace.spans.len(),
-            trace.threads.len(),
-            path.display(),
-            if trace.dropped > 0 {
-                format!(" ({} span(s) dropped by ring buffers)", trace.dropped)
-            } else {
-                String::new()
-            }
-        );
-        for p in trace.phase_totals() {
-            println!(
-                "  phase {:<16} {:>8} span(s) {:>10.3} ms total",
-                p.name,
-                p.count,
-                p.total_us / 1e3
-            );
-        }
+        write_trace(&recorder, path)?;
     }
     print_report(&report, o.dry_run);
     if report.cancelled() > 0 {
@@ -862,16 +840,7 @@ fn cmd_dist_run(args: &[String]) -> Result<ExitCode, String> {
     thiim_mwd::scenarios::write_artifacts(&dir, &mut report.outcomes)?;
 
     if let Some(path) = &o.trace {
-        let trace = recorder.drain();
-        trace
-            .write_chrome(path)
-            .map_err(|e| format!("cannot write trace {}: {e}", path.display()))?;
-        println!(
-            "trace: {} span(s) on {} thread(s) -> {}",
-            trace.spans.len(),
-            trace.threads.len(),
-            path.display()
-        );
+        write_trace(&recorder, path)?;
     }
     print_report(&report, false);
     for line in &summaries {
@@ -978,6 +947,35 @@ fn cmd_dist_worker(args: &[String]) -> Result<ExitCode, String> {
             Ok(ExitCode::FAILURE)
         }
     }
+}
+
+/// The `--trace` epilogue: drain the recorder into a Chrome trace file
+/// and print what it held, phase totals included.
+fn write_trace(recorder: &thiim_mwd::obs::Recorder, path: &Path) -> Result<(), String> {
+    let trace = recorder.drain();
+    trace
+        .write_chrome(path)
+        .map_err(|e| format!("cannot write trace {}: {e}", path.display()))?;
+    println!(
+        "trace: {} span(s) on {} thread(s) -> {}{}",
+        trace.spans.len(),
+        trace.threads.len(),
+        path.display(),
+        if trace.dropped > 0 {
+            format!(" ({} span(s) dropped by ring buffers)", trace.dropped)
+        } else {
+            String::new()
+        }
+    );
+    for p in trace.phase_totals() {
+        println!(
+            "  phase {:<16} {:>8} span(s) {:>10.3} ms total",
+            p.name,
+            p.count,
+            p.total_us / 1e3
+        );
+    }
+    Ok(())
 }
 
 fn print_report(report: &BatchReport, dry_run: bool) {

@@ -353,6 +353,47 @@ fn run_with_tune_records_provenance_in_the_artifact() {
 }
 
 #[test]
+fn trace_flag_writes_a_chrome_trace_and_prints_phase_totals_on_both_run_paths() {
+    let dir = temp_dir("trace");
+    let spec = write_spec(&dir, "traced");
+    let spec = spec.to_str().unwrap();
+    let cases: [(&str, &[&str]); 2] = [
+        ("run", &["run", spec, "--engine", "mwd"]),
+        ("dist", &["dist", "run", spec, "--workers", "2"]),
+    ];
+    for (tag, head) in cases {
+        let trace = dir.join(format!("{tag}_trace.json"));
+        let out_dir = dir.join(tag);
+        let mut args = head.to_vec();
+        args.extend([
+            "--trace",
+            trace.to_str().unwrap(),
+            "--quiet",
+            "--out",
+            out_dir.to_str().unwrap(),
+        ]);
+        let out = mwd(&dir, &args);
+        assert_eq!(exit_code(&out), 0, "{tag}: {}", stderr(&out));
+
+        let doc = json::parse(&std::fs::read_to_string(&trace).unwrap()).unwrap();
+        let events = doc.get("traceEvents").and_then(Json::as_arr).unwrap();
+        assert!(
+            events
+                .iter()
+                .any(|e| e.get("ph").and_then(Json::as_str) == Some("X")),
+            "{tag}: no complete span in the trace"
+        );
+        let text = stdout(&out);
+        assert!(text.contains("trace: "), "{tag}: {text}");
+        assert!(
+            text.lines().any(|l| l.trim_start().starts_with("phase ")),
+            "{tag}: no phase totals in\n{text}"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn malformed_scenario_files_fail_with_exit_code_2() {
     let dir = temp_dir("malformed");
     let path = dir.join("broken.toml");

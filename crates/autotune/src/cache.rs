@@ -8,12 +8,12 @@
 //! 1. **cache hit**: a previous answer for the same [`TuneKey`]
 //!    (host fingerprint, grid, engine kind, thread count) is returned
 //!    as-is, with no model, simulator or native work;
-//! 2. **model-pruned search**: the candidate space is pruned against the
-//!    cache window (Eq. 11) and ranked with the closed-form
-//!    [`ModelEvaluator`] — traffic, tile concurrency and group
-//!    efficiency through one roofline ([`score`]) — then the top few
-//!    finalists that differ in `(dw, groups, tg.size())` are re-scored
-//!    by the cache-simulator-backed [`SimEvaluator`];
+//! 2. **model-pruned search**: the tuner's one candidate policy
+//!    ([`survivors`]: Eq. 11 window) and one model ranking ([`rank`]:
+//!    traffic, tile concurrency and group efficiency through one
+//!    roofline, [`score`]), then the top few finalists that differ in
+//!    `(dw, groups, tg.size())` are re-scored by the
+//!    cache-simulator-backed [`SimEvaluator`] ([`finalists`]);
 //! 3. **optional native refinement**: the best sim-ranked finalists are
 //!    probed with wall-clock [`NativeEvaluator`] runs on a proxy grid;
 //! 4. **store**: the winner is recorded and, for a file-backed cache,
@@ -22,12 +22,14 @@
 //! Everything up to the native stage is deterministic, so two misses on
 //! the same key pick the same winner; the native stage trades that for
 //! measured truth, which is exactly what the cache then pins down.
+//! [`resolve`] and [`SharedTuneCache::resolve`](crate::SharedTuneCache::resolve)
+//! differ only in locking: both go through one hit lookup
+//! (`TuneCache::hit`) and one miss body (`miss_entry`).
 
 use crate::fingerprint::{host_fingerprint, is_current_revision};
-use crate::prune::{prune, CacheWindow};
 use crate::space::SearchSpace;
 use crate::tuner::{
-    score, Evaluator, Factors, ModelEvaluator, NativeEvaluator, SimEvaluator, TileModel,
+    rank, score, survivors, Factors, ModelEvaluator, NativeEvaluator, SimEvaluator, TileModel,
 };
 use em_field::GridDims;
 use em_json::Json;
@@ -131,6 +133,18 @@ pub struct TuneEntry {
 impl TuneEntry {
     fn key_id(&self) -> String {
         key_id(&self.fingerprint, &self.dims, &self.engine, self.threads)
+    }
+
+    /// This entry as an answer: served from the cache (no probes were
+    /// spent by the asker) or freshly searched.
+    pub(crate) fn resolution(&self, cache_hit: bool) -> Resolution {
+        Resolution {
+            config: self.config,
+            score_mlups: self.score_mlups,
+            stage: self.stage,
+            cache_hit,
+            native_probes: if cache_hit { 0 } else { self.native_probes },
+        }
     }
 
     fn to_json(&self) -> Json {
@@ -264,6 +278,15 @@ impl TuneCache {
         self.entries.iter().find(|e| e.key_id() == id)
     }
 
+    /// The one hit lookup: the stored answer for `key`, unless the
+    /// options force a retune.
+    pub(crate) fn hit(&self, key: &TuneKey, opts: &ResolveOptions) -> Option<Resolution> {
+        if opts.force {
+            return None;
+        }
+        self.get(key).map(|e| e.resolution(true))
+    }
+
     /// Insert or replace the entry for its key.
     pub fn put(&mut self, entry: TuneEntry) {
         let id = entry.key_id();
@@ -325,7 +348,6 @@ impl TuneCache {
 pub struct ResolveOptions {
     /// The modeled machine driving pruning, model and simulator scores.
     pub machine: MachineSpec,
-    pub window: CacheWindow,
     /// Sim-score at most this many model-ranked finalists.
     pub sim_top: usize,
     /// Cap on the simulator's proxy ny/nz (0 = the [`SimEvaluator`]
@@ -345,7 +367,6 @@ impl Default for ResolveOptions {
     fn default() -> Self {
         ResolveOptions {
             machine: MachineSpec::HASWELL_E5_2699_V3,
-            window: CacheWindow::default(),
             sim_top: 4,
             sim_proxy_cap: 32,
             refine_top: 0,
@@ -375,42 +396,17 @@ pub fn resolve(
     key: &TuneKey,
     opts: &ResolveOptions,
 ) -> Result<Resolution, String> {
-    if !opts.force {
-        if let Some(entry) = cache.get(key) {
-            return Ok(Resolution {
-                config: entry.config,
-                score_mlups: entry.score_mlups,
-                stage: entry.stage,
-                cache_hit: true,
-                native_probes: 0,
-            });
-        }
+    if let Some(hit) = cache.hit(key, opts) {
+        return Ok(hit);
     }
-    let (config, score_mlups, stage, native_probes) = tune_miss(key, opts)?;
-    cache.put(TuneEntry {
-        fingerprint: key.fingerprint.clone(),
-        dims: format!("{}", key.dims),
-        engine: key.engine.clone(),
-        threads: key.threads,
-        config,
-        score_mlups,
-        stage,
-        native_probes,
-    });
-    Ok(Resolution {
-        config,
-        score_mlups,
-        stage,
-        cache_hit: false,
-        native_probes,
-    })
+    let entry = miss_entry(key, opts)?;
+    let resolution = entry.resolution(false);
+    cache.put(entry);
+    Ok(resolution)
 }
 
 /// The candidates a miss ranks: the default space for the key's thread
-/// count, pruned against the cache window (Eq. 11). The window's lower
-/// bound is a reuse argument — blocks that small leave the cache idle
-/// while the grid streams from memory — so it is dropped for a grid that
-/// is itself resident in the usable cache.
+/// count under the tuner's one candidate policy ([`survivors`]).
 pub fn search_candidates(key: &TuneKey, opts: &ResolveOptions) -> Result<Vec<MwdConfig>, String> {
     let dims = key.dims;
     let threads = key.threads.max(1);
@@ -420,13 +416,7 @@ pub fn search_candidates(key: &TuneKey, opts: &ResolveOptions) -> Result<Vec<Mwd
             "no valid MWD candidate for {dims} at {threads} thread(s)"
         ));
     }
-    let mut window = opts.window;
-    if dims.state_bytes() as f64 <= opts.machine.usable_l3() {
-        window.lo_frac = 0.0;
-    }
-    let (kept, _) = prune(cands.clone(), dims, &opts.machine, window);
-    // Degenerate grids/windows: rank everything instead of failing.
-    Ok(if kept.is_empty() { cands } else { kept })
+    Ok(survivors(cands, dims, &opts.machine))
 }
 
 /// One finalist of the miss path with the factors behind its score.
@@ -437,6 +427,23 @@ pub struct Finalist {
     pub factors: Factors,
 }
 
+/// Why the finalist scores what it does: the roofline with its three
+/// factors filled in (`mwd tune --dry-run` prints one per finalist).
+impl std::fmt::Display for Finalist {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "{:<32} {:>7.1} MLUP/s = min(core x {:.2}/{} x {:.3}, bw / {:.0} B/LUP)",
+            self.config.to_compact(),
+            self.score_mlups,
+            self.factors.concurrency,
+            self.config.groups,
+            self.factors.group_eff,
+            self.factors.code_balance,
+        )
+    }
+}
+
 /// The deterministic part of the miss path: model ranking of every
 /// pruned survivor, then cache-simulator scoring of the `sim_top` best
 /// that differ in `(dw, groups, tg.size())`. Best first.
@@ -444,16 +451,7 @@ pub fn finalists(key: &TuneKey, opts: &ResolveOptions) -> Result<Vec<Finalist>, 
     let dims = key.dims;
     let threads = key.threads.max(1);
     let mut model = ModelEvaluator::new(opts.machine, dims, threads);
-    let mut ranked: Vec<(MwdConfig, f64)> = search_candidates(key, opts)?
-        .into_iter()
-        .map(|c| {
-            let s = model.evaluate(&c);
-            (c, s)
-        })
-        .collect();
-    // Stable sort: ties keep enumeration order, so the ranking is
-    // deterministic for a fixed MachineSpec.
-    ranked.sort_by(|a, b| b.1.total_cmp(&a.1));
+    let ranked = rank(&mut model, search_candidates(key, opts)?);
 
     // Variants of one diamond that differ only in BZ or TG shape move
     // the same bytes, so simulating them again decides nothing.
@@ -489,7 +487,22 @@ pub fn finalists(key: &TuneKey, opts: &ResolveOptions) -> Result<Vec<Finalist>, 
     Ok(out)
 }
 
-/// The miss path: [`finalists`], then optional native refinement.
+/// The one miss body: search, and the entry to store under `key`.
+pub(crate) fn miss_entry(key: &TuneKey, opts: &ResolveOptions) -> Result<TuneEntry, String> {
+    let (config, score_mlups, stage, native_probes) = tune_miss(key, opts)?;
+    Ok(TuneEntry {
+        fingerprint: key.fingerprint.clone(),
+        dims: format!("{}", key.dims),
+        engine: key.engine.clone(),
+        threads: key.threads,
+        config,
+        score_mlups,
+        stage,
+        native_probes,
+    })
+}
+
+/// The search: [`finalists`], then optional native refinement.
 /// Deterministic up to the native stage.
 fn tune_miss(
     key: &TuneKey,
@@ -517,7 +530,7 @@ fn tune_miss(
         let mut measured: Option<(MwdConfig, f64)> = None;
         for f in &finalists[..k] {
             let cand = &f.config;
-            let s = native.evaluate(cand) * f.factors.concurrency / proxy_tiles.concurrency(cand);
+            let s = native.probe(cand) * f.factors.concurrency / proxy_tiles.concurrency(cand);
             probes += 1;
             if s > 0.0 && measured.as_ref().is_none_or(|(_, ms)| s > *ms) {
                 measured = Some((*cand, s));

@@ -6,11 +6,14 @@
 //! parameter search space is narrowed down to diamond tiles that fit
 //! within a predefined cache size range using a cache block size model."
 //!
-//! The same structure lives here: [`space`] enumerates `(Dw, BZ,
+//! The same structure lives here, once: [`space`] enumerates `(Dw, BZ,
 //! TG shape, groups)` candidates, [`prune`] filters them with Eq. 11
-//! against the usable cache window, and [`tuner`] scores the survivors
-//! with a pluggable evaluator — simulator-backed for the paper-scale
-//! figures, wall-clock for native runs.
+//! against the usable cache window, and [`tuner`] holds the one
+//! candidate policy ([`survivors`]), the one model ranking ([`rank`])
+//! and the three sources of a score's traffic term — closed form,
+//! cache simulator, wall clock. Every caller (the resolve miss path,
+//! the figure harness, the tune-regret table, `mwd tune --dry-run`)
+//! runs that one pipeline.
 //!
 //! On top of the search sits the persistent subsystem the serving path
 //! uses: [`fingerprint`] identifies the host (threads + SIMD ISA +
@@ -37,6 +40,6 @@ pub use prune::{cache_fit, CacheWindow};
 pub use shared::SharedTuneCache;
 pub use space::{Candidate, SearchSpace};
 pub use tuner::{
-    autotune, list_schedule, score, Evaluator, Factors, ModelEvaluator, NativeEvaluator, Schedule,
-    SimEvaluator, TileModel, TuneResult,
+    list_schedule, rank, score, survivors, Factors, ModelEvaluator, NativeEvaluator, Schedule,
+    SimEvaluator, TileModel,
 };

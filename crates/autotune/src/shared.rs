@@ -20,7 +20,7 @@
 //! - **single flush path**: [`SharedTuneCache::save`] is the one place
 //!   the backing file is written, under the same lock as the entries.
 
-use crate::cache::{resolve, Resolution, ResolveOptions, TuneCache, TuneKey};
+use crate::cache::{miss_entry, Resolution, ResolveOptions, TuneCache, TuneKey};
 use std::collections::HashSet;
 use std::path::Path;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
@@ -89,17 +89,9 @@ impl SharedTuneCache {
     pub fn resolve(&self, key: &TuneKey, opts: &ResolveOptions) -> Result<Resolution, String> {
         let id = key.id();
         loop {
-            if !opts.force {
-                let cache = relock(self.inner.cache.lock());
-                if let Some(entry) = cache.get(key) {
-                    return Ok(Resolution {
-                        config: entry.config,
-                        score_mlups: entry.score_mlups,
-                        stage: entry.stage,
-                        cache_hit: true,
-                        native_probes: 0,
-                    });
-                }
+            let hit = relock(self.inner.cache.lock()).hit(key, opts);
+            if let Some(hit) = hit {
+                return Ok(hit);
             }
             let mut inflight = relock(self.inner.inflight.lock());
             if !inflight.contains(&id) {
@@ -112,25 +104,12 @@ impl SharedTuneCache {
         }
 
         // Search without holding either lock, so other keys resolve
-        // concurrently. A scratch cache reuses the staged miss path and
-        // hands back the entry to publish.
-        let result = (|| {
-            let mut scratch = TuneCache::in_memory();
-            let resolution = resolve(&mut scratch, key, opts)?;
-            let entry = scratch
-                .get(key)
-                .cloned()
-                .ok_or_else(|| format!("resolver stored no entry for key {id}"))?;
-            Ok::<_, String>((resolution, entry))
-        })();
-
-        let result = match result {
-            Ok((resolution, entry)) => {
-                relock(self.inner.cache.lock()).put(entry);
-                Ok(resolution)
-            }
-            Err(e) => Err(e),
-        };
+        // concurrently.
+        let result = miss_entry(key, opts).map(|entry| {
+            let resolution = entry.resolution(false);
+            relock(self.inner.cache.lock()).put(entry);
+            resolution
+        });
         relock(self.inner.inflight.lock()).remove(&id);
         self.inner.done.notify_all();
         result
@@ -146,6 +125,7 @@ impl SharedTuneCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cache::resolve;
     use em_field::GridDims;
     use perf_models::MachineSpec;
     use std::sync::atomic::{AtomicUsize, Ordering};

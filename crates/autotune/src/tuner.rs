@@ -1,24 +1,23 @@
-//! The tuner: prune with the cache model, score survivors, keep the best.
+//! The tuner: prune with the cache model, rank the survivors.
 //!
-//! Every model-side score is one roofline,
+//! One candidate policy ([`survivors`]) and one model ranking ([`rank`])
+//! serve every caller — the resolve miss path, the figure harness and
+//! `mwd tune --dry-run`; the tune-regret table measures what the policy
+//! keeps. Every model-side score is one roofline,
 //! `min(P_core(t) * concurrency / groups * group_eff, b_S / B_C)`
-//! ([`score`]): the traffic term `B_C` is Eq. 12 or the cache
-//! simulator's measurement, the two parallel terms come from the
-//! [`TilePlan`] the executor would actually run ([`TileModel`]).
+//! ([`score`]): the traffic term `B_C` is Eq. 12 ([`ModelEvaluator`])
+//! or the cache simulator's measurement ([`SimEvaluator`]), the two
+//! parallel terms come from the [`TilePlan`] the executor would
+//! actually run ([`TileModel`]). [`NativeEvaluator`] measures instead.
 
 use crate::prune::{prune, CacheWindow};
-use crate::space::{Candidate, SearchSpace};
+use crate::space::Candidate;
 use em_field::{GridDims, State};
 use mem_sim::simulate_mwd_engine;
 use mwd_core::{run_mwd, DiamondWidth, TilePlan, WavefrontSpec};
 use perf_models::{perf_mlups_parallel, MachineSpec};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
-
-/// Scores a candidate in MLUP/s (higher is better).
-pub trait Evaluator {
-    fn evaluate(&mut self, cand: &Candidate) -> f64;
-}
 
 /// Outcome of list-scheduling a plan: `work / makespan` is the speed-up
 /// the tile DAG admits on that many thread groups.
@@ -241,13 +240,6 @@ impl SimEvaluator {
     }
 }
 
-impl Evaluator for SimEvaluator {
-    fn evaluate(&mut self, cand: &Candidate) -> f64 {
-        let f = self.factors(cand);
-        score(&self.machine, cand, self.threads, &f)
-    }
-}
-
 /// Closed-form evaluator: Eq. 12 code balance with a feasibility penalty
 /// from Eq. 11 (per-stream cache shares), the parallel terms of the
 /// candidate's tile plan, and [`score`]. Orders of magnitude faster than
@@ -287,13 +279,6 @@ impl ModelEvaluator {
     }
 }
 
-impl Evaluator for ModelEvaluator {
-    fn evaluate(&mut self, cand: &Candidate) -> f64 {
-        let f = self.factors(cand);
-        score(&self.machine, cand, self.threads, &f)
-    }
-}
-
 /// Wall-clock evaluator: runs the candidate natively on a real state for
 /// `probe_steps` steps and reports measured MLUP/s.
 pub struct NativeEvaluator {
@@ -308,10 +293,10 @@ impl NativeEvaluator {
         state.coeffs.fill_deterministic(0x7e58);
         NativeEvaluator { state, probe_steps }
     }
-}
 
-impl Evaluator for NativeEvaluator {
-    fn evaluate(&mut self, cand: &Candidate) -> f64 {
+    /// Measured MLUP/s of one run; `-inf` for a candidate that does not
+    /// run on the probe grid.
+    pub fn probe(&mut self, cand: &Candidate) -> f64 {
         let mut s = self.state.clone();
         let t0 = std::time::Instant::now();
         match run_mwd(&mut s, cand, self.probe_steps) {
@@ -325,137 +310,107 @@ impl Evaluator for NativeEvaluator {
     }
 }
 
-/// Outcome of a tuning run.
-#[derive(Clone, Debug)]
-pub struct TuneResult {
-    pub best: Candidate,
-    pub best_score: f64,
-    /// All evaluated `(candidate, MLUP/s)` pairs, in evaluation order.
-    pub scores: Vec<(Candidate, f64)>,
-    pub pruned: usize,
+/// The one candidate policy: `cands` pruned against the default cache
+/// window (Eq. 11). The window's lower bound is a reuse argument —
+/// blocks that small leave the cache idle while the grid streams from
+/// memory — so it is dropped for a grid that is itself resident in the
+/// usable cache. When nothing survives (degenerate grids) every
+/// candidate is ranked instead of none.
+pub fn survivors(cands: Vec<Candidate>, dims: GridDims, machine: &MachineSpec) -> Vec<Candidate> {
+    let mut window = CacheWindow::default();
+    if dims.state_bytes() as f64 <= machine.usable_l3() {
+        window.lo_frac = 0.0;
+    }
+    let (kept, _) = prune(cands.clone(), dims, machine, window);
+    if kept.is_empty() {
+        cands
+    } else {
+        kept
+    }
 }
 
-/// Run the full tuning pipeline. Deterministic: ties break toward the
-/// earlier (smaller-Dw-first) candidate.
-pub fn autotune(
-    space: &SearchSpace,
-    dims: GridDims,
-    machine: &MachineSpec,
-    threads: usize,
-    window: CacheWindow,
-    evaluator: &mut dyn Evaluator,
-) -> Option<TuneResult> {
-    let cands = space.candidates(dims, threads);
-    let (mut kept, pruned) = prune(cands, dims, machine, window);
-    if kept.is_empty() {
-        // Degenerate cases (tiny grids/caches): fall back to the smallest
-        // footprint candidate rather than failing.
-        let mut all = space.candidates(dims, threads);
-        all.sort_by(|a, b| {
-            crate::prune::total_block_bytes(a, dims)
-                .partial_cmp(&crate::prune::total_block_bytes(b, dims))
-                .unwrap()
-        });
-        kept = all.into_iter().take(8).collect();
-        if kept.is_empty() {
-            return None;
-        }
-    }
-    let mut scores = Vec::with_capacity(kept.len());
-    let mut best: Option<(Candidate, f64)> = None;
-    for cand in kept {
-        let s = evaluator.evaluate(&cand);
-        scores.push((cand, s));
-        if best.as_ref().is_none_or(|(_, bs)| s > *bs) {
-            best = Some((cand, s));
-        }
-    }
-    let (best, best_score) = best?;
-    Some(TuneResult {
-        best,
-        best_score,
-        scores,
-        pruned,
-    })
+/// The one model ranking: every candidate with its closed-form
+/// [`score`], best first. The sort is stable, so ties keep enumeration
+/// (smaller-Dw-first) order and the ranking is deterministic for a
+/// fixed `MachineSpec`.
+pub fn rank(model: &mut ModelEvaluator, cands: Vec<Candidate>) -> Vec<(Candidate, f64)> {
+    let mut ranked: Vec<(Candidate, f64)> = cands
+        .into_iter()
+        .map(|c| {
+            let f = model.factors(&c);
+            (c, score(&model.machine, &c, model.threads, &f))
+        })
+        .collect();
+    ranked.sort_by(|a, b| b.1.total_cmp(&a.1));
+    ranked
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::space::SearchSpace;
 
     const HSW: MachineSpec = MachineSpec::HASWELL_E5_2699_V3;
 
-    /// Closed-form evaluator for fast deterministic tests: prefers large
-    /// diamonds (Eq. 12) with a mild penalty on groups.
-    struct ModelEvaluator;
-    impl Evaluator for ModelEvaluator {
-        fn evaluate(&mut self, cand: &Candidate) -> f64 {
-            let bc = perf_models::code_balance_diamond(cand.dw);
-            perf_models::perf_mlups(&HSW, cand.threads(), bc).mlups
-                * (1.0 - 0.01 * cand.groups as f64)
-        }
+    fn ranked(dims: GridDims, threads: usize) -> (Vec<Candidate>, Vec<(Candidate, f64)>) {
+        let all = SearchSpace::default_for(threads).candidates(dims, threads);
+        let cands = survivors(all, dims, &HSW);
+        let mut model = ModelEvaluator::new(HSW, dims, threads);
+        (cands.clone(), rank(&mut model, cands))
     }
 
     #[test]
     fn tuner_finds_a_fitting_large_diamond() {
         let dims = GridDims::cubic(480);
-        let space = SearchSpace::default_for(18);
-        let mut ev = ModelEvaluator;
-        let r = autotune(&space, dims, &HSW, 18, CacheWindow::default(), &mut ev)
-            .expect("tuning must succeed");
+        let all = SearchSpace::default_for(18).candidates(dims, 18);
+        let (kept, ranking) = ranked(dims, 18);
+        assert!(kept.len() < all.len(), "Eq. 11 must prune something");
         // Large shared blocks should win: Dw >= 8 and a multi-thread TG.
-        assert!(r.best.dw >= 8, "best {:?}", r.best);
-        assert!(r.best.tg.size() >= 6, "best {:?}", r.best);
-        assert!(r.pruned > 0);
-        assert!(r.best_score > 0.0);
-        // Best really is the max of the scored set.
-        let max = r
-            .scores
+        let (best, best_score) = ranking[0];
+        assert!(best.dw >= 8, "best {best:?}");
+        assert!(best.tg.size() >= 6, "best {best:?}");
+        assert!(best_score > 0.0);
+        // Best really is the max of the scored set, and every survivor
+        // is ranked exactly once.
+        assert_eq!(ranking.len(), kept.len());
+        let max = ranking
             .iter()
             .map(|(_, s)| *s)
             .fold(f64::NEG_INFINITY, f64::max);
-        assert_eq!(max, r.best_score);
+        assert_eq!(max, best_score);
     }
 
     #[test]
     fn tuner_is_deterministic() {
         let dims = GridDims::cubic(128);
-        let space = SearchSpace::default_for(6);
-        let a = autotune(
-            &space,
-            dims,
-            &HSW,
-            6,
-            CacheWindow::default(),
-            &mut ModelEvaluator,
-        )
-        .unwrap();
-        let b = autotune(
-            &space,
-            dims,
-            &HSW,
-            6,
-            CacheWindow::default(),
-            &mut ModelEvaluator,
-        )
-        .unwrap();
-        assert_eq!(a.best, b.best);
-        assert_eq!(a.best_score, b.best_score);
+        let (a, b) = (ranked(dims, 6).1, ranked(dims, 6).1);
+        assert_eq!(a, b);
+        // Ties keep enumeration order: the first of equal scores is the
+        // earlier survivor.
+        let kept = ranked(dims, 6).0;
+        for w in a.windows(2) {
+            if w[0].1 == w[1].1 {
+                let pos = |c: &Candidate| kept.iter().position(|k| k == c).unwrap();
+                assert!(pos(&w[0].0) < pos(&w[1].0), "{w:?}");
+            }
+        }
     }
 
     #[test]
     fn fallback_when_nothing_fits() {
-        // A absurdly tight window prunes everything; the tuner must still
-        // return the smallest-footprint candidates.
-        let dims = GridDims::cubic(64);
-        let space = SearchSpace::default_for(2);
-        let window = CacheWindow {
-            lo_frac: 0.9999,
-            hi_frac: 0.99991,
-        };
-        let r =
-            autotune(&space, dims, &HSW, 2, window, &mut ModelEvaluator).expect("fallback path");
-        assert!(r.best.validate(dims).is_ok());
+        // Rows this long put even the smallest diamond's block beyond
+        // the usable cache: nothing survives Eq. 11, so everything is
+        // ranked rather than nothing.
+        let dims = GridDims::new(1 << 16, 8, 8);
+        let all = SearchSpace::default_for(2).candidates(dims, 2);
+        assert!(!all.is_empty());
+        let window = CacheWindow::default();
+        assert!(!all
+            .iter()
+            .any(|c| crate::prune::cache_fit(c, dims, &HSW, window)));
+        let (kept, ranking) = ranked(dims, 2);
+        assert_eq!(kept, all);
+        assert!(ranking[0].0.validate(dims).is_ok());
     }
 
     #[test]
@@ -463,10 +418,10 @@ mod tests {
         let dims = GridDims::new(8, 16, 8);
         let mut ev = NativeEvaluator::new(dims, 2);
         let cand = Candidate::one_wd(4, 2, 2);
-        let score = ev.evaluate(&cand);
+        let score = ev.probe(&cand);
         assert!(score > 0.0, "native probe must complete, got {score}");
         let invalid = Candidate::one_wd(5, 2, 2);
-        assert_eq!(ev.evaluate(&invalid), f64::NEG_INFINITY);
+        assert_eq!(ev.probe(&invalid), f64::NEG_INFINITY);
     }
 
     fn plan(dw: usize, ny: usize, nt: usize) -> TilePlan {
@@ -540,7 +495,8 @@ mod tests {
     #[test]
     fn shared_tiles_score_below_private_tiles_of_the_same_diamond() {
         let dims = GridDims::new(16, 16, 24);
-        let mut ev = super::ModelEvaluator::new(HSW, dims, 2);
+        let mut ev = ModelEvaluator::new(HSW, dims, 2);
+        let mut eval = |c: &Candidate| score(&HSW, c, 2, &ev.factors(c));
         let private = Candidate::one_wd(8, 4, 2);
         for tg in mwd_core::TgShape::enumerate(2) {
             let shared = Candidate {
@@ -548,7 +504,7 @@ mod tests {
                 groups: 1,
                 ..private
             };
-            assert!(ev.evaluate(&private) > ev.evaluate(&shared), "{shared:?}");
+            assert!(eval(&private) > eval(&shared), "{shared:?}");
         }
         // ...and a wider wavefront amortises the per-item dispatch.
         let f1 = ev.factors(&Candidate::one_wd(8, 1, 2));
@@ -571,8 +527,9 @@ mod tests {
             tg: mwd_core::TgShape { x: 3, z: 1, c: 6 },
             groups: 1,
         };
-        let s_private = ev.evaluate(&private);
-        let s_shared = ev.evaluate(&shared);
+        let mut eval = |c: &Candidate| score(&HSW, c, 18, &ev.factors(c));
+        let s_private = eval(&private);
+        let s_shared = eval(&shared);
         assert!(
             s_shared > s_private,
             "shared {s_shared} must beat private {s_private}"

@@ -8,7 +8,7 @@
 //! instead of cancelling out.
 
 use autotune::{
-    autotune, cache_fit, resolve, search_candidates, CacheWindow, Candidate, ModelEvaluator,
+    cache_fit, rank, resolve, search_candidates, survivors, CacheWindow, Candidate, ModelEvaluator,
     ResolveOptions, SearchSpace, TileModel, TuneCache, TuneKey,
 };
 use em_field::GridDims;
@@ -69,8 +69,9 @@ proptest! {
         prop_assert_eq!(kept, expected);
     }
 
-    /// For a fixed `MachineSpec`, `autotune` is a pure function of its
-    /// inputs: same winner, same score, same evaluation trace.
+    /// For a fixed `MachineSpec`, the tuner's candidate policy and model
+    /// ranking are a pure function of their inputs: same survivors,
+    /// same order, same scores, bit for bit.
     #[test]
     fn autotune_is_deterministic_for_a_fixed_machine(
         nx in 8usize..128,
@@ -80,33 +81,26 @@ proptest! {
         let dims = GridDims::new(nx, nyz, nyz);
         let space = SearchSpace::default_for(threads);
         let run = || {
-            let mut ev = ModelEvaluator::new(HSW, dims, threads);
-            autotune(&space, dims, &HSW, threads, CacheWindow::default(), &mut ev)
-                .expect("non-empty spaces always tune")
+            let kept = survivors(space.candidates(dims, threads), dims, &HSW);
+            let mut model = ModelEvaluator::new(HSW, dims, threads);
+            (kept.len(), rank(&mut model, kept))
         };
-        let a = run();
-        let b = run();
-        prop_assert_eq!(a.best, b.best, "winner must be deterministic");
-        prop_assert_eq!(
-            a.best_score.to_bits(),
-            b.best_score.to_bits(),
-            "score must be bit-identical"
-        );
-        prop_assert_eq!(a.pruned, b.pruned);
-        prop_assert_eq!(a.scores.len(), b.scores.len());
-        for ((ca, sa), (cb, sb)) in a.scores.iter().zip(&b.scores) {
+        let (kept_a, a) = run();
+        let (kept_b, b) = run();
+        prop_assert_eq!(kept_a, kept_b);
+        prop_assert!(kept_a > 0, "non-empty spaces always rank something");
+        prop_assert_eq!(a.len(), kept_a, "every survivor is ranked once");
+        prop_assert_eq!(a.len(), b.len());
+        for ((ca, sa), (cb, sb)) in a.iter().zip(&b) {
             prop_assert_eq!(ca, cb);
-            prop_assert_eq!(sa.to_bits(), sb.to_bits());
+            prop_assert_eq!(sa.to_bits(), sb.to_bits(), "score must be bit-identical");
         }
-        // The winner is the argmax of its own trace and runs on the grid.
-        let max = a
-            .scores
-            .iter()
-            .map(|(_, s)| *s)
-            .fold(f64::NEG_INFINITY, f64::max);
-        prop_assert_eq!(max.to_bits(), a.best_score.to_bits());
-        prop_assert!(a.best.validate(dims).is_ok());
-        prop_assert_eq!(a.best.threads(), threads);
+        // The winner is the argmax of its own ranking and runs on the grid.
+        let (best, best_score) = a[0];
+        let max = a.iter().map(|(_, s)| *s).fold(f64::NEG_INFINITY, f64::max);
+        prop_assert_eq!(max.to_bits(), best_score.to_bits());
+        prop_assert!(best.validate(dims).is_ok());
+        prop_assert_eq!(best.threads(), threads);
     }
 }
 

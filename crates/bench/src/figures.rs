@@ -7,7 +7,7 @@
 //! reduced (`Scale::Quick`) — the x extent, which controls every cache
 //! footprint (Eq. 11), is always the paper's.
 
-use autotune::{autotune, CacheWindow, ModelEvaluator, SearchSpace};
+use autotune::{rank, survivors, ModelEvaluator, SearchSpace};
 use em_field::GridDims;
 use mem_sim::{simulate_mwd_engine, simulate_spatial_engine, EngineResult};
 use mwd_core::{diamond_rows, DiamondWidth, MwdConfig};
@@ -84,17 +84,10 @@ pub fn tune_point(paper_dims: GridDims, threads: usize, tg_sizes: Option<&[usize
     if let Some(s) = tg_sizes {
         space.tg_sizes = s.to_vec();
     }
-    let mut ev = ModelEvaluator::new(HSW, paper_dims, threads);
-    autotune(
-        &space,
-        paper_dims,
-        &HSW,
-        threads,
-        CacheWindow::default(),
-        &mut ev,
-    )
-    .expect("tuning always yields a candidate")
-    .best
+    let mut model = ModelEvaluator::new(HSW, paper_dims, threads);
+    let cands = space.candidates(paper_dims, threads);
+    let ranked = rank(&mut model, survivors(cands, paper_dims, &HSW));
+    ranked.first().expect("tuning always yields a candidate").0
 }
 
 fn measure_mwd(cfg: &MwdConfig, sim: GridDims, steps: usize, threads: usize) -> EngineResult {

@@ -19,7 +19,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use em_faults::FaultInjector;
-use em_field::{GridDims, State};
+use em_field::State;
 use em_obs::{Counter, Histogram, Recorder, Registry, ThreadLog};
 use em_scenarios::{run_job, EngineDecl, JobOutcome, ScenarioSpec};
 use em_solver::Stepper;
@@ -119,11 +119,10 @@ pub fn run_dist(spec: &ScenarioSpec, opts: &DistOptions) -> Result<Vec<JobOutcom
     Ok(spec.jobs().iter().enumerate().map(solve).collect())
 }
 
-/// Everything that can be refused before a worker exists: the spec,
-/// the split, the per-worker thread budget, and the declared engine
-/// against every extended slab shape a job of this spec can be handed
-/// (the halo depth varies with a job's period length, up to the cap
-/// the split allows).
+/// Everything that can be refused before a worker exists: the spec
+/// (which validates the declared engine against the whole grid — no
+/// engine rule depends on `nz`, so every extended slab shape passes
+/// with it), the split, and the per-worker thread budget.
 fn preflight(spec: &ScenarioSpec, opts: &DistOptions) -> Result<(), String> {
     spec.validate()?;
     // `auto` has no structure until tuned; tuning per slab shape is a
@@ -134,8 +133,7 @@ fn preflight(spec: &ScenarioSpec, opts: &DistOptions) -> Result<(), String> {
                 .to_string(),
         );
     }
-    let dims = spec.dims();
-    let slabs = split_z(dims.nz, opts.workers)?;
+    split_z(spec.dims().nz, opts.workers)?;
     let share = (opts.threads / opts.workers).max(1);
     if spec.engine.threads() > share {
         return Err(format!(
@@ -147,28 +145,6 @@ fn preflight(spec: &ScenarioSpec, opts: &DistOptions) -> Result<(), String> {
             opts.threads,
             opts.workers
         ));
-    }
-    // One slab is the whole grid, which `validate` already covered.
-    let deepest = if slabs.len() > 1 {
-        halo_depth(usize::MAX, &slabs)
-    } else {
-        0
-    };
-    for k in 1..=deepest {
-        for (i, slab) in slabs.iter().enumerate() {
-            let ext = slab.extended(k, dims.nz);
-            spec.engine
-                .to_engine(GridDims::new(dims.nx, dims.ny, ext.nz))
-                .map_err(|e| {
-                    format!(
-                        "scenario `{}`: [engine] does not fit slab {i} (planes {}..{} \
-                         with a {k}-deep halo): {e}",
-                        spec.name,
-                        ext.z0,
-                        ext.z0 + ext.nz
-                    )
-                })?;
-        }
     }
     Ok(())
 }

@@ -11,6 +11,7 @@ use crate::spec::{
 };
 use crate::toml::{self, Entry, Table, Value};
 use em_field::Axis;
+use mwd_core::{MwdConfig, TgShape};
 
 // ------------------------------------------------------------ reading
 
@@ -224,31 +225,17 @@ fn engine_from(t: &Table) -> Result<EngineDecl, String> {
                 ctx,
                 &["kind", "dw", "bz", "tg_x", "tg_z", "tg_c", "groups"],
             )?;
-            let dw = get_usize(t, "dw", ctx)?;
-            let bz = get_usize(t, "bz", ctx)?;
-            let tg_x = get_usize(t, "tg_x", ctx)?;
-            let tg_z = get_usize(t, "tg_z", ctx)?;
-            let tg_c = get_usize(t, "tg_c", ctx)?;
-            let groups = get_usize(t, "groups", ctx)?;
-            Ok(if kind == "mwd" {
-                EngineDecl::Mwd {
-                    dw,
-                    bz,
-                    tg_x,
-                    tg_z,
-                    tg_c,
-                    groups,
-                }
-            } else {
-                EngineDecl::MwdPeriodicX {
-                    dw,
-                    bz,
-                    tg_x,
-                    tg_z,
-                    tg_c,
-                    groups,
-                }
-            })
+            let cfg = MwdConfig {
+                dw: get_usize(t, "dw", ctx)?,
+                bz: get_usize(t, "bz", ctx)?,
+                tg: TgShape {
+                    x: get_usize(t, "tg_x", ctx)?,
+                    z: get_usize(t, "tg_z", ctx)?,
+                    c: get_usize(t, "tg_c", ctx)?,
+                },
+                groups: get_usize(t, "groups", ctx)?,
+            };
+            Ok(EngineDecl::mwd_family(&kind, cfg))
         }
         other => Err(format!(
             "{ctx}: unknown engine kind `{other}` (known: {})",
@@ -592,28 +579,18 @@ impl ScenarioSpec {
                 t.set_value("bz", Value::Int(bz as i64));
                 t.set_value("threads", Value::Int(threads as i64));
             }
-            EngineDecl::Mwd {
-                dw,
-                bz,
-                tg_x,
-                tg_z,
-                tg_c,
-                groups,
-            }
-            | EngineDecl::MwdPeriodicX {
-                dw,
-                bz,
-                tg_x,
-                tg_z,
-                tg_c,
-                groups,
-            } => {
-                t.set_value("dw", Value::Int(dw as i64));
-                t.set_value("bz", Value::Int(bz as i64));
-                t.set_value("tg_x", Value::Int(tg_x as i64));
-                t.set_value("tg_z", Value::Int(tg_z as i64));
-                t.set_value("tg_c", Value::Int(tg_c as i64));
-                t.set_value("groups", Value::Int(groups as i64));
+            EngineDecl::Mwd { .. } | EngineDecl::MwdPeriodicX { .. } => {
+                let c = self.engine.mwd_config().expect("an MWD-family declaration");
+                for (key, v) in [
+                    ("dw", c.dw),
+                    ("bz", c.bz),
+                    ("tg_x", c.tg.x),
+                    ("tg_z", c.tg.z),
+                    ("tg_c", c.tg.c),
+                    ("groups", c.groups),
+                ] {
+                    t.set_value(key, Value::Int(v as i64));
+                }
             }
         }
         t

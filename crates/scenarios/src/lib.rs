@@ -24,6 +24,10 @@
 //!   over dispersive materials, plus the differential fuzz harness that
 //!   checks every generated spec against the naive-vs-MWD bit-identity
 //!   oracle;
+//! - [`resolve`]: the engine-resolution seam — the one place a declared
+//!   engine becomes a runnable one (which kinds tune, the cache key,
+//!   `force` / `refine` / dry-run, the `tuned` record), shared by the
+//!   batch runner, the job daemon's admission path and `mwd tune`;
 //! - [`runner`]: the concurrent batch runner — a bounded worker pool
 //!   sharing one [`mwd_core::ThreadBudget`] with each job's intra-solve
 //!   thread groups, deterministic result ordering, and one JSON artifact
@@ -32,20 +36,22 @@
 //!   artifacts (and the tuning cache and the job service) use.
 //!
 //! The `mwd` CLI binary in the umbrella crate (`list`, `show`, `run`,
-//! `batch`) is a thin shell over this crate.
+//! `batch`, `tune`) is a thin shell over this crate.
 
 pub mod codec;
 pub mod gen;
 pub mod library;
+pub mod resolve;
 pub mod runner;
 pub mod spec;
 pub mod toml;
 
 pub use em_json::Json;
 pub use library::{builtin, builtin_names, builtins};
+pub use resolve::{EngineResolver, Resolved, TunePlan, TunePreview, TuneRecord};
 pub use runner::{
-    run_batch, run_job, write_artifacts, BatchOptions, BatchReport, JobOutcome, TunePlan,
-    TuneRecord, CANCELLED_PREFIX, TIMEOUT_PREFIX,
+    run_batch, run_job, write_artifacts, BatchOptions, BatchReport, JobOutcome, CANCELLED_PREFIX,
+    TIMEOUT_PREFIX,
 };
 pub use spec::{
     ConvergenceDecl, EngineDecl, GridSpec, LayerDecl, OutputsDecl, PhysicsSpec, PmlDecl,

@@ -7,6 +7,8 @@
 //! `workers x widest engine` fits the budget, so `batch` never
 //! oversubscribes the host no matter how jobs and intra-solve thread
 //! groups combine (an explicitly pinned pool size is taken as is).
+//! Every job's declared engine goes through the one resolution seam
+//! ([`crate::resolve::EngineResolver`]) before the pool starts.
 //!
 //! Results come back in deterministic job order regardless of which
 //! worker finished first, and — when an output directory is given —
@@ -14,8 +16,8 @@
 //! / `batch_summary.csv` pair, all after the concurrent phase so the
 //! files appear in a stable order.
 
+use crate::resolve::EngineResolver;
 use crate::spec::{ConvergenceDecl, EngineDecl, ScenarioJob, ScenarioSpec};
-use autotune::{ResolveOptions, TuneCache, TuneKey};
 use em_json::Json;
 use em_solver::{analysis, Engine, EngineStepper, Stepper, ThiimSolver};
 use mwd_core::{CancelToken, ThreadBudget};
@@ -67,19 +69,6 @@ pub struct BatchOptions {
     pub trace: em_obs::Recorder,
 }
 
-/// How a batch resolves tuned configurations.
-#[derive(Clone, Debug, Default)]
-pub struct TunePlan {
-    /// Persistent cache file; `None` keeps the cache in memory for this
-    /// batch only.
-    pub cache_path: Option<PathBuf>,
-    /// Retune even when the cache already has an answer.
-    pub force: bool,
-    /// Natively probe this many sim-ranked finalists per miss
-    /// (0 = model/sim stages only).
-    pub refine_top: usize,
-}
-
 impl Default for BatchOptions {
     fn default() -> Self {
         BatchOptions {
@@ -104,32 +93,7 @@ impl Default for BatchOptions {
 /// [`mwd_core::cancel`]; re-exported here for callers of the batch API.
 pub use mwd_core::cancel::{CANCELLED_PREFIX, TIMEOUT_PREFIX};
 
-/// How one job's configuration came out of the tuning cache.
-#[derive(Clone, Debug, PartialEq)]
-pub struct TuneRecord {
-    /// Whether the cache already had the answer (no search ran).
-    pub cache_hit: bool,
-    /// Pipeline stage that produced the configuration
-    /// (`model` / `sim` / `native`).
-    pub stage: String,
-    /// Native probes spent resolving *this* job (0 on a hit).
-    pub native_probes: usize,
-    pub score_mlups: f64,
-    /// The resolved configuration, in `MwdConfig::to_compact` form.
-    pub config: String,
-}
-
-impl TuneRecord {
-    pub fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("cache_hit", Json::Bool(self.cache_hit)),
-            ("stage", Json::str(&self.stage)),
-            ("native_probes", Json::Int(self.native_probes as i64)),
-            ("score_mlups", Json::Num(self.score_mlups)),
-            ("config", Json::str(&self.config)),
-        ])
-    }
-}
+pub use crate::resolve::{TunePlan, TuneRecord};
 
 /// The result of one job.
 #[derive(Clone, Debug)]
@@ -299,41 +263,6 @@ impl BatchReport {
     }
 }
 
-/// Whether tuning applies to a declared engine and, if so, which cache
-/// engine kind it resolves under and the declared thread count
-/// (0 = "this job's budget share").
-fn tune_target(decl: EngineDecl, tune_requested: bool) -> Option<(&'static str, usize)> {
-    match decl {
-        EngineDecl::Auto { threads } => Some(("mwd", threads)),
-        EngineDecl::Mwd { .. } if tune_requested => Some(("mwd", 0)),
-        EngineDecl::MwdPeriodicX { .. } if tune_requested => Some(("mwd-periodic-x", 0)),
-        _ => None,
-    }
-}
-
-/// A resolved [`MwdConfig`] as the engine declaration it runs under.
-fn tuned_decl(engine_kind: &str, cfg: mwd_core::MwdConfig) -> EngineDecl {
-    if engine_kind == "mwd-periodic-x" {
-        EngineDecl::MwdPeriodicX {
-            dw: cfg.dw,
-            bz: cfg.bz,
-            tg_x: cfg.tg.x,
-            tg_z: cfg.tg.z,
-            tg_c: cfg.tg.c,
-            groups: cfg.groups,
-        }
-    } else {
-        EngineDecl::Mwd {
-            dw: cfg.dw,
-            bz: cfg.bz,
-            tg_x: cfg.tg.x,
-            tg_z: cfg.tg.z,
-            tg_c: cfg.tg.c,
-            groups: cfg.groups,
-        }
-    }
-}
-
 /// Execute every job of every spec on a bounded worker pool.
 ///
 /// Fails fast (before any solver runs) if a spec does not validate or
@@ -370,87 +299,44 @@ pub fn run_batch(specs: &[ScenarioSpec], opts: &BatchOptions) -> Result<BatchRep
 
     // Resolve every job's engine up front so `--engine` typos, tuning
     // failures and engine/grid mismatches fail before work starts.
-    // MWD-family engines go through the tuning cache when the caller
-    // asked for it; `auto` engines always do (in memory if no plan).
-    let plan = opts.tune.clone().unwrap_or_default();
-    let mut cache: Option<TuneCache> = None;
-    let mut freshly_tuned: std::collections::HashSet<String> = std::collections::HashSet::new();
+    let resolver = EngineResolver::for_batch(opts.tune.as_ref(), opts.dry_run)?;
     let mut engines: Vec<(EngineDecl, Engine)> = Vec::with_capacity(jobs.len());
-    let mut tune_records: Vec<Option<TuneRecord>> = vec![None; jobs.len()];
+    let mut tune_records: Vec<Option<TuneRecord>> = Vec::with_capacity(jobs.len());
     let mut tlog = opts.trace.thread("batch_tune", 0);
-    for (i, (spec, _)) in jobs.iter().enumerate() {
-        let mut decl = match &opts.engine_kind {
+    for (spec, _) in &jobs {
+        let declared = match &opts.engine_kind {
             Some(kind) => EngineDecl::auto(kind, threads_per_job)?,
             None => spec.engine,
         };
-        if let Some((engine_kind, decl_threads)) = tune_target(decl, opts.tune.is_some()) {
-            if cache.is_none() {
-                cache = Some(match &plan.cache_path {
-                    Some(p) => TuneCache::load(p)?,
-                    None => TuneCache::in_memory(),
-                });
-            }
-            let threads = if decl_threads == 0 {
-                threads_per_job
-            } else {
-                decl_threads
-            };
-            let ropts = ResolveOptions {
-                // A dry run plans "without stepping any solver", which
-                // rules out wall-clock probes; the analytic model/sim
-                // stages still resolve the plan's configurations.
-                refine_top: if opts.dry_run { 0 } else { plan.refine_top },
-                force: plan.force,
-                ..Default::default()
-            };
-            // Keying the fingerprint by `ropts.machine` ties the cached
-            // identity to the machine model `resolve` actually tunes
-            // with — they must never diverge.
-            let key = TuneKey::for_host(&ropts.machine, spec.dims(), engine_kind, threads);
-            let ropts = ResolveOptions {
-                // `--force` retunes each distinct key once per batch;
-                // repeat jobs on the same key then hit the fresh entry.
-                force: ropts.force && !freshly_tuned.contains(&key.id()),
-                ..ropts
-            };
-            let tspan = tlog.start("tune_resolve");
-            let r = autotune::resolve(cache.as_mut().expect("cache created above"), &key, &ropts)
-                .map_err(|e| format!("scenario `{}`: tuning failed: {e}", spec.name))?;
+        let tspan = resolver.tunes(declared).then(|| tlog.start("tune_resolve"));
+        let resolved = resolver
+            .resolve(declared, spec.dims(), threads_per_job)
+            .map_err(|e| format!("scenario `{}`: tuning failed: {e}", spec.name))?;
+        if let (Some(tspan), Some(t)) = (tspan, &resolved.tuned) {
             if tspan.id() != 0 {
                 tlog.end_kv(
                     tspan,
                     vec![
                         ("scenario", spec.name.clone()),
-                        ("cache_hit", r.cache_hit.to_string()),
-                        ("stage", r.stage.as_str().to_string()),
+                        ("cache_hit", t.cache_hit.to_string()),
+                        ("stage", t.stage.clone()),
                     ],
                 );
             } else {
                 tlog.end(tspan);
             }
-            freshly_tuned.insert(key.id());
-            decl = tuned_decl(engine_kind, r.config);
-            tune_records[i] = Some(TuneRecord {
-                cache_hit: r.cache_hit,
-                stage: r.stage.as_str().to_string(),
-                native_probes: r.native_probes,
-                score_mlups: r.score_mlups,
-                config: r.config.to_compact(),
-            });
         }
-        let engine = decl
+        let engine = resolved
+            .decl
             .to_engine(spec.dims())
             .map_err(|e| format!("scenario `{}`: [engine] {e}", spec.name))?;
-        engines.push((decl, engine));
+        engines.push((resolved.decl, engine));
+        tune_records.push(resolved.tuned);
     }
     drop(tlog);
     // Persist new answers before stepping anything: even an aborted
-    // batch keeps its tuning work (a dry run plans but never writes).
-    if let Some(c) = &mut cache {
-        if !opts.dry_run {
-            c.save()?;
-        }
-    }
+    // batch keeps its tuning work.
+    resolver.save()?;
 
     // Spec-declared engines carry their own thread counts; unless the
     // caller pinned the pool size, shrink it so the worst-case demand

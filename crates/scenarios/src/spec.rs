@@ -311,22 +311,10 @@ impl EngineDecl {
                 bz: 8,
                 threads,
             }),
-            "mwd" => Ok(EngineDecl::Mwd {
-                dw: 4,
-                bz: 2,
-                tg_x: 1,
-                tg_z: 1,
-                tg_c: 1,
-                groups: threads,
-            }),
-            "mwd-periodic-x" => Ok(EngineDecl::MwdPeriodicX {
-                dw: 4,
-                bz: 2,
-                tg_x: 1,
-                tg_z: 1,
-                tg_c: 1,
-                groups: threads,
-            }),
+            "mwd" | "mwd-periodic-x" => Ok(EngineDecl::mwd_family(
+                kind,
+                MwdConfig::one_wd(4, 2, threads),
+            )),
             other => Err(format!(
                 "unknown engine kind `{other}` (known: {})",
                 Self::KINDS.join(", ")
@@ -354,24 +342,17 @@ impl EngineDecl {
             EngineDecl::Spatial { by, bz, threads } => {
                 format!("spatial(by={by}, bz={bz}, threads={threads})")
             }
-            EngineDecl::Mwd {
-                dw,
-                bz,
-                tg_x,
-                tg_z,
-                tg_c,
-                groups,
-            } => format!("mwd(dw={dw}, bz={bz}, tg={tg_x}x{tg_z}x{tg_c}, groups={groups})"),
-            EngineDecl::MwdPeriodicX {
-                dw,
-                bz,
-                tg_x,
-                tg_z,
-                tg_c,
-                groups,
-            } => format!(
-                "mwd-periodic-x(dw={dw}, bz={bz}, tg={tg_x}x{tg_z}x{tg_c}, groups={groups})"
-            ),
+            EngineDecl::Mwd { .. } | EngineDecl::MwdPeriodicX { .. } => {
+                let c = self.mwd_config().expect("an MWD-family declaration");
+                format!(
+                    "{}(dw={}, bz={}, tg={}, groups={})",
+                    self.kind(),
+                    c.dw,
+                    c.bz,
+                    c.tg,
+                    c.groups
+                )
+            }
         }
     }
 
@@ -381,40 +362,70 @@ impl EngineDecl {
             EngineDecl::Auto { threads } => threads.max(1),
             EngineDecl::Naive | EngineDecl::NaivePeriodicXY => 1,
             EngineDecl::Spatial { threads, .. } => threads,
-            EngineDecl::Mwd {
-                tg_x,
-                tg_z,
-                tg_c,
-                groups,
-                ..
-            }
-            | EngineDecl::MwdPeriodicX {
-                tg_x,
-                tg_z,
-                tg_c,
-                groups,
-                ..
-            } => groups * tg_x * tg_z * tg_c,
+            EngineDecl::Mwd { .. } | EngineDecl::MwdPeriodicX { .. } => self
+                .mwd_config()
+                .expect("an MWD-family declaration")
+                .threads(),
         }
     }
 
-    fn mwd_config(
-        dw: usize,
-        bz: usize,
-        tg_x: usize,
-        tg_z: usize,
-        tg_c: usize,
-        groups: usize,
-    ) -> MwdConfig {
-        MwdConfig {
-            dw,
-            bz,
-            tg: TgShape {
-                x: tg_x,
-                z: tg_z,
-                c: tg_c,
-            },
-            groups,
+    /// `cfg` as a declaration of the MWD family: `mwd-periodic-x` for
+    /// that kind, plain `mwd` for any other. With [`Self::mwd_config`],
+    /// the one place the six declared fields and an [`MwdConfig`] meet.
+    pub fn mwd_family(kind: &str, cfg: MwdConfig) -> EngineDecl {
+        let MwdConfig { dw, bz, tg, groups } = cfg;
+        let (tg_x, tg_z, tg_c) = (tg.x, tg.z, tg.c);
+        if kind == "mwd-periodic-x" {
+            EngineDecl::MwdPeriodicX {
+                dw,
+                bz,
+                tg_x,
+                tg_z,
+                tg_c,
+                groups,
+            }
+        } else {
+            EngineDecl::Mwd {
+                dw,
+                bz,
+                tg_x,
+                tg_z,
+                tg_c,
+                groups,
+            }
+        }
+    }
+
+    /// The configuration an MWD-family declaration spells (not yet
+    /// validated against a grid); `None` for every other kind.
+    pub fn mwd_config(&self) -> Option<MwdConfig> {
+        match *self {
+            EngineDecl::Mwd {
+                dw,
+                bz,
+                tg_x,
+                tg_z,
+                tg_c,
+                groups,
+            }
+            | EngineDecl::MwdPeriodicX {
+                dw,
+                bz,
+                tg_x,
+                tg_z,
+                tg_c,
+                groups,
+            } => Some(MwdConfig {
+                dw,
+                bz,
+                tg: TgShape {
+                    x: tg_x,
+                    z: tg_z,
+                    c: tg_c,
+                },
+                groups,
+            }),
+            _ => None,
         }
     }
 
@@ -442,29 +453,14 @@ impl EngineDecl {
                     threads,
                 })
             }
-            EngineDecl::Mwd {
-                dw,
-                bz,
-                tg_x,
-                tg_z,
-                tg_c,
-                groups,
-            } => {
-                let cfg = Self::mwd_config(dw, bz, tg_x, tg_z, tg_c, groups);
+            EngineDecl::Mwd { .. } | EngineDecl::MwdPeriodicX { .. } => {
+                let cfg = self.mwd_config().expect("an MWD-family declaration");
                 cfg.validate(dims)?;
-                Ok(Engine::Mwd(cfg))
-            }
-            EngineDecl::MwdPeriodicX {
-                dw,
-                bz,
-                tg_x,
-                tg_z,
-                tg_c,
-                groups,
-            } => {
-                let cfg = Self::mwd_config(dw, bz, tg_x, tg_z, tg_c, groups);
-                cfg.validate(dims)?;
-                Ok(Engine::MwdPeriodicX(cfg))
+                Ok(if matches!(self, EngineDecl::Mwd { .. }) {
+                    Engine::Mwd(cfg)
+                } else {
+                    Engine::MwdPeriodicX(cfg)
+                })
             }
         }
     }

@@ -24,15 +24,13 @@
 
 use crate::stats::ServiceStats;
 use crate::store::ResultStore;
-use autotune::{host_fingerprint, ResolveOptions, SharedTuneCache, TuneKey};
+use autotune::SharedTuneCache;
 use em_json::hash::content_hash;
 use em_json::Json;
 use em_scenarios::runner::{run_batch, BatchOptions};
-use em_scenarios::spec::EngineDecl;
-use em_scenarios::{JobOutcome, ScenarioSpec};
+use em_scenarios::{EngineResolver, JobOutcome, ScenarioSpec};
 use mwd_core::cancel::{CANCELLED_PREFIX, TIMEOUT_PREFIX};
 use mwd_core::{CancelToken, ThreadBudget};
-use perf_models::MachineSpec;
 use std::collections::{HashMap, VecDeque};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
@@ -263,9 +261,7 @@ pub struct Scheduler {
     pub threads_per_job: usize,
     pub queue_depth: usize,
     pub budget_total: usize,
-    refine_top: usize,
     max_records: usize,
-    machine: MachineSpec,
     fingerprint: String,
     state: Mutex<SchedState>,
     /// Signalled when work is queued or draining begins.
@@ -273,7 +269,9 @@ pub struct Scheduler {
     /// Signalled when a running job finishes.
     idle: Condvar,
     store: Arc<ResultStore>,
-    tune: SharedTuneCache,
+    /// Declared engine -> what will run, through the process-wide
+    /// tuning cache.
+    resolver: EngineResolver,
     stats: Arc<ServiceStats>,
     run: Box<RunFn>,
     handles: Mutex<Vec<std::thread::JoinHandle<()>>>,
@@ -315,16 +313,14 @@ impl Scheduler {
         if cfg.queue_depth == 0 {
             return Err("queue depth must be at least 1".to_string());
         }
-        let machine = ResolveOptions::default().machine;
+        let resolver = EngineResolver::for_service(tune, cfg.refine_top);
         let scheduler = Arc::new(Scheduler {
             workers,
             threads_per_job,
             queue_depth: cfg.queue_depth,
             budget_total: total,
-            refine_top: cfg.refine_top,
             max_records: cfg.max_records.max(1),
-            fingerprint: host_fingerprint(&machine),
-            machine,
+            fingerprint: resolver.fingerprint(),
             state: Mutex::new(SchedState {
                 jobs: HashMap::new(),
                 queue: VecDeque::new(),
@@ -336,7 +332,7 @@ impl Scheduler {
             work: Condvar::new(),
             idle: Condvar::new(),
             store,
-            tune,
+            resolver,
             stats,
             run,
             handles: Mutex::new(Vec::new()),
@@ -358,67 +354,6 @@ impl Scheduler {
     /// The host/ISA fingerprint folded into every content key.
     pub fn fingerprint(&self) -> &str {
         &self.fingerprint
-    }
-
-    /// Resolve a spec's engine to the concrete declaration it will run
-    /// under (through the shared tuning cache for `auto`).
-    ///
-    /// On a cold cache this runs a synchronous tuning search, which is
-    /// why the event loop routes `POST /jobs` to its router pool while
-    /// answering every other route inline on the loop thread.
-    fn resolve_engine(&self, spec: &ScenarioSpec) -> Result<EngineDecl, SubmitError> {
-        match spec.engine {
-            EngineDecl::Auto { threads } => {
-                let t = if threads == 0 {
-                    self.threads_per_job
-                } else {
-                    threads
-                };
-                let ropts = ResolveOptions {
-                    machine: self.machine,
-                    refine_top: self.refine_top,
-                    ..Default::default()
-                };
-                let key = TuneKey::for_host(&ropts.machine, spec.dims(), "mwd", t);
-                let r = self
-                    .tune
-                    .resolve(&key, &ropts)
-                    .map_err(SubmitError::Internal)?;
-                ServiceStats::bump(if r.cache_hit {
-                    &self.stats.tune_hits
-                } else {
-                    &self.stats.tune_misses
-                });
-                let cfg = r.config;
-                Ok(EngineDecl::Mwd {
-                    dw: cfg.dw,
-                    bz: cfg.bz,
-                    tg_x: cfg.tg.x,
-                    tg_z: cfg.tg.z,
-                    tg_c: cfg.tg.c,
-                    groups: cfg.groups,
-                })
-            }
-            other => Ok(other),
-        }
-    }
-
-    /// Whether resolving this spec's engine is O(lookup) rather than a
-    /// tuning search (non-`auto`, or the shared cache already has the
-    /// key).
-    fn resolution_is_cheap(&self, spec: &ScenarioSpec) -> bool {
-        match spec.engine {
-            EngineDecl::Auto { threads } => {
-                let t = if threads == 0 {
-                    self.threads_per_job
-                } else {
-                    threads
-                };
-                let key = TuneKey::for_host(&self.machine, spec.dims(), "mwd", t);
-                self.tune.with(|c| c.get(&key).is_some())
-            }
-            _ => true,
-        }
     }
 
     /// [`Self::submit_with_deadline`] without a deadline.
@@ -448,14 +383,34 @@ impl Scheduler {
             if st.draining {
                 return Err(SubmitError::ShuttingDown);
             }
-            if st.queue.len() >= self.queue_depth && !self.resolution_is_cheap(&spec) {
+            if st.queue.len() >= self.queue_depth
+                && !self
+                    .resolver
+                    .is_lookup(spec.engine, spec.dims(), self.threads_per_job)
+            {
                 ServiceStats::bump(&self.stats.rejected_overload);
                 return Err(SubmitError::Overloaded {
                     queue_depth: self.queue_depth,
                 });
             }
         }
-        let decl = self.resolve_engine(&spec)?;
+        // The declaration this job will run under (`auto` goes through
+        // the shared tuning cache). On a cold cache that is a
+        // synchronous tuning search, which is why the event loop routes
+        // `POST /jobs` to its router pool while answering every other
+        // route inline on the loop thread.
+        let resolved = self
+            .resolver
+            .resolve(spec.engine, spec.dims(), self.threads_per_job)
+            .map_err(SubmitError::Internal)?;
+        if let Some(t) = &resolved.tuned {
+            ServiceStats::bump(if t.cache_hit {
+                &self.stats.tune_hits
+            } else {
+                &self.stats.tune_misses
+            });
+        }
+        let decl = resolved.decl;
         // A multi-process job (workers > 1) leases threads for *every*
         // worker slab at once, so admission budgets the product.
         let demand = decl.threads().saturating_mul(spec.workers.max(1));

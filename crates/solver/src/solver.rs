@@ -197,18 +197,7 @@ impl ThiimSolver {
 
     /// Advance `n` time steps on the chosen engine.
     pub fn step_n(&mut self, engine: &Engine, n: usize) -> Result<(), String> {
-        self.step_n_cancel(engine, n, &CancelToken::none())
-    }
-
-    /// [`Self::step_n`] observing a [`CancelToken`]; see
-    /// [`Stepper::step_n`] for the halt semantics.
-    pub fn step_n_cancel(
-        &mut self,
-        engine: &Engine,
-        n: usize,
-        cancel: &CancelToken,
-    ) -> Result<(), String> {
-        EngineStepper::untraced(engine).step_n(&mut self.state, n, cancel)?;
+        EngineStepper::untraced(engine).step_n(&mut self.state, n, &CancelToken::none())?;
         self.steps_done += n;
         Ok(())
     }
@@ -221,20 +210,8 @@ impl ThiimSolver {
         tol: f64,
         max_periods: usize,
     ) -> Result<ConvergenceReport, String> {
-        self.run_to_convergence_cancel(engine, tol, max_periods, &CancelToken::none())
-    }
-
-    /// [`Self::run_to_convergence`] observing a [`CancelToken`]; see
-    /// [`Self::run_to_convergence_with`].
-    pub fn run_to_convergence_cancel(
-        &mut self,
-        engine: &Engine,
-        tol: f64,
-        max_periods: usize,
-        cancel: &CancelToken,
-    ) -> Result<ConvergenceReport, String> {
         let mut stepper = EngineStepper::untraced(engine);
-        self.run_to_convergence_with(&mut stepper, tol, max_periods, cancel)
+        self.run_to_convergence_with(&mut stepper, tol, max_periods, &CancelToken::none())
     }
 
     /// The one convergence loop, over any [`Stepper`]. The token is
@@ -320,8 +297,9 @@ mod tests {
     fn expired_token_halts_before_stepping_with_timeout_error() {
         let mut s = ThiimSolver::new(vacuum_wave_config(32, 12.0));
         let token = CancelToken::with_deadline(std::time::Duration::from_millis(0));
+        let mut stepper = EngineStepper::untraced(&Engine::NaivePeriodicXY);
         let err = s
-            .run_to_convergence_cancel(&Engine::NaivePeriodicXY, 1e-2, 50, &token)
+            .run_to_convergence_with(&mut stepper, 1e-2, 50, &token)
             .unwrap_err();
         assert!(
             err.starts_with(mwd_core::cancel::TIMEOUT_PREFIX),
@@ -330,24 +308,37 @@ mod tests {
         assert_eq!(s.steps_done(), 0, "expired token must not advance fields");
     }
 
+    /// Trips its token on the way into the engine, so the engine — not
+    /// the loop's own per-period check — is what has to notice.
+    struct CancelOnEntry<'a>(EngineStepper<'a>);
+
+    impl Stepper for CancelOnEntry<'_> {
+        fn step_n(&mut self, state: &mut State, n: usize, c: &CancelToken) -> Result<(), String> {
+            c.cancel();
+            self.0.step_n(state, n, c)
+        }
+    }
+
     #[test]
     fn cancelled_token_halts_the_mwd_engine_with_cancelled_error() {
         let mut s = ThiimSolver::new(vacuum_wave_config(32, 12.0));
         let token = CancelToken::none();
-        token.cancel();
         let cfg = MwdConfig {
             dw: 4,
             bz: 2,
             tg: mwd_core::TgShape { x: 1, z: 1, c: 3 },
             groups: 2,
         };
-        // `step_n_cancel`, not the convergence loop: the loop's own
-        // per-period check would answer before the executor is reached.
-        let err = s.step_n_cancel(&Engine::Mwd(cfg), 5, &token).unwrap_err();
+        let engine = Engine::Mwd(cfg);
+        let mut stepper = CancelOnEntry(EngineStepper::untraced(&engine));
+        let err = s
+            .run_to_convergence_with(&mut stepper, 1e-2, 50, &token)
+            .unwrap_err();
         assert!(
             err.starts_with(mwd_core::cancel::CANCELLED_PREFIX),
             "want cancelled prefix, got: {err}"
         );
+        assert_eq!(s.steps_done(), 0, "a halted period is not counted");
     }
 
     /// A [`Stepper`] that touches no field: it records the `n` of every

@@ -28,8 +28,8 @@ use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use thiim_mwd::scenarios::runner::{run_batch, BatchOptions, BatchReport, TunePlan};
 use thiim_mwd::scenarios::spec::EngineDecl;
-use thiim_mwd::scenarios::{library, ScenarioSpec};
-use thiim_mwd::tuner::{self, ResolveOptions, TuneCache, TuneKey};
+use thiim_mwd::scenarios::{library, EngineResolver, ScenarioSpec};
+use thiim_mwd::tuner;
 
 const USAGE: &str = "mwd — declarative THIIM scenario runner
 
@@ -503,7 +503,7 @@ fn cmd_tune(args: &[String]) -> Result<ExitCode, String> {
     }
 
     let cache_path = o.cache.unwrap_or_else(tuner::default_cache_path);
-    let mut cache = TuneCache::load(&cache_path)?;
+    let resolver = EngineResolver::for_tune_command(&cache_path, o.force, o.refine, o.dry_run)?;
     // Tune for the thread count a sequential `mwd run --tune` would
     // grant each job: the full host budget (or the explicit override).
     let threads = o
@@ -514,68 +514,44 @@ fn cmd_tune(args: &[String]) -> Result<ExitCode, String> {
     let mut misses = 0usize;
     let mut probes = 0usize;
     for spec in &specs {
-        // Periodic-x MWD engines tune under their own kind; everything
-        // else (including `auto` and the naive references) gets the
-        // plain MWD engine tuned for its grid.
-        let engine_kind = match spec.engine.kind() {
-            "mwd-periodic-x" => "mwd-periodic-x",
-            _ => "mwd",
-        };
-        let ropts = ResolveOptions {
-            refine_top: o.refine.unwrap_or(2),
-            force: o.force,
-            ..Default::default()
-        };
-        // Fingerprint under the same machine model `resolve` tunes with.
-        let key = TuneKey::for_host(&ropts.machine, spec.dims(), engine_kind, threads);
+        let heading = format!("{:<18} {:>11}", spec.name, format!("{}", spec.dims()));
         if o.dry_run {
-            let status = match cache.get(&key) {
-                Some(e) => format!("hit     {} ({})", e.config.to_compact(), e.stage.as_str()),
-                None => "miss    (would tune)".to_string(),
-            };
-            if !o.quiet {
-                println!(
-                    "{:<18} {:>11}  {:<14} t{:<3} {status}",
-                    spec.name,
-                    format!("{}", spec.dims()),
-                    engine_kind,
-                    threads
-                );
+            if o.quiet {
+                continue;
+            }
+            if let Some(p) = resolver.preview(spec.engine, spec.dims(), threads)? {
+                let status = match &p.cached {
+                    Some((config, stage)) => format!("hit     {config} ({stage})"),
+                    None => "miss    (would tune)".to_string(),
+                };
+                println!("{heading}  {:<14} t{:<3} {status}", p.kind, p.threads);
                 // Why a configuration wins: the finalists of the miss
                 // path with the three factors behind each score.
-                for f in tuner::finalists(&key, &ropts)? {
-                    println!(
-                        "    {:<32} {:>7.1} MLUP/s = min(core x {:.2}/{} x {:.3}, bw / {:.0} B/LUP)",
-                        f.config.to_compact(),
-                        f.score_mlups,
-                        f.factors.concurrency,
-                        f.config.groups,
-                        f.factors.group_eff,
-                        f.factors.code_balance,
-                    );
+                for f in &p.finalists {
+                    println!("    {f}");
                 }
             }
             continue;
         }
-        let r = tuner::resolve(&mut cache, &key, &ropts)
+        let r = resolver
+            .resolve(spec.engine, spec.dims(), threads)
             .map_err(|e| format!("scenario `{}`: {e}", spec.name))?;
-        if r.cache_hit {
+        let Some(t) = r.tuned else { continue };
+        if t.cache_hit {
             hits += 1;
         } else {
             misses += 1;
         }
-        probes += r.native_probes;
+        probes += t.native_probes;
         if !o.quiet {
             println!(
-                "{:<18} {:>11}  {:<14} t{:<3} {:<5} {:<8} {:<32} {:>8.1} MLUP/s",
-                spec.name,
-                format!("{}", spec.dims()),
-                engine_kind,
-                threads,
-                if r.cache_hit { "hit" } else { "miss" },
-                r.stage.as_str(),
-                r.config.to_compact(),
-                r.score_mlups,
+                "{heading}  {:<14} t{:<3} {:<5} {:<8} {:<32} {:>8.1} MLUP/s",
+                r.decl.kind(),
+                r.decl.threads(),
+                if t.cache_hit { "hit" } else { "miss" },
+                t.stage,
+                t.config,
+                t.score_mlups,
             );
         }
     }
@@ -585,17 +561,17 @@ fn cmd_tune(args: &[String]) -> Result<ExitCode, String> {
             "dry run: {} scenario(s) against {} ({} entries)",
             specs.len(),
             cache_path.display(),
-            cache.len()
+            resolver.cached_entries()
         );
         return Ok(ExitCode::SUCCESS);
     }
-    cache.save()?;
+    resolver.save()?;
     println!(
         "tuned {} scenario(s): {hits} cache hit(s), {misses} miss(es), \
          {probes} native probe(s); cache {} ({} entries)",
         specs.len(),
         cache_path.display(),
-        cache.len()
+        resolver.cached_entries()
     );
     Ok(ExitCode::SUCCESS)
 }

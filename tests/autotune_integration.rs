@@ -4,25 +4,22 @@
 use em_bench::figures::tune_point;
 use thiim_mwd::field::{GridDims, State};
 use thiim_mwd::kernels::run_naive;
-use thiim_mwd::models::MachineSpec;
 use thiim_mwd::mwd::run_mwd;
-use thiim_mwd::tuner::{autotune, CacheWindow, NativeEvaluator, SearchSpace};
+use thiim_mwd::tuner::{resolve, ResolveOptions, Stage, TuneCache, TuneKey};
 
 #[test]
 fn natively_tuned_configuration_runs_and_matches_naive() {
     let dims = GridDims::new(8, 12, 10);
-    let threads = 2;
-    let mut space = SearchSpace::default_for(threads);
-    space.dw = vec![2, 4];
-    space.bz = vec![1, 2];
-    let hsw = MachineSpec::HASWELL_E5_2699_V3;
-    let mut ev = NativeEvaluator::new(dims, 2);
-    let window = CacheWindow {
-        lo_frac: 0.0,
-        hi_frac: f64::INFINITY,
+    let opts = ResolveOptions {
+        sim_top: 2,
+        refine_top: 2,
+        probe_steps: 2,
+        ..Default::default()
     };
-    let result = autotune(&space, dims, &hsw, threads, window, &mut ev).expect("tuning succeeds");
-    assert!(result.best_score > 0.0);
+    let key = TuneKey::for_host(&opts.machine, dims, "mwd", 2);
+    let result = resolve(&mut TuneCache::in_memory(), &key, &opts).expect("tuning succeeds");
+    assert_eq!((result.stage, result.native_probes), (Stage::Native, 2));
+    assert!(result.score_mlups > 0.0);
 
     // The winner must execute correctly.
     let mut reference = State::zeros(dims);
@@ -30,7 +27,7 @@ fn natively_tuned_configuration_runs_and_matches_naive() {
     reference.coeffs.fill_deterministic(6);
     let mut tuned = reference.clone();
     run_naive(&mut reference, 4);
-    run_mwd(&mut tuned, &result.best, 4).expect("tuned config runs");
+    run_mwd(&mut tuned, &result.config, 4).expect("tuned config runs");
     assert!(tuned.fields.bit_eq(&reference.fields));
 }
 

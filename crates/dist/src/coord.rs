@@ -104,7 +104,8 @@ impl Default for DistOptions {
 /// `error` field, and only spec-level problems return `Err`.
 pub fn run_dist(spec: &ScenarioSpec, opts: &DistOptions) -> Result<Vec<JobOutcome>, String> {
     preflight(spec, opts)?;
-    let solve = |(index, job)| {
+    let mut log = opts.trace.thread("dist-coord", opts.trace_parent);
+    let mut solve = |(index, job)| {
         run_job(
             spec,
             job,
@@ -113,10 +114,11 @@ pub fn run_dist(spec: &ScenarioSpec, opts: &DistOptions) -> Result<Vec<JobOutcom
             false,
             None,
             &opts.cancel,
+            &mut log,
             |solver| launch(spec, index, opts, solver.steps_per_period()),
         )
     };
-    Ok(spec.jobs().iter().enumerate().map(solve).collect())
+    Ok(spec.jobs().iter().enumerate().map(&mut solve).collect())
 }
 
 /// Everything that can be refused before a worker exists: the spec
@@ -387,6 +389,16 @@ fn launch(
         .unwrap_or(0);
     let spec_toml = spec.to_toml_string();
 
+    // Assignment to `Ready` is the worker's build (full-grid solver,
+    // crop, halo wiring) as the coordinator sees it.
+    let mut tlogs: Vec<ThreadLog> = (0..workers)
+        .map(|i| {
+            opts.trace
+                .thread(&format!("dist-worker-{i}"), opts.trace_parent)
+        })
+        .collect();
+    let builds: Vec<_> = tlogs.iter_mut().map(|t| t.start("solver_build")).collect();
+
     for (i, slab) in slabs.iter().enumerate() {
         let msg = Msg::Assign {
             index: i as u32,
@@ -412,9 +424,22 @@ fn launch(
         proto::send(&mut run.ctrl[i + 1], &Msg::ConnectDown { port })
             .map_err(|e| format!("cannot relay the halo port to worker {}: {e}", i + 1))?;
     }
-    for i in 0..workers {
+    for (i, (tlog, span)) in tlogs.iter_mut().zip(builds).enumerate() {
         match recv_setup(&mut run.ctrl[i], setup_dl, "Ready")? {
-            Msg::Ready => {}
+            Msg::Ready {
+                build_s,
+                coeff_rows_distinct,
+                coeff_rows_total,
+                coeff_bytes,
+            } => tlog.end_kv(
+                span,
+                vec![
+                    ("build_s", format!("{build_s:.6}")),
+                    ("coeff_rows_distinct", coeff_rows_distinct.to_string()),
+                    ("coeff_rows_total", coeff_rows_total.to_string()),
+                    ("coeff_bytes", coeff_bytes.to_string()),
+                ],
+            ),
             other => return Err(format!("expected Ready, got kind {}", other.kind())),
         }
     }
@@ -487,13 +512,6 @@ fn launch(
         )
         .set(halo as f64);
     }
-    let tlogs: Vec<ThreadLog> = (0..workers)
-        .map(|i| {
-            opts.trace
-                .thread(&format!("dist-worker-{i}"), opts.trace_parent)
-        })
-        .collect();
-
     Ok(SlabGroup {
         run,
         rx,

@@ -311,8 +311,17 @@ pub enum Msg {
     ListenPort { port: u16 },
     /// Coordinator -> worker: connect your halo link down to this port.
     ConnectDown { port: u16 },
-    /// Worker -> coordinator: slab built, halo links wired.
-    Ready,
+    /// Worker -> coordinator: slab built, halo links wired. The header
+    /// is the build's telemetry — seconds from assignment to cropped
+    /// slab, and what the slab's coefficient arrays hold
+    /// (`em_field::CoeffStats`) — for the coordinator's `solver_build`
+    /// span.
+    Ready {
+        build_s: f64,
+        coeff_rows_distinct: u64,
+        coeff_rows_total: u64,
+        coeff_bytes: u64,
+    },
     /// Halo link: exchange number `block` of the solve; the body holds
     /// `planes` owned z planes of all twelve field arrays.
     Halo { block: u32, side: Side, planes: u32 },
@@ -347,7 +356,7 @@ impl Msg {
             Msg::Assign { .. } => 2,
             Msg::ListenPort { .. } => 3,
             Msg::ConnectDown { .. } => 4,
-            Msg::Ready => 5,
+            Msg::Ready { .. } => 5,
             Msg::Halo { .. } => 6,
             Msg::PeriodDone { .. } => 8,
             Msg::Continue => 9,
@@ -381,7 +390,18 @@ impl Msg {
                 put_str(b, spec_toml);
             }
             Msg::ListenPort { port } | Msg::ConnectDown { port } => put_u32(b, *port as u32),
-            Msg::Ready | Msg::Continue | Msg::Finish => {}
+            Msg::Ready {
+                build_s,
+                coeff_rows_distinct,
+                coeff_rows_total,
+                coeff_bytes,
+            } => {
+                put_f64(b, *build_s);
+                put_u64(b, *coeff_rows_distinct);
+                put_u64(b, *coeff_rows_total);
+                put_u64(b, *coeff_bytes);
+            }
+            Msg::Continue | Msg::Finish => {}
             Msg::Halo {
                 block,
                 side,
@@ -440,7 +460,12 @@ impl Msg {
             4 => Msg::ConnectDown {
                 port: port_of(c.u32("ConnectDown.port")?)?,
             },
-            5 => Msg::Ready,
+            5 => Msg::Ready {
+                build_s: c.f64("Ready.build_s")?,
+                coeff_rows_distinct: c.u64("Ready.coeff_rows_distinct")?,
+                coeff_rows_total: c.u64("Ready.coeff_rows_total")?,
+                coeff_bytes: c.u64("Ready.coeff_bytes")?,
+            },
             6 => Msg::Halo {
                 block: c.u32("Halo.block")?,
                 side: match c.u8("Halo.side")? {
@@ -604,7 +629,12 @@ mod tests {
             },
             Msg::ListenPort { port: 40123 },
             Msg::ConnectDown { port: 40123 },
-            Msg::Ready,
+            Msg::Ready {
+                build_s: 0.0625,
+                coeff_rows_distinct: 139,
+                coeff_rows_total: 33264,
+                coeff_bytes: 240_000,
+            },
             Msg::Halo {
                 block: 7,
                 side: Side::Bottom,
@@ -638,9 +668,9 @@ mod tests {
     #[test]
     fn only_bulk_messages_may_trail_a_body() {
         let mut p = Vec::new();
-        Msg::Ready.encode(&mut p);
+        Msg::Continue.encode(&mut p);
         p.push(0);
-        assert!(Msg::decode(5, &p).is_err());
+        assert!(Msg::decode(9, &p).is_err());
         let halo = Msg::Halo {
             block: 0,
             side: Side::Top,

@@ -42,17 +42,20 @@ fn row_starts(arr: &Array3C, z: Range<usize>) -> impl Iterator<Item = usize> {
     z.flat_map(move |z| (0..ny).map(move |y| first + z * zs + y * ys))
 }
 
-/// Copy the z planes of `range` out of a full-grid state (fields,
-/// coefficient and source arrays) into a state of that many planes. An
-/// extended slab crops its halo planes with it, so they start exact.
-/// The array halos stay zero, which preserves the global Dirichlet
-/// faces.
+/// The z planes of `range` of a full-grid state as a state of that many
+/// planes: field rows are copied, coefficient arrays are cropped in
+/// place — their row index sliced, their tables shared with `full`
+/// ([`em_field::CoeffSet::crop_z`]). An extended slab crops its halo
+/// planes with it, so they start exact. The array halos stay zero,
+/// which preserves the global Dirichlet faces.
 pub fn crop_state(full: &State, range: Slab) -> State {
     let d = full.dims();
-    let mut out = State::zeros(GridDims::new(d.nx, d.ny, range.nz));
-    let copy = |dst: &mut Array3C, src: &Array3C| {
+    let planes = range.z0..range.z0 + range.nz;
+    let mut fields = FieldSet::zeros(GridDims::new(d.nx, d.ny, range.nz));
+    for comp in Component::ALL {
+        let (src, dst) = (full.fields.comp(comp), fields.comp_mut(comp));
         let (from, to) = (
-            row_starts(src, range.z0..range.z0 + range.nz),
+            row_starts(src, planes.clone()),
             row_starts(dst, 0..range.nz),
         );
         let (src_im, dst_im) = (src.im_offset(), dst.im_offset());
@@ -61,16 +64,11 @@ pub fn crop_state(full: &State, range: Slab) -> State {
             dst[t..t + d.nx].copy_from_slice(&src[s..s + d.nx]);
             dst[dst_im + t..dst_im + t + d.nx].copy_from_slice(&src[src_im + s..src_im + s + d.nx]);
         }
-    };
-    for comp in Component::ALL {
-        copy(out.fields.comp_mut(comp), full.fields.comp(comp));
-        copy(out.coeffs.t_mut(comp), full.coeffs.t(comp));
-        copy(out.coeffs.c_mut(comp), full.coeffs.c(comp));
     }
-    for arr in em_field::SourceArray::ALL {
-        copy(out.coeffs.src_mut(arr), full.coeffs.src(arr));
+    State {
+        fields,
+        coeffs: full.coeffs.crop_z(planes),
     }
-    out
 }
 
 // -------------------------------------------------------------- codec
@@ -206,7 +204,12 @@ mod tests {
             c.coeffs.src(em_field::SourceArray::SrcEx).get(0, 1, 1),
             s.coeffs.src(em_field::SourceArray::SrcEx).get(0, 1, 3)
         );
-        // Halos are zero after a crop.
+        // Halos are zero after a crop: the cut faces are walls, also
+        // for the coefficients, whose tables the crop shares.
         assert!(c.fields.comp(Component::Hyx).halo_is_zero());
+        let (ct, st) = (c.coeffs.t(Component::Exy), s.coeffs.t(Component::Exy));
+        assert_eq!(ct.get(1, 1, -1), em_field::Cplx::ZERO);
+        assert_eq!(ct.get(1, 1, 3), em_field::Cplx::ZERO);
+        assert_eq!(ct.table_ptr(), st.table_ptr());
     }
 }

@@ -425,12 +425,16 @@ fn run_inner(
     }
 
     // The coefficient build is position-dependent (PML profiles, the
-    // source plane, layered scenes), so build the full grid and crop.
+    // source plane, layered scenes), so build the full grid and crop:
+    // the slab keeps a slice of each row index and shares the tables.
+    let t_build = Instant::now();
     let solver = spec.build_solver(sjob)?;
     let spp = solver.steps_per_period();
     let ext = slab.extended(halo, nz);
     let state = crop_state(&solver.state, ext);
     drop(solver);
+    let coeffs = state.coeffs.stats();
+    let build_s = t_build.elapsed().as_secs_f64();
     let engine = spec.engine.to_engine(state.dims())?;
     let lo = slab.z0 - ext.z0;
     let owned = lo..lo + slab.nz;
@@ -480,7 +484,15 @@ fn run_inner(
         cuts.reverse();
     }
 
-    proto::send(&mut ctrl_w, &Msg::Ready)?;
+    proto::send(
+        &mut ctrl_w,
+        &Msg::Ready {
+            build_s,
+            coeff_rows_distinct: coeffs.rows_distinct as u64,
+            coeff_rows_total: coeffs.rows_total as u64,
+            coeff_bytes: coeffs.bytes as u64,
+        },
+    )?;
 
     let mut job = SlabJob {
         state,

@@ -1,16 +1,26 @@
 //! Cache-line aligned `f64` buffers.
 //!
 //! The stencil arrays are the unit of all memory-traffic accounting in the
-//! paper, so their base addresses are aligned to 64-byte cache lines: this
-//! keeps SIMD loads unsplit and makes the per-row byte counts used by the
-//! cache simulator exact (a plane row of `nx` doubles occupies exactly
-//! `nx * 8 / 64` lines when `nx` is a multiple of 8).
+//! paper, so their base addresses are aligned to 64-byte cache lines.
+//! What that guarantees: a buffer never shares its first or last line
+//! with another allocation, both planes of an `Array3C` start on a line
+//! boundary (its plane stride is lane-rounded, see below), and the cache
+//! simulator's per-array line counts do not depend on where the
+//! allocator put the array. What it does **not** guarantee is aligned
+//! row access: an x-row starts at `x + 1` (after the halo cell) with
+//! stride `nx + 2`, so row starts fall anywhere in a line, every 64-byte
+//! vector access to a field row straddles two lines (the kernels use
+//! unaligned loads throughout), and adjacent rows — hence adjacent
+//! diamonds — share lines at their ends. Line-aligned rows were
+//! prototyped and not taken (ROADMAP, "Fewer bytes per cell").
 //!
 //! The same 64-byte unit doubles as the SIMD *lane-width guarantee*: any
 //! offset that is a multiple of [`LANE_F64`] doubles from the buffer base
 //! is aligned for the widest vector registers in use (AVX-512, 8 x f64).
 //! `Array3C` rounds its re/im plane stride up with [`round_up_lane`] so
-//! both planes of every array inherit this guarantee.
+//! both planes of every array inherit this guarantee, and the packed
+//! coefficient tables (`crate::coeff`) round their row width with it, so
+//! there every row *does* start on a line.
 
 use std::alloc::{alloc_zeroed, dealloc, handle_alloc_error, Layout};
 use std::ops::{Deref, DerefMut};

@@ -137,6 +137,11 @@ impl Array3C {
         self.buf.len()
     }
 
+    /// The buffer itself, for a `CoeffArray` to index in place.
+    pub(crate) fn into_buf(self) -> AlignedBuf {
+        self.buf
+    }
+
     /// Set every interior value; halo stays zero.
     pub fn fill_with(&mut self, mut f: impl FnMut(usize, usize, usize) -> Cplx) {
         for z in 0..self.dims.nz {

@@ -122,13 +122,10 @@ impl SourceArray {
         SourceArray::SrcEy,
     ];
 
+    /// Position in [`Self::ALL`]: the discriminant.
+    #[inline]
     pub fn index(self) -> usize {
-        match self {
-            SourceArray::SrcHx => 0,
-            SourceArray::SrcHy => 1,
-            SourceArray::SrcEx => 2,
-            SourceArray::SrcEy => 3,
-        }
+        self as usize
     }
 }
 
@@ -192,12 +189,11 @@ impl Component {
         }
     }
 
-    /// Stable dense index 0..12 (E components first).
+    /// Stable dense index 0..12 (E components first): the discriminant,
+    /// which is the position in [`Self::ALL`].
+    #[inline]
     pub fn index(self) -> usize {
-        Self::ALL
-            .iter()
-            .position(|&c| c == self)
-            .expect("component in ALL")
+        self as usize
     }
 
     pub fn field_kind(self) -> FieldKind {
@@ -346,9 +342,16 @@ mod tests {
 
     #[test]
     fn indices_are_dense_and_stable() {
+        // `index()` is the discriminant cast; the tables indexed by it
+        // are laid out in `ALL` order, E first.
         for (i, c) in Component::ALL.iter().enumerate() {
             assert_eq!(c.index(), i);
         }
+        for (i, s) in SourceArray::ALL.iter().enumerate() {
+            assert_eq!(s.index(), i);
+        }
+        assert_eq!(Component::ALL[..6], Component::E_ALL);
+        assert_eq!(Component::ALL[6..], Component::H_ALL);
     }
 
     #[test]

@@ -1,7 +1,10 @@
 //! The full 40-array problem state: 12 split-field components plus 28
 //! coefficient arrays (t/c per component and the four source arrays).
 
+use std::ops::Range;
+
 use crate::array3::Array3C;
+use crate::coeff::{CoeffArray, CoeffRowBuilder};
 use crate::complex::Cplx;
 use crate::component::{Component, SourceArray};
 use crate::grid::GridDims;
@@ -118,22 +121,36 @@ fn unit(h: u64) -> f64 {
 
 /// The 28 coefficient arrays: for every component a transfer factor `t*`
 /// and a curl factor `c*`; for the four z-derivative components also a
-/// source array.
+/// source array. Each is a [`CoeffArray`]: a table of distinct x-rows
+/// under a row index, so 28 arrays x 16 B/cell is their *dense* upper
+/// bound, reached when no two rows are alike.
 #[derive(Clone, Debug)]
 pub struct CoeffSet {
-    t: Vec<Array3C>,
-    c: Vec<Array3C>,
-    src: Vec<Array3C>,
+    t: Vec<CoeffArray>,
+    c: Vec<CoeffArray>,
+    src: Vec<CoeffArray>,
     dims: GridDims,
+}
+
+/// What a [`CoeffSet`] holds, summed over its 28 arrays.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct CoeffStats {
+    /// Table rows the row indices refer to.
+    pub rows_distinct: usize,
+    /// Rows the indices have (28 x padded `(y, z)` rows).
+    pub rows_total: usize,
+    /// Bytes of tables plus indices.
+    pub bytes: usize,
 }
 
 impl CoeffSet {
     /// All-zero coefficients (fields stay frozen; useful in tests).
     pub fn zeros(dims: GridDims) -> Self {
+        let zero = CoeffArray::zeros(dims);
         CoeffSet {
-            t: (0..12).map(|_| Array3C::zeros(dims)).collect(),
-            c: (0..12).map(|_| Array3C::zeros(dims)).collect(),
-            src: (0..4).map(|_| Array3C::zeros(dims)).collect(),
+            t: vec![zero.clone(); 12],
+            c: vec![zero.clone(); 12],
+            src: vec![zero; 4],
             dims,
         }
     }
@@ -141,11 +158,18 @@ impl CoeffSet {
     /// Uniform coefficients: every `t` = `t0`, every `c` = `c0`, sources 0.
     /// A cheap stand-in for vacuum when the physics layer is not needed.
     pub fn uniform(dims: GridDims, t0: Cplx, c0: Cplx) -> Self {
+        let uniform = |v: Cplx| {
+            let mut rows = CoeffRowBuilder::new(dims);
+            let (re, im) = (vec![v.re; dims.nx], vec![v.im; dims.nx]);
+            for _ in 0..dims.ny * dims.nz {
+                rows.push_row(&re, &im)
+                    .expect("two rows fit any offset range");
+            }
+            rows.finish()
+        };
         let mut s = Self::zeros(dims);
-        for i in 0..12 {
-            s.t[i].fill_with(|_, _, _| t0);
-            s.c[i].fill_with(|_, _, _| c0);
-        }
+        s.t = vec![uniform(t0); 12];
+        s.c = vec![uniform(c0); 12];
         s
     }
 
@@ -155,64 +179,88 @@ impl CoeffSet {
     }
 
     #[inline]
-    pub fn t(&self, comp: Component) -> &Array3C {
+    pub fn t(&self, comp: Component) -> &CoeffArray {
         &self.t[comp.index()]
     }
 
+    /// Replace an array whole (`*coeffs.t_mut(c) = array`): coefficient
+    /// arrays are authored dense or row by row, then immutable.
     #[inline]
-    pub fn t_mut(&mut self, comp: Component) -> &mut Array3C {
+    pub fn t_mut(&mut self, comp: Component) -> &mut CoeffArray {
         &mut self.t[comp.index()]
     }
 
     #[inline]
-    pub fn c(&self, comp: Component) -> &Array3C {
+    pub fn c(&self, comp: Component) -> &CoeffArray {
         &self.c[comp.index()]
     }
 
     #[inline]
-    pub fn c_mut(&mut self, comp: Component) -> &mut Array3C {
+    pub fn c_mut(&mut self, comp: Component) -> &mut CoeffArray {
         &mut self.c[comp.index()]
     }
 
     #[inline]
-    pub fn src(&self, s: SourceArray) -> &Array3C {
+    pub fn src(&self, s: SourceArray) -> &CoeffArray {
         &self.src[s.index()]
     }
 
     #[inline]
-    pub fn src_mut(&mut self, s: SourceArray) -> &mut Array3C {
+    pub fn src_mut(&mut self, s: SourceArray) -> &mut CoeffArray {
         &mut self.src[s.index()]
+    }
+
+    fn arrays(&self) -> impl Iterator<Item = &CoeffArray> {
+        self.t.iter().chain(&self.c).chain(&self.src)
     }
 
     /// Number of domain-sized arrays held (the paper's 28).
     pub fn array_count(&self) -> usize {
-        self.t.len() + self.c.len() + self.src.len()
+        self.arrays().count()
+    }
+
+    /// Distinct rows, indexed rows and bytes over all 28 arrays.
+    pub fn stats(&self) -> CoeffStats {
+        self.arrays()
+            .fold(CoeffStats::default(), |s, a| CoeffStats {
+                rows_distinct: s.rows_distinct + a.rows_distinct(),
+                rows_total: s.rows_total + a.rows_total(),
+                bytes: s.bytes + a.bytes(),
+            })
+    }
+
+    /// The z planes `z` of every array; see [`CoeffArray::crop_z`].
+    pub fn crop_z(&self, z: Range<usize>) -> CoeffSet {
+        let crop = |arrays: &[CoeffArray]| arrays.iter().map(|a| a.crop_z(z.clone())).collect();
+        CoeffSet {
+            t: crop(&self.t),
+            c: crop(&self.c),
+            src: crop(&self.src),
+            dims: GridDims::new(self.dims.nx, self.dims.ny, z.len()),
+        }
     }
 
     /// Deterministic pseudo-random coefficients with |t| < 1 (contractive,
-    /// so iteration stays bounded) and small |c|.
+    /// so iteration stays bounded) and small |c|. No two rows are alike:
+    /// each array is dense under the identity row index.
     pub fn fill_deterministic(&mut self, seed: u64) {
-        for i in 0..12u64 {
+        let dims = self.dims;
+        let dense = |tag: u64, scale: f64| {
+            let mut arr = Array3C::zeros(dims);
             let mut k = 0u64;
-            self.t[i as usize].fill_with(|_, _, _| {
+            arr.fill_with(|_, _, _| {
                 k += 1;
-                let h = splitmix64(seed ^ (0x7000 + i) << 16 ^ k);
-                Cplx::new(unit(h) * 0.45, unit(splitmix64(h)) * 0.45)
+                let h = splitmix64(seed ^ tag << 16 ^ k);
+                Cplx::new(unit(h) * scale, unit(splitmix64(h)) * scale)
             });
-            let mut k2 = 0u64;
-            self.c[i as usize].fill_with(|_, _, _| {
-                k2 += 1;
-                let h = splitmix64(seed ^ (0xc000 + i) << 16 ^ k2);
-                Cplx::new(unit(h) * 0.2, unit(splitmix64(h)) * 0.2)
-            });
+            CoeffArray::try_from(arr).expect("a grid this host can hold fits u32 row offsets")
+        };
+        for i in 0..12 {
+            self.t[i] = dense(0x7000 + i as u64, 0.45);
+            self.c[i] = dense(0xc000 + i as u64, 0.2);
         }
-        for j in 0..4u64 {
-            let mut k = 0u64;
-            self.src[j as usize].fill_with(|_, _, _| {
-                k += 1;
-                let h = splitmix64(seed ^ (0x5c00 + j) << 16 ^ k);
-                Cplx::new(unit(h) * 0.01, unit(splitmix64(h)) * 0.01)
-            });
+        for j in 0..4 {
+            self.src[j] = dense(0x5c00 + j as u64, 0.01);
         }
     }
 }

@@ -31,11 +31,14 @@ impl GridDims {
         self.nx * self.ny * self.nz
     }
 
-    /// Bytes of state per grid cell: 40 double-complex arrays
-    /// (12 field components + 28 coefficients), Sec. III of the paper.
+    /// Bytes of state per grid cell with every array dense: 40
+    /// double-complex arrays (12 field components + 28 coefficients),
+    /// Sec. III of the paper. The 28 are stored row-deduplicated
+    /// (`crate::coeff`), so this is an upper bound, reached when no two
+    /// coefficient rows are alike.
     pub const BYTES_PER_CELL: usize = 40 * 16;
 
-    /// Total resident bytes for a full problem state (excluding halo).
+    /// Resident bytes of a fully dense problem state (excluding halo).
     pub const fn state_bytes(&self) -> usize {
         self.cells() * Self::BYTES_PER_CELL
     }

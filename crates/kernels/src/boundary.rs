@@ -108,7 +108,7 @@ fn phase_only(state: &mut State, kind: FieldKind) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use em_field::{Cplx, GridDims};
+    use em_field::{Array3C, Cplx, GridDims};
 
     #[test]
     fn exchange_copies_wrap_columns() {
@@ -135,12 +135,12 @@ mod tests {
         let mut su = State::zeros(dims);
         // x-uniform coefficients and fields built from scratch:
         for comp in Component::ALL {
-            su.coeffs
-                .t_mut(comp)
-                .fill_with(|_, y, z| Cplx::new(0.3 + 0.01 * y as f64, 0.02 * z as f64));
-            su.coeffs
-                .c_mut(comp)
-                .fill_with(|_, y, z| Cplx::new(0.1 * z as f64, 0.05 + 0.01 * y as f64));
+            let mut t = Array3C::zeros(dims);
+            t.fill_with(|_, y, z| Cplx::new(0.3 + 0.01 * y as f64, 0.02 * z as f64));
+            *su.coeffs.t_mut(comp) = t.try_into().unwrap();
+            let mut c = Array3C::zeros(dims);
+            c.fill_with(|_, y, z| Cplx::new(0.1 * z as f64, 0.05 + 0.01 * y as f64));
+            *su.coeffs.c_mut(comp) = c.try_into().unwrap();
             su.fields
                 .comp_mut(comp)
                 .fill_with(|_, y, z| Cplx::new(1.0 + y as f64, z as f64));

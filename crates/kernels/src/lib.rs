@@ -42,7 +42,7 @@ pub mod spatial;
 pub mod sweep;
 pub mod update;
 
-pub use raw::RawGrid;
+pub use raw::{CoeffRows, RawGrid};
 pub use simd::{active_isa, detected_isa, Isa, LANE_WIDTH};
 pub use spatial::{step_spatial, step_spatial_mt, SpatialConfig};
 pub use sweep::{run_naive, step_naive};

@@ -1,9 +1,63 @@
 //! Raw-pointer view of a problem [`State`] for the hot kernels.
 
-use em_field::{Component, GridDims, SourceArray, State};
+use em_field::{CoeffArray, Component, GridDims, SourceArray, State};
 
-/// Raw-pointer snapshot of all 40 arrays of a [`State`], with shared
-/// strides (all arrays have identical padded layout).
+/// Raw view of one coefficient array (`em_field::CoeffArray`): the
+/// values of padded row `r` start at `table + rows[r]`, real parts
+/// first, imaginary parts `im` doubles further on.
+#[derive(Clone, Copy)]
+pub struct CoeffRows {
+    /// Row table; a span view has it advanced by the span's first `x`.
+    pub table: *const f64,
+    /// Row offsets; a span view has them advanced to the span's first
+    /// padded row.
+    pub rows: *const u32,
+    /// f64 distance from a value's real part to its imaginary part.
+    pub im: usize,
+}
+
+impl CoeffRows {
+    fn of(a: &CoeffArray) -> Self {
+        CoeffRows {
+            table: a.table_ptr(),
+            rows: a.offsets().as_ptr(),
+            im: a.im_distance(),
+        }
+    }
+
+    /// The view every `HAS_SRC = false` kernel is handed and never reads.
+    pub(crate) const NONE: CoeffRows = CoeffRows {
+        table: std::ptr::null(),
+        rows: std::ptr::null(),
+        im: 0,
+    };
+
+    /// The same array seen from cell `x0` of padded row `row0`.
+    ///
+    /// # Safety
+    /// `x0 <= nx` and `row0` at most the array's padded row count.
+    #[inline]
+    pub(crate) unsafe fn at(self, x0: usize, row0: usize) -> Self {
+        CoeffRows {
+            table: self.table.add(x0),
+            rows: self.rows.add(row0),
+            im: self.im,
+        }
+    }
+
+    /// Pointer to the real parts of row `r` of this view.
+    ///
+    /// # Safety
+    /// `r` within the rows this view was advanced over.
+    #[inline(always)]
+    pub(crate) unsafe fn row(&self, r: usize) -> *const f64 {
+        self.table.add(*self.rows.add(r) as usize)
+    }
+}
+
+/// Raw-pointer snapshot of all 40 arrays of a [`State`]: the twelve
+/// field arrays with shared strides (identical padded layout) and one
+/// [`CoeffRows`] triple per coefficient array.
 ///
 /// # Safety contract for users
 ///
@@ -21,9 +75,9 @@ use em_field::{Component, GridDims, SourceArray, State};
 #[derive(Clone, Copy)]
 pub struct RawGrid<'a> {
     fields: [*mut f64; 12],
-    t: [*const f64; 12],
-    c: [*const f64; 12],
-    src: [*const f64; 4],
+    t: [CoeffRows; 12],
+    c: [CoeffRows; 12],
+    src: [CoeffRows; 4],
     dims: GridDims,
     /// f64 distance between y rows (within one re/im plane).
     pub y_stride: usize,
@@ -52,16 +106,16 @@ impl<'a> RawGrid<'a> {
         let dims = state.dims();
         let probe = state.fields.comp(Component::Exy);
         let mut fields = [std::ptr::null_mut(); 12];
-        let mut t = [std::ptr::null(); 12];
-        let mut c = [std::ptr::null(); 12];
+        let mut t = [CoeffRows::NONE; 12];
+        let mut c = [CoeffRows::NONE; 12];
         for comp in Component::ALL {
             fields[comp.index()] = state.fields.comp(comp).as_ptr_shared();
-            t[comp.index()] = state.coeffs.t(comp).as_slice().as_ptr();
-            c[comp.index()] = state.coeffs.c(comp).as_slice().as_ptr();
+            t[comp.index()] = CoeffRows::of(state.coeffs.t(comp));
+            c[comp.index()] = CoeffRows::of(state.coeffs.c(comp));
         }
-        let mut src = [std::ptr::null(); 4];
+        let mut src = [CoeffRows::NONE; 4];
         for s in SourceArray::ALL {
-            src[s.index()] = state.coeffs.src(s).as_slice().as_ptr();
+            src[s.index()] = CoeffRows::of(state.coeffs.src(s));
         }
         RawGrid {
             fields,
@@ -95,18 +149,32 @@ impl<'a> RawGrid<'a> {
     }
 
     #[inline]
-    pub fn t_ptr(&self, comp: Component) -> *const f64 {
+    pub fn t_rows(&self, comp: Component) -> CoeffRows {
         self.t[comp.index()]
     }
 
     #[inline]
-    pub fn c_ptr(&self, comp: Component) -> *const f64 {
+    pub fn c_rows(&self, comp: Component) -> CoeffRows {
         self.c[comp.index()]
     }
 
     #[inline]
-    pub fn src_ptr(&self, s: SourceArray) -> *const f64 {
+    pub fn src_rows(&self, s: SourceArray) -> CoeffRows {
         self.src[s.index()]
+    }
+
+    /// Padded `(y, z)` rows per z plane: the distance, in coefficient
+    /// row-index entries, between rows one plane apart.
+    #[inline]
+    pub fn rows_per_plane(&self) -> usize {
+        self.dims.ny + 2
+    }
+
+    /// Coefficient row-index entry of interior row `(y, z)`.
+    #[inline]
+    pub fn row(&self, y: usize, z: usize) -> usize {
+        debug_assert!(y < self.dims.ny && z < self.dims.nz);
+        (z + 1) * self.rows_per_plane() + (y + 1)
     }
 
     /// Flat f64 index of the real part of interior cell `(x, y, z)`
@@ -155,15 +223,38 @@ mod tests {
 
     #[test]
     fn im_offset_is_shared_by_all_arrays() {
+        // By the twelve field arrays, that is; each coefficient array
+        // carries its own re -> im distance in its `CoeffRows`.
         let state = State::zeros(GridDims::new(5, 4, 3));
         let g = RawGrid::new(&state);
-        assert_eq!(g.im_off, state.fields.comp(Component::Exy).im_offset());
-        assert_eq!(g.im_off, state.coeffs.t(Component::Hzy).im_offset());
+        for comp in Component::ALL {
+            assert_eq!(g.im_off, state.fields.comp(comp).im_offset());
+            assert_eq!(g.t_rows(comp).im, state.coeffs.t(comp).im_distance());
+        }
+    }
+
+    #[test]
+    fn coefficient_rows_resolve_to_the_arrays_values() {
+        let mut state = State::zeros(GridDims::new(5, 4, 3));
+        state.coeffs.fill_deterministic(3);
+        let g = RawGrid::new(&state);
+        let arr = state.coeffs.c(Component::Hzy);
+        let view = g.c_rows(Component::Hzy);
+        for (x, y, z) in [(0, 0, 0), (4, 3, 2), (2, 1, 1)] {
+            // SAFETY: in-grid coordinates of the borrowed state.
+            let (re, im) = unsafe {
+                let p = view.row(g.row(y, z)).add(x);
+                (*p, *p.add(view.im))
+            };
+            let want = arr.get(x as isize, y as isize, z as isize);
+            assert_eq!((re, im), (want.re, want.im));
+        }
     }
 
     #[test]
     fn pointers_are_distinct_per_array() {
-        let state = State::zeros(GridDims::cubic(2));
+        let mut state = State::zeros(GridDims::cubic(2));
+        state.coeffs.fill_deterministic(1);
         let g = RawGrid::new(&state);
         let mut seen = std::collections::HashSet::new();
         for comp in Component::ALL {
@@ -171,11 +262,11 @@ mod tests {
                 seen.insert(g.field_ptr(comp) as usize),
                 "duplicate field ptr"
             );
-            assert!(seen.insert(g.t_ptr(comp) as usize), "duplicate t ptr");
-            assert!(seen.insert(g.c_ptr(comp) as usize), "duplicate c ptr");
+            assert!(seen.insert(g.t_rows(comp).table as usize), "duplicate t");
+            assert!(seen.insert(g.c_rows(comp).table as usize), "duplicate c");
         }
         for s in SourceArray::ALL {
-            assert!(seen.insert(g.src_ptr(s) as usize), "duplicate src ptr");
+            assert!(seen.insert(g.src_rows(s).table as usize), "duplicate src");
         }
         assert_eq!(seen.len(), 40);
     }

@@ -18,6 +18,8 @@
 
 use std::sync::OnceLock;
 
+use crate::raw::CoeffRows;
+
 /// Widest vector width in doubles any dispatched path uses (AVX-512,
 /// one cache line). Defined as [`em_field::LANE_F64`] — the same unit
 /// `Array3C` rounds its plane stride to — so lane-aligned offsets from a
@@ -112,25 +114,28 @@ pub fn active_isa() -> Isa {
 }
 
 /// A rectangular span of one component update: `nz * ny` x-rows of `n`
-/// cells each, with every pointer advanced to the span origin
-/// `(x0, y0, z0)` in the *re* plane; the im plane of each operand lives
-/// at `+ im` doubles, row `(yi, zi)` at `+ yi*y_stride + zi*z_stride`.
+/// cells each. The field pointers are advanced to the span origin
+/// `(x0, y0, z0)` in the *re* plane; the im plane of each lives at
+/// `+ im` doubles, row `(yi, zi)` at `+ yi*y_stride + zi*z_stride`.
 /// `s1n`/`s2n` are the stencil-shifted views of the two source-split
-/// arrays. Kernels take whole spans (not single rows) so the ISA
-/// dispatch, pointer setup and function-call overhead are amortized over
-/// the full loop nest — with short rows that overhead otherwise rivals
-/// the arithmetic.
+/// arrays. The coefficient operands are row tables ([`CoeffRows`])
+/// advanced to the same origin: row `(yi, zi)` is index entry
+/// `yi + zi*rows_per_plane`. Kernels take whole spans (not single rows)
+/// so the ISA dispatch, pointer setup and function-call overhead are
+/// amortized over the full loop nest — with short rows that overhead
+/// otherwise rivals the arithmetic.
 pub(crate) struct Span {
     pub dst: *mut f64,
-    pub t: *const f64,
-    pub c: *const f64,
-    /// Null iff the kernel is monomorphized with `HAS_SRC = false`.
-    pub src: *const f64,
+    pub t: CoeffRows,
+    pub c: CoeffRows,
+    /// [`CoeffRows::NONE`] iff the kernel is monomorphized with
+    /// `HAS_SRC = false`.
+    pub src: CoeffRows,
     pub s1c: *const f64,
     pub s1n: *const f64,
     pub s2c: *const f64,
     pub s2n: *const f64,
-    /// f64 distance from re plane to im plane (shared by all arrays).
+    /// f64 distance from re plane to im plane (shared by all fields).
     pub im: usize,
     /// Cells per x-row.
     pub n: usize,
@@ -142,36 +147,86 @@ pub(crate) struct Span {
     pub y_stride: usize,
     /// f64 distance between consecutive z planes.
     pub z_stride: usize,
+    /// Coefficient row-index entries between consecutive z planes.
+    pub rows_per_plane: usize,
 }
 
-/// The scalar cell update at f64 offset `j` (row offset + x index): the
-/// paper's Listing 1/2 body on split planes. Every other kernel in this
-/// module reproduces exactly this operation order per lane.
+/// One x-row of a [`Span`], every operand resolved to the row's first
+/// cell — the coefficient rows through their tables, once, outside the
+/// x loop.
+struct Row {
+    dst: *mut f64,
+    s1c: *const f64,
+    s1n: *const f64,
+    s2c: *const f64,
+    s2n: *const f64,
+    /// re -> im distance of the five field operands.
+    im: usize,
+    t: *const f64,
+    t_im: usize,
+    c: *const f64,
+    c_im: usize,
+    /// Null iff `HAS_SRC = false`.
+    src: *const f64,
+    src_im: usize,
+}
+
+impl Span {
+    /// # Safety
+    /// `yi < ny`, `zi < nz`; pointers per the `RawGrid` contract.
+    #[inline(always)]
+    unsafe fn row<const HAS_SRC: bool>(&self, yi: usize, zi: usize) -> Row {
+        let o = zi * self.z_stride + yi * self.y_stride;
+        let r = zi * self.rows_per_plane + yi;
+        Row {
+            dst: self.dst.add(o),
+            s1c: self.s1c.add(o),
+            s1n: self.s1n.add(o),
+            s2c: self.s2c.add(o),
+            s2n: self.s2n.add(o),
+            im: self.im,
+            t: self.t.row(r),
+            t_im: self.t.im,
+            c: self.c.row(r),
+            c_im: self.c.im,
+            src: if HAS_SRC {
+                self.src.row(r)
+            } else {
+                std::ptr::null()
+            },
+            src_im: self.src.im,
+        }
+    }
+}
+
+/// The scalar cell update at cell `i` of a row: the paper's Listing 1/2
+/// body on split planes. Every other kernel in this module reproduces
+/// exactly this operation order per lane.
 ///
 /// # Safety
-/// `j` in-span, and the `Span` pointers must satisfy the `RawGrid`
+/// `i` in-row, and the `Row` pointers must satisfy the `RawGrid`
 /// contract.
 #[inline(always)]
-unsafe fn cell<const NEG: bool, const HAS_SRC: bool>(s: &Span, j: usize) -> (f64, f64) {
-    let im = s.im;
+unsafe fn cell<const NEG: bool, const HAS_SRC: bool>(r: &Row, i: usize) -> (f64, f64) {
+    let j = r.im + i;
     // D = center - neighbor, summed over the two split parts
     // (left-to-right: ((s1c - s1n) + s2c) - s2n, as in the C code).
-    let d_re = *s.s1c.add(j) - *s.s1n.add(j) + *s.s2c.add(j) - *s.s2n.add(j);
-    let d_im = *s.s1c.add(im + j) - *s.s1n.add(im + j) + *s.s2c.add(im + j) - *s.s2n.add(im + j);
+    let d_re = *r.s1c.add(i) - *r.s1n.add(i) + *r.s2c.add(i) - *r.s2n.add(i);
+    let d_im = *r.s1c.add(j) - *r.s1n.add(j) + *r.s2c.add(j) - *r.s2n.add(j);
 
-    let dr = *s.dst.add(j);
-    let di = *s.dst.add(im + j);
-    let tr = *s.t.add(j);
-    let ti = *s.t.add(im + j);
-    let cr = *s.c.add(j);
-    let ci = *s.c.add(im + j);
+    let dr = *r.dst.add(i);
+    let di = *r.dst.add(j);
+    let tr = *r.t.add(i);
+    let ti = *r.t.add(r.t_im + i);
+    let cr = *r.c.add(i);
+    let ci = *r.c.add(r.c_im + i);
 
     // dst*t (complex), plus optional source.
     let mut re = dr * tr - di * ti;
     let mut imv = dr * ti + di * tr;
     if HAS_SRC {
-        re += *s.src.add(j);
-        imv += *s.src.add(im + j);
+        re += *r.src.add(i);
+        imv += *r.src.add(r.src_im + i);
     }
     // -+ c*D (complex), sign chosen at compile time.
     if NEG {
@@ -186,33 +241,33 @@ unsafe fn cell<const NEG: bool, const HAS_SRC: bool>(s: &Span, j: usize) -> (f64
     (re, imv)
 }
 
-/// Scalar cells `[start, n)` of the row at f64 offset `o`: lanes grouped
-/// in chunks of [`SCALAR_CHUNK`] with all loads preceding all stores,
-/// which auto-vectorizes on any target. Also the tail handler of the
-/// wide paths.
+/// Scalar cells `[start, n)` of a row: lanes grouped in chunks of
+/// [`SCALAR_CHUNK`] with all loads preceding all stores, which
+/// auto-vectorizes on any target. Also the tail handler of the wide
+/// paths.
 ///
 /// # Safety
-/// `start <= s.n`, `o` a valid row offset; pointers per the `RawGrid`
+/// `start <= n`, `n` the span's row length; pointers per the `RawGrid`
 /// contract.
 #[inline(always)]
-unsafe fn scalar_row_from<const NEG: bool, const HAS_SRC: bool>(s: &Span, o: usize, start: usize) {
+unsafe fn scalar_row_from<const NEG: bool, const HAS_SRC: bool>(r: &Row, n: usize, start: usize) {
     let mut i = start;
-    while i + SCALAR_CHUNK <= s.n {
+    while i + SCALAR_CHUNK <= n {
         let mut re = [0.0f64; SCALAR_CHUNK];
         let mut imv = [0.0f64; SCALAR_CHUNK];
         for l in 0..SCALAR_CHUNK {
-            (re[l], imv[l]) = cell::<NEG, HAS_SRC>(s, o + i + l);
+            (re[l], imv[l]) = cell::<NEG, HAS_SRC>(r, i + l);
         }
         for l in 0..SCALAR_CHUNK {
-            *s.dst.add(o + i + l) = re[l];
-            *s.dst.add(s.im + o + i + l) = imv[l];
+            *r.dst.add(i + l) = re[l];
+            *r.dst.add(r.im + i + l) = imv[l];
         }
         i += SCALAR_CHUNK;
     }
-    while i < s.n {
-        let (re, imv) = cell::<NEG, HAS_SRC>(s, o + i);
-        *s.dst.add(o + i) = re;
-        *s.dst.add(s.im + o + i) = imv;
+    while i < n {
+        let (re, imv) = cell::<NEG, HAS_SRC>(r, i);
+        *r.dst.add(i) = re;
+        *r.dst.add(r.im + i) = imv;
         i += 1;
     }
 }
@@ -224,7 +279,7 @@ unsafe fn scalar_row_from<const NEG: bool, const HAS_SRC: bool>(s: &Span, o: usi
 unsafe fn span_scalar<const NEG: bool, const HAS_SRC: bool>(s: &Span) {
     for zi in 0..s.nz {
         for yi in 0..s.ny {
-            scalar_row_from::<NEG, HAS_SRC>(s, zi * s.z_stride + yi * s.y_stride, 0);
+            scalar_row_from::<NEG, HAS_SRC>(&s.row::<HAS_SRC>(yi, zi), s.n, 0);
         }
     }
 }
@@ -246,40 +301,39 @@ macro_rules! vector_span_kernel {
         unsafe fn $name<const NEG: bool, const HAS_SRC: bool>(s: &Span) {
             use std::arch::x86_64::*;
             const L: usize = $lanes;
-            let im = s.im;
             for zi in 0..s.nz {
                 for yi in 0..s.ny {
-                    let o = zi * s.z_stride + yi * s.y_stride;
+                    let r = s.row::<HAS_SRC>(yi, zi);
                     let mut i = 0usize;
                     while i + L <= s.n {
-                        let j = o + i;
+                        let j = r.im + i;
                         let d_re = $sub(
                             $add(
-                                $sub($load(s.s1c.add(j)), $load(s.s1n.add(j))),
-                                $load(s.s2c.add(j)),
+                                $sub($load(r.s1c.add(i)), $load(r.s1n.add(i))),
+                                $load(r.s2c.add(i)),
                             ),
-                            $load(s.s2n.add(j)),
+                            $load(r.s2n.add(i)),
                         );
                         let d_im = $sub(
                             $add(
-                                $sub($load(s.s1c.add(im + j)), $load(s.s1n.add(im + j))),
-                                $load(s.s2c.add(im + j)),
+                                $sub($load(r.s1c.add(j)), $load(r.s1n.add(j))),
+                                $load(r.s2c.add(j)),
                             ),
-                            $load(s.s2n.add(im + j)),
+                            $load(r.s2n.add(j)),
                         );
 
-                        let dr = $load(s.dst.add(j).cast_const());
-                        let di = $load(s.dst.add(im + j).cast_const());
-                        let tr = $load(s.t.add(j));
-                        let ti = $load(s.t.add(im + j));
-                        let cr = $load(s.c.add(j));
-                        let ci = $load(s.c.add(im + j));
+                        let dr = $load(r.dst.add(i).cast_const());
+                        let di = $load(r.dst.add(j).cast_const());
+                        let tr = $load(r.t.add(i));
+                        let ti = $load(r.t.add(r.t_im + i));
+                        let cr = $load(r.c.add(i));
+                        let ci = $load(r.c.add(r.c_im + i));
 
                         let mut re = $sub($mul(dr, tr), $mul(di, ti));
                         let mut imv = $add($mul(dr, ti), $mul(di, tr));
                         if HAS_SRC {
-                            re = $add(re, $load(s.src.add(j)));
-                            imv = $add(imv, $load(s.src.add(im + j)));
+                            re = $add(re, $load(r.src.add(i)));
+                            imv = $add(imv, $load(r.src.add(r.src_im + i)));
                         }
                         let cd_re = $sub($mul(cr, d_re), $mul(ci, d_im));
                         let cd_im = $add($mul(cr, d_im), $mul(ci, d_re));
@@ -290,11 +344,11 @@ macro_rules! vector_span_kernel {
                             re = $sub(re, cd_re);
                             imv = $sub(imv, cd_im);
                         }
-                        $store(s.dst.add(j), re);
-                        $store(s.dst.add(im + j), imv);
+                        $store(r.dst.add(i), re);
+                        $store(r.dst.add(j), imv);
                         i += L;
                     }
-                    scalar_row_from::<NEG, HAS_SRC>(s, o, i);
+                    scalar_row_from::<NEG, HAS_SRC>(&r, s.n, i);
                 }
             }
         }

@@ -48,7 +48,7 @@ mod tests {
         let mut s = State::zeros(GridDims::cubic(4));
         s.coeffs.fill_deterministic(1); // nonzero coefficients
         for arr in em_field::SourceArray::ALL {
-            s.coeffs.src_mut(arr).zero();
+            *s.coeffs.src_mut(arr) = em_field::CoeffArray::zeros(s.dims());
         }
         run_naive(&mut s, 3);
         assert_eq!(s.fields.energy(), 0.0);
@@ -72,7 +72,7 @@ mod tests {
         let dims = GridDims::cubic(4);
         let mut a = filled(dims, 13);
         for arr in em_field::SourceArray::ALL {
-            a.coeffs.src_mut(arr).zero();
+            *a.coeffs.src_mut(arr) = em_field::CoeffArray::zeros(dims);
         }
         let mut b = a.clone();
         for comp in Component::ALL {
@@ -109,7 +109,7 @@ mod tests {
         let mut s = State::zeros(dims);
         s.coeffs.fill_deterministic(2);
         for arr in em_field::SourceArray::ALL {
-            s.coeffs.src_mut(arr).zero();
+            *s.coeffs.src_mut(arr) = em_field::CoeffArray::zeros(dims);
         }
         s.fields.comp_mut(Component::Exy).set(3, 3, 3, Cplx::ONE);
         run_naive(&mut s, 2);

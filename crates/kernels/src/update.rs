@@ -9,15 +9,15 @@
 //! exactly the paper's flop counts (22 flops/cell for the four Listing-1
 //! updates, 20 for the eight Listing-2 updates).
 
-use crate::raw::RawGrid;
+use crate::raw::{CoeffRows, RawGrid};
 use crate::simd::{self, Span};
 use em_field::Component;
 use std::ops::Range;
 
-/// Build the `Span` pointer set for `nz * ny` rows of `n` cells
-/// starting at flat index `base` and run the dispatched kernel. `shift`
-/// is the signed f64 offset (within one plane) from a cell to its
-/// stencil neighbor.
+/// Build the `Span` operand set for `nz * ny` rows of `n` cells
+/// starting at interior cell `(x, y, z)` and run the dispatched kernel.
+/// `shift` is the signed f64 offset (within one plane) from a cell to
+/// its stencil neighbor.
 ///
 /// # Safety
 /// Caller guarantees the [`RawGrid`] aliasing contract for the written
@@ -28,23 +28,26 @@ use std::ops::Range;
 unsafe fn dispatch_span(
     g: &RawGrid<'_>,
     comp: Component,
-    base: usize,
+    (x, y, z): (usize, usize, usize),
     shift: isize,
     n: usize,
     ny: usize,
     nz: usize,
 ) {
+    let base = g.idx(x, y, z);
+    let row = g.row(y, z);
     let [sp1, sp2] = comp.source_splits();
     let s1 = g.field_ptr(sp1) as *const f64;
     let s2 = g.field_ptr(sp2) as *const f64;
     let src = comp.source_array();
     let span = Span {
         dst: g.field_ptr(comp).add(base),
-        t: g.t_ptr(comp).add(base),
-        c: g.c_ptr(comp).add(base),
-        src: src
-            .map(|s| g.src_ptr(s).add(base))
-            .unwrap_or(std::ptr::null()),
+        t: g.t_rows(comp).at(x, row),
+        c: g.c_rows(comp).at(x, row),
+        src: match src {
+            Some(s) => g.src_rows(s).at(x, row),
+            None => CoeffRows::NONE,
+        },
         s1c: s1.add(base),
         s1n: s1.offset(base as isize + shift),
         s2c: s2.add(base),
@@ -55,6 +58,7 @@ unsafe fn dispatch_span(
         nz,
         y_stride: g.y_stride,
         z_stride: g.z_stride,
+        rows_per_plane: g.rows_per_plane(),
     };
     match (comp.curl_sign() < 0.0, src.is_some()) {
         (false, true) => simd::span_update::<false, true>(g.isa, &span),
@@ -84,9 +88,8 @@ pub unsafe fn update_component_row(
     debug_assert!(y < g.dims().ny && z < g.dims().nz);
 
     let n = x_range.end - x_range.start;
-    let base = g.idx(x_range.start, y, z);
     let shift = comp.offset_dir() * g.axis_stride(comp.deriv_axis()) as isize;
-    dispatch_span(g, comp, base, shift, n, 1, 1);
+    dispatch_span(g, comp, (x_range.start, y, z), shift, n, 1, 1);
 }
 
 /// Update component `comp` over a rectangular region
@@ -110,9 +113,9 @@ pub unsafe fn update_component_rows(
     debug_assert!(y_range.end <= g.dims().ny && z_range.end <= g.dims().nz);
 
     let n = x_range.end - x_range.start;
-    let base = g.idx(x_range.start, y_range.start, z_range.start);
+    let origin = (x_range.start, y_range.start, z_range.start);
     let shift = comp.offset_dir() * g.axis_stride(comp.deriv_axis()) as isize;
-    dispatch_span(g, comp, base, shift, n, y_range.len(), z_range.len());
+    dispatch_span(g, comp, origin, shift, n, y_range.len(), z_range.len());
 }
 
 /// [`update_component_row`] with *periodic* x boundaries, implemented by
@@ -171,7 +174,7 @@ pub unsafe fn update_component_row_periodic_x(
 /// One peeled cell with an explicit neighbor shift.
 #[inline]
 unsafe fn run_peeled(g: &RawGrid<'_>, comp: Component, y: usize, z: usize, x: usize, shift: isize) {
-    dispatch_span(g, comp, g.idx(x, y, z), shift, 1, 1, 1);
+    dispatch_span(g, comp, (x, y, z), shift, 1, 1, 1);
 }
 
 /// Periodic-x variant of [`update_component_rows`].

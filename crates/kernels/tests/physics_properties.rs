@@ -1,6 +1,6 @@
 //! Property-based tests of the update kernels' algebraic structure.
 
-use em_field::{Component, Cplx, GridDims, SourceArray, State};
+use em_field::{CoeffArray, Component, Cplx, GridDims, SourceArray, State};
 use em_kernels::run_naive;
 use proptest::prelude::*;
 
@@ -42,7 +42,7 @@ proptest! {
         let c = Cplx::new(re, im);
         let mut a = filled(dims, seed);
         for arr in SourceArray::ALL {
-            a.coeffs.src_mut(arr).zero();
+            *a.coeffs.src_mut(arr) = CoeffArray::zeros(a.dims());
         }
         let mut b = a.clone();
         scale_fields(&mut b, c);
@@ -63,8 +63,8 @@ proptest! {
         // Same coefficients for both; zero sources.
         b.coeffs = a.coeffs.clone();
         for arr in SourceArray::ALL {
-            a.coeffs.src_mut(arr).zero();
-            b.coeffs.src_mut(arr).zero();
+            *a.coeffs.src_mut(arr) = CoeffArray::zeros(a.dims());
+            *b.coeffs.src_mut(arr) = CoeffArray::zeros(b.dims());
         }
         let mut sum = a.clone();
         for comp in Component::ALL {
@@ -102,7 +102,7 @@ proptest! {
         let dims = GridDims::new(3, 3, 3);
         let mut s = filled(dims, seed);
         for comp in Component::ALL {
-            s.coeffs.c_mut(comp).zero();
+            *s.coeffs.c_mut(comp) = CoeffArray::zeros(s.dims());
         }
         let before = s.clone();
         run_naive(&mut s, 1);

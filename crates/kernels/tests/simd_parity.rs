@@ -5,7 +5,7 @@
 //! source and source-free components, halo-adjacent rows, partial
 //! x-chunks, and the loop-peeled periodic-x kernel.
 
-use em_field::{Component, GridDims, State};
+use em_field::{CoeffRowBuilder, Component, GridDims, SourceArray, State};
 use em_kernels::simd::{detected_isa, Isa};
 use em_kernels::update::{
     update_component_row, update_component_row_periodic_x, update_component_rows,
@@ -17,6 +17,35 @@ fn filled(dims: GridDims, seed: u64) -> State {
     let mut s = State::zeros(dims);
     s.fields.fill_deterministic(seed);
     s.coeffs.fill_deterministic(seed ^ 0x51d);
+    s
+}
+
+/// `filled`'s fields under row-built coefficients with two alternating
+/// x-profiles per array, so most rows of a span share a table row.
+fn packed(dims: GridDims, seed: u64) -> State {
+    let mut s = filled(dims, seed);
+    let banded = |tag: u64, scale: f64| {
+        let mut rows = CoeffRowBuilder::new(dims);
+        let profile = |band: u64, part: u64| -> Vec<f64> {
+            (0..dims.nx as u64)
+                .map(|x| {
+                    scale * ((seed + tag * 31 + band * 7 + part * 3 + x * 13) % 23) as f64 / 23.0
+                })
+                .collect()
+        };
+        for row in 0..(dims.ny * dims.nz) as u64 {
+            rows.push_row(&profile(row % 2, 0), &profile(row % 2, 1))
+                .unwrap();
+        }
+        rows.finish()
+    };
+    for comp in Component::ALL {
+        *s.coeffs.t_mut(comp) = banded(comp.index() as u64, 0.45);
+        *s.coeffs.c_mut(comp) = banded(12 + comp.index() as u64, 0.2);
+    }
+    for arr in SourceArray::ALL {
+        *s.coeffs.src_mut(arr) = banded(24 + arr.index() as u64, 0.01);
+    }
     s
 }
 
@@ -133,6 +162,47 @@ proptest! {
             prop_assert!(
                 state.fields.bit_eq(&reference.fields),
                 "{} periodic peel for {comp}",
+                isa.name()
+            );
+        }
+    }
+}
+
+/// A packed state (coefficient rows resolved through the row index into
+/// a three-row table) keeps bit-parity across ISAs on ragged `nx`, full
+/// sweeps and the peeled periodic-x rows alike.
+#[test]
+fn packed_coefficients_bitwise_parity_across_isas() {
+    for nx in [5, 13, 17] {
+        let dims = GridDims::new(nx, 4, 3);
+        let reference = packed(dims, 29 + nx as u64);
+        assert!(reference.coeffs.t(Component::Exy).rows_distinct() <= 3);
+        let periodic = packed(dims, 29 + nx as u64);
+        for _ in 0..2 {
+            step_with_isa(&reference, Isa::Scalar);
+        }
+        for comp in Component::ALL {
+            let g = RawGrid::new(&periodic).with_isa(Isa::Scalar);
+            unsafe { update_component_row_periodic_x(&g, comp, 2, 1, 0..nx) };
+        }
+        for isa in available_isas() {
+            let state = packed(dims, 29 + nx as u64);
+            for _ in 0..2 {
+                step_with_isa(&state, isa);
+            }
+            assert!(
+                state.fields.bit_eq(&reference.fields),
+                "{} deviates from scalar on packed {dims}",
+                isa.name()
+            );
+            let state = packed(dims, 29 + nx as u64);
+            for comp in Component::ALL {
+                let g = RawGrid::new(&state).with_isa(isa);
+                unsafe { update_component_row_periodic_x(&g, comp, 2, 1, 0..nx) };
+            }
+            assert!(
+                state.fields.bit_eq(&periodic.fields),
+                "{} periodic peel on packed {dims}",
                 isa.name()
             );
         }

@@ -19,6 +19,7 @@
 use crate::resolve::EngineResolver;
 use crate::spec::{ConvergenceDecl, EngineDecl, ScenarioJob, ScenarioSpec};
 use em_json::Json;
+use em_obs::ThreadLog;
 use em_solver::{analysis, Engine, EngineStepper, Stepper, ThiimSolver};
 use mwd_core::{CancelToken, ThreadBudget};
 use std::path::{Path, PathBuf};
@@ -408,6 +409,7 @@ pub fn run_batch(specs: &[ScenarioSpec], opts: &BatchOptions) -> Result<BatchRep
                         opts.dry_run,
                         tune_records[i].clone(),
                         token,
+                        &mut wlog,
                         |_| {
                             Ok(EngineStepper {
                                 engine,
@@ -574,7 +576,9 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// fields. `stepper` is called once the solver exists (a distributed
 /// group needs its period length) and inside the panic guard, so a
 /// stepper that fails to come up lands in the outcome like any other
-/// job error. `decl` only labels the outcome.
+/// job error. `decl` only labels the outcome. The build is a
+/// `solver_build` span on `log`, carrying what the coefficient arrays
+/// hold (`em_field::CoeffStats`).
 #[allow(clippy::too_many_arguments)]
 pub fn run_job<S: Stepper>(
     spec: &ScenarioSpec,
@@ -584,6 +588,7 @@ pub fn run_job<S: Stepper>(
     dry_run: bool,
     tuned: Option<TuneRecord>,
     cancel: &CancelToken,
+    log: &mut ThreadLog,
     stepper: impl FnOnce(&ThiimSolver) -> Result<S, String>,
 ) -> JobOutcome {
     let t0 = std::time::Instant::now();
@@ -604,7 +609,19 @@ pub fn run_job<S: Stepper>(
             if let Some(err) = cancel.halt_error() {
                 return Err(err);
             }
+            let build = log.start("solver_build");
             let mut solver = spec.build_solver(job)?;
+            if build.id() != 0 {
+                let coeffs = solver.state.coeffs.stats();
+                log.end_kv(
+                    build,
+                    vec![
+                        ("coeff_rows_distinct", coeffs.rows_distinct.to_string()),
+                        ("coeff_rows_total", coeffs.rows_total.to_string()),
+                        ("coeff_bytes", coeffs.bytes.to_string()),
+                    ],
+                );
+            }
             outcome.back_iteration_cells = solver.back_iteration_cells;
             let mut stepper = stepper(&solver)?;
             let ConvergenceDecl { tol, max_periods } = spec.convergence;
@@ -863,6 +880,7 @@ mod tests {
             true,
             None,
             &CancelToken::none(),
+            &mut em_obs::Recorder::disabled().thread("test", 0),
             |_| Ok(EngineStepper::untraced(&engine)),
         );
         assert!(ok.error.is_none());

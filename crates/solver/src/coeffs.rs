@@ -31,7 +31,7 @@ use crate::fit::average_eps;
 use crate::geometry::Scene;
 use crate::pml::PmlSpec;
 use crate::source::SourceSpec;
-use em_field::{Axis, Component, Cplx, State};
+use em_field::{Axis, CoeffError, CoeffRowBuilder, Component, Cplx, SourceArray, State};
 
 /// Physics parameters for coefficient assembly.
 #[derive(Clone, Debug)]
@@ -70,9 +70,42 @@ impl CoeffOptions {
     }
 }
 
-/// Fill `state.coeffs` (and the source arrays) for `scene`.
-/// Returns the number of back-iteration cells (Re(eps) < 0).
-pub fn build_coefficients(state: &mut State, scene: &Scene, opt: &CoeffOptions) -> usize {
+/// Real and imaginary parts of one x-row under assembly.
+#[derive(Clone)]
+struct RowParts {
+    re: Vec<f64>,
+    im: Vec<f64>,
+}
+
+impl RowParts {
+    fn zeros(nx: usize) -> Self {
+        RowParts {
+            re: vec![0.0; nx],
+            im: vec![0.0; nx],
+        }
+    }
+
+    fn set(&mut self, x: usize, v: Cplx) {
+        self.re[x] = v.re;
+        self.im[x] = v.im;
+    }
+}
+
+/// Replace `state.coeffs` (source arrays included) with the
+/// coefficients of `scene`, assembled one x-row at a time through
+/// [`CoeffRowBuilder`]: rows the scene repeats are stored once and the
+/// 28 dense arrays never exist. Returns the number of back-iteration
+/// cells (Re(eps) < 0).
+///
+/// The time-harmonic plane-wave drive is a uniform source sheet at
+/// `source.z_plane` in the chosen E polarization. The source slot of
+/// the update equals `tau * S / D`, so the sheet reuses the denominator
+/// of its host cell.
+pub fn build_coefficients(
+    state: &mut State,
+    scene: &Scene,
+    opt: &CoeffOptions,
+) -> Result<usize, CoeffError> {
     let dims = state.dims();
     let omega = opt.omega();
     let tau = opt.tau();
@@ -81,14 +114,32 @@ pub fn build_coefficients(state: &mut State, scene: &Scene, opt: &CoeffOptions) 
     let emiwt2 = Cplx::cis(-omega * tau / 2.0);
     let mut back_cells = 0usize;
 
+    let sheet = opt.source.as_ref().map(|src| {
+        let arr = match src.polarization {
+            Axis::X => SourceArray::SrcEx,
+            Axis::Y => SourceArray::SrcEy,
+            Axis::Z => panic!("plane-wave source must be transverse (X or Y)"),
+        };
+        (src.z_plane.min(dims.nz - 1), arr, src.amplitude)
+    });
+
+    let builders =
+        |n: usize| -> Vec<CoeffRowBuilder> { (0..n).map(|_| CoeffRowBuilder::new(dims)).collect() };
+    let (mut t_out, mut c_out, mut src_out) = (builders(12), builders(12), builders(4));
+    let mut t_row = vec![RowParts::zeros(dims.nx); 12];
+    let mut c_row = vec![RowParts::zeros(dims.nx); 12];
+    let mut src_row = RowParts::zeros(dims.nx);
+    let no_src = RowParts::zeros(dims.nx);
+
     for z in 0..dims.nz {
+        let sigma_pml = opt.pml.map_or(0.0, |p| p.sigma_z(z, dims.nz));
+        let sheet_here = sheet.filter(|&(z_plane, ..)| z_plane == z);
         for y in 0..dims.ny {
             for x in 0..dims.nx {
                 let (er, ei) = average_eps(scene, opt.lambda_nm, x, y, z);
                 let sigma_mat = omega * ei;
-                let sigma_pml = opt.pml.map_or(0.0, |p| p.sigma_z(z, dims.nz));
+                let forward = er > 0.0 || opt.force_forward_iteration;
 
-                let mut is_back = false;
                 for comp in Component::ALL {
                     // PML loss acts along the component's derivative axis;
                     // only z carries PML here.
@@ -106,65 +157,56 @@ pub fn build_coefficients(state: &mut State, scene: &Scene, opt: &CoeffOptions) 
                         }
                         em_field::FieldKind::E => {
                             let sigma = sigma_mat + pml_here;
-                            if er > 0.0 || opt.force_forward_iteration {
+                            if forward {
                                 let d_e = eiwt + Cplx::real(tau * sigma / er);
                                 (Cplx::ONE / d_e, (eiwt2 * (tau / er)) / d_e)
                             } else {
                                 // Back iteration (Eq. 5).
-                                is_back = true;
                                 let d_b = Cplx::real(tau * sigma / er - 1.0);
                                 (-eiwt / d_b, (eiwt2 * (tau / er)) / d_b)
                             }
                         }
                     };
-                    let (xi, yi, zi) = (x as isize, y as isize, z as isize);
-                    state.coeffs.t_mut(comp).set(xi, yi, zi, t);
-                    state.coeffs.c_mut(comp).set(xi, yi, zi, c);
+                    t_row[comp.index()].set(x, t);
+                    c_row[comp.index()].set(x, c);
                 }
-                if is_back {
+                if !forward {
                     back_cells += 1;
                 }
+                if let Some((.., amplitude)) = sheet_here {
+                    let sigma = sigma_mat + sigma_pml;
+                    let d = if forward {
+                        eiwt + Cplx::real(tau * sigma / er)
+                    } else {
+                        Cplx::real(tau * sigma / er - 1.0)
+                    };
+                    src_row.set(x, (amplitude * tau) / d);
+                }
+            }
+            for (out, row) in t_out.iter_mut().zip(&t_row) {
+                out.push_row(&row.re, &row.im)?;
+            }
+            for (out, row) in c_out.iter_mut().zip(&c_row) {
+                out.push_row(&row.re, &row.im)?;
+            }
+            for arr in SourceArray::ALL {
+                let row = match sheet_here {
+                    Some((_, driven, _)) if driven == arr => &src_row,
+                    _ => &no_src,
+                };
+                src_out[arr.index()].push_row(&row.re, &row.im)?;
             }
         }
     }
 
-    if let Some(src) = &opt.source {
-        apply_source(state, scene, opt, src);
+    for (comp, (t, c)) in Component::ALL.into_iter().zip(t_out.into_iter().zip(c_out)) {
+        *state.coeffs.t_mut(comp) = t.finish();
+        *state.coeffs.c_mut(comp) = c.finish();
     }
-    back_cells
-}
-
-/// Install the time-harmonic plane-wave drive: a uniform source sheet at
-/// `src.z_plane` in the chosen E polarization. The source slot of the
-/// update equals `tau * S / D`, so the denominator of the host cell is
-/// reproduced here.
-fn apply_source(state: &mut State, scene: &Scene, opt: &CoeffOptions, src: &SourceSpec) {
-    let dims = state.dims();
-    let omega = opt.omega();
-    let tau = opt.tau();
-    let eiwt = Cplx::cis(omega * tau);
-    let z = src.z_plane.min(dims.nz - 1);
-    let arr = match src.polarization {
-        Axis::X => em_field::SourceArray::SrcEx,
-        Axis::Y => em_field::SourceArray::SrcEy,
-        Axis::Z => panic!("plane-wave source must be transverse (X or Y)"),
-    };
-    for y in 0..dims.ny {
-        for x in 0..dims.nx {
-            let (er, ei) = average_eps(scene, opt.lambda_nm, x, y, z);
-            let sigma = omega * ei + opt.pml.map_or(0.0, |p| p.sigma_z(z, dims.nz));
-            let d = if er > 0.0 || opt.force_forward_iteration {
-                eiwt + Cplx::real(tau * sigma / er)
-            } else {
-                Cplx::real(tau * sigma / er - 1.0)
-            };
-            let value = (src.amplitude * tau) / d;
-            state
-                .coeffs
-                .src_mut(arr)
-                .set(x as isize, y as isize, z as isize, value);
-        }
+    for (arr, src) in SourceArray::ALL.into_iter().zip(src_out) {
+        *state.coeffs.src_mut(arr) = src.finish();
     }
+    Ok(back_cells)
 }
 
 #[cfg(test)]
@@ -183,7 +225,7 @@ mod tests {
     #[test]
     fn vacuum_coefficients_are_unit_modulus_transfer() {
         let (mut state, scene, opt) = vacuum_state(4);
-        let back = build_coefficients(&mut state, &scene, &opt);
+        let back = build_coefficients(&mut state, &scene, &opt).unwrap();
         assert_eq!(back, 0);
         for comp in Component::ALL {
             let t = state.coeffs.t(comp).get(1, 1, 1);
@@ -212,7 +254,7 @@ mod tests {
         let mut state = State::zeros(GridDims::new(4, 4, 8));
         let mut opt = CoeffOptions::new(12.0, 550.0);
         opt.pml = Some(PmlSpec::new(2));
-        let back = build_coefficients(&mut state, &scene, &opt);
+        let back = build_coefficients(&mut state, &scene, &opt).unwrap();
         assert!(back > 0, "silver cells must use back iteration");
         for comp in Component::ALL {
             for (_, t) in state.coeffs.t(comp).iter_interior() {
@@ -229,7 +271,7 @@ mod tests {
         let mut state = State::zeros(GridDims::cubic(3));
         let mut opt = CoeffOptions::new(12.0, 550.0);
         opt.force_forward_iteration = true;
-        build_coefficients(&mut state, &scene, &opt);
+        build_coefficients(&mut state, &scene, &opt).unwrap();
         let t = state.coeffs.t(Component::Exy).get(1, 1, 1);
         assert!(
             t.abs() > 1.0,
@@ -242,7 +284,7 @@ mod tests {
     fn pml_cells_are_lossy_only_in_z_derivative_components() {
         let (mut state, scene, mut opt) = vacuum_state(8);
         opt.pml = Some(PmlSpec::new(3));
-        build_coefficients(&mut state, &scene, &opt);
+        build_coefficients(&mut state, &scene, &opt).unwrap();
         // z-derivative component inside the PML: |t| < 1 (absorbing).
         let t_zderiv = state.coeffs.t(Component::Exy).get(4, 4, 0);
         assert!(t_zderiv.abs() < 0.999, "|t| = {}", t_zderiv.abs());
@@ -262,7 +304,7 @@ mod tests {
             amplitude: Cplx::real(2.0),
             polarization: Axis::X,
         });
-        build_coefficients(&mut state, &scene, &opt);
+        build_coefficients(&mut state, &scene, &opt).unwrap();
         let src = state.coeffs.src(em_field::SourceArray::SrcEx);
         assert!(src.get(2, 2, 3).abs() > 0.0);
         assert_eq!(src.get(2, 2, 2), Cplx::ZERO);

@@ -175,7 +175,8 @@ impl ThiimSolver {
         opt.cfl = config.cfl;
         opt.pml = config.pml;
         opt.source = config.source;
-        let back = build_coefficients(&mut state, &config.scene, &opt);
+        let back = build_coefficients(&mut state, &config.scene, &opt)
+            .expect("a grid this host can hold fits u32 coefficient row offsets");
         ThiimSolver {
             state,
             omega: opt.omega(),
@@ -492,7 +493,7 @@ mod tests {
         opt.pml = cfg.pml;
         opt.source = cfg.source;
         opt.force_forward_iteration = true;
-        build_coefficients(&mut state, &cfg.scene, &opt);
+        build_coefficients(&mut state, &cfg.scene, &opt).unwrap();
         for _ in 0..200 {
             em_kernels::boundary::step_naive_with_boundary(
                 &mut state,

@@ -49,7 +49,7 @@ fn main() {
     opt.pml = solver.config.pml;
     opt.source = solver.config.source;
     opt.force_forward_iteration = true;
-    build_coefficients(&mut state, &scene, &opt);
+    build_coefficients(&mut state, &scene, &opt).expect("coefficients fit");
     let spp = solver.steps_per_period();
     println!("\nregular (forward) iteration on the same silver:");
     for period in 1..=4 {

@@ -926,7 +926,8 @@ fn cmd_dist_worker(args: &[String]) -> Result<ExitCode, String> {
 }
 
 /// The `--trace` epilogue: drain the recorder into a Chrome trace file
-/// and print what it held, phase totals included.
+/// and print what it held: phase totals and each build's coefficient
+/// rows.
 fn write_trace(recorder: &thiim_mwd::obs::Recorder, path: &Path) -> Result<(), String> {
     let trace = recorder.drain();
     trace
@@ -949,6 +950,27 @@ fn write_trace(recorder: &thiim_mwd::obs::Recorder, path: &Path) -> Result<(), S
             p.name,
             p.count,
             p.total_us / 1e3
+        );
+    }
+    // Where the bytes went: what every solver build left in its 28
+    // coefficient arrays, next to Eq. 12's dense 28 x 16 B/cell.
+    for s in trace.spans.iter().filter(|s| s.name == "solver_build") {
+        let kv = |key: &str| {
+            let (_, v) = s.kv.iter().find(|(k, _)| *k == key)?;
+            v.parse::<u64>().ok()
+        };
+        let (Some(distinct), Some(total), Some(bytes)) = (
+            kv("coeff_rows_distinct"),
+            kv("coeff_rows_total"),
+            kv("coeff_bytes"),
+        ) else {
+            continue;
+        };
+        let thread = trace.threads.iter().find(|(tid, _)| *tid == s.thread);
+        println!(
+            "  coeffs {:<14} {distinct} of {total} rows distinct ({:.2} %), {bytes} B",
+            thread.map_or("", |(_, name)| name.as_str()),
+            100.0 * distinct as f64 / total as f64
         );
     }
     Ok(())

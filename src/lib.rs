@@ -8,7 +8,8 @@
 //!
 //! Layer map (see DESIGN.md for the full inventory):
 //!
-//! - [`field`]: complex split-field storage (40 arrays, 640 B/cell);
+//! - [`field`]: complex split-field storage (12 field arrays + 28 row-deduplicated
+//!   coefficient tables; 640 B/cell when dense);
 //! - [`kernels`]: the THIIM component updates (paper Listings 1-2) and
 //!   reference engines;
 //! - [`mwd`]: diamond/wavefront temporal blocking with thread groups —

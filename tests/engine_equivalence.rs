@@ -3,7 +3,7 @@
 //! property-based configurations.
 
 use proptest::prelude::*;
-use thiim_mwd::field::{norms, GridDims, State};
+use thiim_mwd::field::{norms, CoeffRowBuilder, Component, GridDims, SourceArray, State};
 use thiim_mwd::kernels::{run_naive, step_spatial_mt, SpatialConfig};
 use thiim_mwd::mwd::{run_mwd, MwdConfig, TgShape};
 
@@ -14,11 +14,48 @@ fn filled(dims: GridDims, seed: u64) -> State {
     s
 }
 
+/// `filled`'s fields under row-built coefficients that repeat the way
+/// a solver's do: one x-uniform row per z plane, shared across y.
+fn packed(dims: GridDims, seed: u64) -> State {
+    let mut s = filled(dims, seed);
+    let layered = |tag: usize, scale: f64| {
+        let mut rows = CoeffRowBuilder::new(dims);
+        for z in 0..dims.nz {
+            let v = scale * ((seed as usize + 7 * tag + 3 * z) % 19) as f64 / 19.0;
+            for _ in 0..dims.ny {
+                rows.push_row(&vec![v; dims.nx], &vec![-0.5 * v; dims.nx])
+                    .unwrap();
+            }
+        }
+        rows.finish()
+    };
+    for comp in Component::ALL {
+        *s.coeffs.t_mut(comp) = layered(comp.index(), 0.45);
+        *s.coeffs.c_mut(comp) = layered(12 + comp.index(), 0.2);
+    }
+    for arr in SourceArray::ALL {
+        *s.coeffs.src_mut(arr) = layered(24 + arr.index(), 0.01);
+    }
+    assert!(s.coeffs.stats().rows_distinct <= 28 * (dims.nz + 1));
+    s
+}
+
 #[test]
 fn all_engines_agree_bitwise_on_a_nontrivial_problem() {
     let dims = GridDims::new(10, 14, 11);
+    all_engines_agree_from(filled(dims, 101));
+}
+
+/// The same matrix on a packed state: coefficient rows come through the
+/// row index from a table of `nz + 1` rows, not from dense arrays.
+#[test]
+fn all_engines_agree_bitwise_on_row_built_coefficients() {
+    let dims = GridDims::new(10, 14, 11);
+    all_engines_agree_from(packed(dims, 101));
+}
+
+fn all_engines_agree_from(mut reference: State) {
     let steps = 7;
-    let mut reference = filled(dims, 101);
     let mut spatial = reference.clone();
     let mut configs: Vec<(String, State)> = Vec::new();
 

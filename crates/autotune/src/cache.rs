@@ -7,30 +7,27 @@
 //!
 //! 1. **cache hit**: a previous answer for the same [`TuneKey`]
 //!    (host fingerprint, grid, engine kind, thread count) is returned
-//!    as-is, with no model, simulator or native work;
+//!    as-is, with no model or native work;
 //! 2. **model-pruned search**: the tuner's one candidate policy
 //!    ([`survivors`]: Eq. 11 window) and one model ranking ([`rank`]:
 //!    traffic, tile concurrency and group efficiency through one
-//!    roofline, [`score`]), then the top few finalists that differ in
-//!    `(dw, groups, tg.size())` are re-scored by the
-//!    cache-simulator-backed [`SimEvaluator`] ([`finalists`]);
-//! 3. **optional native refinement**: the best sim-ranked finalists are
-//!    probed with wall-clock [`NativeEvaluator`] runs on a proxy grid;
+//!    roofline, [`score`](crate::score)); rank 1 is the answer;
+//! 3. **optional native refinement**: the first ranked candidates that
+//!    differ in `(dw, groups, tg.size())` ([`finalists`]) are probed
+//!    with wall-clock [`NativeEvaluator`] runs on a proxy grid;
 //! 4. **store**: the winner is recorded and, for a file-backed cache,
 //!    persisted as JSON next to the other result artifacts.
 //!
-//! Everything up to the native stage is deterministic, so two misses on
-//! the same key pick the same winner; the native stage trades that for
-//! measured truth, which is exactly what the cache then pins down.
+//! The model stage is deterministic, so two misses on the same key pick
+//! the same winner; the native stage trades that for measured truth,
+//! which is exactly what the cache then pins down.
 //! [`resolve`] and [`SharedTuneCache::resolve`](crate::SharedTuneCache::resolve)
 //! differ only in locking: both go through one hit lookup
 //! (`TuneCache::hit`) and one miss body (`miss_entry`).
 
 use crate::fingerprint::{host_fingerprint, is_current_revision};
 use crate::space::SearchSpace;
-use crate::tuner::{
-    rank, score, survivors, Factors, ModelEvaluator, NativeEvaluator, SimEvaluator, TileModel,
-};
+use crate::tuner::{finalists, rank, survivors, ModelEvaluator, NativeEvaluator, Ranked};
 use em_field::GridDims;
 use em_json::Json;
 use mwd_core::MwdConfig;
@@ -40,11 +37,9 @@ use std::path::{Path, PathBuf};
 /// Which stage of the pipeline produced a cached configuration.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Stage {
-    /// Closed-form model ranking only (degenerate spaces).
+    /// Closed-form model ranking.
     Model,
-    /// Cache-simulator scoring of the model finalists.
-    Sim,
-    /// Wall-clock native probes of the sim finalists.
+    /// Wall-clock native probes of the model's finalists.
     Native,
 }
 
@@ -52,7 +47,6 @@ impl Stage {
     pub fn as_str(self) -> &'static str {
         match self {
             Stage::Model => "model",
-            Stage::Sim => "sim",
             Stage::Native => "native",
         }
     }
@@ -60,7 +54,6 @@ impl Stage {
     pub fn parse(s: &str) -> Result<Stage, String> {
         match s {
             "model" => Ok(Stage::Model),
-            "sim" => Ok(Stage::Sim),
             "native" => Ok(Stage::Native),
             other => Err(format!("unknown tuning stage `{other}`")),
         }
@@ -126,7 +119,7 @@ pub struct TuneEntry {
     pub config: MwdConfig,
     pub score_mlups: f64,
     pub stage: Stage,
-    /// Native probes spent producing this entry (0 for model/sim).
+    /// Native probes spent producing this entry (0 for `model`).
     pub native_probes: usize,
 }
 
@@ -218,9 +211,9 @@ impl TuneCache {
 
     /// Load a file-backed cache; a missing file is an empty cache (first
     /// run), a malformed one is an error naming the path. Entries
-    /// written under another model revision are dropped (they can never
-    /// hit again), and the next [`save`](Self::save) rewrites the file
-    /// without them.
+    /// written under another model revision are dropped unread (they can
+    /// never hit again, and their other fields may no longer parse), and
+    /// the next [`save`](Self::save) rewrites the file without them.
     pub fn load(path: &Path) -> Result<TuneCache, String> {
         let mut cache = TuneCache {
             path: Some(path.to_path_buf()),
@@ -246,13 +239,17 @@ impl TuneCache {
             .and_then(Json::as_arr)
             .ok_or_else(|| format!("tuning cache {}: missing `entries` array", path.display()))?;
         for (i, e) in entries.iter().enumerate() {
+            let stale = e
+                .get("fingerprint")
+                .and_then(Json::as_str)
+                .is_some_and(|fp| !is_current_revision(fp));
+            if stale {
+                cache.dirty = true;
+                continue;
+            }
             let entry = TuneEntry::from_json(e)
                 .map_err(|e| format!("tuning cache {} entry #{i}: {e}", path.display()))?;
-            if is_current_revision(&entry.fingerprint) {
-                cache.entries.push(entry);
-            } else {
-                cache.dirty = true;
-            }
+            cache.entries.push(entry);
         }
         Ok(cache)
     }
@@ -346,19 +343,11 @@ impl TuneCache {
 /// Knobs for [`resolve`]'s miss path.
 #[derive(Clone, Debug)]
 pub struct ResolveOptions {
-    /// The modeled machine driving pruning, model and simulator scores.
+    /// The modeled machine driving pruning and the model's scores.
     pub machine: MachineSpec,
-    /// Sim-score at most this many model-ranked finalists.
-    pub sim_top: usize,
-    /// Cap on the simulator's proxy ny/nz (0 = the [`SimEvaluator`]
-    /// default). The ranking is Nx-dominated, so a tight cap keeps
-    /// resolution interactive without reordering realistic spaces.
-    pub sim_proxy_cap: usize,
-    /// Natively probe at most this many sim-ranked finalists
+    /// Natively probe at most this many model-ranked finalists
     /// (0 disables the native stage).
     pub refine_top: usize,
-    /// Steps per native probe.
-    pub probe_steps: usize,
     /// Retune even on a cache hit.
     pub force: bool,
 }
@@ -367,10 +356,7 @@ impl Default for ResolveOptions {
     fn default() -> Self {
         ResolveOptions {
             machine: MachineSpec::HASWELL_E5_2699_V3,
-            sim_top: 4,
-            sim_proxy_cap: 32,
             refine_top: 0,
-            probe_steps: 4,
             force: false,
         }
     }
@@ -405,9 +391,10 @@ pub fn resolve(
     Ok(resolution)
 }
 
-/// The candidates a miss ranks: the default space for the key's thread
-/// count under the tuner's one candidate policy ([`survivors`]).
-pub fn search_candidates(key: &TuneKey, opts: &ResolveOptions) -> Result<Vec<MwdConfig>, String> {
+/// The deterministic part of a miss: the default space for the key's
+/// thread count under the tuner's one candidate policy ([`survivors`])
+/// and its one model ranking ([`rank`]), best first.
+pub fn ranked(key: &TuneKey, opts: &ResolveOptions) -> Result<Vec<Ranked>, String> {
     let dims = key.dims;
     let threads = key.threads.max(1);
     let cands = SearchSpace::default_for(threads).candidates(dims, threads);
@@ -416,83 +403,50 @@ pub fn search_candidates(key: &TuneKey, opts: &ResolveOptions) -> Result<Vec<Mwd
             "no valid MWD candidate for {dims} at {threads} thread(s)"
         ));
     }
-    Ok(survivors(cands, dims, &opts.machine))
-}
-
-/// One finalist of the miss path with the factors behind its score.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct Finalist {
-    pub config: MwdConfig,
-    pub score_mlups: f64,
-    pub factors: Factors,
-}
-
-/// Why the finalist scores what it does: the roofline with its three
-/// factors filled in (`mwd tune --dry-run` prints one per finalist).
-impl std::fmt::Display for Finalist {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "{:<32} {:>7.1} MLUP/s = min(core x {:.2}/{} x {:.3}, bw / {:.0} B/LUP)",
-            self.config.to_compact(),
-            self.score_mlups,
-            self.factors.concurrency,
-            self.config.groups,
-            self.factors.group_eff,
-            self.factors.code_balance,
-        )
-    }
-}
-
-/// The deterministic part of the miss path: model ranking of every
-/// pruned survivor, then cache-simulator scoring of the `sim_top` best
-/// that differ in `(dw, groups, tg.size())`. Best first.
-pub fn finalists(key: &TuneKey, opts: &ResolveOptions) -> Result<Vec<Finalist>, String> {
-    let dims = key.dims;
-    let threads = key.threads.max(1);
     let mut model = ModelEvaluator::new(opts.machine, dims, threads);
-    let ranked = rank(&mut model, search_candidates(key, opts)?);
-
-    // Variants of one diamond that differ only in BZ or TG shape move
-    // the same bytes, so simulating them again decides nothing.
-    let mut picked: Vec<MwdConfig> = Vec::new();
-    for (c, _) in &ranked {
-        if picked.len() == opts.sim_top.max(1) {
-            break;
-        }
-        let same = |p: &MwdConfig| (p.dw, p.groups, p.tg.size()) == (c.dw, c.groups, c.tg.size());
-        if !picked.iter().any(same) {
-            picked.push(*c);
-        }
-    }
-
-    let mut sim = SimEvaluator::new(opts.machine, dims, threads);
-    sim.tiles = model.tiles;
-    if opts.sim_proxy_cap > 0 {
-        sim.proxy_cap = opts.sim_proxy_cap;
-    }
-    let mut out: Vec<Finalist> = picked
-        .into_iter()
-        .map(|config| {
-            let factors = sim.factors(&config);
-            let score_mlups = score(&opts.machine, &config, threads, &factors);
-            Finalist {
-                config,
-                score_mlups,
-                factors,
-            }
-        })
-        .collect();
-    out.sort_by(|a, b| b.score_mlups.total_cmp(&a.score_mlups));
-    Ok(out)
+    Ok(rank(&mut model, survivors(cands, dims, &opts.machine)))
 }
 
-/// The one miss body: search, and the entry to store under `key`.
+/// Steps per native probe.
+const PROBE_STEPS: usize = 4;
+
+/// The one miss body: [`ranked`], then optional native refinement, and
+/// the entry to store under `key`.
 pub(crate) fn miss_entry(key: &TuneKey, opts: &ResolveOptions) -> Result<TuneEntry, String> {
-    let (config, score_mlups, stage, native_probes) = tune_miss(key, opts)?;
+    let dims = key.dims;
+    let ranked = ranked(key, opts)?;
+    let (mut config, mut score_mlups) = (ranked[0].config, ranked[0].score_mlups);
+    let mut stage = Stage::Model;
+
+    // Stage: native refinement of the finalists on a proxy grid. The
+    // proxy's shorter y extent admits fewer concurrent diamonds than
+    // the real grid, so each measurement is carried over by the ratio of
+    // the two list-scheduled speed-ups.
+    let mut native_probes = 0;
+    if opts.refine_top > 0 {
+        let proxy = GridDims {
+            nx: dims.nx,
+            ny: dims.ny.clamp(1, 24),
+            nz: dims.nz.clamp(1, 24),
+        };
+        let mut native = NativeEvaluator::new(proxy, PROBE_STEPS);
+        let mut proxy_model = ModelEvaluator::new(opts.machine, proxy, key.threads);
+        let mut measured: Option<(MwdConfig, f64)> = None;
+        for f in finalists(&ranked, opts.refine_top) {
+            let cand = &f.config;
+            let s = native.probe(cand) * f.factors.concurrency / proxy_model.concurrency(cand);
+            native_probes += 1;
+            if s > 0.0 && measured.as_ref().is_none_or(|(_, ms)| s > *ms) {
+                measured = Some((*cand, s));
+            }
+        }
+        if let Some((cand, s)) = measured {
+            (config, score_mlups, stage) = (cand, s, Stage::Native);
+        }
+    }
     Ok(TuneEntry {
         fingerprint: key.fingerprint.clone(),
-        dims: format!("{}", key.dims),
+        dims: format!("{dims}"),
         engine: key.engine.clone(),
         threads: key.threads,
         config,
@@ -500,49 +454,6 @@ pub(crate) fn miss_entry(key: &TuneKey, opts: &ResolveOptions) -> Result<TuneEnt
         stage,
         native_probes,
     })
-}
-
-/// The search: [`finalists`], then optional native refinement.
-/// Deterministic up to the native stage.
-fn tune_miss(
-    key: &TuneKey,
-    opts: &ResolveOptions,
-) -> Result<(MwdConfig, f64, Stage, usize), String> {
-    let dims = key.dims;
-    let finalists = finalists(key, opts)?;
-    let (mut best, mut best_score) = (finalists[0].config, finalists[0].score_mlups);
-    let mut stage = Stage::Sim;
-
-    // Stage: native refinement of the sim finalists on a proxy grid.
-    // The proxy's shorter y extent admits fewer concurrent diamonds than
-    // the real grid, so each measurement is carried over by the ratio of
-    // the two list-scheduled speed-ups.
-    let mut probes = 0;
-    if opts.refine_top > 0 {
-        let k = opts.refine_top.min(finalists.len());
-        let proxy = GridDims {
-            nx: dims.nx,
-            ny: dims.ny.clamp(1, 24),
-            nz: dims.nz.clamp(1, 24),
-        };
-        let mut native = NativeEvaluator::new(proxy, opts.probe_steps.max(1));
-        let mut proxy_tiles = TileModel::new(opts.machine, proxy);
-        let mut measured: Option<(MwdConfig, f64)> = None;
-        for f in &finalists[..k] {
-            let cand = &f.config;
-            let s = native.probe(cand) * f.factors.concurrency / proxy_tiles.concurrency(cand);
-            probes += 1;
-            if s > 0.0 && measured.as_ref().is_none_or(|(_, ms)| s > *ms) {
-                measured = Some((*cand, s));
-            }
-        }
-        if let Some((cand, s)) = measured {
-            best = cand;
-            best_score = s;
-            stage = Stage::Native;
-        }
-    }
-    Ok((best, best_score, stage, probes))
 }
 
 #[cfg(test)]
@@ -555,22 +466,15 @@ mod tests {
         TuneKey::for_host(&HSW, dims, "mwd", threads)
     }
 
-    fn quick_opts() -> ResolveOptions {
-        ResolveOptions {
-            sim_top: 2,
-            ..Default::default()
-        }
-    }
-
     #[test]
     fn miss_then_hit_returns_the_same_config_without_work() {
         let mut cache = TuneCache::in_memory();
         let k = key(GridDims::cubic(32), 2);
-        let first = resolve(&mut cache, &k, &quick_opts()).unwrap();
+        let first = resolve(&mut cache, &k, &ResolveOptions::default()).unwrap();
         assert!(!first.cache_hit);
         assert!(first.config.validate(k.dims).is_ok());
         assert_eq!(first.config.threads(), 2);
-        let second = resolve(&mut cache, &k, &quick_opts()).unwrap();
+        let second = resolve(&mut cache, &k, &ResolveOptions::default()).unwrap();
         assert!(second.cache_hit);
         assert_eq!(second.native_probes, 0);
         assert_eq!(second.config, first.config);
@@ -581,7 +485,7 @@ mod tests {
     #[test]
     fn distinct_keys_get_distinct_entries() {
         let mut cache = TuneCache::in_memory();
-        let o = quick_opts();
+        let o = ResolveOptions::default();
         resolve(&mut cache, &key(GridDims::cubic(32), 2), &o).unwrap();
         resolve(&mut cache, &key(GridDims::cubic(32), 1), &o).unwrap();
         resolve(&mut cache, &key(GridDims::new(16, 16, 48), 2), &o).unwrap();
@@ -592,18 +496,21 @@ mod tests {
     fn force_retunes_but_stays_deterministic() {
         let mut cache = TuneCache::in_memory();
         let k = key(GridDims::cubic(32), 2);
-        let first = resolve(&mut cache, &k, &quick_opts()).unwrap();
+        let first = resolve(&mut cache, &k, &ResolveOptions::default()).unwrap();
         let forced = resolve(
             &mut cache,
             &k,
             &ResolveOptions {
                 force: true,
-                ..quick_opts()
+                ..Default::default()
             },
         )
         .unwrap();
         assert!(!forced.cache_hit);
-        assert_eq!(forced.config, first.config, "sim path is deterministic");
+        assert_eq!(
+            forced.config, first.config,
+            "the model stage is deterministic"
+        );
         assert_eq!(forced.score_mlups, first.score_mlups);
     }
 
@@ -616,13 +523,13 @@ mod tests {
         let mut cache = TuneCache::load(&path).unwrap();
         assert!(cache.is_empty(), "missing file loads empty");
         let k = key(GridDims::cubic(32), 2);
-        let first = resolve(&mut cache, &k, &quick_opts()).unwrap();
+        let first = resolve(&mut cache, &k, &ResolveOptions::default()).unwrap();
         assert!(cache.save().unwrap(), "dirty cache writes");
         assert!(!cache.save().unwrap(), "clean cache does not rewrite");
 
         let mut reloaded = TuneCache::load(&path).unwrap();
         assert_eq!(reloaded.entries(), cache.entries());
-        let hit = resolve(&mut reloaded, &k, &quick_opts()).unwrap();
+        let hit = resolve(&mut reloaded, &k, &ResolveOptions::default()).unwrap();
         assert!(hit.cache_hit);
         assert_eq!(hit.config, first.config);
         let _ = std::fs::remove_dir_all(&dir);
@@ -647,26 +554,50 @@ mod tests {
                 threads: k.threads,
                 config: stale_config,
                 score_mlups: 18.8,
-                stage: Stage::Sim,
+                stage: Stage::Model,
                 native_probes: 0,
             }],
             dirty: true,
         };
         assert!(stale.save().unwrap());
+        assert_stale_file_misses_and_is_overwritten(&path, &k, stale_config);
 
-        let mut cache = TuneCache::load(&path).unwrap();
-        let first = resolve(&mut cache, &k, &quick_opts()).unwrap();
+        // A revision-2 file as it sits on disk: its stage no longer
+        // parses, and must not have to.
+        let m2 = k.fingerprint.replacen(&revision, "-m2-", 1);
+        let body = format!(
+            r#"{{"version": 1, "entries": [{{"fingerprint": "{m2}", "dims": "{}",
+            "engine": "mwd", "threads": 2, "config": "{}", "score_mlups": 18.8,
+            "stage": "sim", "native_probes": 0}}]}}"#,
+            k.dims,
+            stale_config.to_compact()
+        );
+        std::fs::write(&path, &body).unwrap();
+        assert_stale_file_misses_and_is_overwritten(&path, &k, stale_config);
+
+        // The same entry under the current revision is a typed error
+        // naming the path, not a silent drop.
+        std::fs::write(&path, body.replace(&m2, &k.fingerprint)).unwrap();
+        let err = TuneCache::load(&path).unwrap_err();
+        assert!(err.contains("tune_cache.json entry #0"), "{err}");
+        assert!(err.contains("unknown tuning stage `sim`"), "{err}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    fn assert_stale_file_misses_and_is_overwritten(path: &Path, k: &TuneKey, stale: MwdConfig) {
+        let mut cache = TuneCache::load(path).unwrap();
+        assert!(cache.is_empty() && cache.dirty, "loads empty and dirty");
+        let first = resolve(&mut cache, k, &ResolveOptions::default()).unwrap();
         assert!(!first.cache_hit, "a stale entry must not be served");
-        assert_ne!(first.config, stale_config);
+        assert_ne!(first.config, stale);
         assert!(cache.save().unwrap());
 
-        let mut reloaded = TuneCache::load(&path).unwrap();
+        let mut reloaded = TuneCache::load(path).unwrap();
         assert_eq!(reloaded.len(), 1, "the stale entry is gone from the file");
-        let hit = resolve(&mut reloaded, &k, &quick_opts()).unwrap();
+        let hit = resolve(&mut reloaded, k, &ResolveOptions::default()).unwrap();
         assert!(hit.cache_hit);
         assert_eq!(hit.config, first.config);
         assert!(!reloaded.save().unwrap(), "a pure hit rewrites nothing");
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -688,9 +619,7 @@ mod tests {
         let mut cache = TuneCache::in_memory();
         let k = key(GridDims::new(8, 12, 12), 2);
         let opts = ResolveOptions {
-            sim_top: 2,
             refine_top: 2,
-            probe_steps: 2,
             ..Default::default()
         };
         let r = resolve(&mut cache, &k, &opts).unwrap();

@@ -4,7 +4,7 @@
 //! the host's thread count bounds the search space, the dispatched SIMD
 //! ISA changes the in-core rate the native probes measure, and the
 //! modeled [`MachineSpec`] drives the cache-window pruning and the
-//! simulator scores, and the scoring model itself decides which
+//! model's scores, and the scoring model itself decides which
 //! survivor wins. The fingerprint folds all four into one stable
 //! string, so a cache file copied between hosts (or a host whose
 //! `MWD_SIMD` override changes the active ISA, or a file written before
@@ -15,8 +15,10 @@ use perf_models::MachineSpec;
 
 /// Revision of the scoring model. Bump it whenever `resolve` can pick a
 /// different winner for an unchanged key and `MachineSpec` (revision 2:
-/// tile concurrency and group efficiency joined the traffic term).
-pub const MODEL_REVISION: u32 = 2;
+/// tile concurrency and group efficiency joined the traffic term;
+/// revision 3: the cache-simulator re-score of the top ranks is gone,
+/// the model's rank 1 is the answer).
+pub const MODEL_REVISION: u32 = 3;
 
 /// A deterministic slug for a model machine: name plus the parameters
 /// the tuner actually consumes (cores, usable L3, bandwidth, in-core

@@ -10,10 +10,12 @@
 //! TG shape, groups)` candidates, [`prune`] filters them with Eq. 11
 //! against the usable cache window, and [`tuner`] holds the one
 //! candidate policy ([`survivors`]), the one model ranking ([`rank`])
-//! and the three sources of a score's traffic term — closed form,
-//! cache simulator, wall clock. Every caller (the resolve miss path,
-//! the figure harness, the tune-regret table, `mwd tune --dry-run`)
-//! runs that one pipeline.
+//! and the wall-clock probe that can refine it. Every caller (the
+//! resolve miss path, the figure harness, the tune-regret table,
+//! `mwd tune --dry-run`) runs that one pipeline. The cache simulator
+//! (`mem_sim`) is an instrument beside it, not a step of it: one
+//! integration test holds the model's first choice against the
+//! simulated code balance.
 //!
 //! On top of the search sits the persistent subsystem the serving path
 //! uses: [`fingerprint`] identifies the host (threads + SIMD ISA +
@@ -32,14 +34,14 @@ pub mod space;
 pub mod tuner;
 
 pub use cache::{
-    default_cache_path, finalists, resolve, search_candidates, Finalist, Resolution,
-    ResolveOptions, Stage, TuneCache, TuneEntry, TuneKey,
+    default_cache_path, ranked, resolve, Resolution, ResolveOptions, Stage, TuneCache, TuneEntry,
+    TuneKey,
 };
 pub use fingerprint::{host_fingerprint, machine_slug};
 pub use prune::{cache_fit, CacheWindow};
 pub use shared::SharedTuneCache;
 pub use space::{Candidate, SearchSpace};
 pub use tuner::{
-    list_schedule, rank, score, survivors, Factors, ModelEvaluator, NativeEvaluator, Schedule,
-    SimEvaluator, TileModel,
+    finalists, list_schedule, rank, score, survivors, Factors, ModelEvaluator, NativeEvaluator,
+    Ranked, Schedule,
 };

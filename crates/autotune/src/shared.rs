@@ -4,7 +4,7 @@
 //! a plain `&mut TuneCache` is enough there. The job service admits
 //! requests from concurrent connection handlers, and each admission may
 //! need an `engine = "auto"` resolution — without coordination, N
-//! simultaneous requests for the same key would pay the model/sim search
+//! simultaneous requests for the same key would pay the model search
 //! (and any native probes) N times over.
 //!
 //! [`SharedTuneCache`] fixes both problems:
@@ -136,27 +136,19 @@ mod tests {
         TuneKey::for_host(&HSW, dims, "mwd", threads)
     }
 
-    fn quick_opts() -> ResolveOptions {
-        ResolveOptions {
-            sim_top: 1,
-            sim_proxy_cap: 8,
-            ..Default::default()
-        }
-    }
-
     #[test]
     fn shared_miss_then_hit_matches_the_plain_cache() {
         let shared = SharedTuneCache::in_memory();
         let k = key(GridDims::cubic(16), 2);
-        let first = shared.resolve(&k, &quick_opts()).unwrap();
+        let first = shared.resolve(&k, &ResolveOptions::default()).unwrap();
         assert!(!first.cache_hit);
-        let second = shared.resolve(&k, &quick_opts()).unwrap();
+        let second = shared.resolve(&k, &ResolveOptions::default()).unwrap();
         assert!(second.cache_hit);
         assert_eq!(second.config, first.config);
         assert_eq!(shared.len(), 1);
 
         let mut plain = TuneCache::in_memory();
-        let reference = resolve(&mut plain, &k, &quick_opts()).unwrap();
+        let reference = resolve(&mut plain, &k, &ResolveOptions::default()).unwrap();
         assert_eq!(reference.config, first.config, "same staged pipeline");
     }
 
@@ -167,10 +159,7 @@ mod tests {
         let shared = SharedTuneCache::in_memory();
         let k = key(GridDims::cubic(8), 2);
         let opts = ResolveOptions {
-            sim_top: 1,
-            sim_proxy_cap: 8,
             refine_top: 1,
-            probe_steps: 1,
             ..Default::default()
         };
         let misses = AtomicUsize::new(0);
@@ -201,14 +190,19 @@ mod tests {
             for k in &keys {
                 let shared = shared.clone();
                 scope.spawn(move || {
-                    let r = shared.resolve(k, &quick_opts()).unwrap();
+                    let r = shared.resolve(k, &ResolveOptions::default()).unwrap();
                     assert!(!r.cache_hit);
                 });
             }
         });
         assert_eq!(shared.len(), keys.len());
         for k in &keys {
-            assert!(shared.resolve(k, &quick_opts()).unwrap().cache_hit);
+            assert!(
+                shared
+                    .resolve(k, &ResolveOptions::default())
+                    .unwrap()
+                    .cache_hit
+            );
         }
     }
 
@@ -219,7 +213,7 @@ mod tests {
         let path = dir.join("tune_cache.json");
         let shared = SharedTuneCache::load(&path).unwrap();
         shared
-            .resolve(&key(GridDims::cubic(16), 1), &quick_opts())
+            .resolve(&key(GridDims::cubic(16), 1), &ResolveOptions::default())
             .unwrap();
         assert!(shared.save().unwrap(), "dirty cache writes");
         assert!(!shared.save().unwrap(), "clean cache does not rewrite");

@@ -3,17 +3,17 @@
 //! One candidate policy ([`survivors`]) and one model ranking ([`rank`])
 //! serve every caller — the resolve miss path, the figure harness and
 //! `mwd tune --dry-run`; the tune-regret table measures what the policy
-//! keeps. Every model-side score is one roofline,
+//! keeps. The model's score is one roofline,
 //! `min(P_core(t) * concurrency / groups * group_eff, b_S / B_C)`
-//! ([`score`]): the traffic term `B_C` is Eq. 12 ([`ModelEvaluator`])
-//! or the cache simulator's measurement ([`SimEvaluator`]), the two
-//! parallel terms come from the [`TilePlan`] the executor would
-//! actually run ([`TileModel`]). [`NativeEvaluator`] measures instead.
+//! ([`score`]): the traffic term `B_C` is Eq. 12 and the two parallel
+//! terms come from the [`TilePlan`] the executor would actually run
+//! ([`ModelEvaluator`]). [`NativeEvaluator`] measures instead. The
+//! cache simulator is not part of the search: `tests/sim_cross_check.rs`
+//! holds the model's first choice against `mem_sim`'s code balance.
 
 use crate::prune::{prune, CacheWindow};
 use crate::space::Candidate;
 use em_field::{GridDims, State};
-use mem_sim::simulate_mwd_engine;
 use mwd_core::{run_mwd, DiamondWidth, TilePlan, WavefrontSpec};
 use perf_models::{perf_mlups_parallel, MachineSpec};
 use std::cmp::Reverse;
@@ -77,7 +77,7 @@ pub fn list_schedule(plan: &TilePlan, groups: usize) -> Schedule {
 /// The three factors of a candidate's score.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Factors {
-    /// Bytes per LUP the candidate moves (Eq. 12 or simulated).
+    /// Bytes per LUP the candidate moves (Eq. 12).
     pub code_balance: f64,
     /// List-scheduled speed-up of its tile plan on its groups,
     /// `1 ..= groups`.
@@ -99,7 +99,7 @@ pub struct Factors {
 /// `Dw = 8` and 5 % for `Dw = 4`: smaller than any concurrency gap.
 const BANDWIDTH_HEADROOM: f64 = 0.3;
 
-/// The one scoring function of the model and simulator stages, MLUP/s:
+/// The one scoring function, MLUP/s:
 /// the roofline `min(P_core(t) * concurrency / groups * group_eff,
 /// b_S / B_C)`, discounted by the share of the memory bandwidth it
 /// draws.
@@ -114,22 +114,27 @@ pub fn score(machine: &MachineSpec, cand: &Candidate, threads: usize, f: &Factor
 /// state (the speed-up does not move between 16 and 2400 steps).
 const PLAN_DIAMONDS: usize = 8;
 
-/// The parallel terms of every candidate on one grid, read from the
-/// tile plans the executor would run. Plans and schedules are memoised
-/// per `dw` and `(dw, groups)`: a resolve builds at most one plan per
+/// Closed-form evaluator of every candidate on one grid: Eq. 12 code
+/// balance with a feasibility penalty from Eq. 11 (per-stream cache
+/// shares), the parallel terms read from the tile plans the executor
+/// would run, and [`score`] — how the paper's auto-tuner leans on the
+/// models to bound the search. Plans and schedules are memoised per
+/// `dw` and `(dw, groups)`: a resolve builds at most one plan per
 /// diamond width of the search space.
-pub struct TileModel {
-    machine: MachineSpec,
-    dims: GridDims,
+pub struct ModelEvaluator {
+    pub machine: MachineSpec,
+    pub dims: GridDims,
+    pub threads: usize,
     plans: HashMap<usize, TilePlan>,
     speedups: HashMap<(usize, usize), f64>,
 }
 
-impl TileModel {
-    pub fn new(machine: MachineSpec, dims: GridDims) -> Self {
-        TileModel {
+impl ModelEvaluator {
+    pub fn new(machine: MachineSpec, dims: GridDims, threads: usize) -> Self {
+        ModelEvaluator {
             machine,
             dims,
+            threads,
             plans: HashMap::new(),
             speedups: HashMap::new(),
         }
@@ -173,96 +178,6 @@ impl TileModel {
         let item_lups = lups / (items * cand.tg.size()) as f64;
         self.machine.group_efficiency(item_lups, cand.tg.size())
     }
-}
-
-/// Simulator-backed evaluator: replays the candidate's traversal through
-/// the cache model of `machine` for its code balance and applies
-/// [`score`]. Evaluates on a proxy grid with the *true* Nx (which sets
-/// the per-row cache footprint, Eq. 11) but reduced ny/nz/nt for speed;
-/// the tile working set and hence the traffic are Nx-dominated. The
-/// parallel terms are those of the true grid.
-pub struct SimEvaluator {
-    pub machine: MachineSpec,
-    pub dims: GridDims,
-    pub threads: usize,
-    /// Cap for the proxy ny/nz (0 = no reduction).
-    pub proxy_cap: usize,
-    pub(crate) tiles: TileModel,
-}
-
-impl SimEvaluator {
-    pub fn new(machine: MachineSpec, dims: GridDims, threads: usize) -> Self {
-        SimEvaluator {
-            machine,
-            dims,
-            threads,
-            proxy_cap: 96,
-            tiles: TileModel::new(machine, dims),
-        }
-    }
-
-    fn proxy_dims(&self, dw: usize) -> (GridDims, usize) {
-        let cap = if self.proxy_cap == 0 {
-            usize::MAX
-        } else {
-            self.proxy_cap
-        };
-        // ny must comfortably hold several diamonds; nz several wavefronts.
-        let ny = self.dims.ny.min(cap.max(4 * dw));
-        let nz = self.dims.nz.min(cap);
-        let nt = (2 * dw).clamp(4, 32).min(64);
-        (
-            GridDims {
-                nx: self.dims.nx,
-                ny,
-                nz,
-            },
-            nt,
-        )
-    }
-
-    pub fn factors(&mut self, cand: &Candidate) -> Factors {
-        let (dims, nt) = self.proxy_dims(cand.dw);
-        let r = simulate_mwd_engine(
-            &self.machine,
-            dims,
-            nt,
-            cand.dw,
-            cand.bz,
-            cand.groups,
-            self.threads,
-        );
-        Factors {
-            code_balance: r.code_balance,
-            concurrency: self.tiles.concurrency(cand),
-            group_eff: self.tiles.group_eff(cand),
-        }
-    }
-}
-
-/// Closed-form evaluator: Eq. 12 code balance with a feasibility penalty
-/// from Eq. 11 (per-stream cache shares), the parallel terms of the
-/// candidate's tile plan, and [`score`]. Orders of magnitude faster than
-/// the simulator; the figure harness uses it to pick per-point
-/// configurations before running one full simulation of the winner —
-/// mirroring how the paper's auto-tuner leans on the models to bound the
-/// search.
-pub struct ModelEvaluator {
-    pub machine: MachineSpec,
-    pub dims: GridDims,
-    pub threads: usize,
-    pub(crate) tiles: TileModel,
-}
-
-impl ModelEvaluator {
-    pub fn new(machine: MachineSpec, dims: GridDims, threads: usize) -> Self {
-        ModelEvaluator {
-            machine,
-            dims,
-            threads,
-            tiles: TileModel::new(machine, dims),
-        }
-    }
 
     pub fn factors(&mut self, cand: &Candidate) -> Factors {
         let usable = self.machine.usable_l3();
@@ -273,8 +188,8 @@ impl ModelEvaluator {
         let bc = perf_models::code_balance_diamond(cand.dw) * over;
         Factors {
             code_balance: bc.min(perf_models::code_balance_spatial()),
-            concurrency: self.tiles.concurrency(cand),
-            group_eff: self.tiles.group_eff(cand),
+            concurrency: self.concurrency(cand),
+            group_eff: self.group_eff(cand),
         }
     }
 }
@@ -329,20 +244,68 @@ pub fn survivors(cands: Vec<Candidate>, dims: GridDims, machine: &MachineSpec) -
     }
 }
 
+/// One row of the model ranking: a candidate, its [`score`] and the
+/// factors behind it.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct Ranked {
+    pub config: Candidate,
+    pub score_mlups: f64,
+    pub factors: Factors,
+}
+
+/// Why the candidate scores what it does: the roofline with its three
+/// factors filled in (`mwd tune --dry-run` prints one per finalist).
+impl std::fmt::Display for Ranked {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "{:<32} {:>7.1} MLUP/s = min(core x {:.2}/{} x {:.3}, bw / {:.0} B/LUP)",
+            self.config.to_compact(),
+            self.score_mlups,
+            self.factors.concurrency,
+            self.config.groups,
+            self.factors.group_eff,
+            self.factors.code_balance,
+        )
+    }
+}
+
 /// The one model ranking: every candidate with its closed-form
 /// [`score`], best first. The sort is stable, so ties keep enumeration
 /// (smaller-Dw-first) order and the ranking is deterministic for a
 /// fixed `MachineSpec`.
-pub fn rank(model: &mut ModelEvaluator, cands: Vec<Candidate>) -> Vec<(Candidate, f64)> {
-    let mut ranked: Vec<(Candidate, f64)> = cands
+pub fn rank(model: &mut ModelEvaluator, cands: Vec<Candidate>) -> Vec<Ranked> {
+    let mut ranked: Vec<Ranked> = cands
         .into_iter()
-        .map(|c| {
-            let f = model.factors(&c);
-            (c, score(&model.machine, &c, model.threads, &f))
+        .map(|config| {
+            let factors = model.factors(&config);
+            Ranked {
+                config,
+                score_mlups: score(&model.machine, &config, model.threads, &factors),
+                factors,
+            }
         })
         .collect();
-    ranked.sort_by(|a, b| b.1.total_cmp(&a.1));
+    ranked.sort_by(|a, b| b.score_mlups.total_cmp(&a.score_mlups));
     ranked
+}
+
+/// The finalists of a ranking: its first `k` rows that differ in
+/// `(dw, groups, tg.size())`. Variants of one diamond that differ only
+/// in BZ or TG shape move the same bytes, so probing them again decides
+/// little.
+pub fn finalists(ranked: &[Ranked], k: usize) -> Vec<Ranked> {
+    let shape = |r: &Ranked| (r.config.dw, r.config.groups, r.config.tg.size());
+    let mut picked: Vec<Ranked> = Vec::new();
+    for r in ranked {
+        if picked.len() == k {
+            break;
+        }
+        if !picked.iter().any(|p| shape(p) == shape(r)) {
+            picked.push(*r);
+        }
+    }
+    picked
 }
 
 #[cfg(test)]
@@ -352,7 +315,7 @@ mod tests {
 
     const HSW: MachineSpec = MachineSpec::HASWELL_E5_2699_V3;
 
-    fn ranked(dims: GridDims, threads: usize) -> (Vec<Candidate>, Vec<(Candidate, f64)>) {
+    fn ranked(dims: GridDims, threads: usize) -> (Vec<Candidate>, Vec<Ranked>) {
         let all = SearchSpace::default_for(threads).candidates(dims, threads);
         let cands = survivors(all, dims, &HSW);
         let mut model = ModelEvaluator::new(HSW, dims, threads);
@@ -366,7 +329,7 @@ mod tests {
         let (kept, ranking) = ranked(dims, 18);
         assert!(kept.len() < all.len(), "Eq. 11 must prune something");
         // Large shared blocks should win: Dw >= 8 and a multi-thread TG.
-        let (best, best_score) = ranking[0];
+        let (best, best_score) = (ranking[0].config, ranking[0].score_mlups);
         assert!(best.dw >= 8, "best {best:?}");
         assert!(best.tg.size() >= 6, "best {best:?}");
         assert!(best_score > 0.0);
@@ -375,7 +338,7 @@ mod tests {
         assert_eq!(ranking.len(), kept.len());
         let max = ranking
             .iter()
-            .map(|(_, s)| *s)
+            .map(|r| r.score_mlups)
             .fold(f64::NEG_INFINITY, f64::max);
         assert_eq!(max, best_score);
     }
@@ -389,9 +352,9 @@ mod tests {
         // earlier survivor.
         let kept = ranked(dims, 6).0;
         for w in a.windows(2) {
-            if w[0].1 == w[1].1 {
+            if w[0].score_mlups == w[1].score_mlups {
                 let pos = |c: &Candidate| kept.iter().position(|k| k == c).unwrap();
-                assert!(pos(&w[0].0) < pos(&w[1].0), "{w:?}");
+                assert!(pos(&w[0].config) < pos(&w[1].config), "{w:?}");
             }
         }
     }
@@ -410,7 +373,7 @@ mod tests {
             .any(|c| crate::prune::cache_fit(c, dims, &HSW, window)));
         let (kept, ranking) = ranked(dims, 2);
         assert_eq!(kept, all);
-        assert!(ranking[0].0.validate(dims).is_ok());
+        assert!(ranking[0].config.validate(dims).is_ok());
     }
 
     #[test]
@@ -511,28 +474,5 @@ mod tests {
         let f4 = ev.factors(&private);
         assert!(f4.group_eff > f1.group_eff, "{f1:?} {f4:?}");
         assert_eq!(f1.concurrency, f4.concurrency);
-    }
-
-    #[test]
-    fn sim_evaluator_prefers_sharing_on_haswell() {
-        // At 18 threads and Nx=480, 18 private blocks thrash while one
-        // shared block stays decoupled — the tuner must notice.
-        let dims = GridDims::cubic(480);
-        let mut ev = SimEvaluator::new(HSW, dims, 18);
-        ev.proxy_cap = 48; // keep the test quick
-        let private = Candidate::one_wd(8, 1, 18);
-        let shared = Candidate {
-            dw: 8,
-            bz: 1,
-            tg: mwd_core::TgShape { x: 3, z: 1, c: 6 },
-            groups: 1,
-        };
-        let mut eval = |c: &Candidate| score(&HSW, c, 18, &ev.factors(c));
-        let s_private = eval(&private);
-        let s_shared = eval(&shared);
-        assert!(
-            s_shared > s_private,
-            "shared {s_shared} must beat private {s_private}"
-        );
     }
 }

@@ -8,8 +8,8 @@
 //! instead of cancelling out.
 
 use autotune::{
-    cache_fit, rank, resolve, search_candidates, survivors, CacheWindow, Candidate, ModelEvaluator,
-    ResolveOptions, SearchSpace, TileModel, TuneCache, TuneKey,
+    cache_fit, rank, ranked, resolve, survivors, CacheWindow, Candidate, ModelEvaluator,
+    ResolveOptions, SearchSpace, TuneCache, TuneKey,
 };
 use em_field::GridDims;
 use mwd_core::{DiamondWidth, TilePlan};
@@ -91,13 +91,17 @@ proptest! {
         prop_assert!(kept_a > 0, "non-empty spaces always rank something");
         prop_assert_eq!(a.len(), kept_a, "every survivor is ranked once");
         prop_assert_eq!(a.len(), b.len());
-        for ((ca, sa), (cb, sb)) in a.iter().zip(&b) {
-            prop_assert_eq!(ca, cb);
-            prop_assert_eq!(sa.to_bits(), sb.to_bits(), "score must be bit-identical");
+        for (ra, rb) in a.iter().zip(&b) {
+            prop_assert_eq!(ra.config, rb.config);
+            prop_assert_eq!(
+                ra.score_mlups.to_bits(),
+                rb.score_mlups.to_bits(),
+                "score must be bit-identical"
+            );
         }
         // The winner is the argmax of its own ranking and runs on the grid.
-        let (best, best_score) = a[0];
-        let max = a.iter().map(|(_, s)| *s).fold(f64::NEG_INFINITY, f64::max);
+        let (best, best_score) = (a[0].config, a[0].score_mlups);
+        let max = a.iter().map(|r| r.score_mlups).fold(f64::NEG_INFINITY, f64::max);
         prop_assert_eq!(max.to_bits(), best_score.to_bits());
         prop_assert!(best.validate(dims).is_ok());
         prop_assert_eq!(best.threads(), threads);
@@ -105,10 +109,10 @@ proptest! {
 }
 
 proptest! {
-    // Each case pays two full miss paths (simulator stage included).
+    // Each case pays two full miss paths.
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// `resolve` (model + simulator stages) is a pure function of the
+    /// `resolve` (the model stage) is a pure function of the
     /// key for a fixed `MachineSpec`, and what it picks keeps its thread
     /// groups busy: the list-scheduled speed-up per group is within 0.9
     /// of the best any ranked candidate reaches, and it never asks for
@@ -121,7 +125,7 @@ proptest! {
         threads in 1usize..8,
     ) {
         let dims = GridDims::new(nx, ny, nz);
-        let opts = ResolveOptions { sim_top: 2, sim_proxy_cap: 16, ..Default::default() };
+        let opts = ResolveOptions::default();
         let key = TuneKey::for_host(&opts.machine, dims, "mwd", threads);
         let run = || resolve(&mut TuneCache::in_memory(), &key, &opts).expect("resolves");
         let (a, b) = (run(), run());
@@ -130,12 +134,12 @@ proptest! {
         prop_assert!(a.config.validate(dims).is_ok());
         prop_assert_eq!(a.config.threads(), threads);
 
-        let mut tiles = TileModel::new(opts.machine, dims);
-        let mut per_group = |c: &Candidate| tiles.concurrency(c) / c.groups as f64;
-        let best = search_candidates(&key, &opts)
+        let mut model = ModelEvaluator::new(opts.machine, dims, threads);
+        let mut per_group = |c: &Candidate| model.concurrency(c) / c.groups as f64;
+        let best = ranked(&key, &opts)
             .unwrap()
             .iter()
-            .map(&mut per_group)
+            .map(|r| per_group(&r.config))
             .fold(0.0, f64::max);
         let got = per_group(&a.config);
         prop_assert!(got >= 0.9 * best, "{:?}: {} of {}", a.config, got, best);
@@ -164,7 +168,7 @@ fn in_cache_grids_resolve_to_two_concurrent_private_tiles() {
             .unwrap()
             .config;
         assert_eq!(cfg.tg.size(), 1, "{dims}: {cfg:?}");
-        let speedup = TileModel::new(opts.machine, dims).concurrency(&cfg);
+        let speedup = ModelEvaluator::new(opts.machine, dims, 2).concurrency(&cfg);
         assert!(speedup >= 1.8, "{dims}: {cfg:?} schedules at {speedup}");
     }
 }

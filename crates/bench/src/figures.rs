@@ -87,7 +87,8 @@ pub fn tune_point(paper_dims: GridDims, threads: usize, tg_sizes: Option<&[usize
     let mut model = ModelEvaluator::new(HSW, paper_dims, threads);
     let cands = space.candidates(paper_dims, threads);
     let ranked = rank(&mut model, survivors(cands, paper_dims, &HSW));
-    ranked.first().expect("tuning always yields a candidate").0
+    let best = ranked.first().expect("tuning always yields a candidate");
+    best.config
 }
 
 fn measure_mwd(cfg: &MwdConfig, sim: GridDims, steps: usize, threads: usize) -> EngineResult {

@@ -15,7 +15,7 @@
 //! - **the answer**: the resolved [`EngineDecl`] and its [`TuneRecord`].
 
 use crate::spec::EngineDecl;
-use autotune::{host_fingerprint, Finalist, ResolveOptions, SharedTuneCache, TuneKey};
+use autotune::{host_fingerprint, Ranked, ResolveOptions, SharedTuneCache, TuneKey};
 use em_field::GridDims;
 use em_json::Json;
 use std::collections::HashSet;
@@ -30,8 +30,8 @@ pub struct TunePlan {
     pub cache_path: Option<PathBuf>,
     /// Retune even when the cache already has an answer.
     pub force: bool,
-    /// Natively probe this many sim-ranked finalists per miss
-    /// (0 = model/sim stages only).
+    /// Natively probe this many model-ranked finalists per miss
+    /// (0 = model stage only).
     pub refine_top: usize,
 }
 
@@ -41,7 +41,7 @@ pub struct TuneRecord {
     /// Whether the cache already had the answer (no search ran).
     pub cache_hit: bool,
     /// Pipeline stage that produced the configuration
-    /// (`model` / `sim` / `native`).
+    /// (`model` / `native`).
     pub stage: String,
     /// Native probes spent resolving *this* job (0 on a hit).
     pub native_probes: usize,
@@ -91,8 +91,9 @@ pub struct TunePreview {
     pub threads: usize,
     /// `(config, stage)` of the cached answer, if there is one.
     pub cached: Option<(String, String)>,
-    /// The miss path's finalists, best first.
-    pub finalists: Vec<Finalist>,
+    /// The model ranking's first four finalists (what `--refine 4`
+    /// would probe), best first.
+    pub finalists: Vec<Ranked>,
 }
 
 /// Resolves declared engines through one tuning cache (see the module
@@ -120,8 +121,8 @@ impl EngineResolver {
             scope,
             opts: ResolveOptions {
                 // A dry run plans "without stepping any solver", which
-                // rules out wall-clock probes; the analytic model/sim
-                // stages still resolve the plan's configurations.
+                // rules out wall-clock probes; the analytic model
+                // stage still resolves the plan's configurations.
                 refine_top: if dry_run { 0 } else { refine_top },
                 force,
                 ..Default::default()
@@ -263,7 +264,7 @@ impl EngineResolver {
                 .map(|e| (e.config.to_compact(), e.stage.as_str().to_string()))
         });
         Ok(Some(TunePreview {
-            finalists: autotune::finalists(&key, &self.opts)?,
+            finalists: autotune::finalists(&autotune::ranked(&key, &self.opts)?, 4),
             kind: key.engine,
             threads: key.threads,
             cached,

@@ -29,7 +29,7 @@ fn a_dry_run_never_probes_whatever_the_plan_says() {
     let auto = EngineDecl::Auto { threads: 0 };
     let dry = EngineResolver::for_batch(Some(&plan(false, 2)), true).unwrap();
     let t = dry.resolve(auto, DIMS, 2).unwrap().tuned.unwrap();
-    assert_eq!((t.native_probes, t.stage.as_str()), (0, "sim"));
+    assert_eq!((t.native_probes, t.stage.as_str()), (0, "model"));
     assert!(!dry.save().unwrap(), "a dry run plans but never writes");
 
     let wet = EngineResolver::for_batch(Some(&plan(false, 2)), false).unwrap();

@@ -48,7 +48,7 @@ pub struct SchedulerConfig {
     pub queue_depth: usize,
     /// The thread budget shared by all concurrent jobs.
     pub budget: ThreadBudget,
-    /// Native probes per `auto`-resolution miss (0 = model/sim only).
+    /// Native probes per `auto`-resolution miss (0 = model only).
     pub refine_top: usize,
     /// Finished job records retained for `GET /jobs/:id` (oldest are
     /// pruned beyond this; results stay in the store regardless).

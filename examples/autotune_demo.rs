@@ -1,9 +1,9 @@
 //! The auto-tuner end to end (paper Sec. II-A): enumerate the
 //! (Dw, BZ, thread-group-shape) space, prune with the Eq. 11 cache-block
 //! model and rank the survivors with the closed-form model on the
-//! simulated 18-core Haswell — then resolve a grid for this host the way
-//! `mwd run --tune --refine 2` does, wall-clock probes of the finalists
-//! included.
+//! modelled 18-core Haswell — then resolve a grid for this host the way
+//! `mwd run --tune --refine 2` does: the same ranking, then wall-clock
+//! probes of its first two finalists.
 //!
 //!     cargo run --release --example autotune_demo
 
@@ -15,7 +15,7 @@ use thiim_mwd::tuner::{rank, survivors, ModelEvaluator, SearchSpace};
 fn main() -> Result<(), String> {
     let hsw = MachineSpec::HASWELL_E5_2699_V3;
 
-    // --- paper-scale tuning on the simulated Haswell ------------------
+    // --- paper-scale tuning on the modelled Haswell -------------------
     let dims = GridDims::cubic(480);
     let threads = 18;
     let all = SearchSpace::default_for(threads).candidates(dims, threads);
@@ -24,12 +24,12 @@ fn main() -> Result<(), String> {
     let n_kept = kept.len();
     let ranked = rank(&mut ModelEvaluator::new(hsw, dims, threads), kept);
 
-    println!("=== simulated Haswell (18 threads, 480^3) ===");
+    println!("=== modelled Haswell (18 threads, 480^3) ===");
     println!(
         "candidates: {n_total} total, {} pruned by the Eq. 11 cache model",
         n_total - n_kept
     );
-    let (b, best_score) = ranked[0];
+    let (b, best_score) = (ranked[0].config, ranked[0].score_mlups);
     println!(
         "best: Dw={} BZ={} TG={} ({} groups) -> {best_score:.1} MLUP/s (model)",
         b.dw, b.bz, b.tg, b.groups
@@ -40,10 +40,11 @@ fn main() -> Result<(), String> {
         hsw.usable_l3() / (1024.0 * 1024.0)
     );
     println!("\ntop five:");
-    for (cand, score) in ranked.iter().take(5) {
+    for r in ranked.iter().take(5) {
+        let cand = &r.config;
         println!(
-            "  Dw={:<3} BZ={:<2} TG={} groups={:<2} -> {score:.1} MLUP/s",
-            cand.dw, cand.bz, cand.tg, cand.groups
+            "  Dw={:<3} BZ={:<2} TG={} groups={:<2} -> {:.1} MLUP/s",
+            cand.dw, cand.bz, cand.tg, cand.groups, r.score_mlups
         );
     }
 

@@ -57,7 +57,8 @@ OPTIONS:
     --cache <file>     tuning-cache path (default: results/tune_cache.json;
                        implies --tune for run/batch)
     --force            tune: retune even when the cache has an answer
-    --refine <k>       tune: natively probe the top k candidates (default 2)
+    --refine <k>       tune: natively probe the model's top k finalists
+                       (default 2; 0 stores the model's rank 1)
     --dry-run          validate and plan without stepping any solver
                        (tune: report hits/misses without searching)
     --out <dir>        artifact directory (default: results/scenarios;
@@ -525,8 +526,8 @@ fn cmd_tune(args: &[String]) -> Result<ExitCode, String> {
                     None => "miss    (would tune)".to_string(),
                 };
                 println!("{heading}  {:<14} t{:<3} {status}", p.kind, p.threads);
-                // Why a configuration wins: the finalists of the miss
-                // path with the three factors behind each score.
+                // Why a configuration wins: the model ranking's
+                // finalists with the three factors behind each score.
                 for f in &p.finalists {
                     println!("    {f}");
                 }

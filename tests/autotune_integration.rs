@@ -11,9 +11,7 @@ use thiim_mwd::tuner::{resolve, ResolveOptions, Stage, TuneCache, TuneKey};
 fn natively_tuned_configuration_runs_and_matches_naive() {
     let dims = GridDims::new(8, 12, 10);
     let opts = ResolveOptions {
-        sim_top: 2,
         refine_top: 2,
-        probe_steps: 2,
         ..Default::default()
     };
     let key = TuneKey::for_host(&opts.machine, dims, "mwd", 2);

@@ -3,12 +3,17 @@
 //! a dist solve, and nothing else.
 //!
 //! Bit identity with the single-process solver is the subsystem's
-//! oracle, and the order-dependent f64 reductions make it delicate:
-//! `relative_change` and `energy()` sum in component-major interior
-//! order over the *global* grid. The slab group is therefore a
-//! [`Stepper`] under the one solver loop: each period it gathers every
-//! slab's fields into the caller's full-grid state, and the convergence
-//! test, the period accounting and the analysis outputs are the batch
+//! oracle, and the order-dependent f64 reductions make it delicate. The
+//! convergence functional is decomposition-invariant by definition
+//! ([`em_field::norms::relative_change`]: per-plane partials combined
+//! in ascending z), so a period ends with `2 * nz` numbers, not the
+//! fields: every worker reduces the planes it owns, the slab group — a
+//! [`Stepper`] under the one solver loop — concatenates the partials in
+//! slab order and combines them, and never touches field data between
+//! periods. `energy()` and the analysis outputs still sum over the
+//! *global* grid, so the fields cross the control stream once per job:
+//! [`Stepper::finish`] gathers every slab into the caller's full-grid
+//! state, and the period accounting and the analysis are the batch
 //! runner's own ([`em_scenarios::run_job`]) — the same code a local run
 //! goes through, not a copy of it.
 
@@ -19,7 +24,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use em_faults::FaultInjector;
-use em_field::State;
+use em_field::{norms, State};
 use em_obs::{Counter, Histogram, Recorder, Registry, ThreadLog};
 use em_scenarios::{run_job, EngineDecl, JobOutcome, ScenarioSpec};
 use em_solver::Stepper;
@@ -27,8 +32,8 @@ use mwd_core::cancel::{CancelToken, CANCELLED_PREFIX, TIMEOUT_PREFIX};
 
 use crate::decomp::{halo_depth, split_z, Slab};
 use crate::proto::{self, FrameError, Msg};
-use crate::slab::paste_planes;
-use crate::worker::{run_worker, WorkerConfig};
+use crate::slab::{gather_buffer, paste_planes, planes_len};
+use crate::worker::{accept_polling, run_worker, WorkerConfig};
 
 /// Counter: halo blocks (one neighbour's `k` planes of all twelve
 /// field arrays) received and applied, labelled per worker.
@@ -38,12 +43,19 @@ pub const HALO_EXCHANGES_METRIC: &str = "em_halo_exchanges_total";
 pub const HALO_WAIT_METRIC: &str = "em_halo_wait_seconds";
 /// Histogram: where each worker-period went, labelled per worker and
 /// `phase` = `compute` (engine steps), `exchange` (halo send + wait +
-/// paste) or `gather` (building and sending the period's fields).
+/// paste) or `reduce` (the owned planes' convergence partials and
+/// sending them).
 pub const PERIOD_PHASE_METRIC: &str = "em_dist_period_phase_seconds";
+/// Counter: slabs of fields gathered into the coordinator's state,
+/// labelled per worker — one per worker per job.
+pub const GATHERS_METRIC: &str = "em_dist_gathers_total";
+/// Histogram: seconds a job's one field gather took, from the
+/// coordinator's `Gather` to the last slab pasted.
+pub const GATHER_SECONDS_METRIC: &str = "em_dist_gather_seconds";
 /// Gauge: the halo depth `k` of the most recent slab group.
 pub const HALO_DEPTH_METRIC: &str = "em_dist_halo_depth";
 /// The `phase` label values of [`PERIOD_PHASE_METRIC`].
-pub const PERIOD_PHASES: [&str; 3] = ["compute", "exchange", "gather"];
+pub const PERIOD_PHASES: [&str; 3] = ["compute", "exchange", "reduce"];
 
 /// Poll slice for coordinator waits (cancellation stays responsive).
 const WAIT_SLICE: Duration = Duration::from_millis(25);
@@ -58,7 +70,7 @@ pub enum Launcher {
     /// service path and the test default (no re-exec needed).
     Thread,
     /// `mwd dist worker` child processes (the CLI path), optionally
-    /// carrying a chaos plan on their halo wire.
+    /// carrying a chaos plan on their halo wire and gather reply.
     Process { chaos: Option<String> },
 }
 
@@ -251,30 +263,90 @@ fn recv_setup(stream: &mut TcpStream, deadline: Instant, what: &str) -> Result<M
     }
 }
 
-/// The slab group as the solver's [`Stepper`]: one `step_n` is one
-/// lockstep period — send `Continue`, gather every worker's
-/// `PeriodDone`, paste the slabs into the caller's full-grid fields.
+/// The slab group as the solver's [`Stepper`]: one `period` is one
+/// lockstep period — send `Continue`, take every worker's `PeriodDone`
+/// with its planes' partials, combine them.
 struct SlabGroup {
     run: Run,
     /// What every control reader delivers, tagged with its worker.
     rx: Receiver<(usize, Delivery)>,
-    /// Per worker: where a pasted gather buffer goes back for reuse.
+    /// Per worker: where a consumed frame buffer goes back for reuse.
     spare: Vec<Sender<Vec<u8>>>,
     slabs: Vec<Slab>,
-    /// Per worker: the halo exchange counter, the wait histogram and
-    /// the [`PERIOD_PHASES`] histograms.
-    metrics: Option<Vec<WorkerMetrics>>,
+    /// `(num_z, den_z)` of every global plane: the workers' partials of
+    /// the current period, concatenated in slab order.
+    partials: Vec<(f64, f64)>,
+    metrics: Option<GroupMetrics>,
     /// Per worker: the `dist-worker-{i}` trace timeline.
     tlogs: Vec<ThreadLog>,
-    /// The only step count a period can have (see [`Stepper::step_n`]).
+    /// The coordinator's own timeline, for the `dist_gather` span.
+    log: ThreadLog,
+    /// The only step count a period can have (see [`Stepper::period`]).
     spp: usize,
     period: usize,
+    /// The job's token, kept for the gather in [`Stepper::finish`].
+    cancel: CancelToken,
 }
 
-type WorkerMetrics = (Arc<Counter>, Arc<Histogram>, [Arc<Histogram>; 3]);
+struct GroupMetrics {
+    workers: Vec<WorkerMetrics>,
+    gather_seconds: Arc<Histogram>,
+}
+
+struct WorkerMetrics {
+    exchanges: Arc<Counter>,
+    wait: Arc<Histogram>,
+    /// In [`PERIOD_PHASES`] order.
+    phases: [Arc<Histogram>; 3],
+    gathers: Arc<Counter>,
+}
 
 /// A verified frame `(kind, payload)`, or why the stream ended.
 type Delivery = Result<(u8, Vec<u8>), String>;
+
+/// Take one frame from every worker, in arrival order, and hand each
+/// decoded `(worker, message, body)` to `on_frame`. A worker's error
+/// report, a dead control stream and a tripped token all end the wait
+/// with the typed failure; consumed buffers go back to their readers.
+fn collect(
+    rx: &Receiver<(usize, Delivery)>,
+    spare: &[Sender<Vec<u8>>],
+    cancel: &CancelToken,
+    mut on_frame: impl FnMut(usize, Msg, &[u8]) -> Result<(), String>,
+) -> Result<(), String> {
+    let mut seen = vec![false; spare.len()];
+    for _ in 0..spare.len() {
+        let (i, kind, frame) = loop {
+            if let Some(err) = cancel.halt_error() {
+                return Err(err);
+            }
+            match rx.recv_timeout(WAIT_SLICE) {
+                Ok((i, Ok((kind, frame)))) => break (i, kind, frame),
+                Ok((i, Err(e))) => return Err(worker_failure(i, &e)),
+                Err(RecvTimeoutError::Timeout) => continue,
+                Err(RecvTimeoutError::Disconnected) => {
+                    return Err("every control reader exited".to_string());
+                }
+            }
+        };
+        match Msg::decode(kind, &frame).map_err(|e| worker_failure(i, &e))? {
+            (Msg::WorkerErr { message, .. }, _) => return Err(worker_failure(i, &message)),
+            _ if seen[i] => return Err(format!("worker {i} is out of lockstep")),
+            (msg, body) => on_frame(i, msg, body)?,
+        }
+        seen[i] = true;
+        // A reader that is gone has already said why.
+        let _ = spare[i].send(frame);
+    }
+    Ok(())
+}
+
+fn unexpected(i: usize, msg: &Msg) -> String {
+    format!(
+        "unexpected control message kind {} from worker {i}",
+        msg.kind()
+    )
+}
 
 /// Spawn the workers, hand each its slab of job `job_index`, relay the
 /// halo topology and wait until all are `Ready`.
@@ -345,25 +417,15 @@ fn launch(
     let mut ctrl: Vec<Option<TcpStream>> = (0..workers).map(|_| None).collect();
     let mut connected = 0usize;
     while connected < workers {
-        if let Some(err) = opts.cancel.halt_error() {
-            return Err(err);
-        }
-        if Instant::now() >= setup_dl {
-            return Err("timeout: dist workers never connected".to_string());
-        }
-        let mut s = match listener.accept() {
-            Ok((s, _)) => s,
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(5));
-                continue;
+        let mut s = accept_polling(&listener, "control", || match opts.cancel.halt_error() {
+            Some(err) => Err(err),
+            None if Instant::now() >= setup_dl => {
+                Err("timeout: dist workers never connected".to_string())
             }
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            Err(e) => return Err(format!("coordinator accept failed: {e}")),
-        };
+            None => Ok(()),
+        })?;
         s.set_nodelay(true)
             .map_err(|e| format!("control nodelay: {e}"))?;
-        s.set_nonblocking(false)
-            .map_err(|e| format!("control blocking: {e}"))?;
         match recv_setup(&mut s, setup_dl, "Hello")? {
             Msg::Hello { index } => {
                 let i = index as usize;
@@ -414,6 +476,13 @@ fn launch(
             .map_err(|e| format!("cannot assign worker {i}: {e}"))?;
     }
 
+    // While the workers build: the buffers their gathers will land in.
+    let dims = spec.dims();
+    let gather_bufs: Vec<_> = slabs
+        .iter()
+        .map(|slab| gather_buffer(dims, slab.nz))
+        .collect();
+
     // Halo topology relay: worker i listens for i+1; we learn i's port
     // and tell i+1 where to connect.
     for i in 0..workers.saturating_sub(1) {
@@ -445,19 +514,23 @@ fn launch(
     }
 
     // Steady state: per-worker reader threads funnel verified frames
-    // into one channel so a dead worker can never wedge the gather.
-    // Each reads into the buffer the coordinator last handed back, so a
-    // period allocates nothing.
+    // into one channel so a dead worker can never wedge the lockstep.
+    // Each reader owns one buffer for the whole job, sized and touched
+    // above for the slab it will gather: it waits for a frame's first
+    // byte before taking the buffer back, and a worker only sends once
+    // the coordinator — having returned the last frame — asked it to.
     let (tx, rx) = std::sync::mpsc::channel();
     let mut spare = Vec::new();
-    for (i, s) in run.ctrl.iter().enumerate() {
+    for (i, (s, buf)) in run.ctrl.iter().zip(gather_bufs).enumerate() {
         s.set_read_timeout(None)
             .map_err(|e| format!("control read timeout: {e}"))?;
         let mut r = s.try_clone().map_err(|e| format!("control clone: {e}"))?;
         let tx = tx.clone();
         let (spare_tx, spare_rx) = std::sync::mpsc::channel::<Vec<u8>>();
+        let _ = spare_tx.send(buf);
         spare.push(spare_tx);
         let reader = move || loop {
+            let _ = r.peek(&mut [0u8; 1]);
             let mut buf = spare_rx.try_recv().unwrap_or_default();
             let frame = match proto::read_frame_into(&mut r, &mut buf) {
                 Ok(kind) => Ok((kind, buf)),
@@ -477,32 +550,42 @@ fn launch(
     }
     drop(tx);
 
-    let metrics: Option<Vec<_>> = opts.registry.as_ref().map(|reg| {
-        (0..workers)
+    let metrics = opts.registry.as_ref().map(|reg| GroupMetrics {
+        workers: (0..workers)
             .map(|i| {
                 let idx = i.to_string();
                 let labels = [("worker", idx.as_str())];
-                (
-                    reg.counter(
+                WorkerMetrics {
+                    exchanges: reg.counter(
                         HALO_EXCHANGES_METRIC,
                         "Halo blocks received and applied by dist workers",
                         &labels,
                     ),
-                    reg.histogram(
+                    wait: reg.histogram(
                         HALO_WAIT_METRIC,
                         "Seconds dist workers spent blocked waiting for a halo block",
                         &labels,
                     ),
-                    PERIOD_PHASES.map(|phase| {
+                    phases: PERIOD_PHASES.map(|phase| {
                         reg.histogram(
                             PERIOD_PHASE_METRIC,
                             "Seconds of each dist worker-period by phase",
                             &[labels[0], ("phase", phase)],
                         )
                     }),
-                )
+                    gathers: reg.counter(
+                        GATHERS_METRIC,
+                        "Field slabs gathered into the coordinator's state",
+                        &labels,
+                    ),
+                }
             })
-            .collect()
+            .collect(),
+        gather_seconds: reg.histogram(
+            GATHER_SECONDS_METRIC,
+            "Seconds a dist job's one field gather took",
+            &[],
+        ),
     });
     if let Some(reg) = &opts.registry {
         reg.gauge(
@@ -516,21 +599,24 @@ fn launch(
         run,
         rx,
         spare,
+        partials: vec![(0.0, 0.0); dims.nz],
         slabs,
         metrics,
         tlogs,
+        log: opts.trace.thread("dist-coord", opts.trace_parent),
         spp,
         period: 0,
+        cancel: opts.cancel.clone(),
     })
 }
 
 impl Stepper for SlabGroup {
-    fn step_n(&mut self, state: &mut State, n: usize, cancel: &CancelToken) -> Result<(), String> {
+    fn period(&mut self, _: &mut State, spp: usize, cancel: &CancelToken) -> Result<f64, String> {
         // `Msg::Continue` carries no count: a worker always advances
         // one whole period of its own solver's length.
-        if n != self.spp {
+        if spp != self.spp {
             return Err(format!(
-                "a dist slab group steps whole periods of {} steps, not {n}",
+                "a dist slab group steps whole periods of {} steps, not {spp}",
                 self.spp
             ));
         }
@@ -540,99 +626,117 @@ impl Stepper for SlabGroup {
             rx,
             spare,
             slabs,
+            partials,
             metrics,
             tlogs,
             period,
             ..
         } = self;
         let period = *period;
-        let workers = slabs.len();
         let mut spans: Vec<_> = tlogs
             .iter_mut()
             .map(|t| Some(t.start("dist_period")))
             .collect();
         run.send_all(&Msg::Continue)?;
-        let mut pending = workers;
-        let mut seen = vec![false; workers];
-        while pending > 0 {
-            if let Some(err) = cancel.halt_error() {
-                return Err(err);
-            }
-            let (i, kind, frame) = match rx.recv_timeout(WAIT_SLICE) {
-                Ok((i, Ok((kind, frame)))) => (i, kind, frame),
-                Ok((i, Err(e))) => return Err(worker_failure(i, &e)),
-                Err(RecvTimeoutError::Timeout) => continue,
-                Err(RecvTimeoutError::Disconnected) => {
-                    return Err("every control reader exited".to_string());
-                }
+        collect(rx, spare, cancel, |i, msg, body| {
+            let Msg::PeriodDone {
+                period: p,
+                exchanges,
+                wait_secs,
+                compute_s,
+                exchange_s,
+                reduce_s,
+            } = msg
+            else {
+                return Err(unexpected(i, &msg));
             };
-            match Msg::decode(kind, &frame).map_err(|e| worker_failure(i, &e))? {
-                (
-                    Msg::PeriodDone {
-                        period: p,
-                        exchanges,
-                        wait_secs,
-                        compute_s,
-                        exchange_s,
-                        gather_s,
-                    },
-                    fields,
-                ) => {
-                    if p as usize != period || seen[i] {
-                        return Err(format!("worker {i} is out of lockstep at period {period}"));
-                    }
-                    let slab = slabs[i];
-                    paste_planes(&mut state.fields, slab.z0..slab.z0 + slab.nz, fields)
-                        .map_err(|e| worker_failure(i, &e))?;
-                    let phases = [compute_s, exchange_s, gather_s];
-                    if let Some(m) = &metrics {
-                        m[i].0.add(exchanges);
-                        for w in &wait_secs {
-                            m[i].1.observe(*w);
-                        }
-                        for (h, v) in m[i].2.iter().zip(phases) {
-                            h.observe(v);
-                        }
-                    }
-                    if let Some(span) = spans[i].take() {
-                        let wait: f64 = wait_secs.iter().sum();
-                        let mut kv = vec![
-                            ("period", period.to_string()),
-                            ("halo_exchanges", exchanges.to_string()),
-                            ("halo_wait_s", format!("{wait:.6}")),
-                        ];
-                        kv.extend(
-                            ["compute_s", "exchange_s", "gather_s"]
-                                .into_iter()
-                                .zip(phases.map(|v| format!("{v:.6}"))),
-                        );
-                        tlogs[i].end_kv(span, kv);
-                    }
-                    seen[i] = true;
-                    pending -= 1;
+            if p as usize != period {
+                return Err(format!("worker {i} is out of lockstep at period {period}"));
+            }
+            // Period 1 has nothing to compare with and sends no partials.
+            let slab = slabs[i];
+            let planes = if period == 1 { 0 } else { slab.nz };
+            if body.len() != 16 * planes {
+                let got = body.len();
+                return Err(worker_failure(
+                    i,
+                    &format!("period reply holds {got} bytes of partials for {planes} planes"),
+                ));
+            }
+            let mut body = proto::Cursor::new(body);
+            for dst in &mut partials[slab.z0..slab.z0 + planes] {
+                *dst = (body.f64("partial num")?, body.f64("partial den")?);
+            }
+            let phases = [compute_s, exchange_s, reduce_s];
+            if let Some(m) = metrics.as_ref().map(|m| &m.workers[i]) {
+                m.exchanges.add(exchanges);
+                for w in &wait_secs {
+                    m.wait.observe(*w);
                 }
-                (Msg::WorkerErr { message, .. }, _) => {
-                    return Err(worker_failure(i, &message));
-                }
-                (other, _) => {
-                    return Err(format!(
-                        "unexpected control message kind {} from worker {i}",
-                        other.kind()
-                    ));
+                for (h, v) in m.phases.iter().zip(phases) {
+                    h.observe(v);
                 }
             }
-            // The reader takes the buffer back for the next gather; a
-            // reader that is gone has already said why.
-            let _ = spare[i].send(frame);
-        }
-        Ok(())
+            if let Some(span) = spans[i].take() {
+                let wait: f64 = wait_secs.iter().sum();
+                let mut kv = vec![
+                    ("period", period.to_string()),
+                    ("halo_exchanges", exchanges.to_string()),
+                    ("halo_wait_s", format!("{wait:.6}")),
+                ];
+                kv.extend(
+                    ["compute_s", "exchange_s", "reduce_s"]
+                        .into_iter()
+                        .zip(phases.map(|v| format!("{v:.6}"))),
+                );
+                tlogs[i].end_kv(span, kv);
+            }
+            Ok(())
+        })?;
+        Ok(if period == 1 {
+            f64::INFINITY
+        } else {
+            norms::combine_planes(partials.iter().copied())
+        })
     }
 
-    /// `Finish` ends the lockstep; dropping the group then joins the
-    /// workers, so they are gone before the analysis is timed.
-    fn finish(mut self) -> Result<(), String> {
-        self.run.send_all(&Msg::Finish)?;
-        self.run.finished = true;
+    /// The job's one field gather — every slab's owned planes pasted
+    /// into the caller's state — then `Finish`, which ends the
+    /// lockstep; dropping the group joins the workers, so they are gone
+    /// before the analysis is timed.
+    fn finish(mut self, state: &mut State) -> Result<(), String> {
+        let SlabGroup {
+            run,
+            rx,
+            spare,
+            slabs,
+            metrics,
+            log,
+            cancel,
+            ..
+        } = &mut self;
+        let t0 = Instant::now();
+        let span = log.start("dist_gather");
+        run.send_all(&Msg::Gather)?;
+        collect(rx, spare, cancel, |i, msg, body| {
+            if msg != Msg::Gather {
+                return Err(unexpected(i, &msg));
+            }
+            let slab = slabs[i];
+            paste_planes(&mut state.fields, slab.z0..slab.z0 + slab.nz, body)
+                .map_err(|e| worker_failure(i, &e))?;
+            if let Some(m) = metrics {
+                m.workers[i].gathers.inc();
+            }
+            Ok(())
+        })?;
+        let bytes = planes_len(state.dims(), state.dims().nz);
+        log.end_kv(span, vec![("bytes", bytes.to_string())]);
+        if let Some(m) = metrics {
+            m.gather_seconds.observe(t0.elapsed().as_secs_f64());
+        }
+        run.send_all(&Msg::Finish)?;
+        run.finished = true;
         Ok(())
     }
 }
@@ -643,7 +747,7 @@ mod tests {
 
     #[test]
     fn the_slab_group_steps_whole_periods_only() {
-        // No workers: the gather has nothing to wait for, so only the
+        // No workers: the lockstep has nothing to wait for, so only the
         // step-count contract is exercised.
         let mut group = SlabGroup {
             run: Run {
@@ -655,17 +759,21 @@ mod tests {
             rx: std::sync::mpsc::channel().1,
             spare: Vec::new(),
             slabs: Vec::new(),
+            partials: Vec::new(),
             metrics: None,
             tlogs: Vec::new(),
+            log: Recorder::disabled().thread("", 0),
             spp: 11,
             period: 0,
+            cancel: CancelToken::none(),
         };
         let mut state = State::zeros(em_field::GridDims::cubic(2));
         let token = CancelToken::none();
-        let err = group.step_n(&mut state, 10, &token).unwrap_err();
+        let err = group.period(&mut state, 10, &token).unwrap_err();
         assert!(err.contains("whole periods of 11 steps"), "{err}");
         assert_eq!(group.period, 0, "a refused call is not a period");
-        group.step_n(&mut state, 11, &token).unwrap();
+        let first = group.period(&mut state, 11, &token).unwrap();
+        assert_eq!(first, f64::INFINITY, "period 1 has nothing to compare with");
         assert_eq!(group.period, 1);
     }
 }

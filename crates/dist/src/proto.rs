@@ -1,8 +1,8 @@
 //! The wire protocol between the dist coordinator and its workers.
 //!
 //! One frame layout serves the control plane (assign / continue /
-//! finish / abort) and the data plane (halo blocks, the per-period
-//! gather):
+//! gather / finish / abort) and the data plane (halo blocks, a period's
+//! plane partials, the job's one field gather):
 //!
 //! ```text
 //! [u32 LE payload length][u8 kind][payload][u64 LE checksum]
@@ -286,9 +286,9 @@ pub enum Side {
 }
 
 /// Every message the coordinator and workers exchange, on either the
-/// control stream or a worker-to-worker halo link. `Halo` and
-/// `PeriodDone` are headers: the field rows they announce follow as
-/// the frame's bulk body (see [`Msg::decode`]).
+/// control stream or a worker-to-worker halo link. `Halo`,
+/// `PeriodDone` and a worker's `Gather` are headers: what they announce
+/// follows as the frame's bulk body (see [`Msg::decode`]).
 #[derive(Clone, Debug, PartialEq)]
 pub enum Msg {
     /// Worker -> coordinator, first frame on the control stream.
@@ -326,21 +326,27 @@ pub enum Msg {
     /// `planes` owned z planes of all twelve field arrays.
     Halo { block: u32, side: Side, planes: u32 },
     /// Worker -> coordinator: one period done. The body holds the
-    /// slab's owned planes; the header is the period's telemetry: halo
-    /// blocks applied, each blocked wait, and where the worker's time
-    /// went. `gather_s` covers building *and sending* a gather frame, so
-    /// it is the previous period's (0 in period 1) — a frame cannot time
-    /// its own send.
+    /// convergence partials `num_z, den_z` (f64 little-endian) of the
+    /// slab's owned planes in ascending z — empty in period 1, which has
+    /// nothing to compare with; the header is the period's telemetry:
+    /// halo blocks applied, each blocked wait, and where the worker's
+    /// time went. `reduce_s` covers reducing the planes *and sending*
+    /// this frame, so it is the previous period's (0 in period 1) — a
+    /// frame cannot time its own send.
     PeriodDone {
         period: u32,
         exchanges: u64,
         wait_secs: Vec<f64>,
         compute_s: f64,
         exchange_s: f64,
-        gather_s: f64,
+        reduce_s: f64,
     },
     /// Coordinator -> worker: run one more period.
     Continue,
+    /// Coordinator -> worker, once per job after the last period: send
+    /// your fields. The worker answers with the same kind, the body
+    /// holding its slab's owned planes.
+    Gather,
     /// Coordinator -> worker: converged / done; exit cleanly.
     Finish,
     /// Either direction: stop now (deadline, cancel, peer failure).
@@ -363,6 +369,7 @@ impl Msg {
             Msg::Finish => 10,
             Msg::Abort { .. } => 11,
             Msg::WorkerErr { .. } => 12,
+            Msg::Gather => 13,
         }
     }
 
@@ -401,7 +408,7 @@ impl Msg {
                 put_u64(b, *coeff_rows_total);
                 put_u64(b, *coeff_bytes);
             }
-            Msg::Continue | Msg::Finish => {}
+            Msg::Continue | Msg::Finish | Msg::Gather => {}
             Msg::Halo {
                 block,
                 side,
@@ -417,12 +424,12 @@ impl Msg {
                 wait_secs,
                 compute_s,
                 exchange_s,
-                gather_s,
+                reduce_s,
             } => {
                 put_u32(b, *period);
                 put_u64(b, *exchanges);
                 put_u32(b, wait_secs.len() as u32);
-                for w in wait_secs.iter().chain([compute_s, exchange_s, gather_s]) {
+                for w in wait_secs.iter().chain([compute_s, exchange_s, reduce_s]) {
                     put_f64(b, *w);
                 }
             }
@@ -435,9 +442,9 @@ impl Msg {
     }
 
     /// Decode a frame payload into its message and bulk body. Only
-    /// `Halo` and `PeriodDone` may carry a body (whoever pastes it
-    /// checks its length against the grid); trailing bytes behind any
-    /// other message are an error.
+    /// `Halo`, `PeriodDone` and `Gather` may carry a body (whoever
+    /// consumes it checks its length against the grid); trailing bytes
+    /// behind any other message are an error.
     pub fn decode(kind: u8, payload: &[u8]) -> Result<(Msg, &[u8]), String> {
         let mut c = Cursor::new(payload);
         let msg = match kind {
@@ -492,7 +499,7 @@ impl Msg {
                     wait_secs,
                     compute_s: c.f64("PeriodDone.compute_s")?,
                     exchange_s: c.f64("PeriodDone.exchange_s")?,
-                    gather_s: c.f64("PeriodDone.gather_s")?,
+                    reduce_s: c.f64("PeriodDone.reduce_s")?,
                 }
             }
             9 => Msg::Continue,
@@ -504,10 +511,12 @@ impl Msg {
                 index: c.u32("WorkerErr.index")?,
                 message: c.str("WorkerErr.message")?,
             },
+            13 => Msg::Gather,
             other => return Err(format!("unknown frame kind {other}")),
         };
         let body = c.rest();
-        if !body.is_empty() && !matches!(msg, Msg::Halo { .. } | Msg::PeriodDone { .. }) {
+        let bulk = matches!(msg, Msg::Halo { .. } | Msg::PeriodDone { .. } | Msg::Gather);
+        if !body.is_empty() && !bulk {
             return Err(format!(
                 "{} trailing byte(s) after a kind-{kind} message",
                 body.len()
@@ -646,9 +655,10 @@ mod tests {
                 wait_secs: vec![0.25, 1e-6],
                 compute_s: 0.5,
                 exchange_s: 0.125,
-                gather_s: 0.0,
+                reduce_s: 0.0,
             },
             Msg::Continue,
+            Msg::Gather,
             Msg::Finish,
             Msg::Abort {
                 reason: "deadline".to_string(),

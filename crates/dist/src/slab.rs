@@ -1,5 +1,5 @@
 //! Slab-local state: cropping an (extended) slab out of the full grid
-//! and the one row codec halo blocks and the per-period gather share.
+//! and the one row codec halo blocks and the job's final gather share.
 //!
 //! ## Why `k` steps per exchange are bit-identical
 //!
@@ -84,6 +84,15 @@ pub fn plane_len(nx: usize, ny: usize) -> usize {
 /// Wire size of `planes` z planes of all twelve field arrays.
 pub fn planes_len(dims: GridDims, planes: usize) -> usize {
     3 * plane_len(dims.nx, dims.ny) * planes
+}
+
+/// An empty frame buffer that holds `planes` z planes of all twelve
+/// field arrays without growing, every page of it already written once:
+/// a job's one gather then neither allocates nor faults memory in.
+pub fn gather_buffer(dims: GridDims, planes: usize) -> Vec<u8> {
+    let mut buf = vec![1u8; planes_len(dims, planes) + crate::proto::FRAME_OVERHEAD];
+    buf.clear();
+    buf
 }
 
 /// Append the planes `z` of all twelve field arrays to `buf`:

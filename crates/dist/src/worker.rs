@@ -6,8 +6,12 @@
 //! per cut face, wires a link to each z neighbor and then runs periods
 //! on demand: advance the extended slab up to `k` steps with the
 //! declared engine, swap `k` boundary planes with each neighbor, repeat
-//! until the period is done, gather the owned planes to the coordinator
-//! (see [`crate::slab`] for why that is bit-identical).
+//! until the period is done (see [`crate::slab`] for why that is
+//! bit-identical), then reduce the owned planes against the worker's
+//! own snapshot of the previous period and answer with two numbers per
+//! plane ([`em_field::norms::plane_changes`]). The fields themselves
+//! leave the worker once per job, when the coordinator asks for them
+//! with `Gather`.
 //!
 //! All of it happens on the worker's one thread, through two reusable
 //! frame buffers. Socket waits are timeout slices that observe the
@@ -25,14 +29,14 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use em_faults::{ConnFault, FaultInjector};
-use em_field::State;
+use em_field::{norms, FieldSet, State};
 use em_scenarios::ScenarioSpec;
-use em_solver::{Engine, EngineStepper, Stepper};
+use em_solver::{Engine, EngineStepper};
 use mwd_core::cancel::{CancelToken, TIMEOUT_PREFIX};
 
 use crate::decomp::Slab;
 use crate::proto::{self, Msg, Side};
-use crate::slab::{crop_state, paste_planes, put_planes};
+use crate::slab::{crop_state, gather_buffer, paste_planes, put_planes};
 
 /// How long a worker blocks on a peer between token checks.
 const WAIT_SLICE: Duration = Duration::from_millis(25);
@@ -133,9 +137,15 @@ struct SlabJob<'a> {
     block: u32,
     cancel: CancelToken,
     cfg: &'a WorkerConfig,
-    /// Reusable frame buffers: outgoing (halo blocks, gathers), incoming.
+    /// Reusable frame buffers: outgoing (halo blocks, period replies,
+    /// the job's one gather), incoming.
     out: Vec<u8>,
     inb: Vec<u8>,
+    /// The extended slab's fields at the end of the previous period;
+    /// only the owned planes are ever compared or refreshed.
+    snapshot: Option<FieldSet>,
+    /// Reused `(num_z, den_z)` buffer of the owned planes.
+    partials: Vec<(f64, f64)>,
 }
 
 impl SlabJob<'_> {
@@ -237,6 +247,68 @@ impl SlabJob<'_> {
         }
         Ok(stats)
     }
+
+    /// Reduce the owned planes against the previous period's and answer
+    /// the coordinator's `Continue`. Period 1 only takes the snapshot:
+    /// its reply has no body.
+    fn reply_period(
+        &mut self,
+        mut ctrl_w: &TcpStream,
+        period: u32,
+        stats: PeriodStats,
+        reduce_s: f64,
+    ) -> Result<(), String> {
+        self.partials.clear();
+        match &mut self.snapshot {
+            None => self.snapshot = Some(self.state.fields.clone()),
+            Some(snapshot) => norms::plane_changes(
+                &self.state.fields,
+                snapshot,
+                self.owned.clone(),
+                &mut self.partials,
+            ),
+        }
+        let head = Msg::PeriodDone {
+            period,
+            exchanges: stats.exchanges,
+            wait_secs: stats.wait_secs,
+            compute_s: stats.compute_s,
+            exchange_s: stats.exchange_s,
+            reduce_s,
+        };
+        proto::begin_frame(&mut self.out, &head);
+        for (num, den) in &self.partials {
+            proto::put_f64(&mut self.out, *num);
+            proto::put_f64(&mut self.out, *den);
+        }
+        proto::seal_frame(&mut self.out);
+        ctrl_w
+            .write_all(&self.out)
+            .map_err(|e| self.wire_error("period reply", e))
+    }
+
+    /// Answer the coordinator's `Gather` with the owned planes.
+    fn reply_gather(&mut self, mut ctrl_w: &TcpStream) -> Result<(), String> {
+        proto::begin_frame(&mut self.out, &Msg::Gather);
+        put_planes(&mut self.out, &self.state.fields, self.owned.clone());
+        proto::seal_frame(&mut self.out);
+        let mut frame = &self.out[..];
+        if let Some(inj) = &self.cfg.faults {
+            let ident = format!("dist-w{}-gather", self.cfg.index);
+            if inj.conn_fault(&ident) == ConnFault::DropMid {
+                // Injected worker death: half the frame, then nothing.
+                frame = &frame[..frame.len() / 2];
+            }
+        }
+        ctrl_w
+            .write_all(frame)
+            .map_err(|e| self.wire_error("gather send", e))?;
+        if frame.len() < self.out.len() {
+            let _ = ctrl_w.shutdown(Shutdown::Both);
+            return Err("injected fault: control stream severed mid-gather".to_string());
+        }
+        Ok(())
+    }
 }
 
 /// Wait for the next control message.
@@ -257,28 +329,48 @@ fn wait_ctrl(rx: &Receiver<Result<Msg, String>>, deadline: Option<Instant>) -> R
     }
 }
 
+/// The longest a listener poll sleeps between two looks.
+const ACCEPT_SLICE: Duration = Duration::from_millis(5);
+
+/// Accept one connection on a non-blocking `listener`, returned
+/// blocking. `check` runs before every look (token, deadline); between
+/// looks the poll backs off from 100 us, doubling up to
+/// [`ACCEPT_SLICE`] — a peer started a moment ago connects within the
+/// first few looks, and one that never comes costs no more than the
+/// fixed slice did.
+pub(crate) fn accept_polling(
+    listener: &TcpListener,
+    what: &str,
+    mut check: impl FnMut() -> Result<(), String>,
+) -> Result<TcpStream, String> {
+    let mut pause = Duration::from_micros(100);
+    loop {
+        check()?;
+        match listener.accept() {
+            Ok((s, _)) => {
+                s.set_nonblocking(false)
+                    .map_err(|e| format!("{what} stream blocking: {e}"))?;
+                return Ok(s);
+            }
+            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
+                std::thread::sleep(pause);
+                pause = (pause * 2).min(ACCEPT_SLICE);
+            }
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(format!("{what} accept failed: {e}")),
+        }
+    }
+}
+
 /// Accept the upper neighbor's halo connection, observing the token.
 fn accept_halo(listener: &TcpListener, cancel: &CancelToken) -> Result<TcpStream, String> {
     listener
         .set_nonblocking(true)
         .map_err(|e| format!("halo listener nonblocking: {e}"))?;
-    loop {
-        if let Some(halt) = cancel.halt_error() {
-            return Err(format!("{halt} (waiting for the upper neighbor)"));
-        }
-        match listener.accept() {
-            Ok((s, _)) => {
-                s.set_nonblocking(false)
-                    .map_err(|e| format!("halo stream blocking: {e}"))?;
-                return Ok(s);
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(5));
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(format!("halo accept failed: {e}")),
-        }
-    }
+    accept_polling(listener, "halo", || match cancel.halt_error() {
+        Some(halt) => Err(format!("{halt} (waiting for the upper neighbor)")),
+        None => Ok(()),
+    })
 }
 
 /// The control reader: decouples the compute loop from the socket so
@@ -484,6 +576,24 @@ fn run_inner(
         cuts.reverse();
     }
 
+    let mut job = SlabJob {
+        // Sized and touched here, before `Ready`, so the job's one big
+        // frame does not fault its pages in behind the last period.
+        out: gather_buffer(state.dims(), owned.len()),
+        state,
+        engine,
+        owned,
+        halo,
+        spp,
+        cuts,
+        block: 0,
+        cancel,
+        cfg,
+        inb: Vec::new(),
+        snapshot: None,
+        partials: Vec::new(),
+    };
+
     proto::send(
         &mut ctrl_w,
         &Msg::Ready {
@@ -494,43 +604,18 @@ fn run_inner(
         },
     )?;
 
-    let mut job = SlabJob {
-        state,
-        engine,
-        owned,
-        halo,
-        spp,
-        cuts,
-        block: 0,
-        cancel,
-        cfg,
-        out: Vec::new(),
-        inb: Vec::new(),
-    };
     let mut period: u32 = 0;
-    let mut gather_s = 0.0;
+    let mut reduce_s = 0.0;
     loop {
         match wait_ctrl(ctrl_rx, deadline)? {
             Msg::Continue => {
                 period += 1;
                 let stats = job.period()?;
                 let t0 = Instant::now();
-                let head = Msg::PeriodDone {
-                    period,
-                    exchanges: stats.exchanges,
-                    wait_secs: stats.wait_secs,
-                    compute_s: stats.compute_s,
-                    exchange_s: stats.exchange_s,
-                    gather_s,
-                };
-                proto::begin_frame(&mut job.out, &head);
-                put_planes(&mut job.out, &job.state.fields, job.owned.clone());
-                proto::seal_frame(&mut job.out);
-                ctrl_w
-                    .write_all(&job.out)
-                    .map_err(|e| job.wire_error("gather send", e))?;
-                gather_s = t0.elapsed().as_secs_f64();
+                job.reply_period(ctrl_w, period, stats, reduce_s)?;
+                reduce_s = t0.elapsed().as_secs_f64();
             }
+            Msg::Gather => job.reply_gather(ctrl_w)?,
             Msg::Finish | Msg::Abort { .. } => return Ok(()),
             other => return Err(format!("unexpected control message kind {}", other.kind())),
         }

@@ -12,7 +12,9 @@
 //! (`k = 1`, `k` equal to the period, periods `k` does not divide, a
 //! slab with two cut faces, engines that wrap periodically inside halo
 //! planes), a canary that steps once past `k` and must go wrong, and a
-//! flipped halo bit that must fail the job.
+//! flipped halo bit that must fail the job. The once-per-job field
+//! gather has two: a solve that converges before its period cap, and a
+//! control stream severed mid-gather.
 
 use std::sync::Arc;
 
@@ -23,7 +25,7 @@ use em_scenarios::gen::{generate, Family, GenParams};
 use em_scenarios::{
     builtins, run_batch, BatchOptions, EngineDecl, PmlDecl, ScenarioSpec, SourceDecl,
 };
-use em_solver::{Engine, EngineStepper, Stepper};
+use em_solver::{Engine, EngineStepper};
 
 /// Cap the convergence loop so the suite stays test-sized; both sides
 /// solve the same capped spec, so identity is still fully exercised
@@ -262,6 +264,52 @@ fn a_flipped_halo_bit_is_caught_by_the_frame_checksum() {
     let err = outcomes[0].error.as_deref().expect("the job must fail");
     assert!(err.contains("dist worker"), "{err}");
     assert!(err.contains("corrupt frame"), "{err}");
+}
+
+/// The fields are gathered once, after whichever period ends the loop:
+/// here the tolerance, well before the period cap. Every period's
+/// `rel_change` on the way was combined from the workers' plane
+/// partials, so the same period count is itself the invariance under
+/// test.
+#[test]
+fn early_convergence_gathers_the_converged_fields() {
+    let spec = em_scenarios::builtin("vacuum-slab").unwrap();
+    let outcome = &run_batch(std::slice::from_ref(&spec), &BatchOptions::default())
+        .unwrap()
+        .outcomes[0];
+    assert!(outcome.converged, "vacuum-slab converges");
+    assert!(
+        (2..spec.convergence.max_periods).contains(&outcome.periods),
+        "converged at period {}",
+        outcome.periods
+    );
+    assert_identical(&spec, &[1, 3]);
+}
+
+/// A worker that dies half way through its gather frame is the same
+/// typed failure as one that dies mid-period: the job fails by name,
+/// nothing hangs, and `run_dist` returns with its workers joined (the
+/// footprint suite holds the thread count).
+#[test]
+fn a_control_stream_severed_during_the_final_gather_fails_the_job() {
+    let spec = capped(&em_scenarios::builtin("vacuum-slab").unwrap());
+    // One worker has no halo wire, so the injector's only site is the
+    // gather frame.
+    let plan = em_faults::FaultPlan::parse("seed=5,conn-drop=1").unwrap();
+    let faults = Arc::new(em_faults::FaultInjector::new(plan));
+    let outcomes = run_dist(
+        &spec,
+        &DistOptions {
+            workers: 1,
+            faults: Some(faults.clone()),
+            ..DistOptions::default()
+        },
+    )
+    .unwrap();
+    assert_eq!(faults.counts().conn_drops, 1, "the gather was severed");
+    let err = outcomes[0].error.as_deref().expect("the job must fail");
+    assert!(err.starts_with("dist worker 0 failed:"), "{err}");
+    assert!(err.contains("torn frame"), "{err}");
 }
 
 /// Degenerate and invalid decompositions fail fast with a message, and

@@ -21,11 +21,11 @@ fn bytes(seed: u64, n: usize) -> Vec<u8> {
         .collect()
 }
 
-/// A message (and, for the two bulk kinds, a body) whose size and
+/// A message (and, for the three bulk kinds, a body) whose size and
 /// content vary with the inputs — cycles through every variant that
 /// carries variable-length data.
 fn arbitrary_msg(pick: u8, seed: u64, n: usize) -> (Msg, Vec<u8>) {
-    match pick % 5 {
+    match pick % 6 {
         0 => (
             Msg::Halo {
                 block: seed as u32,
@@ -45,7 +45,7 @@ fn arbitrary_msg(pick: u8, seed: u64, n: usize) -> (Msg, Vec<u8>) {
                 wait_secs: (0..n % 64).map(|i| (i as f64) * 1e-4).collect(),
                 compute_s: seed as f64 * 1e-9,
                 exchange_s: n as f64 * 1e-6,
-                gather_s: 0.25,
+                reduce_s: 0.25,
             },
             bytes(seed ^ 2, n),
         ),
@@ -62,7 +62,9 @@ fn arbitrary_msg(pick: u8, seed: u64, n: usize) -> (Msg, Vec<u8>) {
             },
             Vec::new(),
         ),
-        3 => (
+        // A worker's answer to `Gather`: no header, all body.
+        3 => (Msg::Gather, bytes(seed ^ 4, n)),
+        4 => (
             Msg::Abort {
                 reason: format!("reason-{seed}-{}", "x".repeat(n % 200)),
             },
@@ -131,35 +133,37 @@ fn the_halo_block_message_roundtrips_with_its_body() {
     assert!(Msg::decode(6, &payload).is_err());
 }
 
-/// Exhaustive over one 4 KiB frame: every single-bit flip and every
-/// truncation is rejected. The checksum is not cryptographic; this is
-/// the guarantee it is there for.
+/// Exhaustive over one 4 KiB frame of each bulk kind that moves field
+/// rows: every single-bit flip and every truncation is rejected. The
+/// checksum is not cryptographic; this is the guarantee it is there for.
 #[test]
 fn every_bit_flip_and_every_truncation_of_a_4k_frame_is_rejected() {
-    let msg = Msg::Halo {
+    let halo = Msg::Halo {
         block: 3,
         side: Side::Bottom,
         planes: 2,
     };
-    let frame = framed(&msg, &bytes(99, 4096 - proto::FRAME_OVERHEAD - 9));
-    assert_eq!(frame.len(), 4096);
-    assert!(unframed(&mut frame.as_slice()).is_ok());
-    let mut flipped = frame.clone();
-    for bit in 0..frame.len() * 8 {
-        flipped[bit / 8] ^= 1 << (bit % 8);
-        assert!(
-            unframed(&mut flipped.as_slice()).is_err(),
-            "flipping bit {} of byte {} went undetected",
-            bit % 8,
-            bit / 8
-        );
-        flipped[bit / 8] = frame[bit / 8];
-    }
-    for cut in 0..frame.len() {
-        match unframed(&mut &frame[..cut]) {
-            Err(FrameError::Eof) => assert_eq!(cut, 0, "clean EOF only at zero bytes"),
-            Err(FrameError::Torn(_)) => {}
-            other => panic!("cut at {cut}: {other:?}"),
+    for (msg, header) in [(halo, 9), (Msg::Gather, 0)] {
+        let frame = framed(&msg, &bytes(99, 4096 - proto::FRAME_OVERHEAD - header));
+        assert_eq!(frame.len(), 4096);
+        assert!(unframed(&mut frame.as_slice()).is_ok());
+        let mut flipped = frame.clone();
+        for bit in 0..frame.len() * 8 {
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            assert!(
+                unframed(&mut flipped.as_slice()).is_err(),
+                "{msg:?}: flipping bit {} of byte {} went undetected",
+                bit % 8,
+                bit / 8
+            );
+            flipped[bit / 8] = frame[bit / 8];
+        }
+        for cut in 0..frame.len() {
+            match unframed(&mut &frame[..cut]) {
+                Err(FrameError::Eof) => assert_eq!(cut, 0, "clean EOF only at zero bytes"),
+                Err(FrameError::Torn(_)) => {}
+                other => panic!("{msg:?} cut at {cut}: {other:?}"),
+            }
         }
     }
 }

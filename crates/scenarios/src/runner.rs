@@ -410,13 +410,7 @@ pub fn run_batch(specs: &[ScenarioSpec], opts: &BatchOptions) -> Result<BatchRep
                         tune_records[i].clone(),
                         token,
                         &mut wlog,
-                        |_| {
-                            Ok(EngineStepper {
-                                engine,
-                                recorder: opts.trace.clone(),
-                                trace_parent: jspan_id,
-                            })
-                        },
+                        |_| Ok(EngineStepper::new(engine, opts.trace.clone(), jspan_id)),
                     );
                     if jspan_id != 0 {
                         wlog.end_kv(
@@ -626,7 +620,7 @@ pub fn run_job<S: Stepper>(
             let mut stepper = stepper(&solver)?;
             let ConvergenceDecl { tol, max_periods } = spec.convergence;
             let report = solver.run_to_convergence_with(&mut stepper, tol, max_periods, cancel)?;
-            stepper.finish()?;
+            stepper.finish(&mut solver.state)?;
             outcome.converged = report.converged;
             outcome.periods = report.periods;
             outcome.steps = report.steps;

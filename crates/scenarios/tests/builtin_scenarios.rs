@@ -3,8 +3,10 @@
 //! the MWD temporal-blocking engine reproduces the naive sweep
 //! bit-for-bit.
 
+use em_field::{Component, SourceArray};
+use em_scenarios::gen::{generate, Family, GenParams};
 use em_scenarios::library;
-use em_solver::Engine;
+use em_solver::{Engine, Sphere, ThiimSolver};
 use mwd_core::{MwdConfig, TgShape};
 
 #[test]
@@ -72,4 +74,61 @@ fn builtin_engines_run_on_their_own_specs() {
             .unwrap_or_else(|e| panic!("{}: {e}", spec.name));
         assert!(solver.state.fields.energy().is_finite());
     }
+}
+
+/// The coefficient build evaluates a laterally uniform plane once
+/// (`Scene::plane_is_uniform`). On every catalog scene and a generated
+/// scene of each family — layer stacks, textured interfaces, sphere
+/// dispersions — it must produce the bits of the per-cell walk, forced
+/// here by a zero-radius sphere per plane far outside the grid: no
+/// material changes, no plane is declared uniform.
+#[test]
+fn uniform_plane_builds_equal_the_per_cell_build_on_every_scene_kind() {
+    let mut specs = library::builtins();
+    for family in Family::ALL {
+        for seed in [7, 19] {
+            specs.push(generate(family, seed, &GenParams::tiny()).expect("generates"));
+        }
+    }
+    let (mut uniform, mut per_cell) = (0, 0);
+    for spec in specs {
+        let fast = spec.build_solver(&spec.jobs()[0]).expect("solver builds");
+        let nz = spec.dims().nz;
+        let skipped = (0..nz).filter(|&z| fast.config.scene.plane_is_uniform(z));
+        let skipped = skipped.count();
+        uniform += skipped;
+        per_cell += nz - skipped;
+        let mut config = fast.config.clone();
+        for z in 0..nz {
+            config.scene.spheres.push(Sphere {
+                center: [-1e9, -1e9, z as f64 + 0.5],
+                radius: 0.0,
+                material: config.scene.background,
+            });
+        }
+        let slow = ThiimSolver::new(config);
+        let name = &spec.name;
+        assert_eq!(
+            fast.back_iteration_cells, slow.back_iteration_cells,
+            "{name}"
+        );
+        let pairs = Component::ALL
+            .into_iter()
+            .flat_map(|c| {
+                let (f, s) = (&fast.state.coeffs, &slow.state.coeffs);
+                [(f.t(c), s.t(c)), (f.c(c), s.c(c))]
+            })
+            .chain(SourceArray::ALL.map(|a| (fast.state.coeffs.src(a), slow.state.coeffs.src(a))));
+        for (i, (f, s)) in pairs.enumerate() {
+            assert_eq!(f.offsets(), s.offsets(), "{name}: array {i} row index");
+            for ((cell, x), (_, y)) in f.iter_interior().zip(s.iter_interior()) {
+                let same = x.re.to_bits() == y.re.to_bits() && x.im.to_bits() == y.im.to_bits();
+                assert!(same, "{name}: array {i} at {cell:?}: {x:?} vs {y:?}");
+            }
+        }
+    }
+    assert!(
+        uniform > 0 && per_cell > 0,
+        "both walks ran: {uniform} uniform planes, {per_cell} per-cell"
+    );
 }

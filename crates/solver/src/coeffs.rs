@@ -89,6 +89,13 @@ impl RowParts {
         self.re[x] = v.re;
         self.im[x] = v.im;
     }
+
+    /// Give every cell the value of cell 0.
+    fn spread(&mut self) {
+        let (re, im) = (self.re[0], self.im[0]);
+        self.re.fill(re);
+        self.im.fill(im);
+    }
 }
 
 /// Replace `state.coeffs` (source arrays included) with the
@@ -96,6 +103,14 @@ impl RowParts {
 /// [`CoeffRowBuilder`]: rows the scene repeats are stored once and the
 /// 28 dense arrays never exist. Returns the number of back-iteration
 /// cells (Re(eps) < 0).
+///
+/// A cell's coefficients are a function of its averaged permittivity
+/// and its z (PML profile, source sheet), so a plane the scene declares
+/// laterally uniform ([`Scene::plane_is_uniform`]) is evaluated at cell
+/// `(0, 0)` alone — one `average_eps` instead of `nx * ny` — and that
+/// value fills the plane: the same expressions on the same inputs as
+/// the per-cell walk, hence the same bits. A layer stack pays for `nz`
+/// cells; textured and sphere-bearing planes pay for all of theirs.
 ///
 /// The time-harmonic plane-wave drive is a uniform source sheet at
 /// `source.z_plane` in the chosen E polarization. The source slot of
@@ -134,8 +149,16 @@ pub fn build_coefficients(
     for z in 0..dims.nz {
         let sigma_pml = opt.pml.map_or(0.0, |p| p.sigma_z(z, dims.nz));
         let sheet_here = sheet.filter(|&(z_plane, ..)| z_plane == z);
-        for y in 0..dims.ny {
-            for x in 0..dims.nx {
+        // A uniform plane is its cell (0, 0): one evaluated cell stands
+        // for `cells` of them, one assembled row for `rows`.
+        let uniform = scene.plane_is_uniform(z);
+        let (ys, xs, rows, cells) = if uniform {
+            (1, 1, dims.ny, dims.nx * dims.ny)
+        } else {
+            (dims.ny, dims.nx, 1, 1)
+        };
+        for y in 0..ys {
+            for x in 0..xs {
                 let (er, ei) = average_eps(scene, opt.lambda_nm, x, y, z);
                 let sigma_mat = omega * ei;
                 let forward = er > 0.0 || opt.force_forward_iteration;
@@ -171,7 +194,7 @@ pub fn build_coefficients(
                     c_row[comp.index()].set(x, c);
                 }
                 if !forward {
-                    back_cells += 1;
+                    back_cells += cells;
                 }
                 if let Some((.., amplitude)) = sheet_here {
                     let sigma = sigma_mat + sigma_pml;
@@ -183,18 +206,24 @@ pub fn build_coefficients(
                     src_row.set(x, (amplitude * tau) / d);
                 }
             }
-            for (out, row) in t_out.iter_mut().zip(&t_row) {
-                out.push_row(&row.re, &row.im)?;
+            if uniform {
+                let buffers = t_row.iter_mut().chain(&mut c_row).chain([&mut src_row]);
+                buffers.for_each(RowParts::spread);
             }
-            for (out, row) in c_out.iter_mut().zip(&c_row) {
-                out.push_row(&row.re, &row.im)?;
-            }
-            for arr in SourceArray::ALL {
-                let row = match sheet_here {
-                    Some((_, driven, _)) if driven == arr => &src_row,
-                    _ => &no_src,
-                };
-                src_out[arr.index()].push_row(&row.re, &row.im)?;
+            for _ in 0..rows {
+                for (out, row) in t_out.iter_mut().zip(&t_row) {
+                    out.push_row(&row.re, &row.im)?;
+                }
+                for (out, row) in c_out.iter_mut().zip(&c_row) {
+                    out.push_row(&row.re, &row.im)?;
+                }
+                for arr in SourceArray::ALL {
+                    let row = match sheet_here {
+                        Some((_, driven, _)) if driven == arr => &src_row,
+                        _ => &no_src,
+                    };
+                    src_out[arr.index()].push_row(&row.re, &row.im)?;
+                }
             }
         }
     }
@@ -312,5 +341,81 @@ mod tests {
             state.coeffs.src(em_field::SourceArray::SrcEy).get(2, 2, 3),
             Cplx::ZERO
         );
+    }
+
+    /// `scene` with no plane declared uniform and not one material
+    /// changed: a zero-radius sphere per cell plane, far outside the
+    /// grid. Building it is the per-cell walk — the reference the
+    /// plane-uniform build must equal.
+    fn per_cell_reference(scene: &Scene, nz: usize) -> Scene {
+        let mut scene = scene.clone();
+        for z in 0..nz {
+            scene.spheres.push(crate::geometry::Sphere {
+                center: [-1e9, -1e9, z as f64 + 0.5],
+                radius: 0.0,
+                material: scene.background,
+            });
+            assert!(!scene.plane_is_uniform(z));
+        }
+        scene
+    }
+
+    /// Same row index, same bits in every interior cell.
+    fn same_bits(a: &em_field::CoeffArray, b: &em_field::CoeffArray) -> bool {
+        let bits = |v: Cplx| (v.re.to_bits(), v.im.to_bits());
+        a.offsets() == b.offsets()
+            && a.iter_interior()
+                .zip(b.iter_interior())
+                .all(|((_, x), (_, y))| bits(x) == bits(y))
+    }
+
+    #[test]
+    fn uniform_planes_build_the_bits_of_the_per_cell_walk() {
+        use crate::geometry::Layer;
+        let mut stack = Scene::vacuum();
+        let ag = stack.add_material(Material::silver());
+        let asi = stack.add_material(Material::a_si());
+        let glass = stack.add_material(Material::glass());
+        stack.layers.push(Layer::flat(ag, 0.0, 3.0));
+        // A face inside a cell: that plane is uniform too, at an
+        // averaged permittivity.
+        stack.layers.push(Layer::flat(asi, 3.0, 7.5));
+        stack.layers.push(Layer::flat(glass, 7.5, 12.0));
+        let cases = [
+            ("flat stack", GridDims::new(5, 4, 16), stack, 16),
+            (
+                "tandem cell",
+                GridDims::new(12, 12, 48),
+                Scene::tandem_solar_cell(12, 12, 48),
+                // All but three planes around each of the three textured
+                // interfaces and three through the nanoparticles.
+                36,
+            ),
+        ];
+        for (name, dims, scene, uniform_planes) in cases {
+            let uniform = (0..dims.nz).filter(|&z| scene.plane_is_uniform(z));
+            assert_eq!(uniform.count(), uniform_planes, "{name}");
+            let mut opt = CoeffOptions::new(10.0, 500.0);
+            opt.pml = Some(PmlSpec::new(3));
+            opt.source = Some(SourceSpec::x_polarized(dims.nz - 5, 1.0));
+            let (mut fast, mut slow) = (State::zeros(dims), State::zeros(dims));
+            let back = build_coefficients(&mut fast, &scene, &opt).unwrap();
+            let reference = per_cell_reference(&scene, dims.nz);
+            assert_eq!(
+                back,
+                build_coefficients(&mut slow, &reference, &opt).unwrap(),
+                "{name}: back-iteration cells"
+            );
+            assert!(back > 0, "{name}: silver is in the scene");
+            for comp in Component::ALL {
+                let (f, s) = (&fast.coeffs, &slow.coeffs);
+                assert!(same_bits(f.t(comp), s.t(comp)), "{name}: t {comp}");
+                assert!(same_bits(f.c(comp), s.c(comp)), "{name}: c {comp}");
+            }
+            for arr in SourceArray::ALL {
+                let (f, s) = (fast.coeffs.src(arr), slow.coeffs.src(arr));
+                assert!(same_bits(f, s), "{name}: {arr:?}");
+            }
+        }
     }
 }

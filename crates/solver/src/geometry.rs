@@ -147,6 +147,29 @@ impl Scene {
         &self.materials[id.0]
     }
 
+    /// True only when [`Scene::material_at`] depends on `z` alone
+    /// throughout the cell plane `z in [z, z + 1)`: no sphere's z extent
+    /// and no textured face's `z_face +- |amplitude|` band (a texture's
+    /// height never exceeds its amplitude) reaches the plane. Flat faces
+    /// never disqualify. Sound and conservative: `false` claims nothing,
+    /// and a band that merely touches the plane counts as reaching it.
+    pub fn plane_is_uniform(&self, z: usize) -> bool {
+        let (lo, hi) = (z as f64, z as f64 + 1.0);
+        // Written so that a NaN extent reaches every plane.
+        let reaches = |center: f64, reach: f64| !(center + reach < lo || center - reach > hi);
+        let textured = |face: f64, texture: &Option<Texture>| {
+            texture.is_some_and(|t| t.amplitude != 0.0 && reaches(face, t.amplitude.abs()))
+        };
+        !self
+            .spheres
+            .iter()
+            .any(|s| reaches(s.center[2], s.radius.abs()))
+            && !self
+                .layers
+                .iter()
+                .any(|l| textured(l.z_hi, &l.top_texture) || textured(l.z_lo, &l.bottom_texture))
+    }
+
     /// The Fig. 1 tandem thin-film cell, scaled to `nz` grid cells of
     /// height and `nx x ny` laterally: glass superstrate, front TCO,
     /// a-Si:H top junction (textured), uc-Si:H bottom junction
@@ -341,6 +364,64 @@ mod tests {
                     assert_ne!(s.material(id).name(), "vacuum", "gap at ({i},{j},{z})");
                 }
             }
+        }
+    }
+
+    /// Soundness of [`Scene::plane_is_uniform`]: wherever it says
+    /// uniform, every sub-sample of every cell of the plane maps to the
+    /// material the `(0, 0)` cell's same sub-sample maps to — which is
+    /// what makes that cell's averaged permittivity the plane's.
+    #[test]
+    fn a_plane_declared_uniform_has_one_material_per_sub_sample_height() {
+        let s = crate::fit::SUBSAMPLES;
+        let at = |i: usize| (i as f64 + 0.5) / s as f64;
+        let mut flat = Scene::vacuum();
+        let g = flat.add_material(Material::glass());
+        flat.layers.push(Layer::flat(g, 2.0, 5.5));
+        // Faces whose texture bands end exactly on a cell face, and a
+        // sphere that touches one.
+        let mut edge = flat.clone();
+        edge.layers.push(Layer {
+            material: g,
+            z_lo: 8.5,
+            z_hi: 12.25,
+            top_texture: Some(Texture {
+                amplitude: -0.75,
+                period: 5.0,
+                seed: 3,
+            }),
+            bottom_texture: Some(Texture {
+                amplitude: 0.5,
+                period: 7.0,
+                seed: 4,
+            }),
+        });
+        edge.spheres.push(Sphere {
+            center: [3.0, 3.0, 17.0],
+            radius: 1.0,
+            material: g,
+        });
+        let (n, nz) = (10, 24);
+        for (name, scene, uniform_planes) in [
+            ("flat", flat, 24),
+            // Not 7-9, 11-13 and 15-18: a band that only touches a
+            // plane (7, 9, 13, 15, 18) disqualifies it too.
+            ("edge", edge, 14),
+            ("tandem", Scene::tandem_solar_cell(n, n, nz), 15),
+        ] {
+            let mut uniform = 0;
+            for z in (0..nz).filter(|&z| scene.plane_is_uniform(z)) {
+                uniform += 1;
+                for (i, j, k) in (0..s * s * s).map(|v| (v / (s * s), v / s % s, v % s)) {
+                    let fz = z as f64 + at(k);
+                    let want = scene.material_at(at(i), at(j), fz);
+                    for (x, y) in (0..n * n).map(|c| (c / n, c % n)) {
+                        let got = scene.material_at(x as f64 + at(i), y as f64 + at(j), fz);
+                        assert_eq!(got, want, "{name}: cell ({x},{y},{z}) sample ({i},{j},{k})");
+                    }
+                }
+            }
+            assert_eq!(uniform, uniform_planes, "{name}");
         }
     }
 }

@@ -11,7 +11,7 @@ use crate::coeffs::{build_coefficients, CoeffOptions};
 use crate::geometry::Scene;
 use crate::pml::PmlSpec;
 use crate::source::SourceSpec;
-use em_field::{norms, Component, FieldSet, GridDims, State};
+use em_field::{norms, FieldSet, GridDims, State};
 use em_kernels::boundary::{step_naive_with_boundary, Boundary};
 use em_kernels::{step_spatial_mt, SpatialConfig};
 use mwd_core::{CancelToken, MwdBoundary, MwdConfig, MwdRun};
@@ -73,16 +73,35 @@ pub struct ConvergenceReport {
 
 /// The seam between the one convergence loop and whatever advances the
 /// fields: a local [`Engine`] or a distributed slab group. It is crossed
-/// once per period, never per step.
+/// once per period, never per step, and what comes back is a number,
+/// never a field.
+///
+/// The stepper, not the loop, owns the snapshot of the previous
+/// period's fields, because only the stepper knows where the planes
+/// live: [`norms::relative_change`] is defined as per-plane partials
+/// combined in ascending z, so a local stepper reduces all planes
+/// itself while a slab group combines what each worker reduced over the
+/// planes it holds — bit for bit the same value.
 pub trait Stepper {
-    /// Advance `state` by `n` time steps, observing `cancel`. On a halt
-    /// the fields are mid-update and must be discarded along with the
-    /// returned prefixed error.
-    fn step_n(&mut self, state: &mut State, n: usize, cancel: &CancelToken) -> Result<(), String>;
+    /// Advance `state` by one period of `spp` time steps, observing
+    /// `cancel`, and return the relative change of the fields against
+    /// the end of the previous period this stepper advanced —
+    /// `f64::INFINITY` for its first, which has nothing to compare
+    /// with. On a halt the fields are mid-update and must be discarded
+    /// along with the returned prefixed error.
+    fn period(
+        &mut self,
+        state: &mut State,
+        spp: usize,
+        cancel: &CancelToken,
+    ) -> Result<f64, String>;
 
-    /// Called once after the last period: release what the stepper
-    /// holds (remote workers, sockets). Local engines hold nothing.
-    fn finish(self) -> Result<(), String>
+    /// Called once after the last period: bring `state` up to date if
+    /// the fields live elsewhere (a slab group gathers them here, once
+    /// per job) and release what the stepper holds (remote workers,
+    /// sockets). A local engine steps `state` in place and holds
+    /// nothing.
+    fn finish(self, _state: &mut State) -> Result<(), String>
     where
         Self: Sized,
     {
@@ -90,48 +109,41 @@ pub trait Stepper {
     }
 }
 
-/// The local [`Stepper`]: an [`Engine`] plus where the MWD executor's
-/// phase spans go.
+/// The local [`Stepper`]: an [`Engine`], where the MWD executor's
+/// phase spans go, and the snapshot of the previous period's fields.
 pub struct EngineStepper<'a> {
-    pub engine: &'a Engine,
+    engine: &'a Engine,
     /// Span recorder for the MWD engines; a disabled one makes every
     /// instrumentation point a no-op.
-    pub recorder: em_obs::Recorder,
+    recorder: em_obs::Recorder,
     /// Ambient parent span id for executor spans (0 = root).
-    pub trace_parent: u64,
+    trace_parent: u64,
+    /// The fields at the end of the previous period, overwritten in
+    /// place by the pass that reduces against them.
+    snapshot: Option<FieldSet>,
+    /// Reused `(num_z, den_z)` buffer of that pass.
+    partials: Vec<(f64, f64)>,
 }
 
 impl<'a> EngineStepper<'a> {
-    pub fn untraced(engine: &'a Engine) -> Self {
+    pub fn new(engine: &'a Engine, recorder: em_obs::Recorder, trace_parent: u64) -> Self {
         EngineStepper {
             engine,
-            recorder: em_obs::Recorder::disabled(),
-            trace_parent: 0,
+            recorder,
+            trace_parent,
+            snapshot: None,
+            partials: Vec::new(),
         }
     }
-}
 
-/// `n` whole-grid sweeps of a sequential engine, checking the token
-/// once per time step.
-fn sweep_n(
-    state: &mut State,
-    n: usize,
-    cancel: &CancelToken,
-    step: impl Fn(&mut State),
-) -> Result<(), String> {
-    for _ in 0..n {
-        if let Some(err) = cancel.halt_error() {
-            return Err(err);
-        }
-        step(state);
+    pub fn untraced(engine: &'a Engine) -> Self {
+        Self::new(engine, em_obs::Recorder::disabled(), 0)
     }
-    Ok(())
-}
 
-impl Stepper for EngineStepper<'_> {
-    /// The MWD engines check the token at every tile claim; the
-    /// sequential engines check once per time step.
-    fn step_n(&mut self, state: &mut State, n: usize, cancel: &CancelToken) -> Result<(), String> {
+    /// Advance `state` by `n` time steps. The MWD engines check the
+    /// token at every tile claim; the sequential engines check once per
+    /// time step.
+    pub fn step_n(&self, state: &mut State, n: usize, cancel: &CancelToken) -> Result<(), String> {
         let mwd = |state: &mut State, cfg: &MwdConfig, boundary: MwdBoundary| {
             let run = MwdRun {
                 boundary,
@@ -154,6 +166,42 @@ impl Stepper for EngineStepper<'_> {
             Engine::Mwd(cfg) => mwd(state, cfg, MwdBoundary::Dirichlet),
             Engine::MwdPeriodicX(cfg) => mwd(state, cfg, MwdBoundary::PeriodicX),
         }
+    }
+}
+
+/// `n` whole-grid sweeps of a sequential engine, checking the token
+/// once per time step.
+fn sweep_n(
+    state: &mut State,
+    n: usize,
+    cancel: &CancelToken,
+    step: impl Fn(&mut State),
+) -> Result<(), String> {
+    for _ in 0..n {
+        if let Some(err) = cancel.halt_error() {
+            return Err(err);
+        }
+        step(state);
+    }
+    Ok(())
+}
+
+impl Stepper for EngineStepper<'_> {
+    fn period(
+        &mut self,
+        state: &mut State,
+        spp: usize,
+        cancel: &CancelToken,
+    ) -> Result<f64, String> {
+        self.step_n(state, spp, cancel)?;
+        let fields = &state.fields;
+        let Some(snapshot) = &mut self.snapshot else {
+            self.snapshot = Some(fields.clone());
+            return Ok(f64::INFINITY);
+        };
+        self.partials.clear();
+        norms::plane_changes(fields, snapshot, 0..fields.dims().nz, &mut self.partials);
+        Ok(norms::combine_planes(self.partials.iter().copied()))
     }
 }
 
@@ -228,34 +276,20 @@ impl ThiimSolver {
         cancel: &CancelToken,
     ) -> Result<ConvergenceReport, String> {
         let spp = self.steps_per_period();
-        let mut prev: Option<FieldSet> = None;
         let mut rel = f64::INFINITY;
         for period in 1..=max_periods {
             if let Some(err) = cancel.halt_error() {
                 return Err(err);
             }
-            stepper.step_n(&mut self.state, spp, cancel)?;
+            rel = stepper.period(&mut self.state, spp, cancel)?;
             self.steps_done += spp;
-            let fields = &self.state.fields;
-            match &mut prev {
-                Some(p) => {
-                    rel = norms::relative_change(fields, p);
-                    if rel < tol {
-                        return Ok(ConvergenceReport {
-                            periods: period,
-                            steps: self.steps_done,
-                            rel_change: rel,
-                            converged: true,
-                        });
-                    }
-                    // One retained snapshot, overwritten in place.
-                    for c in Component::ALL {
-                        p.comp_mut(c)
-                            .as_mut_slice()
-                            .copy_from_slice(fields.comp(c).as_slice());
-                    }
-                }
-                None => prev = Some(fields.clone()),
+            if rel < tol {
+                return Ok(ConvergenceReport {
+                    periods: period,
+                    steps: self.steps_done,
+                    rel_change: rel,
+                    converged: true,
+                });
             }
         }
         Ok(ConvergenceReport {
@@ -314,9 +348,9 @@ mod tests {
     struct CancelOnEntry<'a>(EngineStepper<'a>);
 
     impl Stepper for CancelOnEntry<'_> {
-        fn step_n(&mut self, state: &mut State, n: usize, c: &CancelToken) -> Result<(), String> {
+        fn period(&mut self, state: &mut State, n: usize, c: &CancelToken) -> Result<f64, String> {
             c.cancel();
-            self.0.step_n(state, n, c)
+            self.0.period(state, n, c)
         }
     }
 
@@ -342,8 +376,10 @@ mod tests {
         assert_eq!(s.steps_done(), 0, "a halted period is not counted");
     }
 
-    /// A [`Stepper`] that touches no field: it records the `n` of every
-    /// call and can cancel a token from inside a chosen call.
+    /// A [`Stepper`] that touches no field: it records the `spp` of
+    /// every crossing, reports the change of fields that never change
+    /// (none to compare in its first period, zero after) and can cancel
+    /// a token from inside a chosen call.
     #[derive(Default)]
     struct FakeStepper {
         calls: Vec<usize>,
@@ -351,14 +387,18 @@ mod tests {
     }
 
     impl Stepper for FakeStepper {
-        fn step_n(&mut self, _: &mut State, n: usize, _: &CancelToken) -> Result<(), String> {
-            self.calls.push(n);
+        fn period(&mut self, _: &mut State, spp: usize, _: &CancelToken) -> Result<f64, String> {
+            self.calls.push(spp);
             if let Some((call, token)) = &self.cancel_in_call {
                 if self.calls.len() == *call {
                     token.cancel();
                 }
             }
-            Ok(())
+            Ok(if self.calls.len() == 1 {
+                f64::INFINITY
+            } else {
+                0.0
+            })
         }
     }
 
@@ -377,6 +417,16 @@ mod tests {
         assert_eq!(fake.calls, vec![spp, spp], "one crossing per period");
         assert_eq!(r.steps, r.periods * spp);
         assert_eq!(s.steps_done(), r.steps);
+
+        // The same through the real stepper, which owns the snapshot:
+        // without a source the fields stay zero under any engine.
+        let mut cfg = vacuum_wave_config(32, 12.0);
+        cfg.source = None;
+        let mut s = ThiimSolver::new(cfg);
+        let r = s.run_to_convergence(&Engine::Naive, 1e-3, 50).unwrap();
+        assert_eq!((r.converged, r.periods, r.rel_change), (true, 2, 0.0));
+        let r = s.run_to_convergence(&Engine::Naive, 1e-3, 1).unwrap();
+        assert_eq!((r.converged, r.rel_change), (false, f64::INFINITY));
     }
 
     #[test]
@@ -394,7 +444,7 @@ mod tests {
             err.starts_with(mwd_core::cancel::CANCELLED_PREFIX),
             "want cancelled prefix, got: {err}"
         );
-        assert_eq!(fake.calls.len(), 2, "no step_n after the cancel");
+        assert_eq!(fake.calls.len(), 2, "no period after the cancel");
     }
 
     #[test]

@@ -840,19 +840,22 @@ fn cmd_dist_run(args: &[String]) -> Result<ExitCode, String> {
 /// Where one spec's worker-periods went, summed over its workers from
 /// the series the coordinator recorded into `opts.registry`: the halo
 /// depth `k`, halo blocks applied (at most `2 * ceil(spp / k)` per
-/// worker-period), blocked halo waits, and seconds per period phase.
+/// worker-period), blocked halo waits, seconds per period phase, and
+/// the per-job field gathers (one slab per worker per job) with the
+/// seconds they took.
 fn dist_summary(name: &str, opts: &thiim_mwd::dist::DistOptions) -> String {
     use thiim_mwd::dist::{
-        HALO_DEPTH_METRIC, HALO_EXCHANGES_METRIC, HALO_WAIT_METRIC, PERIOD_PHASES,
-        PERIOD_PHASE_METRIC,
+        GATHERS_METRIC, GATHER_SECONDS_METRIC, HALO_DEPTH_METRIC, HALO_EXCHANGES_METRIC,
+        HALO_WAIT_METRIC, PERIOD_PHASES, PERIOD_PHASE_METRIC,
     };
     let reg = opts.registry.as_ref().expect("dist run registers metrics");
-    let (mut exchanges, mut wait_s, mut periods) = (0, 0.0, 0);
+    let (mut exchanges, mut wait_s, mut periods, mut gathers) = (0, 0.0, 0, 0);
     let mut phase_s = [0.0; 3];
     for w in 0..opts.workers {
         let idx = w.to_string();
         let worker = ("worker", idx.as_str());
         exchanges += reg.counter(HALO_EXCHANGES_METRIC, "", &[worker]).get();
+        gathers += reg.counter(GATHERS_METRIC, "", &[worker]).get();
         wait_s += reg
             .histogram(HALO_WAIT_METRIC, "", &[worker])
             .snapshot()
@@ -870,13 +873,15 @@ fn dist_summary(name: &str, opts: &thiim_mwd::dist::DistOptions) -> String {
     format!(
         "dist {name}: workers {}, halo depth {}, worker-periods {periods}, \
          halo_exchanges {exchanges} ({:.2} per worker-period), halo_wait_s {wait_s:.6}, \
-         compute_s {:.6}, exchange_s {:.6}, gather_s {:.6}",
+         compute_s {:.6}, exchange_s {:.6}, reduce_s {:.6}, final_gather_s {:.6}, \
+         gathers {gathers}",
         opts.workers,
         reg.gauge(HALO_DEPTH_METRIC, "", &[]).get(),
         exchanges as f64 / periods.max(1) as f64,
         phase_s[0],
         phase_s[1],
         phase_s[2],
+        reg.histogram(GATHER_SECONDS_METRIC, "", &[]).snapshot().sum,
     )
 }
 

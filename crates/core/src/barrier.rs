@@ -34,10 +34,6 @@ impl SpinBarrier {
         }
     }
 
-    pub fn participants(&self) -> usize {
-        self.n
-    }
-
     /// Wait for all `n` participants. Returns `true` for exactly one
     /// "leader" per phase (the last arriver).
     pub fn wait(&self) -> bool {

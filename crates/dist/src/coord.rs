@@ -245,13 +245,31 @@ impl Drop for Run {
     }
 }
 
+/// Why a setup wait for `what` ran out: the job's own halt error when
+/// the token has one (an expired deadline is filed under `timeout`, a
+/// cancel under `cancelled`), else the [`SETUP_TIMEOUT`] ceiling — no
+/// job deadline, so a plain failure.
+fn setup_expired(cancel: &CancelToken, what: &str) -> String {
+    cancel.halt_error().unwrap_or_else(|| {
+        format!(
+            "dist setup passed its {} s ceiling waiting for {what}",
+            SETUP_TIMEOUT.as_secs()
+        )
+    })
+}
+
 /// Receive one control message during the lockstep handshake, bounded
 /// by `deadline` via the socket read timeout.
-fn recv_setup(stream: &mut TcpStream, deadline: Instant, what: &str) -> Result<Msg, String> {
+fn recv_setup(
+    stream: &mut TcpStream,
+    deadline: Instant,
+    cancel: &CancelToken,
+    what: &str,
+) -> Result<Msg, String> {
     let left = deadline
         .checked_duration_since(Instant::now())
         .filter(|d| !d.is_zero())
-        .ok_or_else(|| format!("timeout: dist setup expired waiting for {what}"))?;
+        .ok_or_else(|| setup_expired(cancel, what))?;
     stream
         .set_read_timeout(Some(left))
         .map_err(|e| format!("control read timeout: {e}"))?;
@@ -259,6 +277,7 @@ fn recv_setup(stream: &mut TcpStream, deadline: Instant, what: &str) -> Result<M
         Ok(Msg::WorkerErr { index, message }) => Err(worker_failure(index as usize, &message)),
         Ok(msg) => Ok(msg),
         Err(FrameError::Eof) => Err(format!("worker hung up before {what}")),
+        Err(_) if Instant::now() >= deadline => Err(setup_expired(cancel, what)),
         Err(e) => Err(format!("waiting for {what}: {e}")),
     }
 }
@@ -417,16 +436,16 @@ fn launch(
     let mut ctrl: Vec<Option<TcpStream>> = (0..workers).map(|_| None).collect();
     let mut connected = 0usize;
     while connected < workers {
-        let mut s = accept_polling(&listener, "control", || match opts.cancel.halt_error() {
-            Some(err) => Err(err),
-            None if Instant::now() >= setup_dl => {
-                Err("timeout: dist workers never connected".to_string())
+        let mut s = accept_polling(&listener, "control", || {
+            if opts.cancel.is_halted() || Instant::now() >= setup_dl {
+                Err(setup_expired(&opts.cancel, "workers to connect"))
+            } else {
+                Ok(())
             }
-            None => Ok(()),
         })?;
         s.set_nodelay(true)
             .map_err(|e| format!("control nodelay: {e}"))?;
-        match recv_setup(&mut s, setup_dl, "Hello")? {
+        match recv_setup(&mut s, setup_dl, &opts.cancel, "Hello")? {
             Msg::Hello { index } => {
                 let i = index as usize;
                 if i >= workers || ctrl[i].is_some() {
@@ -486,7 +505,7 @@ fn launch(
     // Halo topology relay: worker i listens for i+1; we learn i's port
     // and tell i+1 where to connect.
     for i in 0..workers.saturating_sub(1) {
-        let port = match recv_setup(&mut run.ctrl[i], setup_dl, "ListenPort")? {
+        let port = match recv_setup(&mut run.ctrl[i], setup_dl, &opts.cancel, "ListenPort")? {
             Msg::ListenPort { port } => port,
             other => return Err(format!("expected ListenPort, got kind {}", other.kind())),
         };
@@ -494,7 +513,7 @@ fn launch(
             .map_err(|e| format!("cannot relay the halo port to worker {}: {e}", i + 1))?;
     }
     for (i, (tlog, span)) in tlogs.iter_mut().zip(builds).enumerate() {
-        match recv_setup(&mut run.ctrl[i], setup_dl, "Ready")? {
+        match recv_setup(&mut run.ctrl[i], setup_dl, &opts.cancel, "Ready")? {
             Msg::Ready {
                 build_s,
                 coeff_rows_distinct,
@@ -775,5 +794,30 @@ mod tests {
         let first = group.period(&mut state, 11, &token).unwrap();
         assert_eq!(first, f64::INFINITY, "period 1 has nothing to compare with");
         assert_eq!(group.period, 1);
+    }
+
+    #[test]
+    fn an_expired_setup_is_filed_by_its_cause() {
+        // The job's deadline passed while the workers were building.
+        let expired = CancelToken::with_deadline(Duration::ZERO);
+        let err = setup_expired(&expired, "Ready");
+        assert!(err.starts_with(TIMEOUT_PREFIX), "{err}");
+
+        let cancelled = CancelToken::none();
+        cancelled.cancel();
+        let err = setup_expired(&cancelled, "workers to connect");
+        assert!(err.starts_with(CANCELLED_PREFIX), "{err}");
+
+        // An active token: only the setup ceiling can have passed, and
+        // the job has no deadline to be filed under.
+        let err = setup_expired(&CancelToken::none(), "Ready");
+        assert!(
+            !err.starts_with(TIMEOUT_PREFIX) && !err.starts_with(CANCELLED_PREFIX),
+            "{err}"
+        );
+        assert!(
+            err.contains("60 s ceiling") && err.contains("Ready"),
+            "{err}"
+        );
     }
 }

@@ -23,7 +23,7 @@ use em_dist::{halo_depth, run_dist, split_z, DistOptions};
 use em_field::{GridDims, State};
 use em_scenarios::gen::{generate, Family, GenParams};
 use em_scenarios::{
-    builtins, run_batch, BatchOptions, EngineDecl, PmlDecl, ScenarioSpec, SourceDecl,
+    builtins, run_batch, BatchOptions, EngineDecl, PmlSpec, ScenarioSpec, SourceSpec,
 };
 use em_solver::{Engine, EngineStepper};
 
@@ -141,8 +141,8 @@ fn slab_case(nz: usize, lambda_cells: f64, engine: EngineDecl) -> ScenarioSpec {
     let mut spec = capped(&em_scenarios::builtin("vacuum-slab").unwrap());
     spec.grid.nz = nz;
     spec.physics.lambda_cells = lambda_cells;
-    spec.pml = Some(PmlDecl::with_thickness((nz / 4).min(8)));
-    spec.source = Some(SourceDecl::x_polarized(nz / 2, 1.0));
+    spec.pml = Some(PmlSpec::new((nz / 4).min(8)));
+    spec.source = Some(SourceSpec::x_polarized(nz / 2, 1.0));
     spec.engine = engine;
     spec
 }

@@ -20,11 +20,6 @@ impl TrafficReport {
         self.traffic.total() as f64 / self.lups as f64
     }
 
-    /// Data volume in GB (decimal, as LIKWID prints).
-    pub fn total_gb(&self) -> f64 {
-        self.traffic.total() as f64 / 1e9
-    }
-
     /// Memory bandwidth in GB/s implied by a given achieved update rate.
     pub fn bandwidth_gbs(&self, mlups: f64) -> f64 {
         mlups * 1e6 * self.code_balance() / 1e9

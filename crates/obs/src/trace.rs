@@ -245,24 +245,6 @@ impl ThreadLog {
             });
         }
     }
-
-    /// Record a zero-duration marker event.
-    pub fn instant(&mut self, name: &'static str, kv: Vec<(&'static str, String)>) {
-        if let Some(log) = &mut self.active {
-            let id = log.inner.next_id.fetch_add(1, Ordering::Relaxed);
-            let parent = *log.stack.last().expect("ambient parent always present");
-            let now = log.now_us();
-            log.push(SpanRecord {
-                id,
-                parent,
-                name,
-                thread: log.tid,
-                t_start_us: now,
-                t_end_us: now,
-                kv,
-            });
-        }
-    }
 }
 
 impl ActiveLog {

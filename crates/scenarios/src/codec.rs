@@ -6,8 +6,8 @@
 //! section the spec holds, so `from_toml_str(to_toml_string(s)) == s`.
 
 use crate::spec::{
-    ConvergenceDecl, EngineDecl, GridSpec, LayerDecl, OutputsDecl, PhysicsSpec, PmlDecl,
-    ScenarioSpec, SceneDecl, SlabDecl, SourceDecl, SphereDecl, SweepDecl, SweepPoint, TextureDecl,
+    ConvergenceDecl, EngineDecl, GridDims, LayerDecl, OutputsDecl, PhysicsSpec, PmlSpec,
+    ScenarioSpec, SceneDecl, SlabDecl, SourceSpec, SphereDecl, SweepDecl, SweepPoint, Texture,
 };
 use crate::toml::{self, Entry, Table, Value};
 use em_field::Axis;
@@ -130,9 +130,9 @@ fn get_tables<'a>(t: &'a Table, key: &str, ctx: &str) -> Result<Vec<&'a Table>, 
     }
 }
 
-fn texture_from(t: &Table, ctx: &str) -> Result<TextureDecl, String> {
+fn texture_from(t: &Table, ctx: &str) -> Result<Texture, String> {
     check_keys(t, ctx, &["amplitude", "period", "seed"])?;
-    Ok(TextureDecl {
+    Ok(Texture {
         amplitude: get_f64(t, "amplitude", ctx)?,
         period: get_f64(t, "period", ctx)?,
         seed: get_u64(t, "seed", ctx)?,
@@ -158,7 +158,7 @@ fn scene_from(t: &Table) -> Result<SceneDecl, String> {
             &lctx,
             &["material", "z_lo", "z_hi", "top_texture", "bottom_texture"],
         )?;
-        let tex = |key: &str| -> Result<Option<TextureDecl>, String> {
+        let tex = |key: &str| -> Result<Option<Texture>, String> {
             match get_table_opt(lt, key, &lctx)? {
                 None => Ok(None),
                 Some(tt) => Ok(Some(texture_from(tt, &format!("{lctx}.{key}"))?)),
@@ -278,7 +278,7 @@ impl ScenarioSpec {
         let gt = get_table_opt(root, "grid", "the scenario root")?
             .ok_or("the scenario root: missing `[grid]` section")?;
         check_keys(gt, "[grid]", &["nx", "ny", "nz"])?;
-        let grid = GridSpec {
+        let grid = GridDims {
             nx: get_usize(gt, "nx", "[grid]")?,
             ny: get_usize(gt, "ny", "[grid]")?,
             nz: get_usize(gt, "nz", "[grid]")?,
@@ -301,8 +301,8 @@ impl ScenarioSpec {
             Some(t) => {
                 check_keys(t, "[pml]", &["thickness", "order", "sigma_max"])?;
                 let thickness = get_usize(t, "thickness", "[pml]")?;
-                let defaults = PmlDecl::with_thickness(thickness);
-                Some(PmlDecl {
+                let defaults = PmlSpec::new(thickness);
+                Some(PmlSpec {
                     thickness,
                     order: match t.get("order") {
                         None => defaults.order,
@@ -332,7 +332,7 @@ impl ScenarioSpec {
                         }
                     },
                 };
-                Some(SourceDecl {
+                Some(SourceSpec {
                     z_plane: get_usize(t, "z_plane", "[source]")?,
                     amplitude: match t.get("amplitude") {
                         None => 1.0,

@@ -15,8 +15,8 @@
 
 use super::rng::GenRng;
 use crate::spec::{
-    ConvergenceDecl, EngineDecl, GridSpec, LayerDecl, OutputsDecl, PhysicsSpec, PmlDecl,
-    ScenarioSpec, SceneDecl, SourceDecl, SphereDecl, TextureDecl,
+    ConvergenceDecl, EngineDecl, GridDims, LayerDecl, OutputsDecl, PhysicsSpec, PmlSpec,
+    ScenarioSpec, SceneDecl, SourceSpec, SphereDecl, Texture,
 };
 
 /// A structure-generator family.
@@ -217,14 +217,14 @@ fn build(family: Family, seed: u64, p: &GenParams, rng: &mut GenRng) -> Scenario
     ScenarioSpec {
         name: format!("gen-{}-s{seed}", family.name()),
         description: format!("generated: {} (seed {seed})", family.description()),
-        grid: GridSpec { nx, ny, nz },
+        grid: GridDims::new(nx, ny, nz),
         physics: PhysicsSpec {
             lambda_cells,
             lambda_nm,
             cfl: 0.95,
         },
-        pml: Some(PmlDecl::with_thickness(pml)),
-        source: Some(SourceDecl::x_polarized(z_source, 1.0)),
+        pml: Some(PmlSpec::new(pml)),
+        source: Some(SourceSpec::x_polarized(z_source, 1.0)),
         scene,
         engine: pick_engine(rng),
         convergence: ConvergenceDecl {
@@ -303,7 +303,7 @@ fn stack_scene(
         if textured && z_hi - z > 2.0 {
             // Texture amplitude stays below half the layer thickness so
             // the perturbed interface cannot escape the grid.
-            layer.top_texture = Some(TextureDecl {
+            layer.top_texture = Some(Texture {
                 amplitude: round2(rng.range_f64(0.2, ((z_hi - z) * 0.3).min(1.5))),
                 period: round2(rng.range_f64(3.0, 9.0)),
                 seed: rng.next_u64() & i64::MAX as u64,

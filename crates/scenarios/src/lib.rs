@@ -8,7 +8,8 @@
 //! - [`spec`]: the declarative [`ScenarioSpec`](spec::ScenarioSpec) —
 //!   grid, material stack / geometry, source, PML, engine, convergence
 //!   criteria, wavelength sweep and output artifacts — with validation
-//!   and precise error messages;
+//!   and precise error messages; grid, PML, source and textures are the
+//!   solver's own types, re-exported here;
 //! - [`toml`]: a hand-rolled parser/serializer for the TOML subset the
 //!   scenario files use (no crates.io in this environment, consistent
 //!   with the vendored `proptest` shim);
@@ -17,8 +18,9 @@
 //! - [`library`]: the built-in catalog — the paper's tandem solar cell
 //!   and silver nanowire plus a Bragg mirror, a bare-vacuum calibration
 //!   slab, a high-contrast photonic grating and a thin-absorber sweep —
-//!   all routed through [`em_solver::SolverBuilder`], the same path the
-//!   examples use (scenario runs are bit-identical to hand-rolled ones);
+//!   all built from one [`em_solver::SolverConfig`], the problem
+//!   description the examples spell (scenario runs are bit-identical to
+//!   hand-rolled ones);
 //! - [`gen`]: the generative catalog — seeded structure generators
 //!   (multilayer / rough-interface / nanoparticle / nanowire families)
 //!   over dispersive materials, plus the differential fuzz harness that
@@ -54,7 +56,7 @@ pub use runner::{
     TIMEOUT_PREFIX,
 };
 pub use spec::{
-    ConvergenceDecl, EngineDecl, GridSpec, LayerDecl, OutputsDecl, PhysicsSpec, PmlDecl,
-    ScenarioJob, ScenarioSpec, SceneDecl, SlabDecl, SourceDecl, SphereDecl, SweepDecl, SweepPoint,
-    TextureDecl,
+    ConvergenceDecl, EngineDecl, GridDims, LayerDecl, OutputsDecl, PhysicsSpec, PmlSpec,
+    ScenarioJob, ScenarioSpec, SceneDecl, SlabDecl, SourceSpec, SphereDecl, SweepDecl, SweepPoint,
+    Texture,
 };

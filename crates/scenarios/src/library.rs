@@ -1,8 +1,8 @@
 //! The built-in scenario catalog.
 //!
 //! Six diverse workloads, all expressed as [`ScenarioSpec`] data and all
-//! routed through the same [`SolverBuilder`](em_solver::SolverBuilder)
-//! path as user-authored scenario files:
+//! built from the same [`SolverConfig`](em_solver::SolverConfig) as
+//! user-authored scenario files:
 //!
 //! | name               | what it exercises                                   |
 //! |--------------------|-----------------------------------------------------|
@@ -14,8 +14,8 @@
 //! | `thin-absorber`    | thin a-Si film absorption over a 4-point sweep      |
 
 use crate::spec::{
-    ConvergenceDecl, EngineDecl, GridSpec, LayerDecl, OutputsDecl, PhysicsSpec, PmlDecl,
-    ScenarioSpec, SceneDecl, SlabDecl, SourceDecl, SphereDecl, SweepDecl, SweepPoint,
+    ConvergenceDecl, EngineDecl, GridDims, LayerDecl, OutputsDecl, PhysicsSpec, PmlSpec,
+    ScenarioSpec, SceneDecl, SlabDecl, SourceSpec, SphereDecl, SweepDecl, SweepPoint,
 };
 
 /// The paper's motivating application (Fig. 1): the tandem thin-film
@@ -28,14 +28,14 @@ pub fn solar_cell() -> ScenarioSpec {
         name: "solar-cell".to_string(),
         description: "tandem thin-film solar cell (paper Fig. 1), visible-spectrum sweep"
             .to_string(),
-        grid: GridSpec { nx, ny, nz },
+        grid: GridDims::new(nx, ny, nz),
         physics: PhysicsSpec {
             lambda_cells: 11.0,
             lambda_nm: 550.0,
             cfl: 0.95,
         },
-        pml: Some(PmlDecl::with_thickness(8)),
-        source: Some(SourceDecl::x_polarized(nz - 12, 1.0)),
+        pml: Some(PmlSpec::new(8)),
+        source: Some(SourceSpec::x_polarized(nz - 12, 1.0)),
         scene: SceneDecl::Preset {
             preset: "tandem-solar-cell".to_string(),
         },
@@ -100,18 +100,14 @@ pub fn silver_nanowire() -> ScenarioSpec {
         name: "silver-nanowire".to_string(),
         description: "silver nanowire in vacuum; negative permittivity drives the back iteration"
             .to_string(),
-        grid: GridSpec {
-            nx: n,
-            ny: n,
-            nz: 2 * n,
-        },
+        grid: GridDims::new(n, n, 2 * n),
         physics: PhysicsSpec {
             lambda_cells: 10.0,
             lambda_nm: 550.0,
             cfl: 0.95,
         },
-        pml: Some(PmlDecl::with_thickness(6)),
-        source: Some(SourceDecl::x_polarized(2 * n - 10, 1.0)),
+        pml: Some(PmlSpec::new(6)),
+        source: Some(SourceSpec::x_polarized(2 * n - 10, 1.0)),
         scene: SceneDecl::Explicit {
             materials: vec!["vacuum".to_string(), "Ag".to_string()],
             background: "vacuum".to_string(),
@@ -153,18 +149,14 @@ pub fn bragg_mirror() -> ScenarioSpec {
     ScenarioSpec {
         name: "bragg-mirror".to_string(),
         description: "quarter-wave TCO/glass Bragg mirror stack on the MWD engine".to_string(),
-        grid: GridSpec {
-            nx: 16,
-            ny: 16,
-            nz: 96,
-        },
+        grid: GridDims::new(16, 16, 96),
         physics: PhysicsSpec {
             lambda_cells,
             lambda_nm: 550.0,
             cfl: 0.95,
         },
-        pml: Some(PmlDecl::with_thickness(8)),
-        source: Some(SourceDecl::x_polarized(80, 1.0)),
+        pml: Some(PmlSpec::new(8)),
+        source: Some(SourceSpec::x_polarized(80, 1.0)),
         scene: SceneDecl::Explicit {
             materials: vec!["vacuum".to_string(), "glass".to_string(), "TCO".to_string()],
             background: "vacuum".to_string(),
@@ -202,18 +194,14 @@ pub fn vacuum_slab() -> ScenarioSpec {
     ScenarioSpec {
         name: "vacuum-slab".to_string(),
         description: "bare-vacuum calibration slab (travelling plane wave)".to_string(),
-        grid: GridSpec {
-            nx: 8,
-            ny: 8,
-            nz: 64,
-        },
+        grid: GridDims::new(8, 8, 64),
         physics: PhysicsSpec {
             lambda_cells: 12.0,
             lambda_nm: 550.0,
             cfl: 0.95,
         },
-        pml: Some(PmlDecl::with_thickness(8)),
-        source: Some(SourceDecl::x_polarized(32, 1.0)),
+        pml: Some(PmlSpec::new(8)),
+        source: Some(SourceSpec::x_polarized(32, 1.0)),
         scene: SceneDecl::vacuum(),
         engine: EngineDecl::NaivePeriodicXY,
         convergence: ConvergenceDecl {
@@ -247,14 +235,14 @@ pub fn photonic_grating() -> ScenarioSpec {
     ScenarioSpec {
         name: "photonic-grating".to_string(),
         description: "high-contrast a-Si grating bars on glass, periodic-x MWD engine".to_string(),
-        grid: GridSpec { nx, ny, nz },
+        grid: GridDims::new(nx, ny, nz),
         physics: PhysicsSpec {
             lambda_cells: 10.0,
             lambda_nm: 600.0,
             cfl: 0.95,
         },
-        pml: Some(PmlDecl::with_thickness(6)),
-        source: Some(SourceDecl::x_polarized(40, 1.0)),
+        pml: Some(PmlSpec::new(6)),
+        source: Some(SourceSpec::x_polarized(40, 1.0)),
         scene: SceneDecl::Explicit {
             materials: vec![
                 "vacuum".to_string(),
@@ -296,18 +284,14 @@ pub fn thin_absorber() -> ScenarioSpec {
     ScenarioSpec {
         name: "thin-absorber".to_string(),
         description: "5-cell a-Si absorber on TCO/glass, four-wavelength sweep".to_string(),
-        grid: GridSpec {
-            nx: 16,
-            ny: 16,
-            nz: 48,
-        },
+        grid: GridDims::new(16, 16, 48),
         physics: PhysicsSpec {
             lambda_cells: 10.0,
             lambda_nm: 500.0,
             cfl: 0.95,
         },
-        pml: Some(PmlDecl::with_thickness(6)),
-        source: Some(SourceDecl::x_polarized(40, 1.0)),
+        pml: Some(PmlSpec::new(6)),
+        source: Some(SourceSpec::x_polarized(40, 1.0)),
         scene: SceneDecl::Explicit {
             materials: vec![
                 "vacuum".to_string(),

@@ -720,24 +720,20 @@ pub fn write_artifacts(dir: &Path, outcomes: &mut [JobOutcome]) -> Result<(), St
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spec::{GridSpec, PhysicsSpec, SceneDecl};
+    use crate::spec::{GridDims, PhysicsSpec, PmlSpec, SceneDecl, SourceSpec};
 
     fn tiny_spec(name: &str) -> ScenarioSpec {
         ScenarioSpec {
             name: name.to_string(),
             description: String::new(),
-            grid: GridSpec {
-                nx: 4,
-                ny: 4,
-                nz: 24,
-            },
+            grid: GridDims::new(4, 4, 24),
             physics: PhysicsSpec {
                 lambda_cells: 8.0,
                 lambda_nm: 550.0,
                 cfl: 0.95,
             },
-            pml: Some(crate::spec::PmlDecl::with_thickness(4)),
-            source: Some(crate::spec::SourceDecl::x_polarized(18, 1.0)),
+            pml: Some(PmlSpec::new(4)),
+            source: Some(SourceSpec::x_polarized(18, 1.0)),
             scene: SceneDecl::vacuum(),
             engine: crate::spec::EngineDecl::NaivePeriodicXY,
             convergence: crate::spec::ConvergenceDecl {

@@ -5,17 +5,21 @@
 //! plane-wave source, PML, execution engine, convergence criteria, an
 //! optional wavelength sweep, and the output artifacts to compute. Specs
 //! serialize to and from the TOML subset of [`crate::toml`], validate
-//! with precise error messages, and build [`ThiimSolver`] instances via
-//! the shared [`SolverBuilder`] — the same construction path the
-//! examples use, so scenario-driven runs are bit-identical to
-//! hand-rolled ones.
+//! with precise error messages, and build [`ThiimSolver`] instances from
+//! one [`SolverConfig`] — the same problem description the examples
+//! spell, so scenario-driven runs are bit-identical to hand-rolled ones.
+//! Grid, PML, source and textures are held in the solver's own types;
+//! only what a spec translates (material names, engine kinds) has a
+//! declaration type of its own.
 
-use em_field::{Axis, GridDims};
+pub use em_field::GridDims;
+pub use em_solver::geometry::Texture;
+pub use em_solver::{PmlSpec, SourceSpec};
+
+use em_field::Axis;
 use em_kernels::SpatialConfig;
-use em_solver::geometry::{Layer, Texture};
-use em_solver::{
-    Engine, Material, MaterialId, PmlSpec, Scene, SolverBuilder, SourceSpec, Sphere, ThiimSolver,
-};
+use em_solver::geometry::Layer;
+use em_solver::{Engine, Material, MaterialId, Scene, SolverConfig, Sphere, ThiimSolver};
 use mwd_core::{MwdConfig, TgShape};
 
 /// Names the spec format accepts for materials, mapped to the presets of
@@ -43,14 +47,6 @@ pub fn material_by_name(name: &str) -> Option<Material> {
     }
 }
 
-/// Grid extents in cells.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct GridSpec {
-    pub nx: usize,
-    pub ny: usize,
-    pub nz: usize,
-}
-
 /// Wavelength and time-step parameters.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct PhysicsSpec {
@@ -62,87 +58,14 @@ pub struct PhysicsSpec {
     pub cfl: f64,
 }
 
-/// PML description (applied at both z ends).
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct PmlDecl {
-    pub thickness: usize,
-    pub order: f64,
-    pub sigma_max: f64,
-}
-
-impl PmlDecl {
-    /// The spec equivalent of [`PmlSpec::new`] (same default grading).
-    pub fn with_thickness(thickness: usize) -> Self {
-        let p = PmlSpec::new(thickness);
-        PmlDecl {
-            thickness: p.thickness,
-            order: p.order,
-            sigma_max: p.sigma_max,
-        }
-    }
-
-    pub fn to_pml_spec(self) -> PmlSpec {
-        PmlSpec {
-            thickness: self.thickness,
-            order: self.order,
-            sigma_max: self.sigma_max,
-        }
-    }
-}
-
-/// Plane-wave source sheet.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct SourceDecl {
-    pub z_plane: usize,
-    pub amplitude: f64,
-    /// `Axis::X` or `Axis::Y`.
-    pub polarization: Axis,
-}
-
-impl SourceDecl {
-    pub fn x_polarized(z_plane: usize, amplitude: f64) -> Self {
-        SourceDecl {
-            z_plane,
-            amplitude,
-            polarization: Axis::X,
-        }
-    }
-
-    pub fn to_source_spec(self) -> SourceSpec {
-        SourceSpec {
-            z_plane: self.z_plane,
-            amplitude: em_field::Cplx::real(self.amplitude),
-            polarization: self.polarization,
-        }
-    }
-}
-
-/// Rough-interface texture parameters (see [`Texture`]).
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct TextureDecl {
-    pub amplitude: f64,
-    pub period: f64,
-    pub seed: u64,
-}
-
-impl TextureDecl {
-    fn to_texture(self) -> Texture {
-        Texture {
-            amplitude: self.amplitude,
-            period: self.period,
-            seed: self.seed,
-        }
-    }
-}
-
 /// One horizontal layer, z in cells.
 #[derive(Clone, Debug, PartialEq)]
 pub struct LayerDecl {
     pub material: String,
     pub z_lo: f64,
     pub z_hi: f64,
-    pub top_texture: Option<TextureDecl>,
-    pub bottom_texture: Option<TextureDecl>,
+    pub top_texture: Option<Texture>,
+    pub bottom_texture: Option<Texture>,
 }
 
 impl LayerDecl {
@@ -237,8 +160,8 @@ impl SceneDecl {
                         material: id_of(&l.material)?,
                         z_lo: l.z_lo,
                         z_hi: l.z_hi,
-                        top_texture: l.top_texture.map(TextureDecl::to_texture),
-                        bottom_texture: l.bottom_texture.map(TextureDecl::to_texture),
+                        top_texture: l.top_texture,
+                        bottom_texture: l.bottom_texture,
                     });
                 }
                 for s in spheres {
@@ -518,10 +441,10 @@ pub struct SweepDecl {
 pub struct ScenarioSpec {
     pub name: String,
     pub description: String,
-    pub grid: GridSpec,
+    pub grid: GridDims,
     pub physics: PhysicsSpec,
-    pub pml: Option<PmlDecl>,
-    pub source: Option<SourceDecl>,
+    pub pml: Option<PmlSpec>,
+    pub source: Option<SourceSpec>,
     pub scene: SceneDecl,
     pub engine: EngineDecl,
     pub convergence: ConvergenceDecl,
@@ -546,7 +469,7 @@ pub struct ScenarioJob {
 
 impl ScenarioSpec {
     pub fn dims(&self) -> GridDims {
-        GridDims::new(self.grid.nx, self.grid.ny, self.grid.nz)
+        self.grid
     }
 
     /// Expand the sweep (or the single physics point) into jobs.
@@ -575,21 +498,18 @@ impl ScenarioSpec {
         self.scene.build(self.dims())
     }
 
-    /// Build a solver for one job through the shared [`SolverBuilder`].
+    /// Build a solver for one job: the job's wavelength point on this
+    /// spec's [`SolverConfig`].
     pub fn build_solver(&self, job: &ScenarioJob) -> Result<ThiimSolver, String> {
-        let dims = self.dims();
-        let scene = self.scene.build(dims)?;
-        let mut b = SolverBuilder::new(dims)
-            .scene(scene)
-            .wavelength(job.lambda_cells, job.lambda_nm)
-            .cfl(self.physics.cfl);
-        if let Some(p) = &self.pml {
-            b = b.pml(p.to_pml_spec());
-        }
-        if let Some(s) = &self.source {
-            b = b.source(s.to_source_spec());
-        }
-        Ok(b.build())
+        Ok(ThiimSolver::new(SolverConfig {
+            dims: self.grid,
+            scene: self.build_scene()?,
+            lambda_cells: job.lambda_cells,
+            lambda_nm: job.lambda_nm,
+            cfl: self.physics.cfl,
+            pml: self.pml,
+            source: self.source,
+        }))
     }
 
     /// The runnable engine, validated against this spec's grid.

@@ -4,8 +4,8 @@
 
 use em_scenarios::runner::{run_batch, BatchOptions};
 use em_scenarios::spec::{
-    ConvergenceDecl, EngineDecl, GridSpec, PhysicsSpec, PmlDecl, ScenarioSpec, SceneDecl,
-    SourceDecl,
+    ConvergenceDecl, EngineDecl, GridDims, PhysicsSpec, PmlSpec, ScenarioSpec, SceneDecl,
+    SourceSpec,
 };
 use mwd_core::ThreadBudget;
 use std::path::PathBuf;
@@ -17,18 +17,14 @@ fn work_spec(name: &str) -> ScenarioSpec {
     ScenarioSpec {
         name: name.to_string(),
         description: "batch-runner test workload".to_string(),
-        grid: GridSpec {
-            nx: 8,
-            ny: 8,
-            nz: 32,
-        },
+        grid: GridDims::new(8, 8, 32),
         physics: PhysicsSpec {
             lambda_cells: 8.0,
             lambda_nm: 550.0,
             cfl: 0.95,
         },
-        pml: Some(PmlDecl::with_thickness(6)),
-        source: Some(SourceDecl::x_polarized(24, 1.0)),
+        pml: Some(PmlSpec::new(6)),
+        source: Some(SourceSpec::x_polarized(24, 1.0)),
         scene: SceneDecl::vacuum(),
         engine: EngineDecl::NaivePeriodicXY,
         convergence: ConvergenceDecl {
@@ -313,13 +309,9 @@ fn ordering_is_deterministic_under_adversarially_slow_jobs() {
     specs[0].convergence.max_periods = 6;
     for i in 0..5 {
         let mut s = work_spec(&format!("quick-{i}"));
-        s.grid = em_scenarios::GridSpec {
-            nx: 4,
-            ny: 4,
-            nz: 24,
-        };
-        s.pml = Some(PmlDecl::with_thickness(4));
-        s.source = Some(SourceDecl::x_polarized(18, 1.0));
+        s.grid = GridDims::new(4, 4, 24);
+        s.pml = Some(PmlSpec::new(4));
+        s.source = Some(SourceSpec::x_polarized(18, 1.0));
         s.convergence.max_periods = 1;
         specs.push(s);
     }

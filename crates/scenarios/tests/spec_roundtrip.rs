@@ -7,8 +7,8 @@
 //! validation and assert the error names the offending section.
 
 use em_scenarios::spec::{
-    ConvergenceDecl, EngineDecl, GridSpec, LayerDecl, OutputsDecl, PhysicsSpec, PmlDecl,
-    ScenarioSpec, SceneDecl, SlabDecl, SourceDecl, SphereDecl, SweepDecl, SweepPoint, TextureDecl,
+    ConvergenceDecl, EngineDecl, GridDims, LayerDecl, OutputsDecl, PhysicsSpec, PmlSpec,
+    ScenarioSpec, SceneDecl, SlabDecl, SourceSpec, SphereDecl, SweepDecl, SweepPoint, Texture,
 };
 use proptest::prelude::*;
 
@@ -45,7 +45,7 @@ fn build_spec(
             let mat = ["glass", "a-Si:H", "Ag"][i % 3];
             let mut l = LayerDecl::flat(mat, i as f64 * span, (i as f64 + 0.7) * span);
             if texture_on == 1 && i == 0 {
-                l.top_texture = Some(TextureDecl {
+                l.top_texture = Some(Texture {
                     amplitude: 0.5,
                     period: 4.0,
                     seed,
@@ -94,14 +94,14 @@ fn build_spec(
     ScenarioSpec {
         name: names[name_pick % names.len()].to_string(),
         description: "randomized property-test spec \"quoted\"".to_string(),
-        grid: GridSpec { nx, ny: nx, nz },
+        grid: GridDims::new(nx, nx, nz),
         physics: PhysicsSpec {
             lambda_cells,
             lambda_nm,
             cfl: 0.95,
         },
-        pml: (pml_on == 1).then(|| PmlDecl::with_thickness(nz / 4)),
-        source: Some(SourceDecl::x_polarized(
+        pml: (pml_on == 1).then(|| PmlSpec::new(nz / 4)),
+        source: Some(SourceSpec::x_polarized(
             ((nz as f64 * source_frac) as usize).min(nz - 1),
             1.0,
         )),
@@ -249,7 +249,7 @@ fn out_of_grid_sphere_rejected() {
 #[test]
 fn source_outside_grid_rejected() {
     let mut s = valid_base();
-    s.source = Some(SourceDecl::x_polarized(32, 1.0)); // nz = 32
+    s.source = Some(SourceSpec::x_polarized(32, 1.0)); // nz = 32
     let e = s.validate().unwrap_err();
     assert!(
         e.contains("[source]") && e.contains("outside the grid"),
@@ -260,7 +260,7 @@ fn source_outside_grid_rejected() {
 #[test]
 fn oversized_pml_rejected() {
     let mut s = valid_base();
-    s.pml = Some(PmlDecl::with_thickness(16)); // 2*16 >= nz = 32
+    s.pml = Some(PmlSpec::new(16)); // 2*16 >= nz = 32
     let e = s.validate().unwrap_err();
     assert!(e.contains("[pml]"), "{e}");
 }

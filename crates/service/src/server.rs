@@ -242,11 +242,6 @@ impl Server {
         })
     }
 
-    /// The chaos injector, when this daemon runs under a fault plan.
-    pub fn fault_injector(&self) -> Option<&Arc<FaultInjector>> {
-        self.faults.as_ref()
-    }
-
     /// The bound address (relevant with port 0).
     pub fn local_addr(&self) -> Result<std::net::SocketAddr, String> {
         self.listener

@@ -7,7 +7,7 @@
 //! instead of by sleeping.
 
 use em_scenarios::spec::{
-    ConvergenceDecl, EngineDecl, GridSpec, PhysicsSpec, ScenarioSpec, SceneDecl,
+    ConvergenceDecl, EngineDecl, GridDims, PhysicsSpec, ScenarioSpec, SceneDecl,
 };
 use em_scenarios::JobOutcome;
 use em_service::scheduler::{
@@ -24,11 +24,7 @@ fn spec(lambda_nm: f64, engine: EngineDecl) -> ScenarioSpec {
     ScenarioSpec {
         name: "invariant".to_string(),
         description: String::new(),
-        grid: GridSpec {
-            nx: 4,
-            ny: 4,
-            nz: 24,
-        },
+        grid: GridDims::new(4, 4, 24),
         physics: PhysicsSpec {
             lambda_cells: 8.0,
             lambda_nm,

@@ -28,47 +28,8 @@
 //! physics lives entirely in this builder.
 
 use crate::fit::average_eps;
-use crate::geometry::Scene;
-use crate::pml::PmlSpec;
-use crate::source::SourceSpec;
+use crate::solver::SolverConfig;
 use em_field::{Axis, CoeffError, CoeffRowBuilder, Component, Cplx, SourceArray, State};
-
-/// Physics parameters for coefficient assembly.
-#[derive(Clone, Debug)]
-pub struct CoeffOptions {
-    /// Vacuum wavelength in grid cells (sets omega = 2*pi/lambda, c = 1).
-    pub lambda_cells: f64,
-    /// Vacuum wavelength in nm (material table lookup only).
-    pub lambda_nm: f64,
-    /// CFL safety factor; time step is `cfl / sqrt(3)` (3-D Yee limit).
-    pub cfl: f64,
-    pub pml: Option<PmlSpec>,
-    pub source: Option<SourceSpec>,
-    /// Test hook: disable the back iteration to demonstrate the
-    /// instability of the regular iteration on negative permittivity.
-    pub force_forward_iteration: bool,
-}
-
-impl CoeffOptions {
-    pub fn new(lambda_cells: f64, lambda_nm: f64) -> Self {
-        CoeffOptions {
-            lambda_cells,
-            lambda_nm,
-            cfl: 0.95,
-            pml: None,
-            source: None,
-            force_forward_iteration: false,
-        }
-    }
-
-    pub fn omega(&self) -> f64 {
-        std::f64::consts::TAU / self.lambda_cells
-    }
-
-    pub fn tau(&self) -> f64 {
-        self.cfl / 3.0f64.sqrt()
-    }
-}
 
 /// Real and imaginary parts of one x-row under assembly.
 #[derive(Clone)]
@@ -99,43 +60,49 @@ impl RowParts {
 }
 
 /// Replace `state.coeffs` (source arrays included) with the
-/// coefficients of `scene`, assembled one x-row at a time through
+/// coefficients of `config`, assembled one x-row at a time through
 /// [`CoeffRowBuilder`]: rows the scene repeats are stored once and the
 /// 28 dense arrays never exist. Returns the number of back-iteration
 /// cells (Re(eps) < 0).
 ///
 /// A cell's coefficients are a function of its averaged permittivity
 /// and its z (PML profile, source sheet), so a plane the scene declares
-/// laterally uniform ([`Scene::plane_is_uniform`]) is evaluated at cell
-/// `(0, 0)` alone — one `average_eps` instead of `nx * ny` — and that
-/// value fills the plane: the same expressions on the same inputs as
-/// the per-cell walk, hence the same bits. A layer stack pays for `nz`
-/// cells; textured and sphere-bearing planes pay for all of theirs.
+/// laterally uniform ([`crate::Scene::plane_is_uniform`]) is evaluated
+/// at cell `(0, 0)` alone — one `average_eps` instead of `nx * ny` —
+/// and that value fills the plane: the same expressions on the same
+/// inputs as the per-cell walk, hence the same bits. A layer stack pays
+/// for `nz` cells; textured and sphere-bearing planes pay for all of
+/// theirs.
 ///
 /// The time-harmonic plane-wave drive is a uniform source sheet at
 /// `source.z_plane` in the chosen E polarization. The source slot of
 /// the update equals `tau * S / D`, so the sheet reuses the denominator
 /// of its host cell.
+///
+/// `force_forward_iteration` is a test hook: it disables the back
+/// iteration to demonstrate the instability of the regular iteration on
+/// negative permittivity. [`crate::ThiimSolver::new`] passes `false`.
 pub fn build_coefficients(
     state: &mut State,
-    scene: &Scene,
-    opt: &CoeffOptions,
+    config: &SolverConfig,
+    force_forward_iteration: bool,
 ) -> Result<usize, CoeffError> {
     let dims = state.dims();
-    let omega = opt.omega();
-    let tau = opt.tau();
+    let scene = &config.scene;
+    let omega = config.omega();
+    let tau = config.tau();
     let eiwt = Cplx::cis(omega * tau);
     let eiwt2 = Cplx::cis(omega * tau / 2.0);
     let emiwt2 = Cplx::cis(-omega * tau / 2.0);
     let mut back_cells = 0usize;
 
-    let sheet = opt.source.as_ref().map(|src| {
+    let sheet = config.source.as_ref().map(|src| {
         let arr = match src.polarization {
             Axis::X => SourceArray::SrcEx,
             Axis::Y => SourceArray::SrcEy,
             Axis::Z => panic!("plane-wave source must be transverse (X or Y)"),
         };
-        (src.z_plane.min(dims.nz - 1), arr, src.amplitude)
+        (src.z_plane.min(dims.nz - 1), arr, Cplx::real(src.amplitude))
     });
 
     let builders =
@@ -147,7 +114,7 @@ pub fn build_coefficients(
     let no_src = RowParts::zeros(dims.nx);
 
     for z in 0..dims.nz {
-        let sigma_pml = opt.pml.map_or(0.0, |p| p.sigma_z(z, dims.nz));
+        let sigma_pml = config.pml.map_or(0.0, |p| p.sigma_z(z, dims.nz));
         let sheet_here = sheet.filter(|&(z_plane, ..)| z_plane == z);
         // A uniform plane is its cell (0, 0): one evaluated cell stands
         // for `cells` of them, one assembled row for `rows`.
@@ -159,9 +126,9 @@ pub fn build_coefficients(
         };
         for y in 0..ys {
             for x in 0..xs {
-                let (er, ei) = average_eps(scene, opt.lambda_nm, x, y, z);
+                let (er, ei) = average_eps(scene, config.lambda_nm, x, y, z);
                 let sigma_mat = omega * ei;
-                let forward = er > 0.0 || opt.force_forward_iteration;
+                let forward = er > 0.0 || force_forward_iteration;
 
                 for comp in Component::ALL {
                     // PML loss acts along the component's derivative axis;
@@ -241,27 +208,35 @@ pub fn build_coefficients(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::geometry::Scene;
     use crate::materials::Material;
+    use crate::pml::PmlSpec;
+    use crate::source::SourceSpec;
     use em_field::GridDims;
 
-    fn vacuum_state(n: usize) -> (State, Scene, CoeffOptions) {
-        let state = State::zeros(GridDims::cubic(n));
-        let scene = Scene::vacuum();
-        let opt = CoeffOptions::new(12.0, 550.0);
-        (state, scene, opt)
+    /// `scene` on a fresh `dims` state at 12 cells / 550 nm.
+    fn setup(dims: GridDims, scene: Scene) -> (State, SolverConfig) {
+        (
+            State::zeros(dims),
+            SolverConfig::new(dims, scene, 12.0, 550.0),
+        )
+    }
+
+    fn vacuum_state(n: usize) -> (State, SolverConfig) {
+        setup(GridDims::cubic(n), Scene::vacuum())
     }
 
     #[test]
     fn vacuum_coefficients_are_unit_modulus_transfer() {
-        let (mut state, scene, opt) = vacuum_state(4);
-        let back = build_coefficients(&mut state, &scene, &opt).unwrap();
+        let (mut state, cfg) = vacuum_state(4);
+        let back = build_coefficients(&mut state, &cfg, false).unwrap();
         assert_eq!(back, 0);
         for comp in Component::ALL {
             let t = state.coeffs.t(comp).get(1, 1, 1);
             assert!((t.abs() - 1.0).abs() < 1e-12, "{comp}: |t| = {}", t.abs());
             let c = state.coeffs.c(comp).get(1, 1, 1);
             assert!(
-                (c.abs() - opt.tau()).abs() < 1e-12,
+                (c.abs() - cfg.tau()).abs() < 1e-12,
                 "{comp}: |c| = {}",
                 c.abs()
             );
@@ -280,10 +255,9 @@ mod tests {
         scene
             .layers
             .push(crate::geometry::Layer::flat(asi, 3.0, 6.0));
-        let mut state = State::zeros(GridDims::new(4, 4, 8));
-        let mut opt = CoeffOptions::new(12.0, 550.0);
-        opt.pml = Some(PmlSpec::new(2));
-        let back = build_coefficients(&mut state, &scene, &opt).unwrap();
+        let (mut state, mut cfg) = setup(GridDims::new(4, 4, 8), scene);
+        cfg.pml = Some(PmlSpec::new(2));
+        let back = build_coefficients(&mut state, &cfg, false).unwrap();
         assert!(back > 0, "silver cells must use back iteration");
         for comp in Component::ALL {
             for (_, t) in state.coeffs.t(comp).iter_interior() {
@@ -296,11 +270,8 @@ mod tests {
     fn forward_iteration_on_silver_is_unstable() {
         // The defining contrast: forcing the regular iteration on
         // Re(eps) < 0 yields |t| > 1 (divergent mode).
-        let scene = Scene::uniform(Material::silver());
-        let mut state = State::zeros(GridDims::cubic(3));
-        let mut opt = CoeffOptions::new(12.0, 550.0);
-        opt.force_forward_iteration = true;
-        build_coefficients(&mut state, &scene, &opt).unwrap();
+        let (mut state, cfg) = setup(GridDims::cubic(3), Scene::uniform(Material::silver()));
+        build_coefficients(&mut state, &cfg, true).unwrap();
         let t = state.coeffs.t(Component::Exy).get(1, 1, 1);
         assert!(
             t.abs() > 1.0,
@@ -311,9 +282,9 @@ mod tests {
 
     #[test]
     fn pml_cells_are_lossy_only_in_z_derivative_components() {
-        let (mut state, scene, mut opt) = vacuum_state(8);
-        opt.pml = Some(PmlSpec::new(3));
-        build_coefficients(&mut state, &scene, &opt).unwrap();
+        let (mut state, mut cfg) = vacuum_state(8);
+        cfg.pml = Some(PmlSpec::new(3));
+        build_coefficients(&mut state, &cfg, false).unwrap();
         // z-derivative component inside the PML: |t| < 1 (absorbing).
         let t_zderiv = state.coeffs.t(Component::Exy).get(4, 4, 0);
         assert!(t_zderiv.abs() < 0.999, "|t| = {}", t_zderiv.abs());
@@ -327,13 +298,9 @@ mod tests {
 
     #[test]
     fn source_sheet_is_installed_at_the_plane() {
-        let (mut state, scene, mut opt) = vacuum_state(6);
-        opt.source = Some(SourceSpec {
-            z_plane: 3,
-            amplitude: Cplx::real(2.0),
-            polarization: Axis::X,
-        });
-        build_coefficients(&mut state, &scene, &opt).unwrap();
+        let (mut state, mut cfg) = vacuum_state(6);
+        cfg.source = Some(SourceSpec::x_polarized(3, 2.0));
+        build_coefficients(&mut state, &cfg, false).unwrap();
         let src = state.coeffs.src(em_field::SourceArray::SrcEx);
         assert!(src.get(2, 2, 3).abs() > 0.0);
         assert_eq!(src.get(2, 2, 2), Cplx::ZERO);
@@ -395,15 +362,16 @@ mod tests {
         for (name, dims, scene, uniform_planes) in cases {
             let uniform = (0..dims.nz).filter(|&z| scene.plane_is_uniform(z));
             assert_eq!(uniform.count(), uniform_planes, "{name}");
-            let mut opt = CoeffOptions::new(10.0, 500.0);
-            opt.pml = Some(PmlSpec::new(3));
-            opt.source = Some(SourceSpec::x_polarized(dims.nz - 5, 1.0));
-            let (mut fast, mut slow) = (State::zeros(dims), State::zeros(dims));
-            let back = build_coefficients(&mut fast, &scene, &opt).unwrap();
             let reference = per_cell_reference(&scene, dims.nz);
+            let mut cfg = SolverConfig::new(dims, scene, 10.0, 500.0);
+            cfg.pml = Some(PmlSpec::new(3));
+            cfg.source = Some(SourceSpec::x_polarized(dims.nz - 5, 1.0));
+            let (mut fast, mut slow) = (State::zeros(dims), State::zeros(dims));
+            let back = build_coefficients(&mut fast, &cfg, false).unwrap();
+            cfg.scene = reference;
             assert_eq!(
                 back,
-                build_coefficients(&mut slow, &reference, &opt).unwrap(),
+                build_coefficients(&mut slow, &cfg, false).unwrap(),
                 "{name}: back-iteration cells"
             );
             assert!(back > 0, "{name}: silver is in the scene");

@@ -14,17 +14,15 @@
 //! - [`pml`]: Berenger split-field perfectly matched layers (Eqs. 6-7);
 //! - [`coeffs`]: assembly of the 28 coefficient arrays from physics;
 //! - [`source`]: time-harmonic plane-wave drive;
-//! - [`solver`]: the iteration driver with convergence monitoring,
-//!   runnable on any engine (naive / spatial / MWD);
-//! - [`builder`]: fluent one-stop construction of solver configs, shared
-//!   by the examples and the scenario library;
+//! - [`solver`]: the problem description ([`SolverConfig`], the one the
+//!   coefficient build reads) and the iteration driver with convergence
+//!   monitoring, runnable on any engine (naive / spatial / MWD);
 //! - [`analysis`]: Poynting flux and per-layer absorption.
 //!
 //! Units are normalized: cell size = 1, vacuum light speed = 1,
 //! eps0 = mu0 = 1. Wavelengths are given in cells.
 
 pub mod analysis;
-pub mod builder;
 pub mod coeffs;
 pub mod fit;
 pub mod geometry;
@@ -33,8 +31,7 @@ pub mod pml;
 pub mod solver;
 pub mod source;
 
-pub use builder::SolverBuilder;
-pub use coeffs::{build_coefficients, CoeffOptions};
+pub use coeffs::build_coefficients;
 pub use geometry::{Layer, Scene, Sphere};
 pub use materials::{Material, MaterialId};
 pub use pml::PmlSpec;

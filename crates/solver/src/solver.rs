@@ -7,7 +7,7 @@
 //! reference, the spatially blocked baseline, or the MWD engine (which is
 //! bit-identical to naive by construction).
 
-use crate::coeffs::{build_coefficients, CoeffOptions};
+use crate::coeffs::build_coefficients;
 use crate::geometry::Scene;
 use crate::pml::PmlSpec;
 use crate::source::SourceSpec;
@@ -34,15 +34,18 @@ pub enum Engine {
     MwdPeriodicX(MwdConfig),
 }
 
-/// Problem description.
+/// The problem description: what [`build_coefficients`] turns into the
+/// arrays the stencil streams. Scenario specs, examples and tests all
+/// spell one of these.
 #[derive(Clone, Debug)]
 pub struct SolverConfig {
     pub dims: GridDims,
     pub scene: Scene,
-    /// Vacuum wavelength in cells.
+    /// Vacuum wavelength in grid cells (sets omega = 2*pi/lambda, c = 1).
     pub lambda_cells: f64,
     /// Vacuum wavelength in nm (material dispersion lookup).
     pub lambda_nm: f64,
+    /// CFL safety factor; time step is `cfl / sqrt(3)` (3-D Yee limit).
     pub cfl: f64,
     pub pml: Option<PmlSpec>,
     pub source: Option<SourceSpec>,
@@ -59,6 +62,14 @@ impl SolverConfig {
             pml: None,
             source: None,
         }
+    }
+
+    pub fn omega(&self) -> f64 {
+        std::f64::consts::TAU / self.lambda_cells
+    }
+
+    pub fn tau(&self) -> f64 {
+        self.cfl / 3.0f64.sqrt()
     }
 }
 
@@ -219,16 +230,12 @@ pub struct ThiimSolver {
 impl ThiimSolver {
     pub fn new(config: SolverConfig) -> Self {
         let mut state = State::zeros(config.dims);
-        let mut opt = CoeffOptions::new(config.lambda_cells, config.lambda_nm);
-        opt.cfl = config.cfl;
-        opt.pml = config.pml;
-        opt.source = config.source;
-        let back = build_coefficients(&mut state, &config.scene, &opt)
+        let back = build_coefficients(&mut state, &config, false)
             .expect("a grid this host can hold fits u32 coefficient row offsets");
         ThiimSolver {
             state,
-            omega: opt.omega(),
-            tau: opt.tau(),
+            omega: config.omega(),
+            tau: config.tau(),
             back_iteration_cells: back,
             config,
             steps_done: 0,
@@ -539,11 +546,7 @@ mod tests {
 
         // Forced forward iteration must blow up.
         let mut state = State::zeros(dims);
-        let mut opt = CoeffOptions::new(cfg.lambda_cells, cfg.lambda_nm);
-        opt.pml = cfg.pml;
-        opt.source = cfg.source;
-        opt.force_forward_iteration = true;
-        build_coefficients(&mut state, &cfg.scene, &opt).unwrap();
+        build_coefficients(&mut state, &cfg, true).unwrap();
         for _ in 0..200 {
             em_kernels::boundary::step_naive_with_boundary(
                 &mut state,

@@ -1,6 +1,6 @@
 //! Time-harmonic plane-wave source description.
 
-use em_field::{Axis, Cplx};
+use em_field::Axis;
 
 /// A uniform transverse source sheet at one z plane, driving the chosen
 /// electric polarization each time step (the steady forcing of the
@@ -8,7 +8,8 @@ use em_field::{Axis, Cplx};
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct SourceSpec {
     pub z_plane: usize,
-    pub amplitude: Cplx,
+    /// Real drive amplitude (the sheet has unit phase).
+    pub amplitude: f64,
     /// `Axis::X` or `Axis::Y`.
     pub polarization: Axis,
 }
@@ -17,7 +18,7 @@ impl SourceSpec {
     pub fn x_polarized(z_plane: usize, amplitude: f64) -> Self {
         SourceSpec {
             z_plane,
-            amplitude: Cplx::real(amplitude),
+            amplitude,
             polarization: Axis::X,
         }
     }
@@ -32,6 +33,6 @@ mod tests {
         let s = SourceSpec::x_polarized(10, 1.5);
         assert_eq!(s.z_plane, 10);
         assert_eq!(s.polarization, Axis::X);
-        assert_eq!(s.amplitude, Cplx::real(1.5));
+        assert_eq!(s.amplitude, 1.5);
     }
 }

@@ -5,14 +5,15 @@
 //!
 //! The stable half is a thin wrapper over the built-in `silver-nanowire`
 //! scenario (also runnable as `mwd run silver-nanowire`); the divergence
-//! demo keeps using the raw coefficient API, since forcing the unstable
-//! forward iteration is exactly what scenarios refuse to describe.
+//! demo rebuilds the same solver config's coefficients with the raw
+//! coefficient API, since forcing the unstable forward iteration is
+//! exactly what scenarios refuse to describe.
 //!
 //!     cargo run --release --example silver_nanowire
 
 use thiim_mwd::field::State;
 use thiim_mwd::scenarios::library;
-use thiim_mwd::solver::coeffs::{build_coefficients, CoeffOptions};
+use thiim_mwd::solver::coeffs::build_coefficients;
 use thiim_mwd::solver::Material;
 
 fn main() {
@@ -43,13 +44,8 @@ fn main() {
     }
 
     // Regular iteration on the same problem: diverges.
-    let scene = spec.build_scene().expect("scene builds");
     let mut state = State::zeros(spec.dims());
-    let mut opt = CoeffOptions::new(job.lambda_cells, job.lambda_nm);
-    opt.pml = solver.config.pml;
-    opt.source = solver.config.source;
-    opt.force_forward_iteration = true;
-    build_coefficients(&mut state, &scene, &opt).expect("coefficients fit");
+    build_coefficients(&mut state, &solver.config, true).expect("coefficients fit");
     let spp = solver.steps_per_period();
     println!("\nregular (forward) iteration on the same silver:");
     for period in 1..=4 {

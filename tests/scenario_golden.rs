@@ -3,8 +3,8 @@
 //! side below is a verbatim transcription of what
 //! `examples/solar_cell.rs` / `examples/silver_nanowire.rs` did before
 //! they became thin wrappers over the scenario library; if a scenario
-//! or the shared `SolverBuilder` ever drifts from that construction,
-//! the field bits diverge and these tests fail.
+//! or the `SolverConfig` a spec builds ever drifts from that
+//! construction, the field bits diverge and these tests fail.
 
 use thiim_mwd::field::GridDims;
 use thiim_mwd::scenarios::library;

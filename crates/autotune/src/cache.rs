@@ -21,9 +21,8 @@
 //! The model stage is deterministic, so two misses on the same key pick
 //! the same winner; the native stage trades that for measured truth,
 //! which is exactly what the cache then pins down.
-//! [`resolve`] and [`SharedTuneCache::resolve`](crate::SharedTuneCache::resolve)
-//! differ only in locking: both go through one hit lookup
-//! (`TuneCache::hit`) and one miss body (`miss_entry`).
+//! [`SharedTuneCache::resolve`](crate::SharedTuneCache::resolve) is
+//! [`resolve`] under the shared cache's lock.
 
 use crate::fingerprint::{host_fingerprint, is_current_revision};
 use crate::space::SearchSpace;
@@ -275,15 +274,6 @@ impl TuneCache {
         self.entries.iter().find(|e| e.key_id() == id)
     }
 
-    /// The one hit lookup: the stored answer for `key`, unless the
-    /// options force a retune.
-    pub(crate) fn hit(&self, key: &TuneKey, opts: &ResolveOptions) -> Option<Resolution> {
-        if opts.force {
-            return None;
-        }
-        self.get(key).map(|e| e.resolution(true))
-    }
-
     /// Insert or replace the entry for its key.
     pub fn put(&mut self, entry: TuneEntry) {
         let id = entry.key_id();
@@ -382,8 +372,8 @@ pub fn resolve(
     key: &TuneKey,
     opts: &ResolveOptions,
 ) -> Result<Resolution, String> {
-    if let Some(hit) = cache.hit(key, opts) {
-        return Ok(hit);
+    if let Some(entry) = cache.get(key).filter(|_| !opts.force) {
+        return Ok(entry.resolution(true));
     }
     let entry = miss_entry(key, opts)?;
     let resolution = entry.resolution(false);
@@ -412,7 +402,7 @@ const PROBE_STEPS: usize = 4;
 
 /// The one miss body: [`ranked`], then optional native refinement, and
 /// the entry to store under `key`.
-pub(crate) fn miss_entry(key: &TuneKey, opts: &ResolveOptions) -> Result<TuneEntry, String> {
+fn miss_entry(key: &TuneKey, opts: &ResolveOptions) -> Result<TuneEntry, String> {
     let dims = key.dims;
     let ranked = ranked(key, opts)?;
     let (mut config, mut score_mlups) = (ranked[0].config, ranked[0].score_mlups);

@@ -1,63 +1,39 @@
-//! A tuning-cache handle that many threads can resolve through at once.
+//! A tuning-cache handle that many threads can resolve through at once:
+//! one [`TuneCache`] behind one mutex.
 //!
-//! The batch runner resolves engines serially before any work starts, so
-//! a plain `&mut TuneCache` is enough there. The job service admits
-//! requests from concurrent connection handlers, and each admission may
-//! need an `engine = "auto"` resolution — without coordination, N
-//! simultaneous requests for the same key would pay the model search
-//! (and any native probes) N times over.
-//!
-//! [`SharedTuneCache`] fixes both problems:
-//!
-//! - **interior locking**: the cache itself sits behind one mutex, so
-//!   lookups and stores are race-free from any number of threads;
-//! - **per-key single flight**: a miss claims its key in an in-flight
-//!   set before searching; concurrent resolvers of the *same* key block
-//!   on a condvar and are served the freshly stored entry as a cache
-//!   hit, so the search (and every native probe) is paid exactly once.
-//!   Resolvers of *different* keys never wait on each other's searches —
-//!   the cache lock is released while a miss computes.
+//! - **search under the lock**: [`SharedTuneCache::resolve`] is
+//!   [`crate::resolve`] holding the cache lock, so each key is searched
+//!   once however many threads ask; the rest find the stored entry as a
+//!   hit. Resolvers of other keys wait out the search too, which costs
+//!   milliseconds since the model is the whole search (0.33 s at the
+//!   extreme `ny = 65536`). The event loop admits on one thread and
+//!   `run_batch` and `mwd tune` resolve serially, so the blocking
+//!   plane's handlers are the only concurrent callers.
 //! - **single flush path**: [`SharedTuneCache::save`] is the one place
 //!   the backing file is written, under the same lock as the entries.
 
-use crate::cache::{miss_entry, Resolution, ResolveOptions, TuneCache, TuneKey};
-use std::collections::HashSet;
+use crate::cache::{resolve, Resolution, ResolveOptions, TuneCache, TuneKey};
 use std::path::Path;
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
-
-struct Inner {
-    cache: Mutex<TuneCache>,
-    /// Key ids currently being searched by some thread.
-    inflight: Mutex<HashSet<String>>,
-    /// Signalled whenever a search finishes (successfully or not).
-    done: Condvar,
-}
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// A cloneable, thread-safe handle to one [`TuneCache`].
 #[derive(Clone)]
 pub struct SharedTuneCache {
-    inner: Arc<Inner>,
-}
-
-/// The payload is always left consistent (plain inserts/removes), so a
-/// panicking peer's poison flag carries no information worth aborting
-/// for.
-fn relock<'a, T>(
-    r: Result<MutexGuard<'a, T>, PoisonError<MutexGuard<'a, T>>>,
-) -> MutexGuard<'a, T> {
-    r.unwrap_or_else(PoisonError::into_inner)
+    cache: Arc<Mutex<TuneCache>>,
 }
 
 impl SharedTuneCache {
     /// Wrap an already-loaded cache.
     pub fn new(cache: TuneCache) -> SharedTuneCache {
         SharedTuneCache {
-            inner: Arc::new(Inner {
-                cache: Mutex::new(cache),
-                inflight: Mutex::new(HashSet::new()),
-                done: Condvar::new(),
-            }),
+            cache: Arc::new(Mutex::new(cache)),
         }
+    }
+
+    /// The cache is only changed by whole-entry inserts, so a panicking
+    /// peer's poison flag carries no information worth aborting for.
+    fn lock(&self) -> MutexGuard<'_, TuneCache> {
+        self.cache.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// An empty, unpersisted shared cache.
@@ -71,54 +47,29 @@ impl SharedTuneCache {
     }
 
     pub fn len(&self) -> usize {
-        relock(self.inner.cache.lock()).len()
+        self.lock().len()
     }
 
     pub fn is_empty(&self) -> bool {
-        relock(self.inner.cache.lock()).is_empty()
+        self.lock().is_empty()
     }
 
     /// Run `f` against the locked cache (for inspection; keep it short).
     pub fn with<R>(&self, f: impl FnOnce(&TuneCache) -> R) -> R {
-        f(&relock(self.inner.cache.lock()))
+        f(&self.lock())
     }
 
-    /// Resolve a key, paying each distinct key's search at most once no
-    /// matter how many threads ask concurrently. Threads that arrive
-    /// while the search runs block and then observe a cache hit.
+    /// Resolve a key under the cache lock: each distinct key is
+    /// searched at most once no matter how many threads ask, and
+    /// threads that arrive during the search observe a cache hit.
     pub fn resolve(&self, key: &TuneKey, opts: &ResolveOptions) -> Result<Resolution, String> {
-        let id = key.id();
-        loop {
-            let hit = relock(self.inner.cache.lock()).hit(key, opts);
-            if let Some(hit) = hit {
-                return Ok(hit);
-            }
-            let mut inflight = relock(self.inner.inflight.lock());
-            if !inflight.contains(&id) {
-                inflight.insert(id.clone());
-                break;
-            }
-            // Another thread is searching this key: wait for it, then
-            // re-check the cache (or reclaim the key if it failed).
-            let _unused = relock(self.inner.done.wait(inflight));
-        }
-
-        // Search without holding either lock, so other keys resolve
-        // concurrently.
-        let result = miss_entry(key, opts).map(|entry| {
-            let resolution = entry.resolution(false);
-            relock(self.inner.cache.lock()).put(entry);
-            resolution
-        });
-        relock(self.inner.inflight.lock()).remove(&id);
-        self.inner.done.notify_all();
-        result
+        resolve(&mut self.lock(), key, opts)
     }
 
     /// Persist to the backing file if there is one and entries changed
     /// (the single flush path). Returns whether a write happened.
     pub fn save(&self) -> Result<bool, String> {
-        relock(self.inner.cache.lock()).save()
+        self.lock().save()
     }
 }
 

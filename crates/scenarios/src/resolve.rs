@@ -10,8 +10,9 @@
 //!   the search itself tunes with — a detected `MachineSpec` plugs in
 //!   here and nowhere else;
 //! - **the search options**: `force` retunes each distinct key once per
-//!   resolver, `refine_top` native probes per miss, and a dry run never
-//!   probes or persists;
+//!   resolver, `refine_top` native probes per miss (the daemon's
+//!   admission is always model only), and a dry run never probes or
+//!   persists;
 //! - **the answer**: the resolved [`EngineDecl`] and its [`TuneRecord`].
 
 use crate::spec::EngineDecl;
@@ -97,7 +98,7 @@ pub struct TunePreview {
 }
 
 /// Resolves declared engines through one tuning cache (see the module
-/// docs). `Sync`: the daemon resolves from concurrent admission handlers.
+/// docs). `Sync`: the blocking plane admits from concurrent handlers.
 pub struct EngineResolver {
     scope: Scope,
     /// `force` here is the caller's wish; [`Self::resolve`] grants it
@@ -156,17 +157,19 @@ impl EngineResolver {
         ))
     }
 
-    /// For the job daemon: `auto` only, never forced, over the
-    /// process-wide cache the server also persists at shutdown.
-    pub fn for_service(cache: SharedTuneCache, refine_top: usize) -> Self {
-        Self::new(Scope::Auto, cache, false, refine_top, false)
+    /// For the job daemon: `auto` only, never forced, model only (a
+    /// miss runs on the admitting thread; native refinement is `mwd
+    /// tune --refine`'s offline job), over the process-wide cache the
+    /// server also persists at shutdown.
+    pub fn for_service(cache: SharedTuneCache) -> Self {
+        Self::new(Scope::Auto, cache, false, 0, false)
     }
 
     /// For `mwd tune`: every kind resolves, so the cache holds the MWD
     /// configuration for each scenario's grid whatever its spec
     /// declares. Filling the cache is the command's whole job, so
     /// without `--refine` it probes the top 2 finalists of every miss
-    /// (`run`, `batch` and `serve` default to 0).
+    /// (`run` and `batch` default to 0; `serve` never probes).
     pub fn for_tune_command(
         cache_path: &Path,
         force: bool,
@@ -199,14 +202,22 @@ impl EngineResolver {
         self.tuned_kind(decl).is_some()
     }
 
-    /// The key `decl` resolves under on `dims`; `share` is the job's
-    /// thread-budget share, used unless `auto` declares its own count.
-    fn key(&self, decl: EngineDecl, dims: GridDims, share: usize) -> Option<TuneKey> {
-        let kind = self.tuned_kind(decl)?;
-        let threads = match decl {
+    /// The threads `decl` runs with once resolved, for a job whose
+    /// thread-budget share is `share` — known without resolving, since
+    /// tuned configurations are thread-exact: `auto`'s declared count,
+    /// or the share for `auto` with 0 and every other tuned kind.
+    pub fn threads(&self, decl: EngineDecl, share: usize) -> usize {
+        match decl {
+            _ if !self.tunes(decl) => decl.threads(),
             EngineDecl::Auto { threads } if threads > 0 => threads,
             _ => share,
-        };
+        }
+    }
+
+    /// The key `decl` resolves under on `dims`.
+    fn key(&self, decl: EngineDecl, dims: GridDims, share: usize) -> Option<TuneKey> {
+        let kind = self.tuned_kind(decl)?;
+        let threads = self.threads(decl, share);
         Some(TuneKey::for_host(&self.opts.machine, dims, kind, threads))
     }
 

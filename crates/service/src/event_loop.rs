@@ -1,29 +1,27 @@
 //! The epoll connection plane: a non-blocking event loop hand-rolled
 //! on `std::os::fd` (this environment has no crates.io, so no `mio`).
 //!
-//! One thread owns every socket. Connections are edge-triggered
-//! (`EPOLLIN | EPOLLRDHUP | EPOLLET`) state machines:
+//! One thread owns every socket and answers every request. Connections
+//! are edge-triggered (`EPOLLIN | EPOLLRDHUP | EPOLLET`) state machines:
 //!
 //! ```text
-//!   Reading ──complete request──▶ Routing ──response──▶ Writing
-//!      ▲                                                  │
-//!      └—————————— keep-alive (pipelined bytes kept) ——————┘
+//!   Reading ──complete request, routed──▶ Writing
+//!      ▲                                    │
+//!      └—— keep-alive (pipelined bytes kept) ┘
 //! ```
 //!
 //! * **Reading** — drain the socket into a per-connection buffer and
 //!   run the shared incremental parser ([`crate::http::parse_request`])
 //!   over it. Pipelined requests queue in the buffer; one request is in
 //!   flight per connection at a time, so responses come back in order.
-//! * **Routing** — cheap requests (every route but `POST /jobs`) are
-//!   routed *inline* on the loop thread: status lookups, stats, and
-//!   cached-artifact reads are O(lock + lookup), and skipping the
-//!   thread hand-off is what lets a pipelined keep-alive connection
-//!   stream responses at memory speed. `POST /jobs` — whose admission
-//!   may run a tuning search (`engine = "auto"` on a cold cache) — goes
-//!   to the small router pool instead, which calls the same [`route`]
-//!   as the blocking plane (solve work dispatches to the scheduler's
-//!   workers from there) and posts the response back through the wake
-//!   pipe.
+//!   A framed request goes through the same [`route`] as the blocking
+//!   plane, right here on the loop thread, and its response is staged
+//!   for writing. Every route is bounded: status lookups, stats and
+//!   artifact reads are O(lock + lookup), and `POST /jobs` admission
+//!   answers a full queue 429 before any search and otherwise pays at
+//!   most one model-only tuning search for a cold `engine = "auto"`
+//!   key, on a grid capped at [`crate::submit::MAX_GRID_EXTENT`] per
+//!   axis (at most about 0.1 s). Solves run on the scheduler's workers.
 //! * **Writing** — the rendered bytes flush through non-blocking
 //!   writes, registering `EPOLLOUT` interest only while the socket is
 //!   full (streaming for large artifacts: no thread blocks on a slow
@@ -60,23 +58,20 @@ use crate::stats::ServiceStats;
 use em_faults::ConnFault;
 use em_obs::Counter;
 use std::collections::HashMap;
-use std::fs::File;
 use std::io::{ErrorKind, Read, Write};
 use std::net::TcpStream;
 use std::os::fd::{AsRawFd, FromRawFd, OwnedFd, RawFd};
 use std::sync::atomic::Ordering;
-use std::sync::mpsc;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-// Raw epoll/pipe syscalls through the C library, same idiom as the
-// signal hooks in `crate::shutdown` — no `libc` crate in this
-// environment. Values are the Linux ABI constants.
+// Raw epoll syscalls through the C library, same idiom as the signal
+// hooks in `crate::shutdown` — no `libc` crate in this environment.
+// Values are the Linux ABI constants.
 extern "C" {
     fn epoll_create1(flags: i32) -> i32;
     fn epoll_ctl(epfd: i32, op: i32, fd: i32, event: *mut EpollEvent) -> i32;
     fn epoll_wait(epfd: i32, events: *mut EpollEvent, maxevents: i32, timeout: i32) -> i32;
-    fn pipe2(pipefd: *mut i32, flags: i32) -> i32;
 }
 
 const EPOLLIN: u32 = 0x1;
@@ -89,8 +84,6 @@ const EPOLL_CTL_ADD: i32 = 1;
 const EPOLL_CTL_DEL: i32 = 2;
 const EPOLL_CTL_MOD: i32 = 3;
 const EPOLL_CLOEXEC: i32 = 0x80000;
-const O_NONBLOCK: i32 = 0x800;
-const O_CLOEXEC: i32 = 0x80000;
 
 /// `struct epoll_event`; packed on x86-64 (the kernel ABI there), the
 /// natural C layout everywhere else.
@@ -170,41 +163,16 @@ impl Poller {
     }
 }
 
-/// A non-blocking self-wake pipe: router threads write a byte to nudge
-/// the loop out of `epoll_wait` when a response is ready.
-fn wake_pipe() -> Result<(File, File), String> {
-    let mut fds = [0i32; 2];
-    if unsafe { pipe2(fds.as_mut_ptr(), O_NONBLOCK | O_CLOEXEC) } < 0 {
-        return Err(format!("pipe2 failed: {}", std::io::Error::last_os_error()));
-    }
-    let read = unsafe { OwnedFd::from_raw_fd(fds[0]) };
-    let write = unsafe { OwnedFd::from_raw_fd(fds[1]) };
-    Ok((File::from(read), File::from(write)))
-}
-
-const TOKEN_WAKE: u64 = 0;
-const TOKEN_LISTENER: u64 = 1;
-const FIRST_CONN_TOKEN: u64 = 2;
+const TOKEN_LISTENER: u64 = 0;
+const FIRST_CONN_TOKEN: u64 = 1;
 
 /// How long the loop lingers after the stop flag to flush in-flight
 /// responses before closing whatever remains.
 const DRAIN_BUDGET: Duration = Duration::from_secs(5);
 
-/// Floor on the deadline a connection gets while its request sits in
-/// `Routing`. Admission for `POST /jobs` can legitimately run a cold
-/// tuning search, so this is far above `io_timeout` — but it must be
-/// finite: if the router pool wedges, connections stuck in `Routing`
-/// would otherwise hold their slots forever, and at `max_connections`
-/// the disarmed listener would never re-arm (the daemon stops
-/// accepting with no recovery path).
-const ROUTING_BUDGET_FLOOR: Duration = Duration::from_secs(120);
-
 enum ConnState {
     /// Accumulating bytes until the parser frames a request.
     Reading,
-    /// A request is on the router pool; its response will arrive
-    /// through the completion queue.
-    Routing,
     /// Flushing `write_buf`.
     Writing,
 }
@@ -244,100 +212,28 @@ struct Conn {
     read_paused: bool,
 }
 
-/// A request handed to the router pool.
-struct RouteJob {
-    token: u64,
-    req: crate::http::Request,
-}
-
-/// Whether a request routes inline on the loop thread. Everything is
-/// O(lock + lookup) except `POST /jobs`, whose admission may run a
-/// tuning search (`engine = "auto"` on a cold cache) that must not
-/// stall the connection plane.
-fn routes_inline(req: &crate::http::Request) -> bool {
-    !(req.method == "POST" && req.path().split('/').filter(|s| !s.is_empty()).eq(["jobs"]))
-}
-
-/// A routed response on its way back to the loop.
-struct Completion {
-    token: u64,
-    out: Routed,
-}
-
 pub(crate) fn run(server: &Server) -> Result<(), String> {
-    let ctx = Arc::new(server.serve_ctx());
     let poller = Poller::new()?;
-    let (wake_rx, wake_tx) = wake_pipe()?;
-    poller
-        .add(wake_rx.as_raw_fd(), TOKEN_WAKE, EPOLLIN)
-        .map_err(|e| format!("cannot register the wake pipe: {e}"))?;
     poller
         .add(server.listener.as_raw_fd(), TOKEN_LISTENER, EPOLLIN)
         .map_err(|e| format!("cannot register the listener: {e}"))?;
-
-    let completions: Arc<Mutex<Vec<Completion>>> = Arc::new(Mutex::new(Vec::new()));
-    let (route_tx, route_rx) = mpsc::channel::<RouteJob>();
-    let route_rx = Arc::new(Mutex::new(route_rx));
-    // Routing is cheap (parse + scheduler enqueue + JSON rendering) but
-    // can touch locks and disk, so it runs off-loop on a couple of
-    // threads; solves still run on the scheduler's worker pool.
-    let routers = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-        .clamp(2, 4);
-    let router_handles: Vec<_> = (0..routers)
-        .map(|_| {
-            let ctx = ctx.clone();
-            let rx = route_rx.clone();
-            let completions = completions.clone();
-            let wake = wake_tx.try_clone().map_err(|e| e.to_string())?;
-            Ok(std::thread::spawn(move || loop {
-                let job = match rx.lock().unwrap().recv() {
-                    Ok(job) => job,
-                    Err(_) => return,
-                };
-                let out = route(&job.req, &ctx);
-                completions.lock().unwrap().push(Completion {
-                    token: job.token,
-                    out,
-                });
-                // A full pipe already guarantees a pending wake-up.
-                let _ = (&wake).write(&[1u8]);
-            }))
-        })
-        .collect::<Result<_, String>>()?;
-
-    let mut lp = Loop {
+    Loop {
         server,
-        ctx,
+        ctx: server.serve_ctx(),
         poller,
-        wake_rx,
-        route_tx: Some(route_tx),
-        completions,
         conns: HashMap::new(),
         next_token: FIRST_CONN_TOKEN,
         listener_armed: true,
         accept_backoff_until: None,
         draining: false,
-    };
-    let result = lp.serve();
-    // Closing the channel ends the router threads once the backlog is
-    // routed; their completions have no connections left and are
-    // dropped.
-    lp.route_tx = None;
-    for h in router_handles {
-        let _ = h.join();
     }
-    result
+    .serve()
 }
 
 struct Loop<'a> {
     server: &'a Server,
-    ctx: Arc<ServeCtx>,
+    ctx: ServeCtx,
     poller: Poller,
-    wake_rx: File,
-    route_tx: Option<mpsc::Sender<RouteJob>>,
-    completions: Arc<Mutex<Vec<Completion>>>,
     conns: HashMap<u64, Conn>,
     next_token: u64,
     listener_armed: bool,
@@ -369,12 +265,10 @@ impl Loop<'_> {
                 // Copy out of the (packed) event before touching it.
                 let (bits, token) = (ev.events, ev.data);
                 match token {
-                    TOKEN_WAKE => self.drain_wake_pipe(),
                     TOKEN_LISTENER => self.accept_ready(),
                     token => self.conn_event(token, bits),
                 }
             }
-            self.deliver_completions();
             self.sweep_deadlines();
             self.maybe_rearm_listener();
         }
@@ -425,18 +319,6 @@ impl Loop<'_> {
             .is_ok()
         {
             self.listener_armed = true;
-        }
-    }
-
-    fn drain_wake_pipe(&mut self) {
-        let mut buf = [0u8; 64];
-        loop {
-            match (&self.wake_rx).read(&mut buf) {
-                Ok(0) => return,
-                Ok(_) => continue,
-                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                Err(_) => return,
-            }
         }
     }
 
@@ -550,9 +432,6 @@ impl Loop<'_> {
             let progressed = match conn.state {
                 ConnState::Reading => self.try_parse(token),
                 ConnState::Writing => self.continue_write(token),
-                // The router pool owns the request; its completion
-                // re-enters through `deliver_completions`.
-                ConnState::Routing => false,
             };
             if !progressed {
                 return;
@@ -609,12 +488,11 @@ impl Loop<'_> {
         }
     }
 
-    /// Try to frame one request out of the read buffer and route it
-    /// (inline, or via the router pool). Runs only in `Reading` state:
-    /// one request in flight per connection keeps responses in
-    /// pipeline order. Returns whether the state machine progressed —
-    /// a response was staged or the request left for the router pool —
-    /// so [`Loop::pump`] knows to take another step.
+    /// Try to frame one request out of the read buffer and route it.
+    /// Runs only in `Reading` state: one request in flight per
+    /// connection keeps responses in pipeline order. Returns whether a
+    /// response was staged, so [`Loop::pump`] knows to take another
+    /// step.
     fn try_parse(&mut self, token: u64) -> bool {
         let Some(conn) = self.conns.get_mut(&token) else {
             return false;
@@ -635,23 +513,10 @@ impl Loop<'_> {
         match parse_request(&conn.read_buf, &self.ctx.limits) {
             Ok(Some((req, consumed))) => {
                 conn.read_buf.drain(..consumed);
-                conn.state = ConnState::Routing;
                 conn.close_after_write = !req.keep_alive;
                 ServiceStats::bump(&self.ctx.stats.requests);
-                if routes_inline(&req) {
-                    let out = route(&req, &self.ctx);
-                    self.queue_response(token, out);
-                } else {
-                    // Off to the router pool. Bound the wait: admission
-                    // may run a cold tuning search, so the budget is
-                    // generous — but a wedged pool must not hold this
-                    // slot (and, at the cap, the listener) forever.
-                    conn.deadline =
-                        Instant::now() + (self.ctx.io_timeout * 6).max(ROUTING_BUDGET_FLOOR);
-                    if let Some(tx) = &self.route_tx {
-                        let _ = tx.send(RouteJob { token, req });
-                    }
-                }
+                let out = route(&req, &self.ctx);
+                self.queue_response(token, out);
                 true
             }
             Ok(None) => {
@@ -661,7 +526,6 @@ impl Loop<'_> {
                     // side is gone but its read side may be listening.
                     ServiceStats::bump(&self.ctx.stats.requests);
                     ServiceStats::bump(&self.ctx.stats.rejected_bad);
-                    conn.state = ConnState::Routing;
                     conn.close_after_write = true;
                     let out = routed(
                         "other",
@@ -679,7 +543,6 @@ impl Loop<'_> {
                 } else {
                     &self.ctx.stats.rejected_bad
                 });
-                conn.state = ConnState::Routing;
                 // The framing is untrustworthy after a parse error;
                 // never keep the connection.
                 conn.close_after_write = true;
@@ -690,25 +553,8 @@ impl Loop<'_> {
         }
     }
 
-    fn deliver_completions(&mut self) {
-        let ready: Vec<Completion> = {
-            let mut guard = self.completions.lock().unwrap();
-            std::mem::take(&mut *guard)
-        };
-        for completion in ready {
-            // The connection may have died while its request was being
-            // routed; the response (and its deferred counters) is
-            // simply dropped, same as a failed write on the blocking
-            // plane.
-            if self.conns.contains_key(&completion.token) {
-                self.queue_response(completion.token, completion.out);
-                self.pump(completion.token);
-            }
-        }
-    }
-
     /// Render a response for this connection (applying the chaos
-    /// drop-site) and stage it for flushing. Only stages — the caller
+    /// drop-site) and move it to `Writing`. Only stages — the caller
     /// (always [`Loop::pump`], directly or right after) drives the
     /// actual writes, keeping the serve cycle iterative.
     fn queue_response(&mut self, token: u64, out: Routed) {
@@ -837,8 +683,7 @@ impl Loop<'_> {
 
     /// Enforce per-connection deadlines: 408 for an expired in-flight
     /// request (slowloris, silent connection), silent close for an
-    /// idle keep-alive connection, teardown for a stalled writer or
-    /// for a request wedged in the router pool past its budget.
+    /// idle keep-alive connection, teardown for a stalled writer.
     fn sweep_deadlines(&mut self) {
         let now = Instant::now();
         let expired: Vec<u64> = self
@@ -858,7 +703,6 @@ impl Loop<'_> {
                     // accounting as the blocking plane.
                     ServiceStats::bump(&self.ctx.stats.requests);
                     ServiceStats::bump(&self.ctx.stats.conn_timeouts);
-                    conn.state = ConnState::Routing;
                     conn.close_after_write = true;
                     let out = routed(
                         "other",
@@ -869,14 +713,6 @@ impl Loop<'_> {
                 }
                 ConnState::Reading => {
                     // Idle keep-alive connection: owes no response.
-                    self.close_conn(token);
-                }
-                ConnState::Routing => {
-                    // The router pool wedged past the generous routing
-                    // budget (armed at dispatch in `try_parse`). Free
-                    // the slot; tokens are never reused, so the late
-                    // completion is dropped in `deliver_completions`.
-                    ServiceStats::bump(&self.ctx.stats.conn_timeouts);
                     self.close_conn(token);
                 }
                 ConnState::Writing => {

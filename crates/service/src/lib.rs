@@ -35,10 +35,11 @@
 //!   `GET /results/:key`, `GET /healthz`, `GET /stats`,
 //!   `POST /shutdown`; with `--chaos`, an [`em_faults::FaultInjector`]
 //!   is threaded through the solve, store, and connection seams;
-//! - `event_loop` (Linux): the default connection plane — a
-//!   non-blocking epoll event loop with HTTP/1.1 keep-alive,
-//!   pipelining, and bounded connections, serving bytes identical to
-//!   the blocking plane;
+//! - `event_loop` (Linux): the default connection plane — one thread
+//!   running a non-blocking epoll event loop that answers every
+//!   request, admission included, with HTTP/1.1 keep-alive, pipelining,
+//!   and bounded connections, serving bytes identical to the blocking
+//!   plane;
 //! - [`shutdown`]: SIGINT/SIGTERM → a cooperative stop flag, shared
 //!   with the batch runner's drain path;
 //! - [`stats`]: the service counters behind `GET /stats`.

@@ -19,8 +19,9 @@
 //!   watermarked in [`ServiceStats::peak_threads_in_use`]).
 //!
 //! `engine = "auto"` resolves through the process-wide
-//! [`SharedTuneCache`] at admission time, so the tuned configuration is
-//! part of the job's content key and stays warm across all requests.
+//! [`SharedTuneCache`] at admission time, with the model only, so the
+//! tuned configuration is part of the job's content key and stays warm
+//! across all requests.
 
 use crate::stats::ServiceStats;
 use crate::store::ResultStore;
@@ -48,8 +49,6 @@ pub struct SchedulerConfig {
     pub queue_depth: usize,
     /// The thread budget shared by all concurrent jobs.
     pub budget: ThreadBudget,
-    /// Native probes per `auto`-resolution miss (0 = model only).
-    pub refine_top: usize,
     /// Finished job records retained for `GET /jobs/:id` (oldest are
     /// pruned beyond this; results stay in the store regardless).
     pub max_records: usize,
@@ -62,7 +61,6 @@ impl Default for SchedulerConfig {
             threads_per_job: 0,
             queue_depth: 32,
             budget: ThreadBudget::host(),
-            refine_top: 0,
             max_records: 4096,
         }
     }
@@ -313,7 +311,7 @@ impl Scheduler {
         if cfg.queue_depth == 0 {
             return Err("queue depth must be at least 1".to_string());
         }
-        let resolver = EngineResolver::for_service(tune, cfg.refine_top);
+        let resolver = EngineResolver::for_service(tune);
         let scheduler = Arc::new(Scheduler {
             workers,
             threads_per_job,
@@ -372,12 +370,12 @@ impl Scheduler {
         spec: ScenarioSpec,
         deadline_ms: Option<u64>,
     ) -> Result<Submission, SubmitError> {
-        // Fast-fail before paying engine resolution: a draining daemon
-        // answers 503 immediately, and a full queue answers 429 without
-        // running a tuning search on the handler thread — unless
-        // resolution is a cheap cache lookup, in which case the request
-        // may still turn out to be a store hit or coalesce (neither
-        // needs a queue slot).
+        // Fast-fail before any search: a draining daemon answers 503,
+        // and a full queue answers 429 unless resolution is a cache
+        // lookup (the request may still be a store hit or coalesce,
+        // neither of which needs a queue slot). This is what bounds the
+        // searches admission runs on the event loop's one thread: a
+        // full queue never searches.
         {
             let st = relock(self.state.lock());
             if st.draining {
@@ -394,11 +392,25 @@ impl Scheduler {
                 });
             }
         }
-        // The declaration this job will run under (`auto` goes through
-        // the shared tuning cache). On a cold cache that is a
-        // synchronous tuning search, which is why the event loop routes
-        // `POST /jobs` to its router pool while answering every other
-        // route inline on the loop thread.
+        // A multi-process job (workers > 1) leases threads for *every*
+        // worker slab at once, so admission budgets the product. The
+        // demand is known before resolving (tuned configurations are
+        // thread-exact), so an unservable spec never searches either.
+        let workers = spec.workers.max(1);
+        let demand = self
+            .resolver
+            .threads(spec.engine, self.threads_per_job)
+            .saturating_mul(workers);
+        if demand > self.threads_per_job {
+            return Err(SubmitError::Invalid(format!(
+                "engine `{}` across {workers} worker(s) demands {demand} thread(s); this server grants at most {} per job",
+                spec.engine.label(),
+                self.threads_per_job
+            )));
+        }
+        // The declaration this job will run under: `auto` goes through
+        // the shared tuning cache, and a cold key costs one model-only
+        // search, so every job pays at most one.
         let resolved = self
             .resolver
             .resolve(spec.engine, spec.dims(), self.threads_per_job)
@@ -411,18 +423,7 @@ impl Scheduler {
             });
         }
         let decl = resolved.decl;
-        // A multi-process job (workers > 1) leases threads for *every*
-        // worker slab at once, so admission budgets the product.
-        let demand = decl.threads().saturating_mul(spec.workers.max(1));
-        if demand > self.threads_per_job {
-            return Err(SubmitError::Invalid(format!(
-                "engine `{}` across {} worker(s) demands {} thread(s); this server grants at most {} per job",
-                decl.label(),
-                spec.workers.max(1),
-                demand,
-                self.threads_per_job
-            )));
-        }
+        debug_assert_eq!(decl.threads() * workers, demand, "tuning is thread-exact");
         // The canonical identity: the resolved spec (declared engine
         // replaced by what will actually run), the engine label again
         // (cheap belt-and-braces), and the host/ISA fingerprint.

@@ -21,9 +21,10 @@
 //! Two connection planes share this one router:
 //!
 //! * [`ConnModel::EventLoop`] (the default on Linux) — the epoll event
-//!   loop in [`crate::event_loop`]: non-blocking sockets, per-connection
-//!   state machines, HTTP/1.1 keep-alive with pipelining, and a bounded
-//!   connection count with accept backpressure.
+//!   loop in [`crate::event_loop`]: one thread routes every request,
+//!   over non-blocking sockets, per-connection state machines, HTTP/1.1
+//!   keep-alive with pipelining, and a bounded connection count with
+//!   accept backpressure.
 //! * [`ConnModel::Blocking`] — the original thread-per-connection
 //!   plane: one request per connection, every response carries
 //!   `Connection: close`.
@@ -32,7 +33,11 @@
 //! request produces byte-identical bytes on either (the two-daemon
 //! bit-identity oracle in the test suite holds old-loop vs new-loop).
 //! Either way the heavyweight work happens on the scheduler's worker
-//! pool; the connection plane only parses, routes, and writes.
+//! pool; the connection plane only parses, routes, and writes. Routing
+//! `POST /jobs` admits the job, which is bounded: a full queue answers
+//! 429 before any search, and otherwise a cold `engine = "auto"` key
+//! costs one model-only tuning search on a grid capped per axis by
+//! [`crate::submit::MAX_GRID_EXTENT`] (at most about 0.1 s).
 //!
 //! Every request gets a total wall-clock budget (`io_timeout_secs`)
 //! from its first byte to its last: a client trickling one byte per

@@ -13,9 +13,10 @@
 //!   and attaching a `deadline_ms` job deadline (admission-capped at
 //!   [`MAX_DEADLINE_MS`]).
 //!
-//! The spec is validated here, so every admission failure is a clean
+//! The spec is validated here, and its grid capped at
+//! [`MAX_GRID_EXTENT`] per axis, so every admission failure is a clean
 //! HTTP 400 with the validator's message instead of a queued job that
-//! dies later.
+//! dies later (or a search that stalls the event loop).
 
 use em_scenarios::spec::EngineDecl;
 use em_scenarios::{library, ScenarioSpec};
@@ -44,6 +45,17 @@ pub fn parse_submission(body: &[u8]) -> Result<SubmitRequest, String> {
         (ScenarioSpec::from_toml_str(text)?, None)
     };
     spec.validate()?;
+    // Admission runs on the event loop's one thread, and a cold `auto`
+    // key is searched there; the search grows with `ny` (superlinearly)
+    // and `nz`, so served grids are capped per axis before it can run.
+    let d = spec.dims();
+    for (axis, n) in [("nx", d.nx), ("ny", d.ny), ("nz", d.nz)] {
+        if n > MAX_GRID_EXTENT {
+            return Err(format!(
+                "[grid] {axis} = {n} exceeds the served limit of {MAX_GRID_EXTENT} cells per axis"
+            ));
+        }
+    }
     // Sweeps are legal TOML but (deliberately) not servable: one job id
     // maps to one content-addressed artifact, and a sweep's natural
     // serving shape is one request per point (which then dedupe
@@ -65,6 +77,12 @@ pub fn parse_submission(body: &[u8]) -> Result<SubmitRequest, String> {
 /// Upper bound on `max_periods` for served jobs (a single request must
 /// not be able to ask for unbounded work).
 pub const MAX_PERIODS_CAP: usize = 200;
+
+/// Upper bound on each served grid extent. It bounds the model-only
+/// search admission may run: a cold `auto` key at 1024 x 1024 x 1024
+/// ranks in about 0.1 s even at 64 threads, where `ny` = 65536 takes
+/// 0.3 s and `ny` = 262144 twelve seconds.
+pub const MAX_GRID_EXTENT: usize = 1024;
 
 /// Upper bound on a client-supplied `deadline_ms` (10 minutes): a
 /// deadline is a promise the daemon tracks per job, so it is capped the
@@ -271,5 +289,15 @@ mod tests {
         spec.convergence.max_periods = 10_000;
         let capped = parse_submission(spec.to_toml_string().as_bytes()).unwrap();
         assert_eq!(capped.spec.convergence.max_periods, MAX_PERIODS_CAP);
+    }
+
+    #[test]
+    fn grids_are_capped_per_axis() {
+        let mut spec = library::builtin("vacuum-slab").unwrap();
+        spec.grid.ny = MAX_GRID_EXTENT;
+        parse_submission(spec.to_toml_string().as_bytes()).unwrap();
+        spec.grid.nz = MAX_GRID_EXTENT + 1;
+        let err = parse_submission(spec.to_toml_string().as_bytes()).unwrap_err();
+        assert!(err.contains("nz = 1025 exceeds"), "{err}");
     }
 }

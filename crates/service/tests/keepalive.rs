@@ -199,9 +199,17 @@ fn pipelined_requests_answer_in_order_on_one_connection() {
     let daemon = Daemon::start(tiny_config(ConnModel::default()));
     let mut client = KeepAliveClient::connect(&daemon.addr);
 
-    // Three different requests in one write; responses must come back
-    // in request order, each marked keep-alive.
+    // Four different requests in one write — an admission among the
+    // GETs, routed on the loop thread like them; responses must come
+    // back in request order, each marked keep-alive.
     let mut burst = KeepAliveClient::get("/healthz");
+    burst.extend_from_slice(
+        format!(
+            "POST /jobs HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\n\r\n{TINY_SPEC}",
+            TINY_SPEC.len()
+        )
+        .as_bytes(),
+    );
     burst.extend_from_slice(&KeepAliveClient::get("/stats"));
     burst.extend_from_slice(&KeepAliveClient::get("/metrics"));
     client.send(&burst);
@@ -218,21 +226,73 @@ fn pipelined_requests_answer_in_order_on_one_connection() {
         Some("ok"),
         "first response is /healthz"
     );
+    let (status, connection, body) = client.read_response().unwrap();
+    assert_eq!(status, 202, "second response is the admission: {body}");
+    assert_eq!(connection, "keep-alive");
+    assert!(
+        em_json::parse(&body).unwrap().get("key").is_some(),
+        "the admission carries a content key: {body}"
+    );
     let (status, _, body) = client.read_response().unwrap();
     assert_eq!(status, 200);
     assert!(
         em_json::parse(&body).unwrap().get("requests").is_some(),
-        "second response is /stats"
+        "third response is /stats"
     );
     let (status, _, body) = client.read_response().unwrap();
     assert_eq!(status, 200);
     assert!(
         body.contains("# TYPE em_http_requests_total counter"),
-        "third response is /metrics"
+        "fourth response is /metrics"
     );
 
-    // All three counted as requests on one connection.
-    assert_eq!(stat(&daemon.addr, "requests"), 4);
+    // All four counted as requests on one connection.
+    assert_eq!(stat(&daemon.addr, "requests"), 5);
+    daemon.stop();
+}
+
+#[test]
+fn oversized_auto_grid_is_refused_without_stalling_the_loop() {
+    // Admission runs on the loop thread, and a cold `auto` search grows
+    // superlinearly with `ny` (seconds at ny = 262144): a grid past the
+    // per-axis cap must be a prompt 400, never a search that stalls the
+    // GETs behind it.
+    let mut cfg = tiny_config(ConnModel::EventLoop);
+    cfg.io_timeout_secs = 2;
+    let daemon = Daemon::start(cfg);
+    let huge = TINY_SPEC
+        .replace("ny = 4", "ny = 10000000")
+        .replace("naive-periodic-xy", "auto");
+
+    let t0 = Instant::now();
+    let mut client = KeepAliveClient::connect(&daemon.addr);
+    let mut burst = format!(
+        "POST /jobs HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\n\r\n{huge}",
+        huge.len()
+    )
+    .into_bytes();
+    burst.extend_from_slice(&KeepAliveClient::get("/healthz"));
+    client.send(&burst);
+    let mut other = KeepAliveClient::connect(&daemon.addr);
+    other.send(&KeepAliveClient::get("/healthz"));
+
+    let (status, _, body) = client.read_response().unwrap();
+    assert_eq!(status, 400, "{body}");
+    assert!(body.contains("ny = 10000000 exceeds"), "{body}");
+    assert_eq!(client.read_response().unwrap().0, 200, "pipelined /healthz");
+    assert_eq!(other.read_response().unwrap().0, 200, "concurrent /healthz");
+    assert!(
+        t0.elapsed() < Duration::from_secs(2),
+        "answered within the io budget, took {:?}",
+        t0.elapsed()
+    );
+    assert_eq!(stat(&daemon.addr, "rejected_bad"), 1);
+    assert_eq!(
+        stat(&daemon.addr, "submitted"),
+        0,
+        "nothing reached admission"
+    );
+    assert_eq!(stat(&daemon.addr, "conn_timeouts"), 0);
     daemon.stop();
 }
 

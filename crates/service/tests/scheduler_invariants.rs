@@ -271,8 +271,33 @@ fn full_queue_rejects_with_overload() {
         other => panic!("expected Overloaded, got {other:?}"),
     }
     assert_eq!(h.stats.rejected_overload.get(), 1);
+    // An `auto` spec on a grid never seen before: a full queue answers
+    // before any search, which is what bounds the searches admission
+    // runs on the event loop's thread.
+    let mut cold = spec(901.0, EngineDecl::Auto { threads: 0 });
+    cold.grid = GridDims::new(8, 8, 24);
+    match h.scheduler.submit(cold) {
+        Err(SubmitError::Overloaded { queue_depth }) => assert_eq!(queue_depth, 2),
+        other => panic!("expected Overloaded, got {other:?}"),
+    }
+    assert_eq!(h.stats.tune_misses.get(), 0, "a full queue never searches");
     h.gate.open();
     assert!(h.scheduler.wait_idle(Duration::from_secs(20)));
+    // With room in the queue, an `auto` engine asking for more threads
+    // than the job's share is refused on its declared count, before
+    // resolving — no search is paid for a spec that cannot run.
+    match h
+        .scheduler
+        .submit(spec(902.0, EngineDecl::Auto { threads: 2 }))
+    {
+        Err(SubmitError::Invalid(e)) => assert!(e.contains("at most 1"), "{e}"),
+        other => panic!("expected Invalid, got {other:?}"),
+    }
+    assert_eq!(
+        h.stats.tune_misses.get(),
+        0,
+        "an unservable spec never searches"
+    );
     // Capacity is back: the same spec is admitted now.
     assert!(h.scheduler.submit(spec(900.0, EngineDecl::Naive)).is_ok());
     h.gate.open();

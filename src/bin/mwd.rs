@@ -8,7 +8,7 @@
 //!           [--threads N] [--tune] [--cache FILE] [--dry-run] [--out DIR]
 //! mwd tune [<scenario>... | --all] [--force] [--dry-run] [--cache FILE]
 //! mwd serve [--addr HOST:PORT] [--workers N] [--threads N]
-//!           [--queue-depth N] [--out DIR] [--cache FILE] [--refine K]
+//!           [--queue-depth N] [--out DIR] [--cache FILE]
 //! ```
 //!
 //! A `<scenario>` is a built-in name (`mwd list`) or a path to a
@@ -48,7 +48,7 @@ SCENARIOS:
     a built-in name (see `mwd list`) or a path to a scenario .toml file;
     `batch`/`tune` with no scenarios (or with --all) use the whole catalog
 
-OPTIONS:
+OPTIONS (a command given an option it does not use exits 2):
     --engine <kind>    override every job's engine: auto, naive,
                        naive-periodic-xy, spatial, mwd, mwd-periodic-x
     --threads <n>      engine threads per job (default: budget share)
@@ -103,8 +103,8 @@ DIST (z-axis domain decomposition; artifacts are bit-identical to a
                          budget), split evenly over workers
     --deadline-secs <n>  wall-clock budget; on expiry workers drain and
                          the job reports `timeout:`
-    --out/--trace/--quiet/--chaos       as for `mwd run` (--chaos injects
-                                        faults into the halo wire)
+    --out/--trace        as for `mwd run`
+    --chaos <plan>       inject faults into the halo wire (as for serve)
     (`mwd dist worker` is the internal worker entry point, spawned by
     the coordinator; it is not meant to be invoked by hand)
 
@@ -114,7 +114,8 @@ SERVE OPTIONS:
     --workers <n>       concurrent jobs (default: min(2, host threads))
     --threads <n>       engine threads per job (default: budget share)
     --queue-depth <n>   queued-job cap before 429 (default 32)
-    --refine <k>        native probes per auto-tuning miss (default 0)
+    --cache <file>      tuning cache; a miss ranks with the model only
+                        (probe offline with `mwd tune --refine`)
     --memory-store      keep results in memory only (no --out directory)
     --io-timeout-secs <n>  total wall-clock budget per request, first
                         byte to last (default 10; requests that blow it
@@ -217,7 +218,20 @@ struct CliOpts {
     deadline_secs: Option<u64>,
 }
 
-fn parse_opts(args: &[String]) -> Result<CliOpts, String> {
+/// The flags each command that goes through [`parse_opts`] accepts.
+const RUN_FLAGS: &str =
+    "--all --engine --threads --tune --cache --force --refine --dry-run --out --trace --quiet";
+const BATCH_FLAGS: &str = "--all --engine --threads --tune --cache --force --refine --dry-run \
+                           --out --trace --quiet --workers";
+const TUNE_FLAGS: &str = "--all --threads --force --refine --dry-run --cache --quiet";
+const SERVE_FLAGS: &str = "--addr --workers --threads --queue-depth --out --memory-store --cache \
+                           --io-timeout-secs --conn-model --max-connections --chaos --quiet";
+const DIST_RUN_FLAGS: &str = "--workers --threads --deadline-secs --out --trace --chaos";
+
+/// Parse `mwd {cmd}`'s arguments; a flag not in `accepts` (one of the
+/// lists above) exits 2 instead of being silently ignored, and so does
+/// a listed flag this parser does not know.
+fn parse_opts(cmd: &str, accepts: &str, args: &[String]) -> Result<CliOpts, String> {
     let mut o = CliOpts {
         scenarios: Vec::new(),
         all: false,
@@ -254,6 +268,12 @@ fn parse_opts(args: &[String]) -> Result<CliOpts, String> {
                 .map_err(|_| format!("{flag} needs a non-negative integer"))
         };
         match a.as_str() {
+            name if !name.starts_with("--") => o.scenarios.push(name.to_string()),
+            flag if !accepts.split_whitespace().any(|f| f == flag) => {
+                return Err(format!(
+                    "`mwd {cmd}` does not take `{flag}`; try `mwd help`"
+                ))
+            }
             "--all" => o.all = true,
             "--dry-run" => o.dry_run = true,
             "--quiet" => o.quiet = true,
@@ -298,10 +318,7 @@ fn parse_opts(args: &[String]) -> Result<CliOpts, String> {
                         .ok_or("--deadline-secs needs a positive integer")?,
                 )
             }
-            flag if flag.starts_with("--") => {
-                return Err(format!("unknown option `{flag}`; try `mwd help`"))
-            }
-            name => o.scenarios.push(name.to_string()),
+            flag => return Err(format!("unknown option `{flag}`; try `mwd help`")),
         }
     }
     if o.threads == Some(0) {
@@ -331,7 +348,11 @@ fn resolve_scenario(name: &str) -> Result<ScenarioSpec, String> {
 }
 
 fn cmd_run_or_batch(args: &[String], batch: bool) -> Result<ExitCode, String> {
-    let o = parse_opts(args)?;
+    let o = if batch {
+        parse_opts("batch", BATCH_FLAGS, args)?
+    } else {
+        parse_opts("run", RUN_FLAGS, args)?
+    };
     let specs: Vec<ScenarioSpec> = if o.scenarios.is_empty() || o.all {
         if !batch && !o.all {
             return Err("usage: mwd run <scenario>... (or `mwd run --all`)".to_string());
@@ -400,20 +421,9 @@ fn cmd_run_or_batch(args: &[String], batch: bool) -> Result<ExitCode, String> {
 
 /// `mwd serve`: the long-running HTTP job daemon.
 fn cmd_serve(args: &[String]) -> Result<ExitCode, String> {
-    let o = parse_opts(args)?;
-    if !o.scenarios.is_empty()
-        || o.all
-        || o.engine.is_some()
-        || o.tune
-        || o.force
-        || o.dry_run
-        || o.trace.is_some()
-    {
-        return Err(
-            "`mwd serve` takes no scenarios and no --all/--engine/--tune/--force/--dry-run/--trace \
-             (profiling a daemon is `GET /metrics`)"
-                .to_string(),
-        );
+    let o = parse_opts("serve", SERVE_FLAGS, args)?;
+    if !o.scenarios.is_empty() {
+        return Err("`mwd serve` takes no scenarios".to_string());
     }
     if o.memory_store && o.out.is_some() {
         return Err("--memory-store and --out are mutually exclusive".to_string());
@@ -425,7 +435,6 @@ fn cmd_serve(args: &[String]) -> Result<ExitCode, String> {
             threads_per_job: o.threads.unwrap_or(0),
             queue_depth: o.queue_depth.unwrap_or(32),
             budget: mwd_core::ThreadBudget::host(),
-            refine_top: o.refine.unwrap_or(0),
             ..Default::default()
         },
         store_dir: if o.memory_store {
@@ -487,10 +496,7 @@ fn cmd_serve(args: &[String]) -> Result<ExitCode, String> {
 /// `mwd tune`: resolve (and persist) the tuned MWD configuration for
 /// each scenario's grid, reporting cache hits and misses.
 fn cmd_tune(args: &[String]) -> Result<ExitCode, String> {
-    let o = parse_opts(args)?;
-    if o.engine.is_some() || o.workers.is_some() || o.out.is_some() || o.trace.is_some() {
-        return Err("`mwd tune` does not take --engine/--workers/--out/--trace".to_string());
-    }
+    let o = parse_opts("tune", TUNE_FLAGS, args)?;
     let specs: Vec<ScenarioSpec> = if o.scenarios.is_empty() || o.all {
         library::builtins()
     } else {
@@ -739,13 +745,7 @@ fn cmd_dist(args: &[String]) -> Result<ExitCode, String> {
 fn cmd_dist_run(args: &[String]) -> Result<ExitCode, String> {
     use thiim_mwd::dist::{run_dist, DistOptions, Launcher};
 
-    let o = parse_opts(args)?;
-    if o.all || o.engine.is_some() || o.tune || o.force || o.dry_run || o.cache.is_some() {
-        return Err(
-            "`mwd dist run` does not take --all/--engine/--tune/--force/--dry-run/--cache"
-                .to_string(),
-        );
-    }
+    let o = parse_opts("dist run", DIST_RUN_FLAGS, args)?;
     if o.scenarios.is_empty() {
         return Err("usage: mwd dist run <scenario>... [options]".to_string());
     }
@@ -1027,5 +1027,30 @@ fn print_report(report: &BatchReport, dry_run: bool) {
     let (hits, misses, probes) = report.tune_stats();
     if hits + misses > 0 {
         println!("tuning: {hits} cache hit(s), {misses} miss(es), {probes} native probe(s)");
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Each allow-list names only flags `parse_opts` knows.
+    #[test]
+    fn every_listed_flag_is_parsed() {
+        let lists = [
+            RUN_FLAGS,
+            BATCH_FLAGS,
+            TUNE_FLAGS,
+            SERVE_FLAGS,
+            DIST_RUN_FLAGS,
+        ];
+        for list in lists {
+            for flag in list.split_whitespace() {
+                let args = [flag.to_string(), "1".to_string()];
+                if let Err(e) = parse_opts("x", list, &args) {
+                    assert!(!e.contains("unknown option"), "{flag}: {e}");
+                }
+            }
+        }
     }
 }

@@ -358,7 +358,7 @@ fn trace_flag_writes_a_chrome_trace_and_prints_phase_totals_on_both_run_paths() 
     let spec = write_spec(&dir, "traced");
     let spec = spec.to_str().unwrap();
     let cases: [(&str, &[&str]); 2] = [
-        ("run", &["run", spec, "--engine", "mwd"]),
+        ("run", &["run", spec, "--engine", "mwd", "--quiet"]),
         ("dist", &["dist", "run", spec, "--workers", "2"]),
     ];
     for (tag, head) in cases {
@@ -368,7 +368,6 @@ fn trace_flag_writes_a_chrome_trace_and_prints_phase_totals_on_both_run_paths() 
         args.extend([
             "--trace",
             trace.to_str().unwrap(),
-            "--quiet",
             "--out",
             out_dir.to_str().unwrap(),
         ]);
@@ -405,6 +404,41 @@ fn malformed_scenario_files_fail_with_exit_code_2() {
         "error names the file: {}",
         stderr(&out)
     );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn every_command_refuses_the_flags_it_does_not_use() {
+    let dir = temp_dir("flags");
+    let spec = write_spec(&dir, "flags");
+    let spec = spec.to_str().unwrap();
+    // (command, its arguments, the refused flag): each exits 2 before
+    // doing any work, naming the flag and the command.
+    let cases: [(&str, &[&str], &str); 12] = [
+        ("run", &["run", spec], "--deadline-secs"),
+        ("run", &["run", spec], "--chaos"),
+        ("run", &["run", spec], "--workers"),
+        ("batch", &["batch", spec], "--addr"),
+        ("tune", &["tune", spec], "--chaos"),
+        ("tune", &["tune", spec], "--engine"),
+        ("serve", &["serve"], "--deadline-secs"),
+        ("serve", &["serve"], "--refine"),
+        ("serve", &["serve"], "--trace"),
+        ("dist run", &["dist", "run", spec], "--refine"),
+        ("dist run", &["dist", "run", spec], "--cache"),
+        ("dist run", &["dist", "run", spec], "--quiet"),
+    ];
+    for (cmd, head, flag) in cases {
+        let mut args = head.to_vec();
+        args.extend([flag, "1"]);
+        let out = mwd(&dir, &args);
+        assert_eq!(exit_code(&out), 2, "mwd {cmd} {flag}: {}", stdout(&out));
+        let err = stderr(&out);
+        assert!(
+            err.contains(&format!("`mwd {cmd}`")) && err.contains(&format!("`{flag}`")),
+            "mwd {cmd} {flag}: {err}"
+        );
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -4,9 +4,9 @@
 //! batch, an executor run — and is polled at natural checkpoints (the
 //! solver checks once per period, the MWD executor once per tile
 //! claim). Cancellation is always *cooperative*: nothing is killed,
-//! the work observes the token and returns a halt error whose prefix
-//! ([`CANCELLED_PREFIX`] / [`TIMEOUT_PREFIX`]) tells the layers above
-//! which terminal state the job landed in.
+//! the work observes the token and returns a [`SolveError`] whose
+//! variant tells the layers above which terminal state the job landed
+//! in.
 //!
 //! An explicit `cancel()` always wins over an elapsed deadline: a user
 //! asking for a job to stop should see `cancelled`, not `timeout`,
@@ -16,23 +16,53 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Error-string prefix carried by outcomes halted by an explicit
-/// cancellation (stop flag, `POST /jobs/:id/cancel`, SIGTERM drain).
-pub const CANCELLED_PREFIX: &str = "cancelled:";
+/// Why a solve ended without a result, from the executor's tile claim
+/// up to a served job's state: every layer classifies by the variant.
+/// `Display` renders `cancelled: {detail}`, `timeout: {detail}` or the
+/// failure message as is.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum SolveError {
+    /// Halted by the stop flag (a cancel request, a SIGTERM drain).
+    Cancelled(String),
+    /// Halted by an expired deadline.
+    Timeout(String),
+    /// Anything else: validation, I/O, a failed worker.
+    Failed(String),
+}
 
-/// Error-string prefix carried by outcomes halted by an expired
-/// deadline.
-pub const TIMEOUT_PREFIX: &str = "timeout:";
+impl SolveError {
+    /// The same outcome with its text rewritten by `f`.
+    pub fn map(self, f: impl FnOnce(String) -> String) -> SolveError {
+        match self {
+            SolveError::Cancelled(d) => SolveError::Cancelled(f(d)),
+            SolveError::Timeout(d) => SolveError::Timeout(f(d)),
+            SolveError::Failed(m) => SolveError::Failed(f(m)),
+        }
+    }
+}
 
-/// Why a token is no longer active.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum CancelState {
-    /// Keep working.
-    Active,
-    /// The stop flag was set.
-    Cancelled,
-    /// The deadline elapsed (and the stop flag is not set).
-    Expired,
+impl std::fmt::Display for SolveError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            SolveError::Cancelled(d) => write!(f, "cancelled: {d}"),
+            SolveError::Timeout(d) => write!(f, "timeout: {d}"),
+            SolveError::Failed(m) => f.write_str(m),
+        }
+    }
+}
+
+/// A plain message inside a solve (validation, I/O) is a failure.
+impl From<String> for SolveError {
+    fn from(msg: String) -> SolveError {
+        SolveError::Failed(msg)
+    }
+}
+
+/// The rendered text, for callers that report rather than classify.
+impl From<SolveError> for String {
+    fn from(e: SolveError) -> String {
+        e.to_string()
+    }
 }
 
 /// A cheaply clonable cancellation handle: all clones share one stop
@@ -74,28 +104,14 @@ impl CancelToken {
         self.stop.store(true, Ordering::SeqCst);
     }
 
-    /// Current state; an explicit cancel wins over an elapsed deadline.
-    pub fn state(&self) -> CancelState {
+    /// `None` while active; otherwise the halt, where an explicit
+    /// cancel wins over an elapsed deadline.
+    pub fn halt_error(&self) -> Option<SolveError> {
         if self.stop.load(Ordering::SeqCst) {
-            return CancelState::Cancelled;
-        }
-        match self.deadline {
-            Some(d) if Instant::now() >= d => CancelState::Expired,
-            _ => CancelState::Active,
-        }
-    }
-
-    /// Whether work should halt (either cause).
-    pub fn is_halted(&self) -> bool {
-        self.state() != CancelState::Active
-    }
-
-    /// `None` while active; the prefixed halt error otherwise.
-    pub fn halt_error(&self) -> Option<String> {
-        match self.state() {
-            CancelState::Active => None,
-            CancelState::Cancelled => Some(format!("{CANCELLED_PREFIX} stop requested")),
-            CancelState::Expired => Some(format!("{TIMEOUT_PREFIX} deadline expired")),
+            Some(SolveError::Cancelled("stop requested".to_string()))
+        } else {
+            let expired = self.deadline.is_some_and(|d| Instant::now() >= d);
+            expired.then(|| SolveError::Timeout("deadline expired".to_string()))
         }
     }
 }
@@ -107,8 +123,6 @@ mod tests {
     #[test]
     fn fresh_token_is_active() {
         let t = CancelToken::none();
-        assert_eq!(t.state(), CancelState::Active);
-        assert!(!t.is_halted());
         assert_eq!(t.halt_error(), None);
         assert_eq!(t.deadline(), None);
     }
@@ -118,39 +132,42 @@ mod tests {
         let t = CancelToken::none();
         let clone = t.clone();
         clone.cancel();
-        assert_eq!(t.state(), CancelState::Cancelled);
         let err = t.halt_error().unwrap();
-        assert!(err.starts_with(CANCELLED_PREFIX), "{err}");
-        assert!(!err.starts_with(TIMEOUT_PREFIX));
+        assert_eq!(err, SolveError::Cancelled("stop requested".to_string()));
+        assert_eq!(String::from(err), "cancelled: stop requested");
     }
 
     #[test]
     fn elapsed_deadline_expires() {
         let t = CancelToken::with_deadline(Duration::from_millis(0));
-        assert_eq!(t.state(), CancelState::Expired);
-        let err = t.halt_error().unwrap();
-        assert!(err.starts_with(TIMEOUT_PREFIX), "{err}");
+        let err = t.halt_error().unwrap().map(|d| format!("{d} while queued"));
+        assert_eq!(
+            err,
+            SolveError::Timeout("deadline expired while queued".into())
+        );
+        assert_eq!(err.to_string(), "timeout: deadline expired while queued");
+        assert_eq!(SolveError::from("boom".to_string()).to_string(), "boom");
     }
 
     #[test]
     fn future_deadline_stays_active() {
         let t = CancelToken::with_deadline(Duration::from_secs(3600));
-        assert_eq!(t.state(), CancelState::Active);
+        assert_eq!(t.halt_error(), None);
     }
 
     #[test]
     fn explicit_cancel_wins_over_expiry() {
         let t = CancelToken::with_deadline(Duration::from_millis(0));
         t.cancel();
-        assert_eq!(t.state(), CancelState::Cancelled);
+        assert!(matches!(t.halt_error(), Some(SolveError::Cancelled(_))));
     }
 
     #[test]
     fn external_flag_is_observed() {
         let flag = Arc::new(AtomicBool::new(false));
         let t = CancelToken::with_flag(flag.clone(), None);
-        assert!(!t.is_halted());
+        assert_eq!(t.halt_error(), None);
         flag.store(true, Ordering::SeqCst);
-        assert_eq!(t.state(), CancelState::Cancelled);
+        assert!(matches!(t.halt_error(), Some(SolveError::Cancelled(_))));
     }
 }

@@ -25,7 +25,7 @@
 //! thread count, `run_mwd` must produce exactly the bits of `step_naive`.
 
 use crate::barrier::{Padded, SpinBarrier};
-use crate::cancel::CancelToken;
+use crate::cancel::{CancelToken, SolveError};
 use crate::config::{split_range, split_range_aligned, MwdConfig};
 use crate::queue::ReadyQueue;
 use crate::tiling::{Tile, TilePlan};
@@ -87,7 +87,7 @@ pub struct MwdRun {
 /// `cfg.groups` thread groups of `cfg.tg.size()` threads each drain it.
 /// Any valid configuration yields results bit-identical to
 /// [`em_kernels::run_naive`].
-pub fn run_mwd(state: &mut State, cfg: &MwdConfig, nt: usize) -> Result<RunStats, String> {
+pub fn run_mwd(state: &mut State, cfg: &MwdConfig, nt: usize) -> Result<RunStats, SolveError> {
     MwdRun::default().run(state, cfg, nt)
 }
 
@@ -100,7 +100,7 @@ pub fn run_mwd_bc_rec(
     boundary: MwdBoundary,
     rec: &Recorder,
     parent: u64,
-) -> Result<RunStats, String> {
+) -> Result<RunStats, SolveError> {
     MwdRun {
         boundary,
         recorder: rec.clone(),
@@ -112,7 +112,12 @@ pub fn run_mwd_bc_rec(
 
 impl MwdRun {
     /// The one executor body: validate, build the tile plan, drain it.
-    pub fn run(&self, state: &mut State, cfg: &MwdConfig, nt: usize) -> Result<RunStats, String> {
+    pub fn run(
+        &self,
+        state: &mut State,
+        cfg: &MwdConfig,
+        nt: usize,
+    ) -> Result<RunStats, SolveError> {
         let (rec, parent) = (&self.recorder, self.trace_parent);
         let dims = state.dims();
         cfg.validate(dims)?;
@@ -186,7 +191,7 @@ impl MwdRun {
             return Err(self
                 .cancel
                 .halt_error()
-                .unwrap_or_else(|| "cancelled: executor queue closed".to_string()));
+                .unwrap_or_else(|| SolveError::Cancelled("executor queue closed".to_string())));
         }
 
         Ok(RunStats {
@@ -250,7 +255,7 @@ fn worker(
             // the queue wakes every other leader blocked in `pop`, so
             // all groups wind down without a straggler deadlocking on
             // tiles that will never complete.
-            if cancel.is_halted() {
+            if cancel.halt_error().is_some() {
                 queue.close();
             }
             let next = queue.pop().map(|t| t + 1).unwrap_or(SHUTDOWN);
@@ -593,7 +598,7 @@ mod tests {
         let token = CancelToken::none();
         token.cancel();
         let err = with_token(token).run(&mut s, &cfg, 6).unwrap_err();
-        assert!(err.starts_with(crate::cancel::CANCELLED_PREFIX), "{err}");
+        assert!(matches!(err, SolveError::Cancelled(_)), "{err}");
     }
 
     #[test]
@@ -603,7 +608,7 @@ mod tests {
         let cfg = MwdConfig::one_wd(4, 2, 2);
         let token = CancelToken::with_deadline(std::time::Duration::from_millis(0));
         let err = with_token(token).run(&mut s, &cfg, 4).unwrap_err();
-        assert!(err.starts_with(crate::cancel::TIMEOUT_PREFIX), "{err}");
+        assert!(matches!(err, SolveError::Timeout(_)), "{err}");
     }
 
     #[test]

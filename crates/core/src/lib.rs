@@ -33,7 +33,7 @@ pub mod wavefront;
 
 pub use barrier::SpinBarrier;
 pub use budget::{BudgetSplit, ThreadBudget};
-pub use cancel::{CancelState, CancelToken};
+pub use cancel::{CancelToken, SolveError};
 pub use config::{split_range, split_range_aligned, MwdConfig, TgShape};
 pub use diamond::{diamond_rows, DiamondRow, DiamondWidth};
 pub use executor::{run_mwd, run_mwd_bc_rec, MwdBoundary, MwdRun, RunStats};

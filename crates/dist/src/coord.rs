@@ -28,7 +28,7 @@ use em_field::{norms, State};
 use em_obs::{Counter, Histogram, Recorder, Registry, ThreadLog};
 use em_scenarios::{run_job, EngineDecl, JobOutcome, ScenarioSpec};
 use em_solver::Stepper;
-use mwd_core::cancel::{CancelToken, CANCELLED_PREFIX, TIMEOUT_PREFIX};
+use mwd_core::{CancelToken, SolveError};
 
 use crate::decomp::{halo_depth, split_z, Slab};
 use crate::proto::{self, FrameError, Msg};
@@ -163,18 +163,18 @@ fn preflight(spec: &ScenarioSpec, opts: &DistOptions) -> Result<(), String> {
     Ok(())
 }
 
-/// A worker failure keeps its cooperative-halt prefix (so the service
-/// classifies drain/deadline correctly) and otherwise names the worker.
-fn worker_failure(index: usize, msg: &str) -> String {
-    if msg.starts_with(CANCELLED_PREFIX) || msg.starts_with(TIMEOUT_PREFIX) {
-        msg.to_string()
-    } else {
-        format!("dist worker {index} failed: {msg}")
+/// What a worker's error means for the job: a halt passes through as
+/// is, so the job lands in the state its cause names; a failure names
+/// the worker.
+fn worker_failure(index: usize, e: impl Into<SolveError>) -> SolveError {
+    match e.into() {
+        SolveError::Failed(m) => SolveError::Failed(format!("dist worker {index} failed: {m}")),
+        halt => halt,
     }
 }
 
 enum Joiner {
-    Thread(std::thread::JoinHandle<Result<(), String>>),
+    Thread(std::thread::JoinHandle<Result<(), SolveError>>),
     Child(Child),
 }
 
@@ -245,16 +245,16 @@ impl Drop for Run {
     }
 }
 
-/// Why a setup wait for `what` ran out: the job's own halt error when
-/// the token has one (an expired deadline is filed under `timeout`, a
-/// cancel under `cancelled`), else the [`SETUP_TIMEOUT`] ceiling — no
-/// job deadline, so a plain failure.
-fn setup_expired(cancel: &CancelToken, what: &str) -> String {
+/// Why a setup wait for `what` ran out: the job's own halt when the
+/// token has one (an expired deadline is a timeout, a cancel a
+/// cancellation), else the [`SETUP_TIMEOUT`] ceiling — no job
+/// deadline, so a plain failure.
+fn setup_expired(cancel: &CancelToken, what: &str) -> SolveError {
     cancel.halt_error().unwrap_or_else(|| {
-        format!(
+        SolveError::Failed(format!(
             "dist setup passed its {} s ceiling waiting for {what}",
             SETUP_TIMEOUT.as_secs()
-        )
+        ))
     })
 }
 
@@ -265,7 +265,7 @@ fn recv_setup(
     deadline: Instant,
     cancel: &CancelToken,
     what: &str,
-) -> Result<Msg, String> {
+) -> Result<Msg, SolveError> {
     let left = deadline
         .checked_duration_since(Instant::now())
         .filter(|d| !d.is_zero())
@@ -274,11 +274,11 @@ fn recv_setup(
         .set_read_timeout(Some(left))
         .map_err(|e| format!("control read timeout: {e}"))?;
     match proto::recv(stream) {
-        Ok(Msg::WorkerErr { index, message }) => Err(worker_failure(index as usize, &message)),
+        Ok(Msg::WorkerErr { index, error }) => Err(worker_failure(index as usize, error)),
         Ok(msg) => Ok(msg),
-        Err(FrameError::Eof) => Err(format!("worker hung up before {what}")),
+        Err(FrameError::Eof) => Err(format!("worker hung up before {what}").into()),
         Err(_) if Instant::now() >= deadline => Err(setup_expired(cancel, what)),
-        Err(e) => Err(format!("waiting for {what}: {e}")),
+        Err(e) => Err(format!("waiting for {what}: {e}").into()),
     }
 }
 
@@ -303,8 +303,6 @@ struct SlabGroup {
     /// The only step count a period can have (see [`Stepper::period`]).
     spp: usize,
     period: usize,
-    /// The job's token, kept for the gather in [`Stepper::finish`].
-    cancel: CancelToken,
 }
 
 struct GroupMetrics {
@@ -331,8 +329,8 @@ fn collect(
     rx: &Receiver<(usize, Delivery)>,
     spare: &[Sender<Vec<u8>>],
     cancel: &CancelToken,
-    mut on_frame: impl FnMut(usize, Msg, &[u8]) -> Result<(), String>,
-) -> Result<(), String> {
+    mut on_frame: impl FnMut(usize, Msg, &[u8]) -> Result<(), SolveError>,
+) -> Result<(), SolveError> {
     let mut seen = vec![false; spare.len()];
     for _ in 0..spare.len() {
         let (i, kind, frame) = loop {
@@ -341,16 +339,16 @@ fn collect(
             }
             match rx.recv_timeout(WAIT_SLICE) {
                 Ok((i, Ok((kind, frame)))) => break (i, kind, frame),
-                Ok((i, Err(e))) => return Err(worker_failure(i, &e)),
+                Ok((i, Err(e))) => return Err(worker_failure(i, e)),
                 Err(RecvTimeoutError::Timeout) => continue,
                 Err(RecvTimeoutError::Disconnected) => {
-                    return Err("every control reader exited".to_string());
+                    return Err(SolveError::Failed("every control reader exited".into()));
                 }
             }
         };
-        match Msg::decode(kind, &frame).map_err(|e| worker_failure(i, &e))? {
-            (Msg::WorkerErr { message, .. }, _) => return Err(worker_failure(i, &message)),
-            _ if seen[i] => return Err(format!("worker {i} is out of lockstep")),
+        match Msg::decode(kind, &frame).map_err(|e| worker_failure(i, e))? {
+            (Msg::WorkerErr { error, .. }, _) => return Err(worker_failure(i, error)),
+            _ if seen[i] => return Err(format!("worker {i} is out of lockstep").into()),
             (msg, body) => on_frame(i, msg, body)?,
         }
         seen[i] = true;
@@ -360,11 +358,11 @@ fn collect(
     Ok(())
 }
 
-fn unexpected(i: usize, msg: &Msg) -> String {
-    format!(
+fn unexpected(i: usize, msg: &Msg) -> SolveError {
+    SolveError::Failed(format!(
         "unexpected control message kind {} from worker {i}",
         msg.kind()
-    )
+    ))
 }
 
 /// Spawn the workers, hand each its slab of job `job_index`, relay the
@@ -374,7 +372,7 @@ fn launch(
     job_index: usize,
     opts: &DistOptions,
     spp: usize,
-) -> Result<SlabGroup, String> {
+) -> Result<SlabGroup, SolveError> {
     let workers = opts.workers;
     let slabs = split_z(spec.dims().nz, workers)?;
     let halo = halo_depth(spp, &slabs);
@@ -437,7 +435,7 @@ fn launch(
     let mut connected = 0usize;
     while connected < workers {
         let mut s = accept_polling(&listener, "control", || {
-            if opts.cancel.is_halted() || Instant::now() >= setup_dl {
+            if opts.cancel.halt_error().is_some() || Instant::now() >= setup_dl {
                 Err(setup_expired(&opts.cancel, "workers to connect"))
             } else {
                 Ok(())
@@ -449,12 +447,12 @@ fn launch(
             Msg::Hello { index } => {
                 let i = index as usize;
                 if i >= workers || ctrl[i].is_some() {
-                    return Err(format!("unexpected Hello from worker index {i}"));
+                    return Err(format!("unexpected Hello from worker index {i}").into());
                 }
                 ctrl[i] = Some(s);
                 connected += 1;
             }
-            other => return Err(format!("expected Hello, got kind {}", other.kind())),
+            other => return Err(format!("expected Hello, got kind {}", other.kind()).into()),
         }
     }
     run.ctrl = ctrl
@@ -507,7 +505,7 @@ fn launch(
     for i in 0..workers.saturating_sub(1) {
         let port = match recv_setup(&mut run.ctrl[i], setup_dl, &opts.cancel, "ListenPort")? {
             Msg::ListenPort { port } => port,
-            other => return Err(format!("expected ListenPort, got kind {}", other.kind())),
+            other => return Err(format!("expected ListenPort, got kind {}", other.kind()).into()),
         };
         proto::send(&mut run.ctrl[i + 1], &Msg::ConnectDown { port })
             .map_err(|e| format!("cannot relay the halo port to worker {}: {e}", i + 1))?;
@@ -528,7 +526,7 @@ fn launch(
                     ("coeff_bytes", coeff_bytes.to_string()),
                 ],
             ),
-            other => return Err(format!("expected Ready, got kind {}", other.kind())),
+            other => return Err(format!("expected Ready, got kind {}", other.kind()).into()),
         }
     }
 
@@ -625,19 +623,23 @@ fn launch(
         log: opts.trace.thread("dist-coord", opts.trace_parent),
         spp,
         period: 0,
-        cancel: opts.cancel.clone(),
     })
 }
 
 impl Stepper for SlabGroup {
-    fn period(&mut self, _: &mut State, spp: usize, cancel: &CancelToken) -> Result<f64, String> {
+    fn period(
+        &mut self,
+        _: &mut State,
+        spp: usize,
+        cancel: &CancelToken,
+    ) -> Result<f64, SolveError> {
         // `Msg::Continue` carries no count: a worker always advances
         // one whole period of its own solver's length.
         if spp != self.spp {
-            return Err(format!(
+            return Err(SolveError::Failed(format!(
                 "a dist slab group steps whole periods of {} steps, not {spp}",
                 self.spp
-            ));
+            )));
         }
         self.period += 1;
         let SlabGroup {
@@ -670,7 +672,7 @@ impl Stepper for SlabGroup {
                 return Err(unexpected(i, &msg));
             };
             if p as usize != period {
-                return Err(format!("worker {i} is out of lockstep at period {period}"));
+                return Err(format!("worker {i} is out of lockstep at period {period}").into());
             }
             // Period 1 has nothing to compare with and sends no partials.
             let slab = slabs[i];
@@ -679,7 +681,7 @@ impl Stepper for SlabGroup {
                 let got = body.len();
                 return Err(worker_failure(
                     i,
-                    &format!("period reply holds {got} bytes of partials for {planes} planes"),
+                    format!("period reply holds {got} bytes of partials for {planes} planes"),
                 ));
             }
             let mut body = proto::Cursor::new(body);
@@ -723,7 +725,7 @@ impl Stepper for SlabGroup {
     /// into the caller's state — then `Finish`, which ends the
     /// lockstep; dropping the group joins the workers, so they are gone
     /// before the analysis is timed.
-    fn finish(mut self, state: &mut State) -> Result<(), String> {
+    fn finish(mut self, state: &mut State, cancel: &CancelToken) -> Result<(), SolveError> {
         let SlabGroup {
             run,
             rx,
@@ -731,7 +733,6 @@ impl Stepper for SlabGroup {
             slabs,
             metrics,
             log,
-            cancel,
             ..
         } = &mut self;
         let t0 = Instant::now();
@@ -743,7 +744,7 @@ impl Stepper for SlabGroup {
             }
             let slab = slabs[i];
             paste_planes(&mut state.fields, slab.z0..slab.z0 + slab.nz, body)
-                .map_err(|e| worker_failure(i, &e))?;
+                .map_err(|e| worker_failure(i, e))?;
             if let Some(m) = metrics {
                 m.workers[i].gathers.inc();
             }
@@ -784,11 +785,13 @@ mod tests {
             log: Recorder::disabled().thread("", 0),
             spp: 11,
             period: 0,
-            cancel: CancelToken::none(),
         };
         let mut state = State::zeros(em_field::GridDims::cubic(2));
         let token = CancelToken::none();
-        let err = group.period(&mut state, 10, &token).unwrap_err();
+        let err = group
+            .period(&mut state, 10, &token)
+            .unwrap_err()
+            .to_string();
         assert!(err.contains("whole periods of 11 steps"), "{err}");
         assert_eq!(group.period, 0, "a refused call is not a period");
         let first = group.period(&mut state, 11, &token).unwrap();
@@ -801,23 +804,17 @@ mod tests {
         // The job's deadline passed while the workers were building.
         let expired = CancelToken::with_deadline(Duration::ZERO);
         let err = setup_expired(&expired, "Ready");
-        assert!(err.starts_with(TIMEOUT_PREFIX), "{err}");
+        assert!(matches!(err, SolveError::Timeout(_)), "{err}");
 
         let cancelled = CancelToken::none();
         cancelled.cancel();
         let err = setup_expired(&cancelled, "workers to connect");
-        assert!(err.starts_with(CANCELLED_PREFIX), "{err}");
+        assert!(matches!(err, SolveError::Cancelled(_)), "{err}");
 
         // An active token: only the setup ceiling can have passed, and
         // the job has no deadline to be filed under.
         let err = setup_expired(&CancelToken::none(), "Ready");
-        assert!(
-            !err.starts_with(TIMEOUT_PREFIX) && !err.starts_with(CANCELLED_PREFIX),
-            "{err}"
-        );
-        assert!(
-            err.contains("60 s ceiling") && err.contains("Ready"),
-            "{err}"
-        );
+        let want = "dist setup passed its 60 s ceiling waiting for Ready";
+        assert_eq!(err, SolveError::Failed(want.to_string()));
     }
 }

@@ -25,6 +25,8 @@
 
 use std::io::{Read, Write};
 
+use mwd_core::SolveError;
+
 /// Hard cap on the payload length a reader will allocate for. Large
 /// enough for a gathered field slab of any realistic grid, small
 /// enough that a corrupted length prefix cannot OOM the process.
@@ -351,8 +353,10 @@ pub enum Msg {
     Finish,
     /// Either direction: stop now (deadline, cancel, peer failure).
     Abort { reason: String },
-    /// Worker -> coordinator: this worker failed.
-    WorkerErr { index: u32, message: String },
+    /// Worker -> coordinator: this worker halted or failed. The
+    /// variant travels as a tag byte (0 failed, 1 cancelled, 2 timeout)
+    /// in front of its text.
+    WorkerErr { index: u32, error: SolveError },
 }
 
 impl Msg {
@@ -434,9 +438,15 @@ impl Msg {
                 }
             }
             Msg::Abort { reason } => put_str(b, reason),
-            Msg::WorkerErr { index, message } => {
+            Msg::WorkerErr { index, error } => {
                 put_u32(b, *index);
-                put_str(b, message);
+                let (tag, text) = match error {
+                    SolveError::Failed(m) => (0, m),
+                    SolveError::Cancelled(d) => (1, d),
+                    SolveError::Timeout(d) => (2, d),
+                };
+                b.push(tag);
+                put_str(b, text);
             }
         }
     }
@@ -509,7 +519,12 @@ impl Msg {
             },
             12 => Msg::WorkerErr {
                 index: c.u32("WorkerErr.index")?,
-                message: c.str("WorkerErr.message")?,
+                error: match (c.u8("WorkerErr.tag")?, c.str("WorkerErr.text")?) {
+                    (0, m) => SolveError::Failed(m),
+                    (1, d) => SolveError::Cancelled(d),
+                    (2, d) => SolveError::Timeout(d),
+                    (tag, _) => return Err(format!("WorkerErr.tag {tag} names no outcome")),
+                },
             },
             13 => Msg::Gather,
             other => return Err(format!("unknown frame kind {other}")),
@@ -624,7 +639,7 @@ mod tests {
 
     #[test]
     fn every_message_roundtrips() {
-        let msgs = vec![
+        let mut msgs = vec![
             Msg::Hello { index: 3 },
             Msg::Assign {
                 index: 1,
@@ -663,11 +678,15 @@ mod tests {
             Msg::Abort {
                 reason: "deadline".to_string(),
             },
-            Msg::WorkerErr {
-                index: 0,
-                message: "boom".to_string(),
-            },
         ];
+        let errors = [
+            SolveError::Failed,
+            SolveError::Cancelled,
+            SolveError::Timeout,
+        ];
+        for (index, error) in (0..).zip(errors.map(|e| e("boom".to_string()))) {
+            msgs.push(Msg::WorkerErr { index, error });
+        }
         for m in msgs {
             let mut wire = Vec::new();
             send(&mut wire, &m).unwrap();

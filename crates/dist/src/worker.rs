@@ -32,7 +32,7 @@ use em_faults::{ConnFault, FaultInjector};
 use em_field::{norms, FieldSet, State};
 use em_scenarios::ScenarioSpec;
 use em_solver::{Engine, EngineStepper};
-use mwd_core::cancel::{CancelToken, TIMEOUT_PREFIX};
+use mwd_core::{CancelToken, SolveError};
 
 use crate::decomp::Slab;
 use crate::proto::{self, Msg, Side};
@@ -66,7 +66,7 @@ impl Patient<'_> {
             match io(self.stream) {
                 Err(e) if matches!(e.kind(), TimedOut | WouldBlock) => {
                     if let Some(halt) = self.cancel.halt_error() {
-                        return Err(std::io::Error::other(halt));
+                        return Err(std::io::Error::other(String::from(halt)));
                     }
                 }
                 done => return done,
@@ -150,10 +150,10 @@ struct SlabJob<'a> {
 
 impl SlabJob<'_> {
     /// A wire failure while the token is tripped *is* the halt.
-    fn wire_error(&self, what: &str, e: impl std::fmt::Display) -> String {
+    fn wire_error(&self, what: &str, e: impl std::fmt::Display) -> SolveError {
         self.cancel
             .halt_error()
-            .unwrap_or_else(|| format!("{what}: {e}"))
+            .unwrap_or_else(|| SolveError::Failed(format!("{what}: {e}")))
     }
 
     fn halo_head(&self, side: Side) -> Msg {
@@ -165,7 +165,7 @@ impl SlabJob<'_> {
     }
 
     /// Send the owned planes at cut `c`.
-    fn send_block(&mut self, c: usize) -> Result<(), String> {
+    fn send_block(&mut self, c: usize) -> Result<(), SolveError> {
         let head = self.halo_head(self.cuts[c].side);
         proto::begin_frame(&mut self.out, &head);
         put_planes(&mut self.out, &self.state.fields, self.cuts[c].send.clone());
@@ -176,7 +176,7 @@ impl SlabJob<'_> {
                 // Injected worker death: sever the link mid-solve; the
                 // peer sees EOF too.
                 let _ = self.cuts[c].link.shutdown(Shutdown::Both);
-                return Err("injected fault: halo link severed".to_string());
+                return Err("injected fault: halo link severed".to_string().into());
             }
             // Flips land on the sealed frame, so the receiver's
             // checksum — not luck — catches them.
@@ -191,7 +191,7 @@ impl SlabJob<'_> {
     }
 
     /// Receive the neighbor's planes at cut `c` into the halo.
-    fn recv_block(&mut self, c: usize, stats: &mut PeriodStats) -> Result<(), String> {
+    fn recv_block(&mut self, c: usize, stats: &mut PeriodStats) -> Result<(), SolveError> {
         let t0 = Instant::now();
         let mut link = Patient {
             stream: &self.cuts[c].link,
@@ -206,7 +206,7 @@ impl SlabJob<'_> {
         });
         let (got, body) = Msg::decode(kind, &self.inb)?;
         if got != want {
-            return Err(format!("halo skew: got {got:?}, expected {want:?}"));
+            return Err(format!("halo skew: got {got:?}, expected {want:?}").into());
         }
         paste_planes(&mut self.state.fields, self.cuts[c].recv.clone(), body)?;
         stats.exchanges += 1;
@@ -216,7 +216,7 @@ impl SlabJob<'_> {
     /// Swap `halo` boundary planes across every cut: the lower worker
     /// of a cut sends then receives, the upper one receives then sends,
     /// so neither blocks writing into a peer that is itself writing.
-    fn exchange(&mut self, stats: &mut PeriodStats) -> Result<(), String> {
+    fn exchange(&mut self, stats: &mut PeriodStats) -> Result<(), SolveError> {
         for c in 0..self.cuts.len() {
             if self.cuts[c].side == Side::Top {
                 self.send_block(c)?;
@@ -232,7 +232,7 @@ impl SlabJob<'_> {
 
     /// One period: up to `halo` steps of the declared engine over the
     /// extended slab, then an exchange, until `spp` steps are done.
-    fn period(&mut self) -> Result<PeriodStats, String> {
+    fn period(&mut self) -> Result<PeriodStats, SolveError> {
         let mut stats = PeriodStats::default();
         let mut left = self.spp;
         while left > 0 {
@@ -257,7 +257,7 @@ impl SlabJob<'_> {
         period: u32,
         stats: PeriodStats,
         reduce_s: f64,
-    ) -> Result<(), String> {
+    ) -> Result<(), SolveError> {
         self.partials.clear();
         match &mut self.snapshot {
             None => self.snapshot = Some(self.state.fields.clone()),
@@ -288,7 +288,7 @@ impl SlabJob<'_> {
     }
 
     /// Answer the coordinator's `Gather` with the owned planes.
-    fn reply_gather(&mut self, mut ctrl_w: &TcpStream) -> Result<(), String> {
+    fn reply_gather(&mut self, mut ctrl_w: &TcpStream) -> Result<(), SolveError> {
         proto::begin_frame(&mut self.out, &Msg::Gather);
         put_planes(&mut self.out, &self.state.fields, self.owned.clone());
         proto::seal_frame(&mut self.out);
@@ -305,25 +305,32 @@ impl SlabJob<'_> {
             .map_err(|e| self.wire_error("gather send", e))?;
         if frame.len() < self.out.len() {
             let _ = ctrl_w.shutdown(Shutdown::Both);
-            return Err("injected fault: control stream severed mid-gather".to_string());
+            return Err("injected fault: control stream severed mid-gather"
+                .to_string()
+                .into());
         }
         Ok(())
     }
 }
 
-/// Wait for the next control message.
-fn wait_ctrl(rx: &Receiver<Result<Msg, String>>, deadline: Option<Instant>) -> Result<Msg, String> {
+/// Wait for the next control message; past `deadline` the wait ends in
+/// `expired`: `Timeout` for the job's deadline, `Failed` for a ceiling.
+fn wait_ctrl(
+    rx: &Receiver<Result<Msg, String>>,
+    deadline: Option<Instant>,
+    expired: fn(String) -> SolveError,
+) -> Result<Msg, SolveError> {
     loop {
         if deadline.is_some_and(|d| Instant::now() >= d) {
-            return Err(format!(
-                "{TIMEOUT_PREFIX} deadline expired waiting for the coordinator"
+            return Err(expired(
+                "deadline expired waiting for the coordinator".into(),
             ));
         }
         match rx.recv_timeout(WAIT_SLICE) {
-            Ok(msg) => return msg,
+            Ok(msg) => return msg.map_err(SolveError::Failed),
             Err(RecvTimeoutError::Timeout) => continue,
             Err(RecvTimeoutError::Disconnected) => {
-                return Err("control stream reader exited".to_string())
+                return Err(SolveError::Failed("control stream reader exited".into()))
             }
         }
     }
@@ -341,8 +348,8 @@ const ACCEPT_SLICE: Duration = Duration::from_millis(5);
 pub(crate) fn accept_polling(
     listener: &TcpListener,
     what: &str,
-    mut check: impl FnMut() -> Result<(), String>,
-) -> Result<TcpStream, String> {
+    mut check: impl FnMut() -> Result<(), SolveError>,
+) -> Result<TcpStream, SolveError> {
     let mut pause = Duration::from_micros(100);
     loop {
         check()?;
@@ -357,18 +364,18 @@ pub(crate) fn accept_polling(
                 pause = (pause * 2).min(ACCEPT_SLICE);
             }
             Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(format!("{what} accept failed: {e}")),
+            Err(e) => return Err(SolveError::Failed(format!("{what} accept failed: {e}"))),
         }
     }
 }
 
 /// Accept the upper neighbor's halo connection, observing the token.
-fn accept_halo(listener: &TcpListener, cancel: &CancelToken) -> Result<TcpStream, String> {
+fn accept_halo(listener: &TcpListener, cancel: &CancelToken) -> Result<TcpStream, SolveError> {
     listener
         .set_nonblocking(true)
         .map_err(|e| format!("halo listener nonblocking: {e}"))?;
     accept_polling(listener, "halo", || match cancel.halt_error() {
-        Some(halt) => Err(format!("{halt} (waiting for the upper neighbor)")),
+        Some(halt) => Err(halt.map(|d| format!("{d} (waiting for the upper neighbor)"))),
         None => Ok(()),
     })
 }
@@ -411,7 +418,7 @@ impl Drop for Hangup<'_> {
 /// coordinator-requested abort; `Err` carries the failure the worker
 /// also reported upstream as a `WorkerErr`. No thread or socket of it
 /// outlives the call.
-pub fn run_worker(cfg: &WorkerConfig) -> Result<(), String> {
+pub fn run_worker(cfg: &WorkerConfig) -> Result<(), SolveError> {
     let control = TcpStream::connect(&cfg.connect)
         .map_err(|e| format!("cannot reach the coordinator at {}: {e}", cfg.connect))?;
     control
@@ -433,7 +440,7 @@ pub fn run_worker(cfg: &WorkerConfig) -> Result<(), String> {
                 &mut &control,
                 &Msg::WorkerErr {
                     index: cfg.index as u32,
-                    message: e.clone(),
+                    error: e.clone(),
                 },
             );
             // Hold the halo links (`cuts`) until the coordinator has
@@ -452,7 +459,7 @@ fn run_inner(
     stop: &Arc<AtomicBool>,
     ctrl_rx: &Receiver<Result<Msg, String>>,
     cuts: &mut Vec<Cut>,
-) -> Result<(), String> {
+) -> Result<(), SolveError> {
     proto::send(
         &mut ctrl_w,
         &Msg::Hello {
@@ -463,7 +470,7 @@ fn run_inner(
     // The assignment must arrive promptly; a coordinator that died
     // before assigning must not leave an immortal worker behind.
     let setup_dl = Some(Instant::now() + Duration::from_secs(60));
-    let assign = wait_ctrl(ctrl_rx, setup_dl)?;
+    let assign = wait_ctrl(ctrl_rx, setup_dl, SolveError::Failed)?;
     let Msg::Assign {
         index,
         workers,
@@ -477,14 +484,15 @@ fn run_inner(
     else {
         return match assign {
             Msg::Abort { .. } => Ok(()),
-            other => Err(format!("expected Assign, got kind {}", other.kind())),
+            other => Err(format!("expected Assign, got kind {}", other.kind()).into()),
         };
     };
     if index as usize != cfg.index {
         return Err(format!(
             "assignment for worker {index} delivered to worker {}",
             cfg.index
-        ));
+        )
+        .into());
     }
     let (workers, halo, job_index) = (workers as usize, halo as usize, job_index as usize);
     let slab = Slab {
@@ -513,7 +521,8 @@ fn run_inner(
         return Err(format!(
             "unusable assignment: planes {}..{top} of {nz}, halo depth {halo}",
             slab.z0
-        ));
+        )
+        .into());
     }
 
     // The coefficient build is position-dependent (PML profiles, the
@@ -549,10 +558,10 @@ fn run_inner(
         None
     };
     if has_lower {
-        let port = match wait_ctrl(ctrl_rx, deadline)? {
+        let port = match wait_ctrl(ctrl_rx, deadline, SolveError::Timeout)? {
             Msg::ConnectDown { port } => port,
             Msg::Abort { .. } => return Ok(()),
-            other => return Err(format!("expected ConnectDown, got kind {}", other.kind())),
+            other => return Err(format!("expected ConnectDown, got kind {}", other.kind()).into()),
         };
         let s = TcpStream::connect(("127.0.0.1", port))
             .map_err(|e| format!("cannot reach the lower neighbor on port {port}: {e}"))?;
@@ -607,7 +616,7 @@ fn run_inner(
     let mut period: u32 = 0;
     let mut reduce_s = 0.0;
     loop {
-        match wait_ctrl(ctrl_rx, deadline)? {
+        match wait_ctrl(ctrl_rx, deadline, SolveError::Timeout)? {
             Msg::Continue => {
                 period += 1;
                 let stats = job.period()?;
@@ -617,7 +626,23 @@ fn run_inner(
             }
             Msg::Gather => job.reply_gather(ctrl_w)?,
             Msg::Finish | Msg::Abort { .. } => return Ok(()),
-            other => return Err(format!("unexpected control message kind {}", other.kind())),
+            other => return Err(format!("unexpected control message kind {}", other.kind()).into()),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn an_expired_control_wait_is_filed_by_what_its_deadline_was() {
+        let (_tx, rx) = std::sync::mpsc::channel();
+        let passed = Some(Instant::now());
+        let detail = "deadline expired waiting for the coordinator".to_string();
+        let setup = wait_ctrl(&rx, passed, SolveError::Failed).unwrap_err();
+        assert_eq!(setup, SolveError::Failed(detail.clone()));
+        let job = wait_ctrl(&rx, passed, SolveError::Timeout).unwrap_err();
+        assert_eq!(job, SolveError::Timeout(detail));
     }
 }

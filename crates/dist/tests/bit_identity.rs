@@ -261,7 +261,11 @@ fn a_flipped_halo_bit_is_caught_by_the_frame_checksum() {
         },
     )
     .unwrap();
-    let err = outcomes[0].error.as_deref().expect("the job must fail");
+    let err = outcomes[0]
+        .error
+        .as_ref()
+        .expect("the job must fail")
+        .to_string();
     assert!(err.contains("dist worker"), "{err}");
     assert!(err.contains("corrupt frame"), "{err}");
 }
@@ -307,7 +311,11 @@ fn a_control_stream_severed_during_the_final_gather_fails_the_job() {
     )
     .unwrap();
     assert_eq!(faults.counts().conn_drops, 1, "the gather was severed");
-    let err = outcomes[0].error.as_deref().expect("the job must fail");
+    let err = outcomes[0]
+        .error
+        .as_ref()
+        .expect("the job must fail")
+        .to_string();
     assert!(err.starts_with("dist worker 0 failed:"), "{err}");
     assert!(err.contains("torn frame"), "{err}");
 }

@@ -5,6 +5,7 @@
 //! worker) tears frames at arbitrary byte positions.
 
 use em_dist::proto::{self, FrameError, Msg, Side};
+use mwd_core::SolveError;
 use proptest::prelude::*;
 
 /// Deterministic pseudo-random bytes (splitmix64 stream).
@@ -73,7 +74,11 @@ fn arbitrary_msg(pick: u8, seed: u64, n: usize) -> (Msg, Vec<u8>) {
         _ => (
             Msg::WorkerErr {
                 index: pick as u32,
-                message: format!("err-{seed}"),
+                error: [
+                    SolveError::Failed,
+                    SolveError::Cancelled,
+                    SolveError::Timeout,
+                ][seed as usize % 3](format!("err-{seed}")),
             },
             Vec::new(),
         ),
@@ -131,6 +136,28 @@ fn the_halo_block_message_roundtrips_with_its_body() {
     .encode(&mut payload);
     payload[4] = 2;
     assert!(Msg::decode(6, &payload).is_err());
+}
+
+/// A worker's error crosses the wire with its outcome as a tag byte
+/// between the index and the text, so the coordinator classifies it
+/// without reading the text; a tag that names no outcome is refused.
+#[test]
+fn the_worker_error_carries_its_outcome_as_a_tag() {
+    let text = "deadline expired";
+    for (tag, error) in [
+        (0, SolveError::Failed(text.to_string())),
+        (1, SolveError::Cancelled(text.to_string())),
+        (2, SolveError::Timeout(text.to_string())),
+    ] {
+        let msg = Msg::WorkerErr { index: 7, error };
+        let mut payload = Vec::new();
+        msg.encode(&mut payload);
+        assert_eq!(payload[4], tag, "{msg:?}");
+        assert_eq!(payload.len(), 4 + 1 + 4 + text.len());
+        assert_eq!(Msg::decode(12, &payload).unwrap(), (msg, &[][..]));
+        payload[4] = 3;
+        assert!(Msg::decode(12, &payload).is_err());
+    }
 }
 
 /// Exhaustive over one 4 KiB frame of each bulk kind that moves field

@@ -51,10 +51,7 @@ pub mod toml;
 pub use em_json::Json;
 pub use library::{builtin, builtin_names, builtins};
 pub use resolve::{EngineResolver, Resolved, TunePlan, TunePreview, TuneRecord};
-pub use runner::{
-    run_batch, run_job, write_artifacts, BatchOptions, BatchReport, JobOutcome, CANCELLED_PREFIX,
-    TIMEOUT_PREFIX,
-};
+pub use runner::{run_batch, run_job, write_artifacts, BatchOptions, BatchReport, JobOutcome};
 pub use spec::{
     ConvergenceDecl, EngineDecl, GridDims, LayerDecl, OutputsDecl, PhysicsSpec, PmlSpec,
     ScenarioJob, ScenarioSpec, SceneDecl, SlabDecl, SourceSpec, SphereDecl, SweepDecl, SweepPoint,

@@ -21,7 +21,7 @@ use crate::spec::{ConvergenceDecl, EngineDecl, ScenarioJob, ScenarioSpec};
 use em_json::Json;
 use em_obs::ThreadLog;
 use em_solver::{analysis, Engine, EngineStepper, Stepper, ThiimSolver};
-use mwd_core::{CancelToken, ThreadBudget};
+use mwd_core::{CancelToken, SolveError, ThreadBudget};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -61,7 +61,7 @@ pub struct BatchOptions {
     /// solver (deadline and/or explicit cancel). A halted token drains
     /// the claim loop like [`stop`](Self::stop) does, and additionally
     /// halts *running* solvers at their next checkpoint; never-started
-    /// jobs are recorded with the token's prefixed halt error.
+    /// jobs are recorded with the token's halt.
     pub cancel: Option<CancelToken>,
     /// Span recorder (`--trace`): per-worker job spans, tune-resolution
     /// spans, and — through each job's solver — per-thread-group MWD
@@ -87,12 +87,6 @@ impl Default for BatchOptions {
         }
     }
 }
-
-/// The error message prefixes cancelled / timed-out outcomes carry
-/// (see [`BatchOptions::stop`], [`BatchOptions::cancel`] and
-/// [`BatchReport::cancelled`]). Canonical definitions live in
-/// [`mwd_core::cancel`]; re-exported here for callers of the batch API.
-pub use mwd_core::cancel::{CANCELLED_PREFIX, TIMEOUT_PREFIX};
 
 pub use crate::resolve::{TunePlan, TuneRecord};
 
@@ -126,7 +120,7 @@ pub struct JobOutcome {
     /// Laterally averaged |E|^2(z), if the spec requested it.
     pub intensity_profile: Option<Vec<f64>>,
     pub wall_secs: f64,
-    pub error: Option<String>,
+    pub error: Option<SolveError>,
     /// Artifact path, once written.
     pub artifact: Option<PathBuf>,
     /// How the engine configuration was resolved, when tuning applied.
@@ -177,10 +171,8 @@ impl JobOutcome {
         if let Some(t) = &self.tuned {
             pairs.push(("tuned", t.to_json()));
         }
-        match &self.error {
-            Some(e) => pairs.push(("error", Json::str(e))),
-            None => pairs.push(("error", Json::Null)),
-        }
+        let error = self.error.as_ref().map(|e| Json::str(e.to_string()));
+        pairs.push(("error", error.unwrap_or(Json::Null)));
         Json::obj(pairs)
     }
 
@@ -225,11 +217,7 @@ impl BatchReport {
     pub fn cancelled(&self) -> usize {
         self.outcomes
             .iter()
-            .filter(|o| {
-                o.error
-                    .as_deref()
-                    .is_some_and(|e| e.starts_with(CANCELLED_PREFIX))
-            })
+            .filter(|o| matches!(o.error, Some(SolveError::Cancelled(_))))
             .count()
     }
 
@@ -239,11 +227,7 @@ impl BatchReport {
     pub fn timed_out(&self) -> usize {
         self.outcomes
             .iter()
-            .filter(|o| {
-                o.error
-                    .as_deref()
-                    .is_some_and(|e| e.starts_with(TIMEOUT_PREFIX))
-            })
+            .filter(|o| matches!(o.error, Some(SolveError::Timeout(_))))
             .count()
     }
 
@@ -356,18 +340,18 @@ pub fn run_batch(specs: &[ScenarioSpec], opts: &BatchOptions) -> Result<BatchRep
     let token = opts.cancel.clone().unwrap_or_else(CancelToken::none);
     // A halted batch reports the cause: the stop flag is an explicit
     // cancel; otherwise the token decides (cancelled beats expired).
-    let halted = || -> Option<String> {
-        if opts.stop.as_ref().is_some_and(|s| s.load(Ordering::SeqCst)) {
-            return Some(format!("{CANCELLED_PREFIX} stop requested"));
-        }
-        token.halt_error()
+    let drain = opts.stop.clone().map(|s| CancelToken::with_flag(s, None));
+    let halted = || {
+        drain
+            .as_ref()
+            .and_then(CancelToken::halt_error)
+            .or_else(|| token.halt_error())
     };
-    let stopped = || halted().is_some();
     std::thread::scope(|scope| {
         for w in 0..workers {
             let (next, in_flight, max_in_flight) = (&next, &in_flight, &max_in_flight);
             let (jobs, engines, tune_records, slots) = (&jobs, &engines, &tune_records, &slots);
-            let (stopped, token) = (&stopped, &token);
+            let (halted, token) = (&halted, &token);
             scope.spawn(move || {
                 let mut wlog = if opts.trace.is_enabled() {
                     opts.trace.thread(&format!("worker-{w}"), 0)
@@ -378,7 +362,7 @@ pub fn run_batch(specs: &[ScenarioSpec], opts: &BatchOptions) -> Result<BatchRep
                     // Drain semantics: a set stop flag ends the claim
                     // loop, but the job this worker is already running
                     // completes normally (its outcome is recorded below).
-                    if stopped() {
+                    if halted().is_some() {
                         break;
                     }
                     let i = next.fetch_add(1, Ordering::Relaxed);
@@ -468,13 +452,8 @@ pub fn run_batch(specs: &[ScenarioSpec], opts: &BatchOptions) -> Result<BatchRep
                     tune_records[i].clone(),
                 );
                 o.error = Some(match halted() {
-                    Some(h) if h.starts_with(TIMEOUT_PREFIX) => {
-                        format!("{TIMEOUT_PREFIX} deadline expired before this job started")
-                    }
-                    Some(_) => {
-                        format!("{CANCELLED_PREFIX} stop requested before this job started")
-                    }
-                    None => "worker crashed before recording an outcome".to_string(),
+                    Some(halt) => halt.map(|d| format!("{d} before this job started")),
+                    None => SolveError::Failed("worker crashed before recording an outcome".into()),
                 });
                 o
             })
@@ -583,15 +562,15 @@ pub fn run_job<S: Stepper>(
     tuned: Option<TuneRecord>,
     cancel: &CancelToken,
     log: &mut ThreadLog,
-    stepper: impl FnOnce(&ThiimSolver) -> Result<S, String>,
+    stepper: impl FnOnce(&ThiimSolver) -> Result<S, SolveError>,
 ) -> JobOutcome {
     let t0 = std::time::Instant::now();
     let mut outcome = blank_outcome(spec, job, decl, index, dry_run, tuned);
     // A panicking solver (as opposed to one returning `Err`) must also
     // land in this job's outcome: letting it unwind would poison the
     // job slot and tear down the scoped pool mid-batch.
-    let caught =
-        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| -> Result<(), String> {
+    let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(
+        || -> Result<(), SolveError> {
             if dry_run {
                 // Prove the scene resolves (materials, preset) without
                 // paying for coefficient assembly or stepping.
@@ -620,7 +599,7 @@ pub fn run_job<S: Stepper>(
             let mut stepper = stepper(&solver)?;
             let ConvergenceDecl { tol, max_periods } = spec.convergence;
             let report = solver.run_to_convergence_with(&mut stepper, tol, max_periods, cancel)?;
-            stepper.finish(&mut solver.state)?;
+            stepper.finish(&mut solver.state, cancel)?;
             outcome.converged = report.converged;
             outcome.periods = report.periods;
             outcome.steps = report.steps;
@@ -641,12 +620,12 @@ pub fn run_job<S: Stepper>(
                 outcome.intensity_profile = Some(analysis::intensity_profile_z(solver.fields()));
             }
             Ok(())
-        }));
-    let result =
-        caught.unwrap_or_else(|p| Err(format!("job panicked: {}", panic_message(p.as_ref()))));
-    if let Err(e) = result {
-        outcome.error = Some(e);
-    }
+        },
+    ));
+    outcome.error = match caught {
+        Ok(result) => result.err(),
+        Err(p) => Some(format!("job panicked: {}", panic_message(p.as_ref())).into()),
+    };
     outcome.wall_secs = t0.elapsed().as_secs_f64();
     outcome
 }
@@ -709,7 +688,7 @@ pub fn write_artifacts(dir: &Path, outcomes: &mut [JobOutcome]) -> Result<(), St
             o.rel_change,
             o.energy,
             o.wall_secs,
-            o.error.as_deref().unwrap_or("")
+            o.error.as_ref().map_or(String::new(), ToString::to_string)
         ));
     }
     let cpath = dir.join("batch_summary.csv");
@@ -845,7 +824,7 @@ mod tests {
         let slot = poisoned_slot(None);
         let got = take_outcome(slot, || {
             let mut o = fallback_outcome("fell-back");
-            o.error = Some("worker crashed".to_string());
+            o.error = Some(SolveError::Failed("worker crashed".to_string()));
             o
         });
         assert_eq!(got.scenario, "fell-back");
@@ -902,11 +881,8 @@ mod tests {
         assert_eq!(report.failures(), 2);
         for o in &report.outcomes {
             assert_eq!(o.steps, 0, "no solver stepped");
-            assert!(
-                o.error.as_deref().unwrap().starts_with(CANCELLED_PREFIX),
-                "{:?}",
-                o.error
-            );
+            let err = &o.error;
+            assert!(matches!(err, Some(SolveError::Cancelled(_))), "{err:?}");
         }
         // Graceful shutdown still writes the batch summary + artifacts.
         assert!(dir.join("batch_summary.json").is_file());
@@ -931,11 +907,8 @@ mod tests {
         assert_eq!(report.cancelled(), 0, "timeouts are not cancellations");
         for o in &report.outcomes {
             assert_eq!(o.steps, 0, "no solver stepped");
-            assert!(
-                o.error.as_deref().unwrap().starts_with(TIMEOUT_PREFIX),
-                "{:?}",
-                o.error
-            );
+            let err = &o.error;
+            assert!(matches!(err, Some(SolveError::Timeout(_))), "{err:?}");
         }
     }
 

@@ -30,8 +30,7 @@ use em_json::hash::content_hash;
 use em_json::Json;
 use em_scenarios::runner::{run_batch, BatchOptions};
 use em_scenarios::{EngineResolver, JobOutcome, ScenarioSpec};
-use mwd_core::cancel::{CANCELLED_PREFIX, TIMEOUT_PREFIX};
-use mwd_core::{CancelToken, ThreadBudget};
+use mwd_core::{CancelToken, SolveError, ThreadBudget};
 use std::collections::{HashMap, VecDeque};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
@@ -232,7 +231,7 @@ struct SchedState {
 /// [`solve_runner`]; tests inject stubs to control timing
 /// deterministically.
 pub type RunFn =
-    dyn Fn(&ScenarioSpec, usize, &CancelToken) -> Result<Vec<JobOutcome>, String> + Send + Sync;
+    dyn Fn(&ScenarioSpec, usize, &CancelToken) -> Result<Vec<JobOutcome>, SolveError> + Send + Sync;
 
 /// The production runner: one spec through the batch runner's code path
 /// (validation, panic isolation, deterministic outcome) on a budget of
@@ -241,7 +240,7 @@ pub fn solve_runner(
     spec: &ScenarioSpec,
     threads: usize,
     cancel: &CancelToken,
-) -> Result<Vec<JobOutcome>, String> {
+) -> Result<Vec<JobOutcome>, SolveError> {
     let opts = BatchOptions {
         workers: 1,
         threads: Some(threads),
@@ -251,7 +250,9 @@ pub fn solve_runner(
         cancel: Some(cancel.clone()),
         ..Default::default()
     };
-    run_batch(std::slice::from_ref(spec), &opts).map(|r| r.outcomes)
+    run_batch(std::slice::from_ref(spec), &opts)
+        .map(|r| r.outcomes)
+        .map_err(SolveError::Failed)
 }
 
 pub struct Scheduler {
@@ -510,17 +511,26 @@ impl Scheduler {
         }
     }
 
-    /// Map an outcome / runner error to the job's terminal state by the
-    /// halt-error prefix convention.
-    fn terminal_for_error(e: String) -> (JobState, Option<String>) {
-        let state = if e.starts_with(TIMEOUT_PREFIX) {
-            JobState::Timeout
-        } else if e.starts_with(CANCELLED_PREFIX) {
-            JobState::Cancelled
-        } else {
-            JobState::Failed
+    /// End job `id` as `end` says: `Ok` is done (its artifact already
+    /// stored), an error the state its variant names, with the rendered
+    /// text the record serves. Frees the job's content key and bumps the
+    /// state's counter; every path that ends a job comes through here.
+    fn end_job(&self, st: &mut SchedState, id: u64, end: Result<(), SolveError>) {
+        let (state, counter) = match &end {
+            Ok(()) => (JobState::Done, &self.stats.completed),
+            Err(SolveError::Cancelled(_)) => (JobState::Cancelled, &self.stats.cancelled),
+            Err(SolveError::Timeout(_)) => (JobState::Timeout, &self.stats.timeout),
+            Err(SolveError::Failed(_)) => (JobState::Failed, &self.stats.failed),
         };
-        (state, Some(e))
+        if let Some(r) = st.jobs.get_mut(&id) {
+            r.state = state;
+            r.error = end.err().map(|e| e.to_string());
+            if st.active_by_key.get(&r.key) == Some(&id) {
+                st.active_by_key.remove(&r.key);
+            }
+        }
+        ServiceStats::bump(counter);
+        self.idle.notify_all();
     }
 
     fn worker_loop(self: Arc<Scheduler>) {
@@ -549,29 +559,12 @@ impl Scheduler {
                     }
                     // Shed expired (or just-cancelled) queued jobs
                     // before spending a worker on them.
-                    if let Some(err) = r.cancel.halt_error() {
-                        let timeout = err.starts_with(TIMEOUT_PREFIX);
-                        r.state = if timeout {
-                            JobState::Timeout
-                        } else {
-                            JobState::Cancelled
-                        };
-                        r.error = Some(format!("{err} while queued"));
-                        r.wait_secs = r.submitted.elapsed().as_secs_f64();
-                        let key = r.key.clone();
-                        if st.active_by_key.get(&key) == Some(&id) {
-                            st.active_by_key.remove(&key);
-                        }
-                        ServiceStats::bump(if timeout {
-                            &self.stats.timeout
-                        } else {
-                            &self.stats.cancelled
-                        });
-                        self.idle.notify_all();
+                    r.wait_secs = r.submitted.elapsed().as_secs_f64();
+                    if let Some(halt) = r.cancel.halt_error() {
+                        self.end_job(&mut st, id, Err(halt.map(|d| format!("{d} while queued"))));
                         continue 'claim;
                     }
                     r.state = JobState::Running;
-                    r.wait_secs = r.submitted.elapsed().as_secs_f64();
                     let claimed = (
                         id,
                         r.spec.clone(),
@@ -592,7 +585,7 @@ impl Scheduler {
             let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 (self.run)(&spec, threads, &cancel)
             }))
-            .unwrap_or_else(|_| Err("job runner panicked".to_string()));
+            .unwrap_or_else(|_| Err(SolveError::Failed("job runner panicked".to_string())));
             let run_secs = t0.elapsed().as_secs_f64();
             self.stats.release_threads(threads);
 
@@ -602,34 +595,19 @@ impl Scheduler {
             // request, and store-before-Done both preserves the "Done
             // implies stored" contract and lets submit()'s under-lock
             // store recheck close the dedupe race with this completion.
-            let (state, error) = match result {
-                Ok(outcomes) => match outcomes.iter().find_map(|o| o.error.clone()) {
-                    Some(e) => Self::terminal_for_error(e),
-                    None => match self.store.put(&key, artifact_bytes(&key, &outcomes)) {
-                        Ok(()) => (JobState::Done, None),
-                        Err(e) => (JobState::Failed, Some(e)),
-                    },
-                },
-                Err(e) => Self::terminal_for_error(e),
-            };
+            let end = result.and_then(|outcomes| {
+                if let Some(e) = outcomes.iter().find_map(|o| o.error.clone()) {
+                    return Err(e);
+                }
+                let bytes = artifact_bytes(&key, &outcomes);
+                self.store.put(&key, bytes).map_err(SolveError::Failed)
+            });
             let mut st = relock(self.state.lock());
             if let Some(r) = st.jobs.get_mut(&id) {
-                r.state = state;
-                r.error = error;
                 r.run_secs = run_secs;
             }
-            if st.active_by_key.get(&key) == Some(&id) {
-                st.active_by_key.remove(&key);
-            }
             st.running -= 1;
-            drop(st);
-            ServiceStats::bump(match state {
-                JobState::Done => &self.stats.completed,
-                JobState::Cancelled => &self.stats.cancelled,
-                JobState::Timeout => &self.stats.timeout,
-                _ => &self.stats.failed,
-            });
-            self.idle.notify_all();
+            self.end_job(&mut st, id, end);
         }
     }
 
@@ -642,30 +620,19 @@ impl Scheduler {
         let Some(r) = st.jobs.get_mut(&id) else {
             return Err(CancelError::UnknownJob);
         };
-        match r.state {
-            s if s.finished() => Err(CancelError::AlreadyFinished(s)),
-            JobState::Running => {
-                r.cancel.cancel();
-                Ok(CancelOutcome::Cancelling)
-            }
-            _ => {
-                // Trip the token too, so a claim racing this call sheds
-                // the job even if it sees the record first.
-                r.cancel.cancel();
-                r.state = JobState::Cancelled;
-                r.error = Some(format!(
-                    "{CANCELLED_PREFIX} cancelled by request while queued"
-                ));
-                r.wait_secs = r.submitted.elapsed().as_secs_f64();
-                let key = r.key.clone();
-                if st.active_by_key.get(&key) == Some(&id) {
-                    st.active_by_key.remove(&key);
-                }
-                ServiceStats::bump(&self.stats.cancelled);
-                self.idle.notify_all();
-                Ok(CancelOutcome::Cancelled)
-            }
+        if r.state.finished() {
+            return Err(CancelError::AlreadyFinished(r.state));
         }
+        // A running job halts at its next checkpoint; a queued one ends
+        // here, and its tripped token sheds it from a racing claim too.
+        r.cancel.cancel();
+        if r.state == JobState::Running {
+            return Ok(CancelOutcome::Cancelling);
+        }
+        r.wait_secs = r.submitted.elapsed().as_secs_f64();
+        let why = "cancelled by request while queued".to_string();
+        self.end_job(&mut st, id, Err(SolveError::Cancelled(why)));
+        Ok(CancelOutcome::Cancelled)
     }
 
     /// Stop admitting, cancel queued jobs, drain running ones, and join
@@ -677,18 +644,11 @@ impl Scheduler {
             while let Some(id) = st.queue.pop_front() {
                 // Skip ids whose record already finished (e.g. a
                 // targeted cancel left them for lazy queue removal).
-                if let Some(r) = st.jobs.get_mut(&id).filter(|r| !r.state.finished()) {
-                    r.state = JobState::Cancelled;
-                    r.error = Some("cancelled: daemon shut down before this job started".into());
-                    ServiceStats::bump(&self.stats.cancelled);
+                if st.jobs.get(&id).is_some_and(|r| !r.state.finished()) {
+                    let why = "daemon shut down before this job started".to_string();
+                    self.end_job(&mut st, id, Err(SolveError::Cancelled(why)));
                 }
             }
-            let SchedState {
-                active_by_key,
-                jobs,
-                ..
-            } = &mut *st;
-            active_by_key.retain(|_, id| matches!(jobs.get(id), Some(r) if !r.state.finished()));
             self.work.notify_all();
             while st.running > 0 {
                 st = relock(self.idle.wait(st));

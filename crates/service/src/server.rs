@@ -57,6 +57,7 @@ use autotune::SharedTuneCache;
 use em_faults::{ConnFault, FaultInjector, FaultPlan, SolveFault};
 use em_json::Json;
 use em_obs::Counter;
+use mwd_core::SolveError;
 use std::io::{BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
@@ -376,7 +377,7 @@ fn dist_runner(
                 faults: faults.clone(),
                 ..Default::default()
             };
-            em_dist::run_dist(spec, &opts)
+            em_dist::run_dist(spec, &opts).map_err(SolveError::Failed)
         } else {
             inner(spec, threads, cancel)
         }

@@ -441,7 +441,8 @@ fn dist_worker_link_cut_mid_solve_fails_cleanly_within_the_deadline() {
     assert_eq!(outcomes.len(), 1);
     let err = outcomes[0]
         .error
-        .as_deref()
+        .as_ref()
+        .map(ToString::to_string)
         .expect("the cut link must fail the job");
     assert!(err.contains("dist worker"), "{err}");
     assert!(

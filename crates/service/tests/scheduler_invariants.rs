@@ -425,7 +425,7 @@ fn failed_jobs_report_and_are_not_stored() {
         stats.clone(),
         Box::new(|spec, _, _| {
             if spec.physics.lambda_nm < 600.0 {
-                Err("solver exploded".to_string())
+                Err("solver exploded".to_string().into())
             } else {
                 panic!("runner panicked");
             }

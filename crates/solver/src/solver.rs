@@ -14,7 +14,7 @@ use crate::source::SourceSpec;
 use em_field::{norms, FieldSet, GridDims, State};
 use em_kernels::boundary::{step_naive_with_boundary, Boundary};
 use em_kernels::{step_spatial_mt, SpatialConfig};
-use mwd_core::{CancelToken, MwdBoundary, MwdConfig, MwdRun};
+use mwd_core::{CancelToken, MwdBoundary, MwdConfig, MwdRun, SolveError};
 
 /// Execution engine selection.
 #[derive(Clone, Debug)]
@@ -99,20 +99,20 @@ pub trait Stepper {
     /// the end of the previous period this stepper advanced —
     /// `f64::INFINITY` for its first, which has nothing to compare
     /// with. On a halt the fields are mid-update and must be discarded
-    /// along with the returned prefixed error.
+    /// along with the returned error.
     fn period(
         &mut self,
         state: &mut State,
         spp: usize,
         cancel: &CancelToken,
-    ) -> Result<f64, String>;
+    ) -> Result<f64, SolveError>;
 
-    /// Called once after the last period: bring `state` up to date if
-    /// the fields live elsewhere (a slab group gathers them here, once
-    /// per job) and release what the stepper holds (remote workers,
-    /// sockets). A local engine steps `state` in place and holds
-    /// nothing.
-    fn finish(self, _state: &mut State) -> Result<(), String>
+    /// Called once after the last period, observing `cancel`: bring
+    /// `state` up to date if the fields live elsewhere (a slab group
+    /// gathers them here, once per job) and release what the stepper
+    /// holds (remote workers, sockets). A local engine steps `state` in
+    /// place and holds nothing.
+    fn finish(self, _state: &mut State, _cancel: &CancelToken) -> Result<(), SolveError>
     where
         Self: Sized,
     {
@@ -154,7 +154,12 @@ impl<'a> EngineStepper<'a> {
     /// Advance `state` by `n` time steps. The MWD engines check the
     /// token at every tile claim; the sequential engines check once per
     /// time step.
-    pub fn step_n(&self, state: &mut State, n: usize, cancel: &CancelToken) -> Result<(), String> {
+    pub fn step_n(
+        &self,
+        state: &mut State,
+        n: usize,
+        cancel: &CancelToken,
+    ) -> Result<(), SolveError> {
         let mwd = |state: &mut State, cfg: &MwdConfig, boundary: MwdBoundary| {
             let run = MwdRun {
                 boundary,
@@ -187,7 +192,7 @@ fn sweep_n(
     n: usize,
     cancel: &CancelToken,
     step: impl Fn(&mut State),
-) -> Result<(), String> {
+) -> Result<(), SolveError> {
     for _ in 0..n {
         if let Some(err) = cancel.halt_error() {
             return Err(err);
@@ -203,7 +208,7 @@ impl Stepper for EngineStepper<'_> {
         state: &mut State,
         spp: usize,
         cancel: &CancelToken,
-    ) -> Result<f64, String> {
+    ) -> Result<f64, SolveError> {
         self.step_n(state, spp, cancel)?;
         let fields = &state.fields;
         let Some(snapshot) = &mut self.snapshot else {
@@ -252,7 +257,7 @@ impl ThiimSolver {
     }
 
     /// Advance `n` time steps on the chosen engine.
-    pub fn step_n(&mut self, engine: &Engine, n: usize) -> Result<(), String> {
+    pub fn step_n(&mut self, engine: &Engine, n: usize) -> Result<(), SolveError> {
         EngineStepper::untraced(engine).step_n(&mut self.state, n, &CancelToken::none())?;
         self.steps_done += n;
         Ok(())
@@ -265,7 +270,7 @@ impl ThiimSolver {
         engine: &Engine,
         tol: f64,
         max_periods: usize,
-    ) -> Result<ConvergenceReport, String> {
+    ) -> Result<ConvergenceReport, SolveError> {
         let mut stepper = EngineStepper::untraced(engine);
         self.run_to_convergence_with(&mut stepper, tol, max_periods, &CancelToken::none())
     }
@@ -273,15 +278,15 @@ impl ThiimSolver {
     /// The one convergence loop, over any [`Stepper`]. The token is
     /// checked before every period (and within the period by the
     /// stepper itself), so a cancelled or expired job halts within one
-    /// solver period of the event — returning the token's prefixed halt
-    /// error instead of a report.
+    /// solver period of the event — returning the token's halt instead
+    /// of a report.
     pub fn run_to_convergence_with<S: Stepper + ?Sized>(
         &mut self,
         stepper: &mut S,
         tol: f64,
         max_periods: usize,
         cancel: &CancelToken,
-    ) -> Result<ConvergenceReport, String> {
+    ) -> Result<ConvergenceReport, SolveError> {
         let spp = self.steps_per_period();
         let mut rel = f64::INFINITY;
         for period in 1..=max_periods {
@@ -343,10 +348,7 @@ mod tests {
         let err = s
             .run_to_convergence_with(&mut stepper, 1e-2, 50, &token)
             .unwrap_err();
-        assert!(
-            err.starts_with(mwd_core::cancel::TIMEOUT_PREFIX),
-            "want timeout prefix, got: {err}"
-        );
+        assert!(matches!(err, SolveError::Timeout(_)), "{err}");
         assert_eq!(s.steps_done(), 0, "expired token must not advance fields");
     }
 
@@ -355,9 +357,9 @@ mod tests {
     struct CancelOnEntry<'a>(EngineStepper<'a>);
 
     impl Stepper for CancelOnEntry<'_> {
-        fn period(&mut self, state: &mut State, n: usize, c: &CancelToken) -> Result<f64, String> {
+        fn period(&mut self, s: &mut State, n: usize, c: &CancelToken) -> Result<f64, SolveError> {
             c.cancel();
-            self.0.period(state, n, c)
+            self.0.period(s, n, c)
         }
     }
 
@@ -376,10 +378,7 @@ mod tests {
         let err = s
             .run_to_convergence_with(&mut stepper, 1e-2, 50, &token)
             .unwrap_err();
-        assert!(
-            err.starts_with(mwd_core::cancel::CANCELLED_PREFIX),
-            "want cancelled prefix, got: {err}"
-        );
+        assert!(matches!(err, SolveError::Cancelled(_)), "{err}");
         assert_eq!(s.steps_done(), 0, "a halted period is not counted");
     }
 
@@ -394,7 +393,12 @@ mod tests {
     }
 
     impl Stepper for FakeStepper {
-        fn period(&mut self, _: &mut State, spp: usize, _: &CancelToken) -> Result<f64, String> {
+        fn period(
+            &mut self,
+            _: &mut State,
+            spp: usize,
+            _: &CancelToken,
+        ) -> Result<f64, SolveError> {
             self.calls.push(spp);
             if let Some((call, token)) = &self.cancel_in_call {
                 if self.calls.len() == *call {
@@ -447,10 +451,7 @@ mod tests {
         let err = s
             .run_to_convergence_with(&mut fake, 0.0, 10, &token)
             .unwrap_err();
-        assert!(
-            err.starts_with(mwd_core::cancel::CANCELLED_PREFIX),
-            "want cancelled prefix, got: {err}"
-        );
+        assert!(matches!(err, SolveError::Cancelled(_)), "{err}");
         assert_eq!(fake.calls.len(), 2, "no period after the cancel");
     }
 

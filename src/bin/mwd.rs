@@ -58,7 +58,8 @@ OPTIONS (a command given an option it does not use exits 2):
                        implies --tune for run/batch)
     --force            tune: retune even when the cache has an answer
     --refine <k>       tune: natively probe the model's top k finalists
-                       (default 2; 0 stores the model's rank 1)
+                       (default 2; 0 stores the model's rank 1);
+                       run/batch take both only with --tune or --cache
     --dry-run          validate and plan without stepping any solver
                        (tune: report hits/misses without searching)
     --out <dir>        artifact directory (default: results/scenarios;
@@ -348,11 +349,17 @@ fn resolve_scenario(name: &str) -> Result<ScenarioSpec, String> {
 }
 
 fn cmd_run_or_batch(args: &[String], batch: bool) -> Result<ExitCode, String> {
-    let o = if batch {
-        parse_opts("batch", BATCH_FLAGS, args)?
-    } else {
-        parse_opts("run", RUN_FLAGS, args)?
-    };
+    let cmd = if batch { "batch" } else { "run" };
+    let o = parse_opts(cmd, if batch { BATCH_FLAGS } else { RUN_FLAGS }, args)?;
+    // `--cache` implies `--tune`: naming the cache only makes sense if
+    // the batch resolves configurations through it, and the tuning
+    // flags mean nothing without either.
+    let tuned = o.tune || o.cache.is_some();
+    for (flag, given) in [("--refine", o.refine.is_some()), ("--force", o.force)] {
+        if given && !tuned {
+            return Err(format!("`mwd {cmd}` takes `{flag}` only with `--tune`"));
+        }
+    }
     let specs: Vec<ScenarioSpec> = if o.scenarios.is_empty() || o.all {
         if !batch && !o.all {
             return Err("usage: mwd run <scenario>... (or `mwd run --all`)".to_string());
@@ -365,9 +372,7 @@ fn cmd_run_or_batch(args: &[String], batch: bool) -> Result<ExitCode, String> {
             .collect::<Result<_, _>>()?
     };
 
-    // `--cache` implies `--tune`: naming the cache only makes sense if
-    // the batch resolves configurations through it.
-    let tune = (o.tune || o.cache.is_some()).then(|| TunePlan {
+    let tune = tuned.then(|| TunePlan {
         cache_path: Some(o.cache.clone().unwrap_or_else(tuner::default_cache_path)),
         force: o.force,
         refine_top: o.refine.unwrap_or(0),

@@ -442,6 +442,31 @@ fn every_command_refuses_the_flags_it_does_not_use() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// `run`/`batch` use `--refine` and `--force` only when they tune; without
+/// `--tune` or `--cache` either flag exits 2 instead of being dropped.
+#[test]
+fn run_and_batch_refuse_tuning_flags_without_tune() {
+    let dir = temp_dir("tuneflags");
+    let spec = write_spec(&dir, "tuneflags");
+    let spec = spec.to_str().unwrap();
+    for (cmd, args) in [
+        ("run", ["run", spec, "--refine", "3"].as_slice()),
+        ("batch", ["batch", spec, "--force"].as_slice()),
+    ] {
+        let out = mwd(&dir, args);
+        assert_eq!(exit_code(&out), 2, "mwd {args:?}: {}", stdout(&out));
+        let err = stderr(&out);
+        let flag = args[2];
+        assert!(
+            err.contains(&format!("`mwd {cmd}`"))
+                && err.contains(&format!("`{flag}`"))
+                && err.contains("`--tune`"),
+            "mwd {args:?}: {err}"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 // ------------------------------------------------------------- serving
 
 /// Minimal raw HTTP client for the serve tests (one request per

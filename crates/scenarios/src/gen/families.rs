@@ -51,10 +51,6 @@ impl Family {
         }
     }
 
-    pub fn from_name(name: &str) -> Option<Family> {
-        Family::ALL.iter().copied().find(|f| f.name() == name)
-    }
-
     pub fn description(&self) -> &'static str {
         match self {
             Family::Multilayer => "random thin-film layer stacks, optional metal back reflector",
@@ -62,6 +58,16 @@ impl Family {
             Family::Nanoparticle => "spherical nanoparticle dispersions in a host medium",
             Family::Nanowire => "plasmonic nanowire (overlapping Ag/Au sphere chain along y)",
         }
+    }
+}
+
+impl std::str::FromStr for Family {
+    type Err = String;
+
+    fn from_str(name: &str) -> Result<Family, String> {
+        let known = Family::ALL.map(|f| f.name()).join(", ");
+        let found = Family::ALL.into_iter().find(|f| f.name() == name);
+        found.ok_or_else(|| format!("unknown family `{name}` (known: {known})"))
     }
 }
 
@@ -431,9 +437,10 @@ mod tests {
     #[test]
     fn family_names_roundtrip() {
         for f in Family::ALL {
-            assert_eq!(Family::from_name(f.name()), Some(f));
+            assert_eq!(f.name().parse(), Ok(f));
         }
-        assert_eq!(Family::from_name("no-such"), None);
+        let e = "no-such".parse::<Family>().unwrap_err();
+        assert!(e.contains("`no-such`") && e.contains("nanowire"), "{e}");
     }
 
     #[test]

@@ -117,6 +117,10 @@ pub fn run_fuzz(opts: &FuzzOptions) -> Result<FuzzReport, String> {
     if opts.count == 0 {
         return Err("[gen] fuzz needs at least one case".to_string());
     }
+    // Zero steps would compare two untouched field sets: a vacuous pass.
+    if opts.steps == 0 {
+        return Err("[gen] fuzz needs at least one solver step".to_string());
+    }
     opts.params.validate()?;
     if let Some(dir) = &opts.out_dir {
         std::fs::create_dir_all(dir)

@@ -4,9 +4,10 @@
 //! Three layers are exercised: degenerate `GenParams` ranges (refused
 //! before any drawing happens), hand-corrupted generated specs fed back
 //! through full validation (zero-thickness layers and friends), and
-//! malformed TOML (errors carry the 1-based line number).
+//! malformed TOML (errors carry the 1-based line number). A fuzz run
+//! that would step nothing is refused too.
 
-use em_scenarios::gen::{generate, Family, GenParams, LAMBDA_BAND_NM};
+use em_scenarios::gen::{generate, run_fuzz, Family, FuzzOptions, GenParams, LAMBDA_BAND_NM};
 use em_scenarios::spec::{ScenarioSpec, SceneDecl};
 use proptest::prelude::*;
 
@@ -126,6 +127,19 @@ fn zero_period_cap_is_rejected() {
         ..GenParams::default()
     };
     assert!(p.validate().is_err());
+}
+
+/// A fuzz run of zero steps would compare two untouched field sets and
+/// pass the bit-identity check vacuously.
+#[test]
+fn zero_step_fuzz_is_rejected() {
+    let opts = FuzzOptions {
+        count: 1,
+        steps: 0,
+        ..FuzzOptions::default()
+    };
+    let e = run_fuzz(&opts).unwrap_err();
+    assert!(e.contains("at least one solver step"), "{e}");
 }
 
 /// Malformed TOML reports the 1-based line of the offence rather than

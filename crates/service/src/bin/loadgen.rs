@@ -28,6 +28,7 @@
 use em_json::Json;
 use em_obs::{Histogram, HistogramSnapshot};
 use em_scenarios::gen::{generate, splitmix64, Family, GenParams};
+use em_service::flags::{Flags, COUNT};
 use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -90,113 +91,70 @@ struct Opts {
     quiet: bool,
 }
 
-fn parse_opts(args: &[String]) -> Result<Opts, String> {
-    let mut o = Opts {
-        addr: "127.0.0.1:7171".to_string(),
-        requests: 20,
-        concurrency: 4,
-        dup_ratio: 0.5,
-        scenario: "vacuum-slab".to_string(),
-        spec_file: None,
-        gen_mix: Vec::new(),
-        engine: None,
-        max_periods: 1,
-        deadline_ms: None,
-        seed: 7,
-        retries: 0,
-        allow_failures: false,
-        report: PathBuf::from("results/loadgen_report.json"),
-        min_dedupe_hits: None,
-        shutdown: false,
-        quiet: false,
-    };
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        let mut value = |flag: &str| -> Result<String, String> {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("{flag} needs a value"))
-        };
-        match a.as_str() {
-            "--addr" => o.addr = value("--addr")?,
-            "--requests" => o.requests = parse_count(&value("--requests")?, "--requests")?,
-            "--concurrency" => {
-                o.concurrency = parse_count(&value("--concurrency")?, "--concurrency")?
-            }
-            "--dup-ratio" => {
-                o.dup_ratio = value("--dup-ratio")?
-                    .parse::<f64>()
-                    .ok()
-                    .filter(|r| (0.0..=1.0).contains(r))
-                    .ok_or("--dup-ratio needs a number in 0..=1")?
-            }
-            "--scenario" => o.scenario = value("--scenario")?,
-            "--spec" => o.spec_file = Some(PathBuf::from(value("--spec")?)),
-            "--gen-mix" => o.gen_mix = parse_gen_mix(&value("--gen-mix")?)?,
-            "--engine" => o.engine = Some(value("--engine")?),
-            "--max-periods" => {
-                o.max_periods = parse_count(&value("--max-periods")?, "--max-periods")?
-            }
-            "--deadline-ms" => {
-                o.deadline_ms = Some(
-                    value("--deadline-ms")?
-                        .parse::<u64>()
-                        .ok()
-                        .filter(|&d| d >= 1)
-                        .ok_or("--deadline-ms needs a positive integer")?,
-                )
-            }
-            "--seed" => {
-                o.seed = value("--seed")?
-                    .parse()
-                    .map_err(|_| "--seed needs an integer")?
-            }
-            "--retries" => {
-                o.retries = value("--retries")?
-                    .parse()
-                    .map_err(|_| "--retries needs a non-negative integer")?
-            }
-            "--allow-failures" => o.allow_failures = true,
-            "--report" => o.report = PathBuf::from(value("--report")?),
-            "--min-dedupe-hits" => {
-                o.min_dedupe_hits = Some(
-                    value("--min-dedupe-hits")?
-                        .parse()
-                        .map_err(|_| "--min-dedupe-hits needs an integer")?,
-                )
-            }
-            "--shutdown" => o.shutdown = true,
-            "--quiet" => o.quiet = true,
-            "--help" | "-h" => {
-                print!("{USAGE}");
-                std::process::exit(0);
-            }
-            other => return Err(format!("unknown option `{other}`; try --help")),
-        }
-    }
-    if o.requests == 0 {
-        return Err("--requests must be positive".to_string());
-    }
-    if o.concurrency == 0 {
-        return Err("--concurrency must be positive".to_string());
-    }
-    Ok(o)
-}
+/// The flags `loadgen` takes (`=` marks a flag with a value).
+const FLAGS: &[&str] = &[
+    "--addr=",
+    "--requests=",
+    "--concurrency=",
+    "--dup-ratio=",
+    "--scenario=",
+    "--spec=",
+    "--gen-mix=",
+    "--engine=",
+    "--max-periods=",
+    "--deadline-ms=",
+    "--seed=",
+    "--retries=",
+    "--allow-failures",
+    "--report=",
+    "--min-dedupe-hits=",
+    "--shutdown",
+    "--quiet",
+    "--help",
+];
 
-fn parse_count(s: &str, flag: &str) -> Result<usize, String> {
-    s.parse()
-        .map_err(|_| format!("{flag} needs a non-negative integer"))
+/// `loadgen`'s options from its arguments.
+fn opts(args: &[String]) -> Result<Opts, String> {
+    let f = Flags::parse("loadgen", FLAGS, args).map_err(|e| format!("{e}; try --help"))?;
+    if f.switch("--help") || f.operands().iter().any(|a| a == "-h") {
+        print!("{USAGE}");
+        std::process::exit(0);
+    }
+    f.no_operands()?;
+    const RATIO: &str = "a number in 0..=1";
+    let dup_ratio = f.value("--dup-ratio", RATIO)?.unwrap_or(0.5);
+    if !(0.0..=1.0).contains(&dup_ratio) {
+        return Err(format!("--dup-ratio needs {RATIO}"));
+    }
+    Ok(Opts {
+        addr: f.string("--addr").unwrap_or("127.0.0.1:7171").to_string(),
+        requests: f.positive("--requests")?.unwrap_or(20),
+        concurrency: f.positive("--concurrency")?.unwrap_or(4),
+        dup_ratio,
+        scenario: f.string("--scenario").unwrap_or("vacuum-slab").to_string(),
+        spec_file: f.path("--spec"),
+        gen_mix: f
+            .string("--gen-mix")
+            .map(parse_gen_mix)
+            .transpose()?
+            .unwrap_or_default(),
+        engine: f.string("--engine").map(str::to_string),
+        max_periods: f.value("--max-periods", COUNT)?.unwrap_or(1),
+        deadline_ms: f.positive("--deadline-ms")?.map(|d| d as u64),
+        seed: f.value("--seed", COUNT)?.unwrap_or(7),
+        retries: f.value("--retries", COUNT)?.unwrap_or(0),
+        allow_failures: f.switch("--allow-failures"),
+        report: f
+            .path("--report")
+            .unwrap_or_else(|| PathBuf::from("results/loadgen_report.json")),
+        min_dedupe_hits: f.value("--min-dedupe-hits", COUNT)?,
+        shutdown: f.switch("--shutdown"),
+        quiet: f.switch("--quiet"),
+    })
 }
 
 /// Parse `family[:weight],...` into a weighted family list.
 fn parse_gen_mix(s: &str) -> Result<Vec<(Family, f64)>, String> {
-    let known = || {
-        Family::ALL
-            .iter()
-            .map(|f| f.name())
-            .collect::<Vec<_>>()
-            .join(", ")
-    };
     let mut mix = Vec::new();
     for part in s.split(',').map(str::trim).filter(|p| !p.is_empty()) {
         let (name, weight) = match part.split_once(':') {
@@ -210,17 +168,16 @@ fn parse_gen_mix(s: &str) -> Result<Vec<(Family, f64)>, String> {
             }
             None => (part, 1.0),
         };
-        let family = Family::from_name(name)
-            .ok_or_else(|| format!("--gen-mix: unknown family `{name}` (known: {})", known()))?;
+        let family: Family = name.parse().map_err(|e| format!("--gen-mix: {e}"))?;
         if mix.iter().any(|(f, _)| *f == family) {
             return Err(format!("--gen-mix lists `{name}` twice"));
         }
         mix.push((family, weight));
     }
     if mix.is_empty() {
+        let known = Family::ALL.map(|f| f.name()).join(", ");
         return Err(format!(
-            "--gen-mix needs `family[:weight],...` (known: {})",
-            known()
+            "--gen-mix needs `family[:weight],...` (known: {known})"
         ));
     }
     Ok(mix)
@@ -802,7 +759,7 @@ fn run(o: &Opts) -> Result<ExitCode, String> {
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match parse_opts(&args).and_then(|o| run(&o)) {
+    match opts(&args).and_then(|o| run(&o)) {
         Ok(code) => code,
         Err(e) => {
             eprintln!("error: {e}");

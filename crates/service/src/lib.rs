@@ -42,13 +42,15 @@
 //!   plane;
 //! - [`shutdown`]: SIGINT/SIGTERM → a cooperative stop flag, shared
 //!   with the batch runner's drain path;
-//! - [`stats`]: the service counters behind `GET /stats`.
+//! - [`stats`]: the service counters behind `GET /stats`;
+//! - [`flags`]: the command-line parser both front ends use.
 //!
 //! The `mwd serve` subcommand and the `loadgen` load generator are thin
 //! shells over this crate.
 
 #[cfg(target_os = "linux")]
 pub(crate) mod event_loop;
+pub mod flags;
 pub mod http;
 pub mod scheduler;
 pub mod server;

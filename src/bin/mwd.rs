@@ -24,10 +24,10 @@
 //! in-flight jobs finish, artifacts/summaries are written, and the
 //! tuning cache is persisted.
 
+use em_service::flags::{Flags, COUNT};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use thiim_mwd::scenarios::runner::{run_batch, BatchOptions, BatchReport, TunePlan};
-use thiim_mwd::scenarios::spec::EngineDecl;
 use thiim_mwd::scenarios::{library, EngineResolver, ScenarioSpec};
 use thiim_mwd::tuner;
 
@@ -46,7 +46,8 @@ USAGE:
 
 SCENARIOS:
     a built-in name (see `mwd list`) or a path to a scenario .toml file;
-    `batch`/`tune` with no scenarios (or with --all) use the whole catalog
+    `batch`/`tune` with no scenarios (or with --all) use the whole catalog;
+    --all does not combine with scenario names
 
 OPTIONS (a command given an option it does not use exits 2):
     --engine <kind>    override every job's engine: auto, naive,
@@ -70,11 +71,16 @@ OPTIONS (a command given an option it does not use exits 2):
                        phase spans); load it in Perfetto or chrome://tracing
     --quiet            suppress per-job status lines
 
-GEN (seeded scenario generators; same (family, seed) => same spec):
+GEN (seeded scenario generators; same (family, seed) => same spec; each
+     subcommand takes only the flags listed after it, any other exits 2):
     mwd gen list                        the generator families
     mwd gen emit --family F --seed S    print the generated spec TOML
+                 [--full]
     mwd gen run  --family F --seed S    generate and solve one spec
-    mwd gen fuzz [--count N] [--seed S] differential fuzz: each case must
+                 [--full] [--quiet] [--out DIR]
+    mwd gen fuzz [--family F,...] [--seed S] [--count N] [--steps N]
+                 [--full] [--corrupt] [--quiet] [--out DIR]
+                                        differential fuzz: each case must
                                         validate, roundtrip, solve without
                                         NaN/panic and be bit-identical
                                         naive-vs-MWD; failures print a
@@ -82,8 +88,8 @@ GEN (seeded scenario generators; same (family, seed) => same spec):
     --family <f[,f...]>  multilayer, rough-interface, nanoparticle,
                          nanowire (fuzz default: all, cycled)
     --seed <n>           base seed (default 42); fuzz case i uses seed+i
-    --count <n>          fuzz cases (default 8)
-    --steps <n>          solver steps per fuzz case (default 6)
+    --count <n>          fuzz cases (default 8; at least 1)
+    --steps <n>          solver steps per fuzz case (default 6; at least 1)
     --full               draw from full-size parameter ranges instead of
                          the tiny smoke-test grids
     --corrupt            harness self-test: corrupt the MWD side and
@@ -195,140 +201,33 @@ fn cmd_show(args: &[String]) -> Result<ExitCode, String> {
     Ok(ExitCode::SUCCESS)
 }
 
-struct CliOpts {
-    scenarios: Vec<String>,
-    all: bool,
-    engine: Option<String>,
-    threads: Option<usize>,
-    workers: Option<usize>,
-    dry_run: bool,
-    out: Option<PathBuf>,
-    quiet: bool,
-    tune: bool,
-    cache: Option<PathBuf>,
-    force: bool,
-    refine: Option<usize>,
-    addr: Option<String>,
-    queue_depth: Option<usize>,
-    memory_store: bool,
-    trace: Option<PathBuf>,
-    io_timeout_secs: Option<u64>,
-    conn_model: Option<em_service::ConnModel>,
-    max_connections: Option<usize>,
-    chaos: Option<String>,
-    deadline_secs: Option<u64>,
+/// Parse `mwd {cmd}`'s arguments against `accepts`, the flags it takes
+/// (`=` marks a flag with a value); any other flag exits 2.
+fn flags(cmd: &str, accepts: &[&str], args: &[String]) -> Result<Flags, String> {
+    Flags::parse(&format!("mwd {cmd}"), accepts, args).map_err(|e| format!("{e}; try `mwd help`"))
 }
 
-/// The flags each command that goes through [`parse_opts`] accepts.
-const RUN_FLAGS: &str =
-    "--all --engine --threads --tune --cache --force --refine --dry-run --out --trace --quiet";
-const BATCH_FLAGS: &str = "--all --engine --threads --tune --cache --force --refine --dry-run \
-                           --out --trace --quiet --workers";
-const TUNE_FLAGS: &str = "--all --threads --force --refine --dry-run --cache --quiet";
-const SERVE_FLAGS: &str = "--addr --workers --threads --queue-depth --out --memory-store --cache \
-                           --io-timeout-secs --conn-model --max-connections --chaos --quiet";
-const DIST_RUN_FLAGS: &str = "--workers --threads --deadline-secs --out --trace --chaos";
+/// The scenarios `mwd {cmd}` names, or the whole catalog for `--all`
+/// (and, where `none_is_all`, for no names).
+fn named_or_all(cmd: &str, f: &Flags, none_is_all: bool) -> Result<Vec<ScenarioSpec>, String> {
+    match (f.operands(), f.switch("--all")) {
+        ([], true) => Ok(library::builtins()),
+        ([], false) if none_is_all => Ok(library::builtins()),
+        ([], false) => Err(format!(
+            "usage: mwd {cmd} <scenario>... (or `mwd {cmd} --all`)"
+        )),
+        (_, true) => Err(format!(
+            "`mwd {cmd}` takes scenario names or `--all`, not both"
+        )),
+        (names, false) => names.iter().map(|n| resolve_scenario(n)).collect(),
+    }
+}
 
-/// Parse `mwd {cmd}`'s arguments; a flag not in `accepts` (one of the
-/// lists above) exits 2 instead of being silently ignored, and so does
-/// a listed flag this parser does not know.
-fn parse_opts(cmd: &str, accepts: &str, args: &[String]) -> Result<CliOpts, String> {
-    let mut o = CliOpts {
-        scenarios: Vec::new(),
-        all: false,
-        engine: None,
-        threads: None,
-        workers: None,
-        dry_run: false,
-        out: None,
-        quiet: false,
-        tune: false,
-        cache: None,
-        force: false,
-        refine: None,
-        addr: None,
-        queue_depth: None,
-        memory_store: false,
-        trace: None,
-        io_timeout_secs: None,
-        conn_model: None,
-        max_connections: None,
-        chaos: None,
-        deadline_secs: None,
-    };
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        let mut value = |flag: &str| -> Result<String, String> {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("{flag} needs a value"))
-        };
-        let mut count = |flag: &str| -> Result<usize, String> {
-            value(flag)?
-                .parse()
-                .map_err(|_| format!("{flag} needs a non-negative integer"))
-        };
-        match a.as_str() {
-            name if !name.starts_with("--") => o.scenarios.push(name.to_string()),
-            flag if !accepts.split_whitespace().any(|f| f == flag) => {
-                return Err(format!(
-                    "`mwd {cmd}` does not take `{flag}`; try `mwd help`"
-                ))
-            }
-            "--all" => o.all = true,
-            "--dry-run" => o.dry_run = true,
-            "--quiet" => o.quiet = true,
-            "--tune" => o.tune = true,
-            "--force" => o.force = true,
-            "--engine" => o.engine = Some(value("--engine")?),
-            "--threads" => o.threads = Some(count("--threads")?),
-            "--workers" => o.workers = Some(count("--workers")?),
-            "--refine" => o.refine = Some(count("--refine")?),
-            "--cache" => o.cache = Some(PathBuf::from(value("--cache")?)),
-            "--out" => o.out = Some(PathBuf::from(value("--out")?)),
-            "--addr" => o.addr = Some(value("--addr")?),
-            "--trace" => o.trace = Some(PathBuf::from(value("--trace")?)),
-            "--queue-depth" => o.queue_depth = Some(count("--queue-depth")?),
-            "--memory-store" => o.memory_store = true,
-            "--io-timeout-secs" => {
-                o.io_timeout_secs = Some(
-                    value("--io-timeout-secs")?
-                        .parse::<u64>()
-                        .ok()
-                        .filter(|&n| n >= 1)
-                        .ok_or("--io-timeout-secs needs a positive integer")?,
-                )
-            }
-            "--conn-model" => o.conn_model = Some(value("--conn-model")?.parse()?),
-            "--max-connections" => {
-                o.max_connections = Some(
-                    value("--max-connections")?
-                        .parse::<usize>()
-                        .ok()
-                        .filter(|&n| n >= 1)
-                        .ok_or("--max-connections needs a positive integer")?,
-                )
-            }
-            "--chaos" => o.chaos = Some(value("--chaos")?),
-            "--deadline-secs" => {
-                o.deadline_secs = Some(
-                    value("--deadline-secs")?
-                        .parse::<u64>()
-                        .ok()
-                        .filter(|&n| n >= 1)
-                        .ok_or("--deadline-secs needs a positive integer")?,
-                )
-            }
-            flag => return Err(format!("unknown option `{flag}`; try `mwd help`")),
-        }
-    }
-    if o.threads == Some(0) {
-        return Err("--threads needs a positive integer".to_string());
-    }
-    if o.workers == Some(0) {
-        return Err("--workers needs a positive integer".to_string());
-    }
-    Ok(o)
+/// A `--chaos` fault plan, parsed.
+fn chaos(f: &Flags) -> Result<Option<em_faults::FaultPlan>, String> {
+    f.string("--chaos")
+        .map(|p| em_faults::FaultPlan::parse(p).map_err(|e| format!("--chaos: {e}")))
+        .transpose()
 }
 
 fn resolve_scenario(name: &str) -> Result<ScenarioSpec, String> {
@@ -350,68 +249,77 @@ fn resolve_scenario(name: &str) -> Result<ScenarioSpec, String> {
 
 fn cmd_run_or_batch(args: &[String], batch: bool) -> Result<ExitCode, String> {
     let cmd = if batch { "batch" } else { "run" };
-    let o = parse_opts(cmd, if batch { BATCH_FLAGS } else { RUN_FLAGS }, args)?;
+    let mut accepts = vec![
+        "--all",
+        "--engine=",
+        "--threads=",
+        "--tune",
+        "--cache=",
+        "--force",
+        "--refine=",
+        "--dry-run",
+        "--out=",
+        "--trace=",
+        "--quiet",
+    ];
+    if batch {
+        accepts.push("--workers=");
+    }
+    let f = flags(cmd, &accepts, args)?;
     // `--cache` implies `--tune`: naming the cache only makes sense if
     // the batch resolves configurations through it, and the tuning
     // flags mean nothing without either.
-    let tuned = o.tune || o.cache.is_some();
-    for (flag, given) in [("--refine", o.refine.is_some()), ("--force", o.force)] {
+    let cache = f.path("--cache");
+    let tuned = f.switch("--tune") || cache.is_some();
+    let (refine, force) = (f.value("--refine", COUNT)?, f.switch("--force"));
+    for (flag, given) in [("--refine", refine.is_some()), ("--force", force)] {
         if given && !tuned {
             return Err(format!("`mwd {cmd}` takes `{flag}` only with `--tune`"));
         }
     }
-    let specs: Vec<ScenarioSpec> = if o.scenarios.is_empty() || o.all {
-        if !batch && !o.all {
-            return Err("usage: mwd run <scenario>... (or `mwd run --all`)".to_string());
-        }
-        library::builtins()
-    } else {
-        o.scenarios
-            .iter()
-            .map(|n| resolve_scenario(n))
-            .collect::<Result<_, _>>()?
-    };
+    let specs = named_or_all(cmd, &f, batch)?;
 
     let tune = tuned.then(|| TunePlan {
-        cache_path: Some(o.cache.clone().unwrap_or_else(tuner::default_cache_path)),
-        force: o.force,
-        refine_top: o.refine.unwrap_or(0),
+        cache_path: Some(cache.unwrap_or_else(tuner::default_cache_path)),
+        force,
+        refine_top: refine.unwrap_or(0),
     });
-    // SIGINT/SIGTERM drain the batch: workers finish their current job,
-    // queued jobs are recorded as cancelled, artifacts and the batch
-    // summary are still written (the tuning cache is persisted before
-    // any job steps).
-    let stop = em_service::shutdown::hooked_flag();
-    let recorder = if o.trace.is_some() {
+    let trace = f.path("--trace");
+    let recorder = if trace.is_some() {
         thiim_mwd::obs::Recorder::enabled()
     } else {
         thiim_mwd::obs::Recorder::disabled()
     };
+    let dry_run = f.switch("--dry-run");
     let opts = BatchOptions {
         // `run` means "execute in order": a single worker; `batch` sizes
         // the pool from the shared thread budget unless overridden.
-        workers: if batch { o.workers.unwrap_or(0) } else { 1 },
-        engine_kind: o.engine.clone(),
-        threads: o.threads,
-        dry_run: o.dry_run,
-        out_dir: Some(o.out.unwrap_or_else(|| PathBuf::from("results/scenarios"))),
+        workers: if batch {
+            f.positive("--workers")?.unwrap_or(0)
+        } else {
+            1
+        },
+        engine_kind: f.string("--engine").map(str::to_string),
+        threads: f.positive("--threads")?,
+        dry_run,
+        out_dir: f.path("--out").or(Some(PathBuf::from("results/scenarios"))),
         budget: mwd_core::ThreadBudget::host(),
-        quiet: o.quiet,
+        quiet: f.switch("--quiet"),
         tune,
-        stop: Some(stop),
+        // SIGINT/SIGTERM drain the batch: workers finish their current
+        // job, queued jobs are recorded as cancelled, artifacts and the
+        // batch summary are still written (the tuning cache is persisted
+        // before any job steps).
+        stop: Some(em_service::shutdown::hooked_flag()),
         cancel: None,
         trace: recorder.clone(),
     };
-    if let Some(kind) = &o.engine {
-        // Fail on typos before any validation output scrolls past.
-        EngineDecl::auto(kind, 1)?;
-    }
 
     let report = run_batch(&specs, &opts)?;
-    if let Some(path) = &o.trace {
+    if let Some(path) = &trace {
         write_trace(&recorder, path)?;
     }
-    print_report(&report, o.dry_run);
+    print_report(&report, dry_run);
     if report.cancelled() > 0 {
         println!(
             "interrupted: {} job(s) cancelled before starting (completed work was kept)",
@@ -426,40 +334,53 @@ fn cmd_run_or_batch(args: &[String], batch: bool) -> Result<ExitCode, String> {
 
 /// `mwd serve`: the long-running HTTP job daemon.
 fn cmd_serve(args: &[String]) -> Result<ExitCode, String> {
-    let o = parse_opts("serve", SERVE_FLAGS, args)?;
-    if !o.scenarios.is_empty() {
+    let f = flags(
+        "serve",
+        &[
+            "--addr=",
+            "--workers=",
+            "--threads=",
+            "--queue-depth=",
+            "--out=",
+            "--memory-store",
+            "--cache=",
+            "--io-timeout-secs=",
+            "--conn-model=",
+            "--max-connections=",
+            "--chaos=",
+            "--quiet",
+        ],
+        args,
+    )?;
+    if !f.operands().is_empty() {
         return Err("`mwd serve` takes no scenarios".to_string());
     }
-    if o.memory_store && o.out.is_some() {
+    let out = f.path("--out");
+    let memory_store = f.switch("--memory-store");
+    if memory_store && out.is_some() {
         return Err("--memory-store and --out are mutually exclusive".to_string());
     }
     let cfg = em_service::ServerConfig {
-        addr: o.addr.unwrap_or_else(|| "127.0.0.1:7171".to_string()),
+        addr: f.string("--addr").unwrap_or("127.0.0.1:7171").to_string(),
         scheduler: em_service::SchedulerConfig {
-            workers: o.workers.unwrap_or(0),
-            threads_per_job: o.threads.unwrap_or(0),
-            queue_depth: o.queue_depth.unwrap_or(32),
+            workers: f.positive("--workers")?.unwrap_or(0),
+            threads_per_job: f.positive("--threads")?.unwrap_or(0),
+            queue_depth: f.value("--queue-depth", COUNT)?.unwrap_or(32),
             budget: mwd_core::ThreadBudget::host(),
             ..Default::default()
         },
-        store_dir: if o.memory_store {
-            None
-        } else {
-            Some(
-                o.out
-                    .unwrap_or_else(|| PathBuf::from("results/service_store")),
-            )
-        },
-        cache_path: Some(o.cache.unwrap_or_else(tuner::default_cache_path)),
-        io_timeout_secs: o.io_timeout_secs.unwrap_or(10),
-        conn_model: o.conn_model.unwrap_or_default(),
-        max_connections: o.max_connections.unwrap_or(1024),
-        chaos: o
-            .chaos
-            .as_deref()
-            .map(|p| em_faults::FaultPlan::parse(p).map_err(|e| format!("--chaos: {e}")))
-            .transpose()?,
-        quiet: o.quiet,
+        store_dir: (!memory_store)
+            .then(|| out.unwrap_or_else(|| PathBuf::from("results/service_store"))),
+        cache_path: Some(f.path("--cache").unwrap_or_else(tuner::default_cache_path)),
+        io_timeout_secs: f.positive("--io-timeout-secs")?.map_or(10, |n| n as u64),
+        conn_model: f
+            .string("--conn-model")
+            .map(str::parse)
+            .transpose()?
+            .unwrap_or_default(),
+        max_connections: f.positive("--max-connections")?.unwrap_or(1024),
+        chaos: chaos(&f)?,
+        quiet: f.switch("--quiet"),
         limits: Default::default(),
     };
     if let Some(plan) = &cfg.chaos {
@@ -501,34 +422,42 @@ fn cmd_serve(args: &[String]) -> Result<ExitCode, String> {
 /// `mwd tune`: resolve (and persist) the tuned MWD configuration for
 /// each scenario's grid, reporting cache hits and misses.
 fn cmd_tune(args: &[String]) -> Result<ExitCode, String> {
-    let o = parse_opts("tune", TUNE_FLAGS, args)?;
-    let specs: Vec<ScenarioSpec> = if o.scenarios.is_empty() || o.all {
-        library::builtins()
-    } else {
-        o.scenarios
-            .iter()
-            .map(|n| resolve_scenario(n))
-            .collect::<Result<_, _>>()?
-    };
+    let f = flags(
+        "tune",
+        &[
+            "--all",
+            "--threads=",
+            "--force",
+            "--refine=",
+            "--dry-run",
+            "--cache=",
+            "--quiet",
+        ],
+        args,
+    )?;
+    let specs = named_or_all("tune", &f, true)?;
     for spec in &specs {
         spec.validate()?;
     }
 
-    let cache_path = o.cache.unwrap_or_else(tuner::default_cache_path);
-    let resolver = EngineResolver::for_tune_command(&cache_path, o.force, o.refine, o.dry_run)?;
+    let (dry_run, quiet) = (f.switch("--dry-run"), f.switch("--quiet"));
+    let cache_path = f.path("--cache").unwrap_or_else(tuner::default_cache_path);
     // Tune for the thread count a sequential `mwd run --tune` would
     // grant each job: the full host budget (or the explicit override).
-    let threads = o
-        .threads
+    let threads = f
+        .positive("--threads")?
         .unwrap_or_else(|| mwd_core::ThreadBudget::host().total());
+    let refine = f.value("--refine", COUNT)?;
+    let resolver =
+        EngineResolver::for_tune_command(&cache_path, f.switch("--force"), refine, dry_run)?;
 
     let mut hits = 0usize;
     let mut misses = 0usize;
     let mut probes = 0usize;
     for spec in &specs {
         let heading = format!("{:<18} {:>11}", spec.name, format!("{}", spec.dims()));
-        if o.dry_run {
-            if o.quiet {
+        if dry_run {
+            if quiet {
                 continue;
             }
             if let Some(p) = resolver.preview(spec.engine, spec.dims(), threads)? {
@@ -555,7 +484,7 @@ fn cmd_tune(args: &[String]) -> Result<ExitCode, String> {
             misses += 1;
         }
         probes += t.native_probes;
-        if !o.quiet {
+        if !quiet {
             println!(
                 "{heading}  {:<14} t{:<3} {:<5} {:<8} {:<32} {:>8.1} MLUP/s",
                 r.decl.kind(),
@@ -568,7 +497,7 @@ fn cmd_tune(args: &[String]) -> Result<ExitCode, String> {
         }
     }
 
-    if o.dry_run {
+    if dry_run {
         println!(
             "dry run: {} scenario(s) against {} ({} entries)",
             specs.len(),
@@ -589,15 +518,35 @@ fn cmd_tune(args: &[String]) -> Result<ExitCode, String> {
 }
 
 /// `mwd gen`: the seeded scenario generators and the differential fuzz
-/// harness. Has its own flag set (family/seed/count/steps are not
-/// meaningful to the other subcommands), so it parses independently of
-/// [`parse_opts`].
+/// harness; each subcommand takes its own flags.
 fn cmd_gen(args: &[String]) -> Result<ExitCode, String> {
     use thiim_mwd::scenarios::gen::{generate, run_fuzz, Family, FuzzOptions, GenParams};
 
-    let Some(sub) = args.first() else {
+    let Some(sub) = args.first().map(String::as_str) else {
         return Err("usage: mwd gen <list|emit|run|fuzz> [options]; try `mwd help`".to_string());
     };
+    let accepts: &[&str] = match sub {
+        "list" => &[],
+        "emit" => &["--family=", "--seed=", "--full"],
+        "run" => &["--family=", "--seed=", "--full", "--quiet", "--out="],
+        "fuzz" => &[
+            "--family=",
+            "--seed=",
+            "--count=",
+            "--steps=",
+            "--full",
+            "--corrupt",
+            "--quiet",
+            "--out=",
+        ],
+        other => {
+            return Err(format!(
+                "unknown `mwd gen` subcommand `{other}`; try `mwd help`"
+            ))
+        }
+    };
+    let f = flags(&format!("gen {sub}"), accepts, &args[1..])?;
+    f.no_operands()?;
     if sub == "list" {
         for f in Family::ALL {
             println!("{:<16} {}", f.name(), f.description());
@@ -605,137 +554,80 @@ fn cmd_gen(args: &[String]) -> Result<ExitCode, String> {
         return Ok(ExitCode::SUCCESS);
     }
 
-    // gen-specific flags.
-    let mut families: Vec<Family> = Vec::new();
-    let mut seed: u64 = 42;
-    let mut count: usize = 8;
-    let mut steps: usize = 6;
-    let mut full = false;
-    let mut corrupt = false;
-    let mut quiet = false;
-    let mut out: Option<PathBuf> = None;
-    let mut it = args[1..].iter();
-    while let Some(a) = it.next() {
-        let mut value = |flag: &str| -> Result<String, String> {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("{flag} needs a value"))
-        };
-        match a.as_str() {
-            "--family" => {
-                for name in value("--family")?.split(',') {
-                    families.push(Family::from_name(name.trim()).ok_or_else(|| {
-                        format!(
-                            "unknown family `{name}` (known: {})",
-                            Family::ALL
-                                .iter()
-                                .map(|f| f.name())
-                                .collect::<Vec<_>>()
-                                .join(", ")
-                        )
-                    })?);
-                }
-            }
-            "--seed" => {
-                seed = value("--seed")?
-                    .parse()
-                    .map_err(|_| "--seed needs a non-negative integer".to_string())?;
-            }
-            "--count" => {
-                count = value("--count")?
-                    .parse()
-                    .map_err(|_| "--count needs a positive integer".to_string())?;
-            }
-            "--steps" => {
-                steps = value("--steps")?
-                    .parse()
-                    .map_err(|_| "--steps needs a positive integer".to_string())?;
-            }
-            "--full" => full = true,
-            "--corrupt" => corrupt = true,
-            "--quiet" => quiet = true,
-            "--out" => out = Some(PathBuf::from(value("--out")?)),
-            other => {
-                return Err(format!(
-                    "unknown `mwd gen` option `{other}`; try `mwd help`"
-                ))
-            }
-        }
-    }
-    let params = if full {
+    let families = f
+        .all("--family")
+        .flat_map(|list| list.split(','))
+        .map(|name| name.trim().parse())
+        .collect::<Result<Vec<Family>, _>>()?;
+    let seed = f.value("--seed", COUNT)?.unwrap_or(42);
+    let params = if f.switch("--full") {
         GenParams::default()
     } else {
         GenParams::tiny()
     };
 
-    match sub.as_str() {
-        "emit" | "run" => {
-            let [family] = families.as_slice() else {
-                return Err(format!(
-                    "usage: mwd gen {sub} --family <one family> --seed <n>"
-                ));
-            };
-            let spec = generate(*family, seed, &params)?;
-            if sub == "emit" {
-                print!("{}", spec.to_toml_string());
-                return Ok(ExitCode::SUCCESS);
-            }
-            let stop = em_service::shutdown::hooked_flag();
-            let report = run_batch(
-                &[spec],
-                &BatchOptions {
-                    workers: 1,
-                    out_dir: Some(out.unwrap_or_else(|| PathBuf::from("results/scenarios"))),
-                    budget: mwd_core::ThreadBudget::host(),
-                    quiet,
-                    stop: Some(stop),
-                    ..Default::default()
-                },
-            )?;
-            print_report(&report, false);
-            Ok(if report.failures() > 0 {
-                ExitCode::FAILURE
+    if sub == "fuzz" {
+        let (corrupt, quiet) = (f.switch("--corrupt"), f.switch("--quiet"));
+        let opts = FuzzOptions {
+            count: f.positive("--count")?.unwrap_or(8),
+            seed,
+            families: if families.is_empty() {
+                Family::ALL.to_vec()
             } else {
-                ExitCode::SUCCESS
-            })
+                families
+            },
+            params,
+            steps: f.positive("--steps")?.unwrap_or(6),
+            corrupt,
+            out_dir: f.path("--out"),
+        };
+        let report = run_fuzz(&opts)?;
+        for f in &report.failures {
+            eprintln!("FAIL {}", f.summary());
+            eprintln!("     {}", f.repro_line());
         }
-        "fuzz" => {
-            let opts = FuzzOptions {
-                count,
-                seed,
-                families: if families.is_empty() {
-                    Family::ALL.to_vec()
-                } else {
-                    families
-                },
-                params,
-                steps,
-                corrupt,
-                out_dir: out,
-            };
-            let report = run_fuzz(&opts)?;
-            for f in &report.failures {
-                eprintln!("FAIL {}", f.summary());
-                eprintln!("     {}", f.repro_line());
-            }
-            if !quiet || !report.ok() {
-                println!(
-                    "gen fuzz: {} case(s), {} failure(s){}",
-                    report.cases,
-                    report.failures.len(),
-                    if corrupt { " (corrupt mode)" } else { "" }
-                );
-            }
-            Ok(if report.ok() {
-                ExitCode::SUCCESS
-            } else {
-                ExitCode::FAILURE
-            })
+        if !quiet || !report.ok() {
+            println!(
+                "gen fuzz: {} case(s), {} failure(s){}",
+                report.cases,
+                report.failures.len(),
+                if corrupt { " (corrupt mode)" } else { "" }
+            );
         }
-        other => Err(format!(
-            "unknown `mwd gen` subcommand `{other}`; try `mwd help`"
-        )),
+        return Ok(if report.ok() {
+            ExitCode::SUCCESS
+        } else {
+            ExitCode::FAILURE
+        });
     }
+
+    let [family] = families.as_slice() else {
+        return Err(format!(
+            "usage: mwd gen {sub} --family <one family> --seed <n>"
+        ));
+    };
+    let spec = generate(*family, seed, &params)?;
+    if sub == "emit" {
+        print!("{}", spec.to_toml_string());
+        return Ok(ExitCode::SUCCESS);
+    }
+    let report = run_batch(
+        &[spec],
+        &BatchOptions {
+            workers: 1,
+            out_dir: f.path("--out").or(Some(PathBuf::from("results/scenarios"))),
+            budget: mwd_core::ThreadBudget::host(),
+            quiet: f.switch("--quiet"),
+            stop: Some(em_service::shutdown::hooked_flag()),
+            ..Default::default()
+        },
+    )?;
+    print_report(&report, false);
+    Ok(if report.failures() > 0 {
+        ExitCode::FAILURE
+    } else {
+        ExitCode::SUCCESS
+    })
 }
 
 /// `mwd dist`: distributed solves (and the internal worker entry).
@@ -750,26 +642,42 @@ fn cmd_dist(args: &[String]) -> Result<ExitCode, String> {
 fn cmd_dist_run(args: &[String]) -> Result<ExitCode, String> {
     use thiim_mwd::dist::{run_dist, DistOptions, Launcher};
 
-    let o = parse_opts("dist run", DIST_RUN_FLAGS, args)?;
-    if o.scenarios.is_empty() {
+    let f = flags(
+        "dist run",
+        &[
+            "--workers=",
+            "--threads=",
+            "--deadline-secs=",
+            "--out=",
+            "--trace=",
+            "--chaos=",
+        ],
+        args,
+    )?;
+    if f.operands().is_empty() {
         return Err("usage: mwd dist run <scenario>... [options]".to_string());
     }
-    let specs: Vec<ScenarioSpec> = o
-        .scenarios
+    let specs: Vec<ScenarioSpec> = f
+        .operands()
         .iter()
         .map(|n| resolve_scenario(n))
         .collect::<Result<_, _>>()?;
+    let workers = f.positive("--workers")?;
+    let threads = f
+        .positive("--threads")?
+        .unwrap_or_else(|| mwd_core::ThreadBudget::host().total());
+    let deadline_secs = f.positive("--deadline-secs")?;
 
     // SIGINT/SIGTERM drain: the coordinator aborts every worker over
     // the control protocol, workers exit cleanly, and whatever
     // completed is still written. An optional wall-clock deadline
     // rides the same token.
     let stop = em_service::shutdown::hooked_flag();
-    let deadline = o
-        .deadline_secs
-        .map(|s| std::time::Instant::now() + std::time::Duration::from_secs(s));
+    let deadline =
+        deadline_secs.map(|s| std::time::Instant::now() + std::time::Duration::from_secs(s as u64));
     let cancel = mwd_core::CancelToken::with_flag(stop, deadline);
-    let recorder = if o.trace.is_some() {
+    let trace = f.path("--trace");
+    let recorder = if trace.is_some() {
         thiim_mwd::obs::Recorder::enabled()
     } else {
         thiim_mwd::obs::Recorder::disabled()
@@ -783,15 +691,13 @@ fn cmd_dist_run(args: &[String]) -> Result<ExitCode, String> {
         // The flag overrides the spec's `workers` knob without
         // mutating the spec, so the artifact's spec hash matches a
         // single-process run byte for byte.
-        let workers = o.workers.unwrap_or_else(|| spec.workers.max(1));
+        let workers = workers.unwrap_or_else(|| spec.workers.max(1));
         workers_used = workers_used.max(workers);
         let opts = DistOptions {
             workers,
-            threads: o
-                .threads
-                .unwrap_or_else(|| mwd_core::ThreadBudget::host().total()),
+            threads,
             launcher: Launcher::Process {
-                chaos: o.chaos.clone(),
+                chaos: f.string("--chaos").map(str::to_string),
             },
             cancel: cancel.clone(),
             trace: recorder.clone(),
@@ -812,16 +718,16 @@ fn cmd_dist_run(args: &[String]) -> Result<ExitCode, String> {
     let mut report = BatchReport {
         outcomes,
         workers: workers_used,
-        threads_per_job: o
-            .threads
-            .unwrap_or_else(|| mwd_core::ThreadBudget::host().total()),
+        threads_per_job: threads,
         max_in_flight: 1,
         wall_secs: t0.elapsed().as_secs_f64(),
     };
-    let dir = o.out.unwrap_or_else(|| PathBuf::from("results/scenarios"));
+    let dir = f
+        .path("--out")
+        .unwrap_or_else(|| PathBuf::from("results/scenarios"));
     thiim_mwd::scenarios::write_artifacts(&dir, &mut report.outcomes)?;
 
-    if let Some(path) = &o.trace {
+    if let Some(path) = &trace {
         write_trace(&recorder, path)?;
     }
     print_report(&report, false);
@@ -895,37 +801,17 @@ fn dist_summary(name: &str, opts: &thiim_mwd::dist::DistOptions) -> String {
 fn cmd_dist_worker(args: &[String]) -> Result<ExitCode, String> {
     use thiim_mwd::dist::{run_worker, WorkerConfig};
 
-    let mut connect: Option<String> = None;
-    let mut index: Option<usize> = None;
-    let mut chaos: Option<String> = None;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        let mut value = |flag: &str| -> Result<String, String> {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("{flag} needs a value"))
-        };
-        match a.as_str() {
-            "--connect" => connect = Some(value("--connect")?),
-            "--index" => {
-                index = Some(
-                    value("--index")?
-                        .parse()
-                        .map_err(|_| "--index needs a non-negative integer".to_string())?,
-                )
-            }
-            "--chaos" => chaos = Some(value("--chaos")?),
-            other => return Err(format!("unknown `mwd dist worker` option `{other}`")),
-        }
-    }
+    let f = flags("dist worker", &["--connect=", "--index=", "--chaos="], args)?;
+    f.no_operands()?;
     let cfg = WorkerConfig {
-        connect: connect.ok_or("mwd dist worker needs --connect <addr>")?,
-        index: index.ok_or("mwd dist worker needs --index <n>")?,
-        faults: chaos
-            .as_deref()
-            .map(|p| em_faults::FaultPlan::parse(p).map_err(|e| format!("--chaos: {e}")))
-            .transpose()?
-            .map(|plan| std::sync::Arc::new(em_faults::FaultInjector::new(plan))),
+        connect: f
+            .string("--connect")
+            .ok_or("mwd dist worker needs --connect <addr>")?
+            .to_string(),
+        index: f
+            .value("--index", COUNT)?
+            .ok_or("mwd dist worker needs --index <n>")?,
+        faults: chaos(&f)?.map(|plan| std::sync::Arc::new(em_faults::FaultInjector::new(plan))),
     };
     match run_worker(&cfg) {
         Ok(()) => Ok(ExitCode::SUCCESS),
@@ -1032,30 +918,5 @@ fn print_report(report: &BatchReport, dry_run: bool) {
     let (hits, misses, probes) = report.tune_stats();
     if hits + misses > 0 {
         println!("tuning: {hits} cache hit(s), {misses} miss(es), {probes} native probe(s)");
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    /// Each allow-list names only flags `parse_opts` knows.
-    #[test]
-    fn every_listed_flag_is_parsed() {
-        let lists = [
-            RUN_FLAGS,
-            BATCH_FLAGS,
-            TUNE_FLAGS,
-            SERVE_FLAGS,
-            DIST_RUN_FLAGS,
-        ];
-        for list in lists {
-            for flag in list.split_whitespace() {
-                let args = [flag.to_string(), "1".to_string()];
-                if let Err(e) = parse_opts("x", list, &args) {
-                    assert!(!e.contains("unknown option"), "{flag}: {e}");
-                }
-            }
-        }
     }
 }

@@ -414,7 +414,7 @@ fn every_command_refuses_the_flags_it_does_not_use() {
     let spec = spec.to_str().unwrap();
     // (command, its arguments, the refused flag): each exits 2 before
     // doing any work, naming the flag and the command.
-    let cases: [(&str, &[&str], &str); 12] = [
+    let cases: [(&str, &[&str], &str); 18] = [
         ("run", &["run", spec], "--deadline-secs"),
         ("run", &["run", spec], "--chaos"),
         ("run", &["run", spec], "--workers"),
@@ -427,6 +427,12 @@ fn every_command_refuses_the_flags_it_does_not_use() {
         ("dist run", &["dist", "run", spec], "--refine"),
         ("dist run", &["dist", "run", spec], "--cache"),
         ("dist run", &["dist", "run", spec], "--quiet"),
+        ("gen emit", &["gen", "emit"], "--count"),
+        ("gen emit", &["gen", "emit"], "--corrupt"),
+        ("gen run", &["gen", "run"], "--steps"),
+        ("gen fuzz", &["gen", "fuzz"], "--addr"),
+        ("gen list", &["gen", "list"], "--bogus"),
+        ("dist worker", &["dist", "worker"], "--bogus"),
     ];
     for (cmd, head, flag) in cases {
         let mut args = head.to_vec();
@@ -437,6 +443,22 @@ fn every_command_refuses_the_flags_it_does_not_use() {
         assert!(
             err.contains(&format!("`mwd {cmd}`")) && err.contains(&format!("`{flag}`")),
             "mwd {cmd} {flag}: {err}"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `--all` next to scenario names exits 2 instead of dropping the names.
+#[test]
+fn all_next_to_scenario_names_is_refused() {
+    let dir = temp_dir("allnames");
+    for cmd in ["run", "batch", "tune"] {
+        let out = mwd(&dir, &[cmd, "vacuum-slab", "--all", "--dry-run"]);
+        assert_eq!(exit_code(&out), 2, "mwd {cmd}: {}", stdout(&out));
+        let err = stderr(&out);
+        assert!(
+            err.contains(&format!("`mwd {cmd}`")) && err.contains("`--all`"),
+            "mwd {cmd}: {err}"
         );
     }
     let _ = std::fs::remove_dir_all(&dir);

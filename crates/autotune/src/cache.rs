@@ -20,9 +20,8 @@
 //!
 //! The model stage is deterministic, so two misses on the same key pick
 //! the same winner; the native stage trades that for measured truth,
-//! which is exactly what the cache then pins down.
-//! [`SharedTuneCache::resolve`](crate::SharedTuneCache::resolve) is
-//! [`resolve`] under the shared cache's lock.
+//! which is exactly what the cache then pins down. Step 4 happens only
+//! when the caller saves: `mwd tune` is the one command that does.
 
 use crate::fingerprint::{host_fingerprint, is_current_revision};
 use crate::space::SearchSpace;
@@ -167,15 +166,23 @@ impl TuneEntry {
                 .and_then(Json::as_f64)
                 .ok_or_else(|| format!("entry is missing numeric field `{key}`"))
         };
+        // A count is a non-negative integer, never a coerced float.
+        let count_field = |key: &str| -> Result<usize, String> {
+            let n = num_field(key)?;
+            v.get(key)
+                .and_then(Json::as_i64)
+                .and_then(|i| usize::try_from(i).ok())
+                .ok_or_else(|| format!("field `{key}` is {n}, not a non-negative integer"))
+        };
         Ok(TuneEntry {
             fingerprint: str_field("fingerprint")?,
             dims: str_field("dims")?,
             engine: str_field("engine")?,
-            threads: num_field("threads")? as usize,
+            threads: count_field("threads")?,
             config: MwdConfig::from_compact(&str_field("config")?)?,
             score_mlups: num_field("score_mlups")?,
             stage: Stage::parse(&str_field("stage")?)?,
-            native_probes: num_field("native_probes")? as usize,
+            native_probes: count_field("native_probes")?,
         })
     }
 }
@@ -601,6 +608,35 @@ mod tests {
         assert!(err.contains("version 99"), "{err}");
         std::fs::write(&path, "not json").unwrap();
         assert!(TuneCache::load(&path).is_err());
+        // Counts that a float cast would coerce to 0, 2 or usize::MAX.
+        let k = key(GridDims::new(16, 16, 24), 2);
+        for field in ["threads", "native_probes"] {
+            for bad in ["-1", "2.5", "1e30"] {
+                let entry = TuneEntry {
+                    fingerprint: k.fingerprint.clone(),
+                    dims: format!("{}", k.dims),
+                    engine: k.engine.clone(),
+                    threads: 2,
+                    config: MwdConfig::one_wd(8, 1, 2),
+                    score_mlups: 1.0,
+                    stage: Stage::Model,
+                    native_probes: 0,
+                };
+                let Json::Obj(mut pairs) = entry.to_json() else {
+                    unreachable!()
+                };
+                pairs.iter_mut().find(|(k, _)| k == field).unwrap().1 =
+                    em_json::parse(bad).unwrap();
+                let doc = format!(
+                    r#"{{"version": 1, "entries": [{}]}}"#,
+                    Json::Obj(pairs).compact()
+                );
+                std::fs::write(&path, doc).unwrap();
+                let err = TuneCache::load(&path).unwrap_err();
+                assert!(err.contains("tune_cache.json entry #0"), "{err}");
+                assert!(err.contains(&format!("field `{field}`")), "{err}");
+            }
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -22,14 +22,12 @@
 //! machine model), [`cache`] stores tuned winners per `(fingerprint,
 //! grid, engine, thread budget)` key and resolves misses through the
 //! staged lookup → model-pruned search → optional native refinement
-//! pipeline, [`shared`] wraps the cache in a lock for concurrent
-//! resolvers (the job service's admission path), and the shared
-//! [`em_json`] crate reads/writes the cache file.
+//! pipeline, and the shared [`em_json`] crate reads/writes the cache
+//! file.
 
 pub mod cache;
 pub mod fingerprint;
 pub mod prune;
-pub mod shared;
 pub mod space;
 pub mod tuner;
 
@@ -39,7 +37,6 @@ pub use cache::{
 };
 pub use fingerprint::{host_fingerprint, machine_slug};
 pub use prune::{cache_fit, CacheWindow};
-pub use shared::SharedTuneCache;
 pub use space::{Candidate, SearchSpace};
 pub use tuner::{
     finalists, list_schedule, rank, score, survivors, Factors, ModelEvaluator, NativeEvaluator,

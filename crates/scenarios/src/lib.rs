@@ -28,7 +28,7 @@
 //!   oracle;
 //! - [`resolve`]: the engine-resolution seam — the one place a declared
 //!   engine becomes a runnable one (which kinds tune, the cache key,
-//!   `force` / `refine` / dry-run, the `tuned` record), shared by the
+//!   `force` / `refine` for `mwd tune`, the `tuned` record), shared by the
 //!   batch runner, the job daemon's admission path and `mwd tune`;
 //! - [`runner`]: the concurrent batch runner — a bounded worker pool
 //!   sharing one [`mwd_core::ThreadBudget`] with each job's intra-solve
@@ -50,7 +50,7 @@ pub mod toml;
 
 pub use em_json::Json;
 pub use library::{builtin, builtin_names, builtins};
-pub use resolve::{EngineResolver, Resolved, TunePlan, TunePreview, TuneRecord};
+pub use resolve::{EngineResolver, Resolved, TunePreview, TuneRecord};
 pub use runner::{run_batch, run_job, write_artifacts, BatchOptions, BatchReport, JobOutcome};
 pub use spec::{
     ConvergenceDecl, EngineDecl, GridDims, LayerDecl, OutputsDecl, PhysicsSpec, PmlSpec,

@@ -3,38 +3,29 @@
 //! `mwd tune` each make one call into [`EngineResolver`], which owns
 //!
 //! - **which kinds tune**: `auto` always, declared `mwd` /
-//!   `mwd-periodic-x` engines under `--tune`, every kind for `mwd tune`;
+//!   `mwd-periodic-x` engines when a batch names a cache file, every
+//!   kind for `mwd tune`;
 //! - **the key**: periodic-x engines under their own kind, everything
 //!   else as plain `mwd`; `auto`'s declared thread count, or the job's
 //!   share when it is 0; the host fingerprint under the machine model
 //!   the search itself tunes with — a detected `MachineSpec` plugs in
 //!   here and nowhere else;
-//! - **the search options**: `force` retunes each distinct key once per
-//!   resolver, `refine_top` native probes per miss (the daemon's
-//!   admission is always model only), and a dry run never probes or
-//!   persists;
+//! - **the search options**: only `mwd tune` probes natively
+//!   (`refine_top`) and retunes (`force`, once per key per resolver);
+//!   every other miss is the model's rank 1, kept in memory;
 //! - **the answer**: the resolved [`EngineDecl`] and its [`TuneRecord`].
+//!
+//! One writer: [`EngineResolver::save`] is called by `mwd tune` alone.
+//! `run`, `batch` and `serve` read the cache file and never write it,
+//! so they cannot clobber entries another process stored meanwhile.
 
 use crate::spec::EngineDecl;
-use autotune::{host_fingerprint, Ranked, ResolveOptions, SharedTuneCache, TuneKey};
+use autotune::{host_fingerprint, Ranked, ResolveOptions, TuneCache, TuneKey};
 use em_field::GridDims;
 use em_json::Json;
 use std::collections::HashSet;
-use std::path::{Path, PathBuf};
-use std::sync::{Mutex, PoisonError};
-
-/// How a batch resolves tuned configurations.
-#[derive(Clone, Debug, Default)]
-pub struct TunePlan {
-    /// Persistent cache file; `None` keeps the cache in memory for this
-    /// batch only.
-    pub cache_path: Option<PathBuf>,
-    /// Retune even when the cache already has an answer.
-    pub force: bool,
-    /// Natively probe this many model-ranked finalists per miss
-    /// (0 = model stage only).
-    pub refine_top: usize,
-}
+use std::path::Path;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// How one job's configuration came out of the tuning cache.
 #[derive(Clone, Debug, PartialEq)]
@@ -68,7 +59,7 @@ impl TuneRecord {
 enum Scope {
     /// `auto` only.
     Auto,
-    /// `auto` and the declared MWD family (`--tune`).
+    /// `auto` and the declared MWD family (a batch given `--cache`).
     MwdFamily,
     /// Every kind (`mwd tune`).
     Everything,
@@ -104,85 +95,58 @@ pub struct EngineResolver {
     /// `force` here is the caller's wish; [`Self::resolve`] grants it
     /// once per key.
     opts: ResolveOptions,
-    dry_run: bool,
-    cache: SharedTuneCache,
+    /// Searched under this lock, so each key is searched once however
+    /// many threads ask; the rest find the stored entry as a hit.
+    cache: Mutex<TuneCache>,
     /// Key ids `force` has already retuned through this resolver.
     retuned: Mutex<HashSet<String>>,
 }
 
+/// The resolver's state only changes by whole-entry inserts, so a
+/// panicking peer's poison flag carries nothing worth aborting for.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 impl EngineResolver {
-    fn new(
-        scope: Scope,
-        cache: SharedTuneCache,
-        force: bool,
-        refine_top: usize,
-        dry_run: bool,
-    ) -> Self {
+    fn new(scope: Scope, cache: TuneCache, force: bool, refine_top: usize) -> Self {
         EngineResolver {
             scope,
             opts: ResolveOptions {
-                // A dry run plans "without stepping any solver", which
-                // rules out wall-clock probes; the analytic model
-                // stage still resolves the plan's configurations.
-                refine_top: if dry_run { 0 } else { refine_top },
+                refine_top,
                 force,
                 ..Default::default()
             },
-            dry_run,
-            cache,
+            cache: Mutex::new(cache),
             retuned: Mutex::default(),
         }
     }
 
-    /// For `run_batch`: `auto` engines always resolve — against an
-    /// in-memory cache when there is no plan — and a plan (`--tune`)
-    /// extends that to declared MWD-family engines.
-    pub fn for_batch(plan: Option<&TunePlan>, dry_run: bool) -> Result<Self, String> {
-        let scope = if plan.is_some() {
-            Scope::MwdFamily
-        } else {
-            Scope::Auto
-        };
-        let plan = plan.cloned().unwrap_or_default();
-        let cache = match &plan.cache_path {
-            Some(path) => SharedTuneCache::load(path)?,
-            None => SharedTuneCache::in_memory(),
-        };
-        Ok(Self::new(
-            scope,
-            cache,
-            plan.force,
-            plan.refine_top,
-            dry_run,
-        ))
+    /// For `run_batch`: `auto` engines always resolve, against an
+    /// in-memory cache when there is no file; a cache file (`--cache`)
+    /// extends that to declared MWD-family engines. The file is read,
+    /// never written, and a miss is the model's rank 1.
+    pub fn for_batch(cache: Option<&Path>) -> Result<Self, String> {
+        Ok(match cache {
+            Some(path) => Self::new(Scope::MwdFamily, TuneCache::load(path)?, false, 0),
+            None => Self::new(Scope::Auto, TuneCache::in_memory(), false, 0),
+        })
     }
 
-    /// For the job daemon: `auto` only, never forced, model only (a
-    /// miss runs on the admitting thread; native refinement is `mwd
-    /// tune --refine`'s offline job), over the process-wide cache the
-    /// server also persists at shutdown.
-    pub fn for_service(cache: SharedTuneCache) -> Self {
-        Self::new(Scope::Auto, cache, false, 0, false)
+    /// For the job daemon: `auto` only, model only, over the cache it
+    /// loaded at bind; a miss runs on the admitting thread and stays in
+    /// memory (native refinement is `mwd tune --refine`'s offline job).
+    pub fn for_service(cache: TuneCache) -> Self {
+        Self::new(Scope::Auto, cache, false, 0)
     }
 
-    /// For `mwd tune`: every kind resolves, so the cache holds the MWD
-    /// configuration for each scenario's grid whatever its spec
-    /// declares. Filling the cache is the command's whole job, so
-    /// without `--refine` it probes the top 2 finalists of every miss
-    /// (`run` and `batch` default to 0; `serve` never probes).
-    pub fn for_tune_command(
-        cache_path: &Path,
-        force: bool,
-        refine_top: Option<usize>,
-        dry_run: bool,
-    ) -> Result<Self, String> {
-        Ok(Self::new(
-            Scope::Everything,
-            SharedTuneCache::load(cache_path)?,
-            force,
-            refine_top.unwrap_or(2),
-            dry_run,
-        ))
+    /// For `mwd tune`, the one writer of cache files: every kind
+    /// resolves, so the cache holds the MWD configuration for each
+    /// scenario's grid whatever its spec declares. Filling the cache is
+    /// the command's whole job, so without `--refine` it probes the top
+    /// 2 finalists of every miss.
+    pub fn for_tune_command(cache: TuneCache, force: bool, refine_top: Option<usize>) -> Self {
+        Self::new(Scope::Everything, cache, force, refine_top.unwrap_or(2))
     }
 
     /// The cache engine kind `decl` tunes under, if it tunes at all.
@@ -234,10 +198,9 @@ impl EngineResolver {
         };
         let mut opts = self.opts.clone();
         if opts.force {
-            let mut retuned = self.retuned.lock().unwrap_or_else(PoisonError::into_inner);
-            opts.force = retuned.insert(key.id());
+            opts.force = lock(&self.retuned).insert(key.id());
         }
-        let r = self.cache.resolve(&key, &opts)?;
+        let r = autotune::resolve(&mut lock(&self.cache), &key, &opts)?;
         Ok(Resolved {
             decl: EngineDecl::mwd_family(&key.engine, r.config),
             tuned: Some(TuneRecord {
@@ -254,7 +217,7 @@ impl EngineResolver {
     /// tune, or an answer already cached — rather than a search.
     pub fn is_lookup(&self, decl: EngineDecl, dims: GridDims, share: usize) -> bool {
         match self.key(decl, dims, share) {
-            Some(key) => !self.opts.force && self.cache.with(|c| c.get(&key).is_some()),
+            Some(key) => !self.opts.force && lock(&self.cache).get(&key).is_some(),
             None => true,
         }
     }
@@ -270,10 +233,9 @@ impl EngineResolver {
         let Some(key) = self.key(decl, dims, share) else {
             return Ok(None);
         };
-        let cached = self.cache.with(|c| {
-            c.get(&key)
-                .map(|e| (e.config.to_compact(), e.stage.as_str().to_string()))
-        });
+        let cached = lock(&self.cache)
+            .get(&key)
+            .map(|e| (e.config.to_compact(), e.stage.as_str().to_string()));
         Ok(Some(TunePreview {
             finalists: autotune::finalists(&autotune::ranked(&key, &self.opts)?, 4),
             kind: key.engine,
@@ -290,15 +252,12 @@ impl EngineResolver {
 
     /// Answers the cache holds.
     pub fn cached_entries(&self) -> usize {
-        self.cache.len()
+        lock(&self.cache).len()
     }
 
-    /// Persist new answers to a file-backed cache; a dry run plans but
-    /// never writes. Returns whether a write happened.
+    /// Persist new answers to a file-backed cache (`mwd tune` only).
+    /// Returns whether a write happened.
     pub fn save(&self) -> Result<bool, String> {
-        if self.dry_run {
-            return Ok(false);
-        }
-        self.cache.save()
+        lock(&self.cache).save()
     }
 }

@@ -48,10 +48,10 @@ pub struct BatchOptions {
     pub budget: ThreadBudget,
     /// Suppress per-job status lines.
     pub quiet: bool,
-    /// Resolve MWD-family engines through the tuning cache (`--tune`).
-    /// `engine = "auto"` jobs always resolve, with these options or —
-    /// when `None` — against an in-memory cache.
-    pub tune: Option<TunePlan>,
+    /// Tuning-cache file (`--cache`), read and never written: declared
+    /// MWD-family engines resolve through it too. `engine = "auto"`
+    /// jobs always resolve, against an in-memory cache when `None`.
+    pub tune_cache: Option<PathBuf>,
     /// Cooperative stop flag (graceful shutdown). Once set, workers
     /// finish the job they are on ("drain") but claim no further jobs;
     /// never-started jobs are recorded as cancelled outcomes, and the
@@ -80,7 +80,7 @@ impl Default for BatchOptions {
             out_dir: None,
             budget: ThreadBudget::host(),
             quiet: true,
-            tune: None,
+            tune_cache: None,
             stop: None,
             cancel: None,
             trace: em_obs::Recorder::disabled(),
@@ -88,7 +88,7 @@ impl Default for BatchOptions {
     }
 }
 
-pub use crate::resolve::{TunePlan, TuneRecord};
+pub use crate::resolve::TuneRecord;
 
 /// The result of one job.
 #[derive(Clone, Debug)]
@@ -284,7 +284,7 @@ pub fn run_batch(specs: &[ScenarioSpec], opts: &BatchOptions) -> Result<BatchRep
 
     // Resolve every job's engine up front so `--engine` typos, tuning
     // failures and engine/grid mismatches fail before work starts.
-    let resolver = EngineResolver::for_batch(opts.tune.as_ref(), opts.dry_run)?;
+    let resolver = EngineResolver::for_batch(opts.tune_cache.as_deref())?;
     let mut engines: Vec<(EngineDecl, Engine)> = Vec::with_capacity(jobs.len());
     let mut tune_records: Vec<Option<TuneRecord>> = Vec::with_capacity(jobs.len());
     let mut tlog = opts.trace.thread("batch_tune", 0);
@@ -319,9 +319,6 @@ pub fn run_batch(specs: &[ScenarioSpec], opts: &BatchOptions) -> Result<BatchRep
         tune_records.push(resolved.tuned);
     }
     drop(tlog);
-    // Persist new answers before stepping anything: even an aborted
-    // batch keeps its tuning work.
-    resolver.save()?;
 
     // Spec-declared engines carry their own thread counts; unless the
     // caller pinned the pool size, shrink it so the worst-case demand
@@ -835,11 +832,8 @@ mod tests {
     fn panicking_job_body_lands_in_its_outcome() {
         let spec = tiny_spec("boom");
         let job = spec.jobs().remove(0);
-        // Drive run_job's catch_unwind through a decl whose engine
-        // resolution is fine but whose body panics: simulate by calling
-        // panic_message directly on the payload shapes catch_unwind
-        // produces, and the run_job path with a healthy spec for the
-        // no-panic side.
+        // The no-panic side first, then a body that panics inside
+        // run_job's guard, then each payload shape catch_unwind yields.
         let engine = Engine::Naive;
         let ok = run_job(
             &spec,
@@ -853,6 +847,24 @@ mod tests {
             |_| Ok(EngineStepper::untraced(&engine)),
         );
         assert!(ok.error.is_none());
+        // A stepper factory that panics mid-job, past the solver build.
+        let boom = run_job(
+            &spec,
+            &job,
+            spec.engine,
+            0,
+            false,
+            None,
+            &CancelToken::none(),
+            &mut em_obs::Recorder::disabled().thread("test", 0),
+            |_| -> Result<EngineStepper, SolveError> { panic!("stepper exploded") },
+        );
+        match &boom.error {
+            Some(SolveError::Failed(m)) => assert_eq!(m, "job panicked: stepper exploded"),
+            other => panic!("expected a failed outcome, got {other:?}"),
+        }
+        assert_eq!(boom.steps, 0);
+        assert!(boom.artifact.is_none());
         let s: Box<dyn std::any::Any + Send> = Box::new("str payload");
         assert_eq!(panic_message(s.as_ref()), "str payload");
         let s: Box<dyn std::any::Any + Send> = Box::new("string payload".to_string());
@@ -982,7 +994,7 @@ mod tests {
         assert!(o.error.is_none(), "{:?}", o.error);
         let t = o.tuned.as_ref().expect("auto engine records tuning");
         assert!(!t.cache_hit, "in-memory cache starts cold");
-        assert_eq!(t.native_probes, 0, "no plan means no native stage");
+        assert_eq!(t.native_probes, 0, "a batch never probes natively");
         assert!(o.engine.starts_with("mwd("), "resolved label: {}", o.engine);
         assert_eq!(o.threads, 1);
         assert!(mwd_core::MwdConfig::from_compact(&t.config).is_ok());

@@ -1,13 +1,15 @@
-//! The `batch --tune` acceptance golden: over the builtin catalog,
-//! every job's configuration resolves from the tuning cache (second run
-//! is pure hits with zero native probes), and the tuned results are
+//! The `batch --cache` acceptance golden: over the builtin catalog,
+//! every job's configuration resolves from the tuning cache (after the
+//! tune command fills it, a run is pure hits with zero native probes,
+//! and the batch itself never writes the file), and the tuned results are
 //! bit-identical to running the same resolved configurations pinned in
 //! the specs — tuning changes *which* config runs, never *what* it
 //! computes.
 
-use em_scenarios::runner::{run_batch, BatchOptions, TunePlan};
+use autotune::TuneCache;
+use em_scenarios::runner::{run_batch, BatchOptions};
 use em_scenarios::spec::EngineDecl;
-use em_scenarios::{library, ScenarioSpec};
+use em_scenarios::{library, EngineResolver, ScenarioSpec};
 use mwd_core::{MwdConfig, ThreadBudget};
 use std::path::PathBuf;
 
@@ -42,23 +44,20 @@ fn batch_tune_on_the_catalog_is_cached_and_bit_identical_to_pinned_configs() {
     let dir = temp_dir("cache");
     let cache_path = dir.join("tune_cache.json");
     let budget = ThreadBudget::new(2);
-    let opts = |tune: bool| BatchOptions {
-        // `--engine auto` + `--tune`: every job (whatever engine its
-        // spec declares) resolves its MwdConfig from the cache under
-        // its thread-budget slice.
-        engine_kind: tune.then(|| "auto".to_string()),
-        tune: tune.then(|| TunePlan {
-            cache_path: Some(cache_path.clone()),
-            force: false,
-            refine_top: 0,
-        }),
+    // `--engine auto --cache FILE`: every job (whatever engine its spec
+    // declares) resolves its MwdConfig from the cache under its
+    // thread-budget slice.
+    let opts = BatchOptions {
+        engine_kind: Some("auto".to_string()),
+        tune_cache: Some(cache_path.clone()),
         budget,
         ..Default::default()
     };
 
-    // First tuned run: the cache starts cold, so at least the first job
-    // of each distinct (dims, threads) key misses; repeats hit.
-    let first = run_batch(&specs, &opts(true)).unwrap();
+    // First run: the file does not exist, so at least the first job of
+    // each distinct (dims, threads) key misses on the model; repeats hit
+    // in memory, and the batch writes nothing.
+    let first = run_batch(&specs, &opts).unwrap();
     assert!(first.outcomes.iter().all(|o| o.error.is_none()));
     assert!(
         first.outcomes.iter().all(|o| o.tuned.is_some()),
@@ -66,12 +65,24 @@ fn batch_tune_on_the_catalog_is_cached_and_bit_identical_to_pinned_configs() {
     );
     let (_, misses, probes) = first.tune_stats();
     assert!(misses > 0, "cold cache must miss");
-    assert_eq!(probes, 0, "refine_top = 0 never probes natively");
-    assert!(cache_path.is_file(), "cache persisted");
+    assert_eq!(probes, 0, "a batch never probes natively");
+    assert!(!cache_path.exists(), "a batch never writes the cache");
 
-    // Second tuned run: pure cache hits, zero native probes, and
+    // The tune command fills the file (`mwd tune --threads T --refine
+    // 0` over the catalog declared `auto`), at the share the batch
+    // granted each job.
+    let cache = TuneCache::load(&cache_path).unwrap();
+    let tune = EngineResolver::for_tune_command(cache, false, Some(0));
+    let auto = EngineDecl::Auto { threads: 0 };
+    for spec in &specs {
+        tune.resolve(auto, spec.dims(), first.threads_per_job)
+            .unwrap();
+    }
+    assert!(tune.save().unwrap(), "cache persisted");
+
+    // Second run: pure cache hits, zero native probes, and
     // bit-identical physics.
-    let second = run_batch(&specs, &opts(true)).unwrap();
+    let second = run_batch(&specs, &opts).unwrap();
     let (hits, misses, probes) = second.tune_stats();
     assert_eq!(misses, 0, "second run must be all hits");
     assert_eq!(probes, 0, "second run must spend zero native probes");

@@ -25,11 +25,11 @@
 //!   (overflow → HTTP 429) feeds a worker pool that shares one
 //!   [`mwd_core::ThreadBudget`] between concurrent jobs, exactly like
 //!   the batch runner; identical in-flight submissions coalesce onto
-//!   one job, `engine = "auto"` resolves through a process-wide
-//!   [`autotune::SharedTuneCache`] so the tuning cache stays warm
-//!   across requests, and every job carries a [`mwd_core::CancelToken`]
-//!   so deadlines (`deadline_ms`) and `POST /jobs/:id/cancel` halt it
-//!   within one solver period;
+//!   one job, `engine = "auto"` resolves through the tuning cache the
+//!   daemon loaded at bind (read-only: only `mwd tune` writes the file,
+//!   a miss stays in memory), and every job carries a
+//!   [`mwd_core::CancelToken`] so deadlines (`deadline_ms`) and
+//!   `POST /jobs/:id/cancel` halt it within one solver period;
 //! - [`server`]: the connection planes and the JSON API — `POST /jobs`,
 //!   `GET /jobs/:id`, `GET /jobs/:id/result`, `POST /jobs/:id/cancel`,
 //!   `GET /results/:key`, `GET /healthz`, `GET /stats`,

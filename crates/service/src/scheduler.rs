@@ -18,14 +18,14 @@
 //!   running (`workers x threads_per_job <= budget` by construction,
 //!   watermarked in [`ServiceStats::peak_threads_in_use`]).
 //!
-//! `engine = "auto"` resolves through the process-wide
-//! [`SharedTuneCache`] at admission time, with the model only, so the
-//! tuned configuration is part of the job's content key and stays warm
-//! across all requests.
+//! `engine = "auto"` resolves at admission time, with the model only,
+//! through the [`TuneCache`] the daemon loaded at bind, so the tuned
+//! configuration is part of the job's content key. A miss stays in
+//! memory for the daemon's lifetime; the file is never written here.
 
 use crate::stats::ServiceStats;
 use crate::store::ResultStore;
-use autotune::SharedTuneCache;
+use autotune::TuneCache;
 use em_json::hash::content_hash;
 use em_json::Json;
 use em_scenarios::runner::{run_batch, BatchOptions};
@@ -268,8 +268,8 @@ pub struct Scheduler {
     /// Signalled when a running job finishes.
     idle: Condvar,
     store: Arc<ResultStore>,
-    /// Declared engine -> what will run, through the process-wide
-    /// tuning cache.
+    /// Declared engine -> what will run, through the tuning cache
+    /// loaded at bind.
     resolver: EngineResolver,
     stats: Arc<ServiceStats>,
     run: Box<RunFn>,
@@ -289,7 +289,7 @@ impl Scheduler {
     pub fn start(
         cfg: SchedulerConfig,
         store: Arc<ResultStore>,
-        tune: SharedTuneCache,
+        tune: TuneCache,
         stats: Arc<ServiceStats>,
         run: Box<RunFn>,
     ) -> Result<Arc<Scheduler>, String> {
@@ -410,7 +410,7 @@ impl Scheduler {
             )));
         }
         // The declaration this job will run under: `auto` goes through
-        // the shared tuning cache, and a cold key costs one model-only
+        // the daemon's tuning cache, and a cold key costs one model-only
         // search, so every job pays at most one.
         let resolved = self
             .resolver
@@ -747,7 +747,7 @@ mod tests {
         let r = Scheduler::start(
             cfg,
             Arc::new(ResultStore::in_memory()),
-            SharedTuneCache::in_memory(),
+            TuneCache::in_memory(),
             Arc::new(ServiceStats::default()),
             Box::new(|_, _, _| Ok(Vec::new())),
         );

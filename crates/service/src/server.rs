@@ -53,7 +53,7 @@ use crate::scheduler::{
 use crate::stats::ServiceStats;
 use crate::store::ResultStore;
 use crate::submit::parse_submission;
-use autotune::SharedTuneCache;
+use autotune::TuneCache;
 use em_faults::{ConnFault, FaultInjector, FaultPlan, SolveFault};
 use em_json::Json;
 use em_obs::Counter;
@@ -108,7 +108,8 @@ pub struct ServerConfig {
     pub scheduler: SchedulerConfig,
     /// Artifact directory (`None` = in-memory store only).
     pub store_dir: Option<PathBuf>,
-    /// Tuning-cache file (`None` = in-memory cache for this daemon).
+    /// Tuning-cache file, loaded at bind and never written (`None` =
+    /// an empty in-memory cache); only `mwd tune` writes the file.
     pub cache_path: Option<PathBuf>,
     /// Total wall-clock budget per request, seconds — first byte to
     /// last byte, not per socket read (a stalled or trickling client
@@ -153,8 +154,6 @@ pub struct ServiceSummary {
     pub timed_out: u64,
     pub store_entries: usize,
     pub dedupe_rate: f64,
-    /// Whether the tuning cache was written on shutdown.
-    pub cache_saved: bool,
 }
 
 pub struct Server {
@@ -162,7 +161,6 @@ pub struct Server {
     scheduler: Arc<Scheduler>,
     stats: Arc<ServiceStats>,
     store: Arc<ResultStore>,
-    tune: SharedTuneCache,
     limits: Limits,
     io_timeout: Duration,
     conn_model: ConnModel,
@@ -219,13 +217,13 @@ impl Server {
             None => run,
         };
         let tune = match &cfg.cache_path {
-            Some(path) => SharedTuneCache::load(path)?,
-            None => SharedTuneCache::in_memory(),
+            Some(path) => TuneCache::load(path)?,
+            None => TuneCache::in_memory(),
         };
         let scheduler = Scheduler::start(
             cfg.scheduler.clone(),
             store.clone(),
-            tune.clone(),
+            tune,
             stats.clone(),
             run,
         )?;
@@ -234,7 +232,6 @@ impl Server {
             scheduler,
             stats,
             store,
-            tune,
             limits: cfg.limits,
             io_timeout: Duration::from_secs(cfg.io_timeout_secs.max(1)),
             conn_model: cfg.conn_model,
@@ -286,7 +283,7 @@ impl Server {
         }
     }
 
-    /// Serve until the stop flag is set, then drain and persist.
+    /// Serve until the stop flag is set, then drain.
     pub fn run(&self) -> Result<ServiceSummary, String> {
         match self.conn_model {
             #[cfg(target_os = "linux")]
@@ -296,7 +293,6 @@ impl Server {
             ConnModel::Blocking => self.run_blocking(),
         }
         self.scheduler.shutdown();
-        let cache_saved = self.tune.save()?;
         Ok(ServiceSummary {
             requests: self.stats.requests.get(),
             completed: self.stats.completed.get(),
@@ -305,7 +301,6 @@ impl Server {
             timed_out: self.stats.timeout.get(),
             store_entries: self.store.len(),
             dedupe_rate: self.stats.dedupe_rate(),
-            cache_saved,
         })
     }
 

@@ -6,8 +6,7 @@
 //! drain needs: store `true` into an atomic. The accept loop, the
 //! scheduler, and the batch runner all poll the same flag, so one
 //! Ctrl-C (or a supervisor's SIGTERM) drains every layer: in-flight
-//! jobs finish, summaries/artifacts are written, and the tuning cache
-//! is persisted.
+//! jobs finish and summaries/artifacts are written.
 //!
 //! A *second* signal while the drain is pending restores the default
 //! disposition and re-raises, so a hung or very long job can still be

@@ -107,7 +107,7 @@ fn start(cfg: SchedulerConfig) -> Harness {
     let scheduler = Scheduler::start(
         cfg,
         store.clone(),
-        autotune::SharedTuneCache::in_memory(),
+        autotune::TuneCache::in_memory(),
         stats.clone(),
         Box::new(move |spec, _threads, cancel| {
             runner_gate.wait();
@@ -421,7 +421,7 @@ fn failed_jobs_report_and_are_not_stored() {
             ..Default::default()
         },
         store.clone(),
-        autotune::SharedTuneCache::in_memory(),
+        autotune::TuneCache::in_memory(),
         stats.clone(),
         Box::new(|spec, _, _| {
             if spec.physics.lambda_nm < 600.0 {
@@ -563,7 +563,7 @@ fn deadline_halts_a_running_job_as_a_timeout() {
             ..Default::default()
         },
         store.clone(),
-        autotune::SharedTuneCache::in_memory(),
+        autotune::TuneCache::in_memory(),
         stats.clone(),
         Box::new(|_, _, cancel| {
             let give_up = Instant::now() + Duration::from_secs(20);

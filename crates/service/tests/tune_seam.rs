@@ -1,16 +1,21 @@
-//! One cache file, three consumers. A tuning cache warmed through the
-//! engine-resolution seam the way `mwd tune` does it must be a pure hit
-//! — same key, same configuration, no search, no probe — for a
-//! `run_batch` of an `engine = "auto"` spec at the same thread share
-//! and for a daemon bound to that cache file. `mwd tune`, the batch
-//! runner and the scheduler used to build that key in three places.
+//! One cache file, one writer, two readers. A tuning cache warmed
+//! through the engine-resolution seam the way `mwd tune` does it must
+//! be a pure hit — same key, same configuration, no search, no probe —
+//! for a `run_batch` of an `engine = "auto"` spec at the same thread
+//! share and for a daemon bound to that cache file. `mwd tune`, the
+//! batch runner and the scheduler used to build that key in three
+//! places. Neither reader writes the file back.
 
-use em_scenarios::runner::{run_batch, BatchOptions, TunePlan};
-use em_scenarios::{EngineResolver, ScenarioSpec};
+use autotune::TuneCache;
+use em_scenarios::runner::{run_batch, BatchOptions};
+use em_scenarios::{EngineDecl, EngineResolver, GridDims, ScenarioSpec};
+use em_service::server::ServiceSummary;
 use em_service::{Server, ServerConfig};
 use mwd_core::ThreadBudget;
 use std::io::{Read, Write};
 use std::net::TcpStream;
+use std::path::Path;
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 const AUTO_SPEC: &str = r#"name = "seam-auto"
@@ -69,16 +74,18 @@ fn a_cache_warmed_like_mwd_tune_is_a_pure_hit_for_the_batch_and_the_daemon() {
     let spec = ScenarioSpec::from_toml_str(AUTO_SPEC).unwrap();
     let share = 1;
 
-    // `mwd tune <spec> --threads 1 --refine 0 --cache <path>`.
+    // `mwd tune <spec> --threads 1 --refine 1 --cache <path>`: the
+    // readers must serve the natively probed answer as stored.
     let warm = {
-        let resolver =
-            EngineResolver::for_tune_command(&cache_path, false, Some(0), false).unwrap();
+        let cache = TuneCache::load(&cache_path).unwrap();
+        let resolver = EngineResolver::for_tune_command(cache, false, Some(1));
         let r = resolver.resolve(spec.engine, spec.dims(), share).unwrap();
         assert!(!r.tuned.as_ref().unwrap().cache_hit, "the file starts cold");
         assert!(resolver.save().unwrap(), "the answer is persisted");
         r
     };
     let warm_config = &warm.tuned.as_ref().unwrap().config;
+    let written = std::fs::read(&cache_path).unwrap();
 
     // `mwd run <spec> --threads 1 --cache <path>`.
     let report = run_batch(
@@ -87,10 +94,7 @@ fn a_cache_warmed_like_mwd_tune_is_a_pure_hit_for_the_batch_and_the_daemon() {
             workers: 1,
             threads: Some(share),
             budget: ThreadBudget::new(share),
-            tune: Some(TunePlan {
-                cache_path: Some(cache_path.clone()),
-                ..Default::default()
-            }),
+            tune_cache: Some(cache_path.clone()),
             ..Default::default()
         },
     )
@@ -100,25 +104,12 @@ fn a_cache_warmed_like_mwd_tune_is_a_pure_hit_for_the_batch_and_the_daemon() {
     let t = outcome.tuned.as_ref().expect("auto records its tuning");
     assert!(t.cache_hit, "tune and run must key identically");
     assert_eq!(t.native_probes, 0);
+    assert_eq!(t.stage, "native");
     assert_eq!(&t.config, warm_config);
     assert_eq!(outcome.engine, warm.decl.label());
+    assert_eq!(std::fs::read(&cache_path).unwrap(), written);
 
-    // `mwd serve --workers 1 --threads 1 --cache <path>`.
-    let server = Server::bind(&ServerConfig {
-        addr: "127.0.0.1:0".to_string(),
-        scheduler: em_service::SchedulerConfig {
-            workers: 1,
-            queue_depth: 4,
-            budget: ThreadBudget::new(share),
-            ..Default::default()
-        },
-        cache_path: Some(cache_path),
-        quiet: true,
-        ..Default::default()
-    })
-    .unwrap();
-    let addr = format!("{}", server.local_addr().unwrap());
-    let daemon = std::thread::spawn(move || server.run());
+    let (addr, daemon) = serve(&cache_path);
 
     let (status, body) = http(&addr, "POST", "/jobs", AUTO_SPEC.as_bytes());
     assert_eq!(status, 202, "{body}");
@@ -163,5 +154,53 @@ fn a_cache_warmed_like_mwd_tune_is_a_pure_hit_for_the_batch_and_the_daemon() {
     let (status, _) = http(&addr, "POST", "/shutdown", b"");
     assert_eq!(status, 200);
     daemon.join().unwrap().unwrap();
+    assert_eq!(std::fs::read(&cache_path).unwrap(), written);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `mwd serve --workers 1 --threads 1 --cache <path>`, on a free port.
+fn serve(cache_path: &Path) -> (String, JoinHandle<Result<ServiceSummary, String>>) {
+    let server = Server::bind(&ServerConfig {
+        addr: "127.0.0.1:0".to_string(),
+        scheduler: em_service::SchedulerConfig {
+            workers: 1,
+            queue_depth: 4,
+            budget: ThreadBudget::new(1),
+            ..Default::default()
+        },
+        cache_path: Some(cache_path.to_path_buf()),
+        quiet: true,
+        ..Default::default()
+    })
+    .unwrap();
+    let addr = format!("{}", server.local_addr().unwrap());
+    (addr, std::thread::spawn(move || server.run()))
+}
+
+/// A daemon that missed on its cache file must not write it back over
+/// what `mwd tune` stored while it ran.
+#[test]
+fn a_daemon_that_missed_leaves_entries_tune_stored_meanwhile() {
+    let dir = std::env::temp_dir().join(format!("em_tune_lost_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let cache_path = dir.join("tune_cache.json");
+    let (addr, daemon) = serve(&cache_path);
+    let (status, body) = http(&addr, "POST", "/jobs", AUTO_SPEC.as_bytes());
+    assert_eq!(status, 202, "{body}");
+
+    // `mwd tune` stores an answer for another key while the daemon runs.
+    let resolver =
+        EngineResolver::for_tune_command(TuneCache::load(&cache_path).unwrap(), false, Some(0));
+    let other = GridDims::new(4, 4, 32);
+    resolver
+        .resolve(EngineDecl::Auto { threads: 0 }, other, 1)
+        .unwrap();
+    assert!(resolver.save().unwrap());
+    let written = std::fs::read(&cache_path).unwrap();
+
+    let (status, _) = http(&addr, "POST", "/shutdown", b"");
+    assert_eq!(status, 200);
+    daemon.join().unwrap().unwrap();
+    assert_eq!(std::fs::read(&cache_path).unwrap(), written);
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -2,15 +2,15 @@
 //! (Dw, BZ, thread-group-shape) space, prune with the Eq. 11 cache-block
 //! model and rank the survivors with the closed-form model on the
 //! modelled 18-core Haswell — then resolve a grid for this host the way
-//! `mwd run --tune --refine 2` does: the same ranking, then wall-clock
-//! probes of its first two finalists.
+//! `mwd tune --refine 2` does: the same ranking, then wall-clock probes
+//! of its first two finalists (kept in memory; nothing is written).
 //!
 //!     cargo run --release --example autotune_demo
 
 use thiim_mwd::field::GridDims;
 use thiim_mwd::models::{cache_block_bytes, MachineSpec};
-use thiim_mwd::scenarios::{EngineDecl, EngineResolver, TunePlan};
-use thiim_mwd::tuner::{rank, survivors, ModelEvaluator, SearchSpace};
+use thiim_mwd::scenarios::{EngineDecl, EngineResolver};
+use thiim_mwd::tuner::{rank, survivors, ModelEvaluator, SearchSpace, TuneCache};
 
 fn main() -> Result<(), String> {
     let hsw = MachineSpec::HASWELL_E5_2699_V3;
@@ -54,11 +54,7 @@ fn main() -> Result<(), String> {
         .unwrap_or(2);
     let dims = GridDims::cubic(32);
     println!("\n=== native probes ({host_threads} threads, {dims}) ===");
-    let plan = TunePlan {
-        refine_top: 2,
-        ..Default::default()
-    };
-    let resolver = EngineResolver::for_batch(Some(&plan), false)?;
+    let resolver = EngineResolver::for_tune_command(TuneCache::in_memory(), false, Some(2));
     let resolved = resolver.resolve(EngineDecl::Auto { threads: 0 }, dims, host_threads)?;
     let t = resolved.tuned.expect("`auto` always tunes");
     println!(

@@ -3,10 +3,11 @@
 //! ```text
 //! mwd list [--names]
 //! mwd show <scenario>
-//! mwd run <scenario>... [--engine K] [--threads N] [--tune] [--dry-run]
+//! mwd run <scenario>... [--engine K] [--threads N] [--cache FILE] [--dry-run]
 //! mwd batch [<scenario>... | --all] [--workers N] [--engine K]
-//!           [--threads N] [--tune] [--cache FILE] [--dry-run] [--out DIR]
-//! mwd tune [<scenario>... | --all] [--force] [--dry-run] [--cache FILE]
+//!           [--threads N] [--cache FILE] [--dry-run] [--out DIR]
+//! mwd tune [<scenario>... | --all] [--force] [--refine K] [--dry-run]
+//!          [--cache FILE]
 //! mwd serve [--addr HOST:PORT] [--workers N] [--threads N]
 //!           [--queue-depth N] [--out DIR] [--cache FILE]
 //! ```
@@ -15,19 +16,18 @@
 //! scenario TOML file. `run` executes its scenarios sequentially;
 //! `batch` fans them out over a bounded worker pool that shares the
 //! host's thread budget with each job's engine threads. `tune` fills
-//! the persistent per-host tuning cache that `--tune` (and
-//! `engine = "auto"` specs) resolve MWD configurations from. `serve`
-//! runs the long-lived HTTP job daemon with a content-addressed result
-//! store on top of the same machinery.
+//! the persistent per-host tuning cache and is the only command that
+//! writes it; `run`/`batch --cache` and `serve` read it to resolve
+//! MWD configurations. `serve` runs the long-lived HTTP job daemon
+//! with a content-addressed result store on top of the same machinery.
 //!
 //! `run`, `batch` and `serve` drain gracefully on SIGINT/SIGTERM:
-//! in-flight jobs finish, artifacts/summaries are written, and the
-//! tuning cache is persisted.
+//! in-flight jobs finish and artifacts/summaries are written.
 
 use em_service::flags::{Flags, COUNT};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
-use thiim_mwd::scenarios::runner::{run_batch, BatchOptions, BatchReport, TunePlan};
+use thiim_mwd::scenarios::runner::{run_batch, BatchOptions, BatchReport};
 use thiim_mwd::scenarios::{library, EngineResolver, ScenarioSpec};
 use thiim_mwd::tuner;
 
@@ -54,13 +54,13 @@ OPTIONS (a command given an option it does not use exits 2):
                        naive-periodic-xy, spatial, mwd, mwd-periodic-x
     --threads <n>      engine threads per job (default: budget share)
     --workers <n>      batch worker-pool size (default: thread budget)
-    --tune             resolve MWD-family engines through the tuning cache
-    --cache <file>     tuning-cache path (default: results/tune_cache.json;
-                       implies --tune for run/batch)
+    --cache <file>     tuning-cache file (tune default:
+                       results/tune_cache.json); only tune writes it.
+                       run/batch read it, and then resolve declared mwd
+                       engines through it too
     --force            tune: retune even when the cache has an answer
     --refine <k>       tune: natively probe the model's top k finalists
-                       (default 2; 0 stores the model's rank 1);
-                       run/batch take both only with --tune or --cache
+                       (default 2; 0 stores the model's rank 1)
     --dry-run          validate and plan without stepping any solver
                        (tune: report hits/misses without searching)
     --out <dir>        artifact directory (default: results/scenarios;
@@ -121,8 +121,10 @@ SERVE OPTIONS:
     --workers <n>       concurrent jobs (default: min(2, host threads))
     --threads <n>       engine threads per job (default: budget share)
     --queue-depth <n>   queued-job cap before 429 (default 32)
-    --cache <file>      tuning cache; a miss ranks with the model only
-                        (probe offline with `mwd tune --refine`)
+    --cache <file>      tuning cache, read only (default
+                        results/tune_cache.json); a miss ranks with the
+                        model only and is kept in memory (fill the file
+                        offline with `mwd tune --refine`)
     --memory-store      keep results in memory only (no --out directory)
     --io-timeout-secs <n>  total wall-clock budget per request, first
                         byte to last (default 10; requests that blow it
@@ -253,10 +255,7 @@ fn cmd_run_or_batch(args: &[String], batch: bool) -> Result<ExitCode, String> {
         "--all",
         "--engine=",
         "--threads=",
-        "--tune",
         "--cache=",
-        "--force",
-        "--refine=",
         "--dry-run",
         "--out=",
         "--trace=",
@@ -266,24 +265,7 @@ fn cmd_run_or_batch(args: &[String], batch: bool) -> Result<ExitCode, String> {
         accepts.push("--workers=");
     }
     let f = flags(cmd, &accepts, args)?;
-    // `--cache` implies `--tune`: naming the cache only makes sense if
-    // the batch resolves configurations through it, and the tuning
-    // flags mean nothing without either.
-    let cache = f.path("--cache");
-    let tuned = f.switch("--tune") || cache.is_some();
-    let (refine, force) = (f.value("--refine", COUNT)?, f.switch("--force"));
-    for (flag, given) in [("--refine", refine.is_some()), ("--force", force)] {
-        if given && !tuned {
-            return Err(format!("`mwd {cmd}` takes `{flag}` only with `--tune`"));
-        }
-    }
     let specs = named_or_all(cmd, &f, batch)?;
-
-    let tune = tuned.then(|| TunePlan {
-        cache_path: Some(cache.unwrap_or_else(tuner::default_cache_path)),
-        force,
-        refine_top: refine.unwrap_or(0),
-    });
     let trace = f.path("--trace");
     let recorder = if trace.is_some() {
         thiim_mwd::obs::Recorder::enabled()
@@ -305,11 +287,10 @@ fn cmd_run_or_batch(args: &[String], batch: bool) -> Result<ExitCode, String> {
         out_dir: f.path("--out").or(Some(PathBuf::from("results/scenarios"))),
         budget: mwd_core::ThreadBudget::host(),
         quiet: f.switch("--quiet"),
-        tune,
+        tune_cache: f.path("--cache"),
         // SIGINT/SIGTERM drain the batch: workers finish their current
-        // job, queued jobs are recorded as cancelled, artifacts and the
-        // batch summary are still written (the tuning cache is persisted
-        // before any job steps).
+        // job, queued jobs are recorded as cancelled, and artifacts and
+        // the batch summary are still written.
         stop: Some(em_service::shutdown::hooked_flag()),
         cancel: None,
         trace: recorder.clone(),
@@ -402,7 +383,7 @@ fn cmd_serve(args: &[String]) -> Result<ExitCode, String> {
     let summary = server.run()?;
     println!(
         "served {} request(s): {} completed, {} failed, {} cancelled, {} timed out; \
-         {} stored result(s), dedupe rate {:.0}%{}",
+         {} stored result(s), dedupe rate {:.0}%",
         summary.requests,
         summary.completed,
         summary.failed,
@@ -410,17 +391,13 @@ fn cmd_serve(args: &[String]) -> Result<ExitCode, String> {
         summary.timed_out,
         summary.store_entries,
         100.0 * summary.dedupe_rate,
-        if summary.cache_saved {
-            "; tuning cache saved"
-        } else {
-            ""
-        }
     );
     Ok(ExitCode::SUCCESS)
 }
 
-/// `mwd tune`: resolve (and persist) the tuned MWD configuration for
-/// each scenario's grid, reporting cache hits and misses.
+/// `mwd tune`: resolve and persist the tuned MWD configuration for
+/// each scenario's grid, reporting cache hits and misses. The only
+/// command that probes natively or writes a tuning-cache file.
 fn cmd_tune(args: &[String]) -> Result<ExitCode, String> {
     let f = flags(
         "tune",
@@ -442,14 +419,14 @@ fn cmd_tune(args: &[String]) -> Result<ExitCode, String> {
 
     let (dry_run, quiet) = (f.switch("--dry-run"), f.switch("--quiet"));
     let cache_path = f.path("--cache").unwrap_or_else(tuner::default_cache_path);
-    // Tune for the thread count a sequential `mwd run --tune` would
-    // grant each job: the full host budget (or the explicit override).
+    // Tune for the thread count a sequential `mwd run` would grant
+    // each job: the full host budget (or the explicit override).
     let threads = f
         .positive("--threads")?
         .unwrap_or_else(|| mwd_core::ThreadBudget::host().total());
     let refine = f.value("--refine", COUNT)?;
-    let resolver =
-        EngineResolver::for_tune_command(&cache_path, f.switch("--force"), refine, dry_run)?;
+    let cache = tuner::TuneCache::load(&cache_path)?;
+    let resolver = EngineResolver::for_tune_command(cache, f.switch("--force"), refine);
 
     let mut hits = 0usize;
     let mut misses = 0usize;

@@ -327,13 +327,34 @@ fn run_with_tune_records_provenance_in_the_artifact() {
     let v1 = art("out1");
     let t1 = v1.get("tuned").expect("tuned provenance present");
     assert_eq!(t1.get("cache_hit").unwrap().as_bool(), Some(false));
+    assert_eq!(t1.get("stage").unwrap().as_str(), Some("model"));
     assert!(v1
         .get("engine")
         .unwrap()
         .as_str()
         .unwrap()
         .starts_with("mwd("));
+    assert!(
+        !cache.exists(),
+        "`mwd run` reads the cache, never writes it"
+    );
 
+    // Only `mwd tune` fills the file; the next run is a hit on it.
+    let tune = mwd(
+        &dir,
+        &[
+            "tune",
+            spec.to_str().unwrap(),
+            "--cache",
+            cache.to_str().unwrap(),
+            "--threads",
+            "1",
+            "--refine",
+            "0",
+        ],
+    );
+    assert_eq!(exit_code(&tune), 0, "{}", stderr(&tune));
+    let body = std::fs::read(&cache).unwrap();
     let second = run("out2");
     assert_eq!(exit_code(&second), 0, "{}", stderr(&second));
     let v2 = art("out2");
@@ -348,6 +369,11 @@ fn run_with_tune_records_provenance_in_the_artifact() {
     assert_eq!(
         v1.get("energy").unwrap().as_f64().unwrap().to_bits(),
         v2.get("energy").unwrap().as_f64().unwrap().to_bits()
+    );
+    assert_eq!(
+        std::fs::read(&cache).unwrap(),
+        body,
+        "a hit rewrites nothing"
     );
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -414,11 +440,17 @@ fn every_command_refuses_the_flags_it_does_not_use() {
     let spec = spec.to_str().unwrap();
     // (command, its arguments, the refused flag): each exits 2 before
     // doing any work, naming the flag and the command.
-    let cases: [(&str, &[&str], &str); 18] = [
+    let cases: [(&str, &[&str], &str); 24] = [
         ("run", &["run", spec], "--deadline-secs"),
         ("run", &["run", spec], "--chaos"),
         ("run", &["run", spec], "--workers"),
+        ("run", &["run", spec], "--tune"),
+        ("run", &["run", spec], "--force"),
+        ("run", &["run", spec], "--refine"),
         ("batch", &["batch", spec], "--addr"),
+        ("batch", &["batch", spec], "--tune"),
+        ("batch", &["batch", spec], "--force"),
+        ("batch", &["batch", spec], "--refine"),
         ("tune", &["tune", spec], "--chaos"),
         ("tune", &["tune", spec], "--engine"),
         ("serve", &["serve"], "--deadline-secs"),
@@ -459,31 +491,6 @@ fn all_next_to_scenario_names_is_refused() {
         assert!(
             err.contains(&format!("`mwd {cmd}`")) && err.contains("`--all`"),
             "mwd {cmd}: {err}"
-        );
-    }
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-/// `run`/`batch` use `--refine` and `--force` only when they tune; without
-/// `--tune` or `--cache` either flag exits 2 instead of being dropped.
-#[test]
-fn run_and_batch_refuse_tuning_flags_without_tune() {
-    let dir = temp_dir("tuneflags");
-    let spec = write_spec(&dir, "tuneflags");
-    let spec = spec.to_str().unwrap();
-    for (cmd, args) in [
-        ("run", ["run", spec, "--refine", "3"].as_slice()),
-        ("batch", ["batch", spec, "--force"].as_slice()),
-    ] {
-        let out = mwd(&dir, args);
-        assert_eq!(exit_code(&out), 2, "mwd {args:?}: {}", stdout(&out));
-        let err = stderr(&out);
-        let flag = args[2];
-        assert!(
-            err.contains(&format!("`mwd {cmd}`"))
-                && err.contains(&format!("`{flag}`"))
-                && err.contains("`--tune`"),
-            "mwd {args:?}: {err}"
         );
     }
     let _ = std::fs::remove_dir_all(&dir);

@@ -21,8 +21,30 @@
 //!   the queue's mutex (release on `complete`, acquire on `pop`) and the
 //!   group's publish barrier.
 //!
+//! Periodic x adds writes to the x halo of the *source* arrays: before
+//! updating its rows of an x-derivative component, a member copies the
+//! wrap-around value into the halo cell those rows read
+//! ([`wrap_x_halo`]). Each halo cell has a single writer, which is also
+//! its only reader:
+//!
+//! - only the x-derivative components read a source array's x halo.
+//!   Per kind those are `Hyz`/`Hzy` (reading `E_z`/`E_y` at `x = -1`)
+//!   and `Eyz`/`Ezy` (reading `H_z`/`H_y` at `x = nx`), and the two read
+//!   distinct source totals, so no two components share a halo cell;
+//! - for a given (component, z-chunk) exactly one member's lane-aligned
+//!   `my_x` holds the wrap cell (x = 0 for H, nx-1 for E), and only that
+//!   member refreshes the halo, right before its own update reads it —
+//!   no extra barrier;
+//! - the copied value is the other kind's cell at (nx-1 or 0, y, z).
+//!   That kind is read-only during this half-step, and the Dirichlet
+//!   kernel already reads the same cell, so the plan and barriers above
+//!   already keep it quiescent. Successive refreshes of one halo cell
+//!   belong to successive half-steps of one (y, z) row, which the plan
+//!   orders like the row updates themselves.
+//!
 //! The end-to-end check is the bitwise oracle: for any configuration and
-//! thread count, `run_mwd` must produce exactly the bits of `step_naive`.
+//! thread count, `run_mwd` must produce exactly the bits of `step_naive`
+//! (periodic x: of the halo-exchange `step_naive_with_boundary`).
 
 use crate::barrier::{Padded, SpinBarrier};
 use crate::cancel::{CancelToken, SolveError};
@@ -31,14 +53,15 @@ use crate::queue::ReadyQueue;
 use crate::tiling::{Tile, TilePlan};
 use crate::wavefront::WavefrontSpec;
 use em_field::{Component, State};
-use em_kernels::update::update_component_rows_periodic_x;
+use em_kernels::boundary::wrap_x_halo;
 use em_kernels::{update_component_rows, RawGrid};
 use em_obs::{Recorder, ThreadLog};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-/// Boundary handling of the temporally blocked engines. Periodic x uses
-/// the loop-peeled kernels (the paper's outlook, Sec. VI): the wrap read
-/// stays within the current (y, z) row of the opposite field, so the
+/// Boundary handling of the temporally blocked engines. Periodic x (the
+/// paper's outlook, Sec. VI) refreshes the x halo cells a work item's
+/// rows read and then runs the Dirichlet kernel: the wrap read stays
+/// within the current (y, z) row of the opposite field, so the
 /// diamond/wavefront dependency structure is untouched.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum MwdBoundary {
@@ -335,29 +358,18 @@ fn execute_tile(
                 if !my_z.is_empty() && !my_x.is_empty() {
                     let comps = Component::of(row.kind);
                     for &comp in &comps[ic * comps_per..(ic + 1) * comps_per] {
+                        let (zs, ys, xs) = (my_z.clone(), row.y_range(), my_x.clone());
                         // SAFETY: module-level argument — disjoint
                         // (component, z, x) split within the item; barriers
-                        // order items; the plan orders tiles. The periodic
-                        // wrap reads the same row of previous-row arrays,
-                        // preserving the argument unchanged.
+                        // order items; the plan orders tiles; the member
+                        // holding the wrap cell is the halo cell's one
+                        // writer and reader.
                         unsafe {
-                            match boundary {
-                                MwdBoundary::Dirichlet => update_component_rows(
-                                    g,
-                                    comp,
-                                    my_z.clone(),
-                                    row.y_range(),
-                                    my_x.clone(),
-                                ),
-                                MwdBoundary::PeriodicX => update_component_rows_periodic_x(
-                                    g,
-                                    comp,
-                                    my_z.clone(),
-                                    row.y_range(),
-                                    my_x.clone(),
-                                ),
+                            if boundary == MwdBoundary::PeriodicX {
+                                wrap_x_halo(g, comp, zs.clone(), ys.clone(), xs.clone());
                             }
-                        };
+                            update_component_rows(g, comp, zs, ys, xs);
+                        }
                     }
                     // Count component-cell updates; 6 of them make one
                     // single-field cell update.
@@ -535,7 +547,7 @@ mod tests {
 
     #[test]
     fn periodic_x_mwd_matches_halo_exchange_naive() {
-        // The outlook feature: MWD with peeled periodic-x kernels must be
+        // The outlook feature: MWD with per-item halo refreshes must be
         // bit-identical to the halo-exchange naive reference, for any
         // thread-group shape.
         use em_kernels::boundary::{step_naive_with_boundary, Boundary};

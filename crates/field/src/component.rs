@@ -392,6 +392,21 @@ mod tests {
     }
 
     #[test]
+    fn each_x_halo_of_a_kind_has_one_reading_component() {
+        // Periodic-x MWD lets the x-derivative component's update write
+        // the source halo it reads: that needs exactly two such
+        // components per kind, reading distinct source totals.
+        for kind in [FieldKind::E, FieldKind::H] {
+            let along_x: Vec<_> = Component::of(kind)
+                .into_iter()
+                .filter(|c| c.deriv_axis() == Axis::X)
+                .collect();
+            assert_eq!(along_x.len(), 2, "{kind:?}");
+            assert_ne!(along_x[0].source_total(), along_x[1].source_total());
+        }
+    }
+
+    #[test]
     fn exactly_four_components_have_sources() {
         use Component::*;
         let with_src: Vec<_> = Component::ALL

@@ -5,13 +5,17 @@
 //! of `Array3C` — nothing to do at runtime.
 //!
 //! The production solar-cell setup additionally uses *periodic* horizontal
-//! boundaries. The paper lists MWD-compatible periodic boundaries as
-//! work-in-progress ("Conclusion and Outlook"); matching that scope, this
-//! reproduction supports periodic x for the reference engines (naive /
-//! spatial) via halo exchange before each field phase, and keeps the
-//! temporally blocked engines Dirichlet-only.
+//! boundaries, which the paper lists as work-in-progress for MWD
+//! ("Conclusion and Outlook"). Both forms here fill the x halo with the
+//! wrap-around values and then run the Dirichlet kernel unchanged: the
+//! reference engines refresh whole halos before each field phase
+//! ([`exchange_x_halo`], [`exchange_y_halo`]), and the MWD engine
+//! refreshes, per work item, just the halo cells the item's x-derivative
+//! rows read ([`wrap_x_halo`]).
 
-use em_field::{Component, FieldKind, State};
+use crate::raw::RawGrid;
+use em_field::{Axis, Component, FieldKind, State};
+use std::ops::Range;
 
 /// Boundary treatment selector for the reference engines.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
@@ -45,6 +49,47 @@ pub fn exchange_x_halo(state: &mut State, kind: FieldKind) {
                 let hi = arr.get(nx - 1, y, z);
                 arr.set(-1, y, z, hi);
                 arr.set(nx, y, z, lo);
+            }
+        }
+    }
+}
+
+/// Write the x halo cells that `comp`'s rows `(z_range, y_range)` read
+/// across the periodic wrap: `x = -1 <- nx-1` in the two source-split
+/// arrays before an H update, `x = nx <- 0` before an E update. A no-op
+/// unless `comp` differentiates along x and `x_range` holds the wrap
+/// cell (x = 0 for H, nx-1 for E), so the one caller whose x chunk
+/// reads a halo cell is the one that writes it; the Dirichlet kernel
+/// then runs over the whole box.
+///
+/// # Safety
+/// [`RawGrid`] contract: no other thread touches these halo cells
+/// during the call, and the copied cells (the other kind's, at the
+/// opposite x end of the same rows) are not being written.
+pub unsafe fn wrap_x_halo(
+    g: &RawGrid<'_>,
+    comp: Component,
+    z_range: Range<usize>,
+    y_range: Range<usize>,
+    x_range: Range<usize>,
+) {
+    let nx = g.dims().nx;
+    let (wrap_x, from_x) = match comp.field_kind() {
+        FieldKind::H => (0, nx - 1),
+        FieldKind::E => (nx - 1, 0),
+    };
+    if comp.deriv_axis() != Axis::X || !x_range.contains(&wrap_x) {
+        return;
+    }
+    for split in comp.source_splits() {
+        let f = g.field_ptr(split);
+        for z in z_range.clone() {
+            for y in y_range.clone() {
+                let halo = g.idx(wrap_x, y, z).wrapping_add_signed(comp.offset_dir());
+                let from = g.idx(from_x, y, z);
+                for part in [0, g.im_off] {
+                    *f.add(halo + part) = *f.add(from + part);
+                }
             }
         }
     }
@@ -124,6 +169,49 @@ mod tests {
         let arr = s.fields.comp(Component::Hyx);
         assert_eq!(arr.get(-1, 1, 1), Cplx::new(-3.0, 0.5));
         assert_eq!(arr.get(4, 1, 1), Cplx::new(1.0, 2.0));
+    }
+
+    #[test]
+    fn wrap_x_halo_then_dirichlet_matches_exchange_x_halo() {
+        // Every x-derivative component, with x cut so the wrap cell lands
+        // in the first chunk (H), the last (E) or, for a middle chunk,
+        // neither: per-chunk refresh + Dirichlet rows give the interior
+        // bits of a whole-halo exchange + Dirichlet sweep.
+        use crate::update::update_component_rows as rows;
+        let dims = GridDims::new(11, 4, 3);
+        let (zs, ys) = (0..dims.nz, 0..dims.ny);
+        for comp in Component::ALL {
+            let mut start = State::zeros(dims);
+            start.fields.fill_deterministic(31 + comp.index() as u64);
+            start.coeffs.fill_deterministic(57 + comp.index() as u64);
+            let mut reference = start.clone();
+            exchange_x_halo(&mut reference, comp.field_kind().other());
+            let g = RawGrid::new(&reference);
+            unsafe { rows(&g, comp, zs.clone(), ys.clone(), 0..dims.nx) };
+            for cuts in [&[0, 11][..], &[0, 3, 11], &[0, 8, 11], &[0, 2, 6, 11]] {
+                let s = start.clone();
+                let g = RawGrid::new(&s);
+                for w in cuts.windows(2) {
+                    unsafe {
+                        wrap_x_halo(&g, comp, zs.clone(), ys.clone(), w[0]..w[1]);
+                        rows(&g, comp, zs.clone(), ys.clone(), w[0]..w[1]);
+                    }
+                }
+                let (a, b) = (reference.fields.comp(comp), s.fields.comp(comp));
+                let bits = |(_, v): (_, Cplx)| (v.re.to_bits(), v.im.to_bits());
+                assert!(
+                    a.iter_interior().map(bits).eq(b.iter_interior().map(bits)),
+                    "{comp} {cuts:?}"
+                );
+            }
+            // A chunk without the wrap cell, or a component that
+            // differentiates along y or z, refreshes nothing.
+            let s = start.clone();
+            let along_x = comp.deriv_axis() == Axis::X;
+            let x = if along_x { 2..6 } else { 0..11 };
+            unsafe { wrap_x_halo(&RawGrid::new(&s), comp, zs.clone(), ys.clone(), x) };
+            assert!(s.fields.bit_eq(&start.fields), "{comp}");
+        }
     }
 
     #[test]

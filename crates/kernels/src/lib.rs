@@ -46,7 +46,4 @@ pub use raw::{CoeffRows, RawGrid};
 pub use simd::{active_isa, detected_isa, Isa, LANE_WIDTH};
 pub use spatial::{step_spatial, step_spatial_mt, SpatialConfig};
 pub use sweep::{run_naive, step_naive};
-pub use update::{
-    update_component_row, update_component_row_periodic_x, update_component_rows,
-    update_component_rows_periodic_x,
-};
+pub use update::update_component_rows;

@@ -16,24 +16,24 @@ use std::ops::Range;
 
 /// Build the `Span` operand set for `nz * ny` rows of `n` cells
 /// starting at interior cell `(x, y, z)` and run the dispatched kernel.
-/// `shift` is the signed f64 offset (within one plane) from a cell to
-/// its stencil neighbor.
 ///
 /// # Safety
 /// Caller guarantees the [`RawGrid`] aliasing contract for the written
 /// cells of `comp` and the cells read (same rows of `t`, `c`, `src`, and
-/// the `shift`ed rows of the two source-split arrays, which are
+/// the stencil-shifted rows of the two source-split arrays, which are
 /// in-bounds thanks to the one-cell halo).
 #[inline]
 unsafe fn dispatch_span(
     g: &RawGrid<'_>,
     comp: Component,
     (x, y, z): (usize, usize, usize),
-    shift: isize,
     n: usize,
     ny: usize,
     nz: usize,
 ) {
+    // Signed f64 offset (within one plane) from a cell to its stencil
+    // neighbor.
+    let shift = comp.offset_dir() * g.axis_stride(comp.deriv_axis()) as isize;
     let base = g.idx(x, y, z);
     let row = g.row(y, z);
     let [sp1, sp2] = comp.source_splits();
@@ -68,37 +68,14 @@ unsafe fn dispatch_span(
     }
 }
 
-/// Update component `comp` on the row `(x_range, y, z)`.
-///
-/// # Safety
-/// See [`RawGrid`]: the caller's schedule must make the written cells
-/// exclusive and the read cells quiescent for the duration of the call.
-#[inline]
-pub unsafe fn update_component_row(
-    g: &RawGrid<'_>,
-    comp: Component,
-    y: usize,
-    z: usize,
-    x_range: Range<usize>,
-) {
-    if x_range.is_empty() {
-        return;
-    }
-    debug_assert!(x_range.end <= g.dims().nx);
-    debug_assert!(y < g.dims().ny && z < g.dims().nz);
-
-    let n = x_range.end - x_range.start;
-    let shift = comp.offset_dir() * g.axis_stride(comp.deriv_axis()) as isize;
-    dispatch_span(g, comp, (x_range.start, y, z), shift, n, 1, 1);
-}
-
 /// Update component `comp` over a rectangular region
 /// `(x_range, y_range, z_range)` in row-major order. The whole region is
 /// handed to the kernel as one `Span` so ISA dispatch and pointer
 /// setup cost once per region, not once per row.
 ///
 /// # Safety
-/// Same contract as [`update_component_row`].
+/// See [`RawGrid`]: the caller's schedule must make the written cells
+/// exclusive and the read cells quiescent for the duration of the call.
 pub unsafe fn update_component_rows(
     g: &RawGrid<'_>,
     comp: Component,
@@ -114,95 +91,13 @@ pub unsafe fn update_component_rows(
 
     let n = x_range.end - x_range.start;
     let origin = (x_range.start, y_range.start, z_range.start);
-    let shift = comp.offset_dir() * g.axis_stride(comp.deriv_axis()) as isize;
-    dispatch_span(g, comp, origin, shift, n, y_range.len(), z_range.len());
-}
-
-/// [`update_component_row`] with *periodic* x boundaries, implemented by
-/// peeling the wrap-around iteration off the x loop exactly as the
-/// paper's outlook describes ("peeling the first and last iteration off
-/// the x loop to explicitly specify the contributing grid points at the
-/// other end of the domain"). Only the four x-derivative components
-/// (`Hzy`, `Hyz`, `Ezy`, `Eyz`) differ from the Dirichlet kernel: their
-/// boundary cell reads the source component from the opposite end of the
-/// same row. Because that read targets arrays written by *earlier* rows,
-/// the peeled kernel composes with every engine — including MWD — with
-/// no halo exchange and no extra synchronization.
-///
-/// # Safety
-/// Same contract as [`update_component_row`].
-#[inline]
-pub unsafe fn update_component_row_periodic_x(
-    g: &RawGrid<'_>,
-    comp: Component,
-    y: usize,
-    z: usize,
-    x_range: Range<usize>,
-) {
-    if comp.deriv_axis() != em_field::Axis::X {
-        return update_component_row(g, comp, y, z, x_range);
-    }
-    if x_range.is_empty() {
-        return;
-    }
-    let nx = g.dims().nx;
-    debug_assert!(x_range.end <= nx);
-
-    // The wrapped cell: x = 0 for H (reads x-1 -> nx-1), x = nx-1 for E
-    // (reads x+1 -> 0).
-    let (wrap_x, wrap_shift) = if comp.offset_dir() < 0 {
-        (0usize, (nx - 1) as isize)
-    } else {
-        (nx - 1, -((nx - 1) as isize))
-    };
-
-    let interior = if x_range.contains(&wrap_x) {
-        // Peel the wrapped element: same inner-loop body, but the
-        // neighbor offset points across the row.
-        run_peeled(g, comp, y, z, wrap_x, wrap_shift);
-        if wrap_x == x_range.start {
-            x_range.start + 1..x_range.end
-        } else {
-            x_range.start..x_range.end - 1
-        }
-    } else {
-        x_range
-    };
-    update_component_row(g, comp, y, z, interior);
-}
-
-/// One peeled cell with an explicit neighbor shift.
-#[inline]
-unsafe fn run_peeled(g: &RawGrid<'_>, comp: Component, y: usize, z: usize, x: usize, shift: isize) {
-    dispatch_span(g, comp, (x, y, z), shift, 1, 1, 1);
-}
-
-/// Periodic-x variant of [`update_component_rows`].
-///
-/// # Safety
-/// Same contract as [`update_component_row`].
-pub unsafe fn update_component_rows_periodic_x(
-    g: &RawGrid<'_>,
-    comp: Component,
-    z_range: Range<usize>,
-    y_range: Range<usize>,
-    x_range: Range<usize>,
-) {
-    if comp.deriv_axis() != em_field::Axis::X {
-        // No wrap cell to peel: take the one-span fast path.
-        return update_component_rows(g, comp, z_range, y_range, x_range);
-    }
-    for z in z_range {
-        for y in y_range.clone() {
-            update_component_row_periodic_x(g, comp, y, z, x_range.clone());
-        }
-    }
+    dispatch_span(g, comp, origin, n, y_range.len(), z_range.len());
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::boundary::{exchange_x_halo, Boundary};
+    use crate::boundary::{exchange_x_halo, wrap_x_halo};
     use em_field::{Axis, Component, Cplx, GridDims, State};
 
     /// Scalar reference implementation of one component update at one
@@ -250,7 +145,7 @@ mod tests {
             }
             {
                 let g = RawGrid::new(&state);
-                unsafe { update_component_row(&g, comp, y, z, 0..dims.nx) };
+                unsafe { update_component_rows(&g, comp, z..z + 1, y..y + 1, 0..dims.nx) };
             }
             for (x, &want) in expect.iter().enumerate() {
                 let got = state.fields.comp(comp).get(x as isize, 1, 1);
@@ -269,7 +164,7 @@ mod tests {
         let before = state.fields.clone();
         {
             let g = RawGrid::new(&state);
-            unsafe { update_component_row(&g, Component::Hzx, 2, 1, 1..3) };
+            unsafe { update_component_rows(&g, Component::Hzx, 1..2, 2..3, 1..3) };
         }
         for comp in Component::ALL {
             for ((x, y, z), v) in state.fields.comp(comp).iter_interior() {
@@ -300,7 +195,7 @@ mod tests {
         let src = state.coeffs.src(em_field::SourceArray::SrcHy).get(1, 1, 0);
         {
             let g = RawGrid::new(&state);
-            unsafe { update_component_row(&g, Component::Hyx, 1, 0, 0..dims.nx) };
+            unsafe { update_component_rows(&g, Component::Hyx, 0..1, 1..2, 0..dims.nx) };
         }
         let got = state.fields.comp(Component::Hyx).get(1, 1, 0);
         assert!((got - (old * t + src)).abs() < 1e-15);
@@ -314,15 +209,28 @@ mod tests {
         let before = state.fields.clone();
         {
             let g = RawGrid::new(&state);
-            unsafe { update_component_row(&g, Component::Exz, 0, 0, 2..2) };
+            unsafe { update_component_rows(&g, Component::Exz, 0..1, 0..1, 2..2) };
         }
         assert!(state.fields.bit_eq(&before));
     }
 
+    /// Periodic-x update as the MWD executor runs it: refresh the wrap
+    /// halo cells the rows read, then the Dirichlet kernel.
+    unsafe fn periodic_x_rows(
+        g: &RawGrid<'_>,
+        comp: Component,
+        z_range: Range<usize>,
+        y_range: Range<usize>,
+        x_range: Range<usize>,
+    ) {
+        wrap_x_halo(g, comp, z_range.clone(), y_range.clone(), x_range.clone());
+        update_component_rows(g, comp, z_range, y_range, x_range);
+    }
+
     #[test]
     fn peeled_periodic_kernel_matches_halo_exchange() {
-        // The loop-peeled wrap must produce exactly the bits of the
-        // halo-exchange implementation for every x-derivative component.
+        // The per-box wrap refresh must produce exactly the bits of the
+        // whole-halo exchange for every x-derivative component.
         let dims = GridDims::new(6, 4, 4);
         for comp in Component::ALL
             .into_iter()
@@ -330,46 +238,46 @@ mod tests {
         {
             let mut a = filled_state(dims, 31 + comp.index() as u64);
             let b = a.clone();
-            // Reference: refresh the halo of the source field, then run
-            // the Dirichlet kernel (which now reads wrap values).
             exchange_x_halo(&mut a, comp.field_kind().other());
             {
                 let g = RawGrid::new(&a);
                 unsafe { update_component_rows(&g, comp, 0..4, 0..4, 0..6) };
             }
-            // Peeled: no halo work at all.
             {
                 let g = RawGrid::new(&b);
-                unsafe { update_component_rows_periodic_x(&g, comp, 0..4, 0..4, 0..6) };
+                unsafe { periodic_x_rows(&g, comp, 0..4, 0..4, 0..6) };
             }
             assert!(
                 a.fields.comp(comp).bit_eq(b.fields.comp(comp)),
-                "{comp}: peeled kernel deviates from halo exchange"
+                "{comp}: wrap refresh deviates from halo exchange"
             );
         }
-        let _ = Boundary::Dirichlet;
     }
 
     #[test]
     fn peeled_kernel_handles_partial_chunks() {
-        // TG x-chunks: a chunk containing the wrap cell peels it; chunks
-        // without it are plain. Union of chunks == full periodic row.
+        // TG x-chunks: the chunk holding the wrap cell refreshes its halo;
+        // the others are plain. Union of chunks == full periodic row.
         let dims = GridDims::new(8, 3, 3);
-        let comp = Component::Hzy; // x- shift
-        let full = filled_state(dims, 77);
-        let chunked = full.clone();
-        {
-            let g = RawGrid::new(&full);
-            unsafe { update_component_row_periodic_x(&g, comp, 1, 1, 0..8) };
-        }
-        {
-            let g = RawGrid::new(&chunked);
-            unsafe {
-                update_component_row_periodic_x(&g, comp, 1, 1, 0..3);
-                update_component_row_periodic_x(&g, comp, 1, 1, 3..8);
+        for comp in [Component::Hzy, Component::Ezy] {
+            let full = filled_state(dims, 77);
+            let chunked = full.clone();
+            {
+                let g = RawGrid::new(&full);
+                unsafe { periodic_x_rows(&g, comp, 1..2, 1..2, 0..8) };
             }
+            {
+                let g = RawGrid::new(&chunked);
+                unsafe {
+                    periodic_x_rows(&g, comp, 1..2, 1..2, 0..3);
+                    periodic_x_rows(&g, comp, 1..2, 1..2, 3..8);
+                }
+            }
+            assert!(
+                full.fields.comp(comp).bit_eq(chunked.fields.comp(comp)),
+                "{comp}"
+            );
         }
-        assert!(full.fields.comp(comp).bit_eq(chunked.fields.comp(comp)));
     }
 
     #[test]
@@ -383,7 +291,7 @@ mod tests {
         }
         {
             let g = RawGrid::new(&b);
-            unsafe { update_component_rows_periodic_x(&g, Component::Hyx, 0..4, 0..4, 0..5) };
+            unsafe { periodic_x_rows(&g, Component::Hyx, 0..4, 0..4, 0..5) };
         }
         assert!(a.fields.bit_eq(&b.fields));
     }

@@ -3,13 +3,12 @@
 //! reference kernel — on random dims (including `nx` not a multiple of
 //! the lane width, so the ragged-tail path runs), both curl signs,
 //! source and source-free components, halo-adjacent rows, partial
-//! x-chunks, and the loop-peeled periodic-x kernel.
+//! x-chunks, and periodic-x rows (wrap halo refresh + Dirichlet kernel).
 
 use em_field::{CoeffRowBuilder, Component, GridDims, SourceArray, State};
+use em_kernels::boundary::wrap_x_halo;
 use em_kernels::simd::{detected_isa, Isa};
-use em_kernels::update::{
-    update_component_row, update_component_row_periodic_x, update_component_rows,
-};
+use em_kernels::update::update_component_rows;
 use em_kernels::RawGrid;
 use proptest::prelude::*;
 
@@ -119,15 +118,15 @@ proptest! {
         let reference = filled(dims, seed);
         {
             let g = RawGrid::new(&reference).with_isa(Isa::Scalar);
-            unsafe { update_component_row(&g, comp, 1, 1, 0..nx) };
+            unsafe { update_component_rows(&g, comp, 1..2, 1..2, 0..nx) };
         }
         for isa in available_isas() {
             let state = filled(dims, seed);
             {
                 let g = RawGrid::new(&state).with_isa(isa);
                 unsafe {
-                    update_component_row(&g, comp, 1, 1, 0..split);
-                    update_component_row(&g, comp, 1, 1, split..nx);
+                    update_component_rows(&g, comp, 1..2, 1..2, 0..split);
+                    update_component_rows(&g, comp, 1..2, 1..2, split..nx);
                 }
             }
             prop_assert!(
@@ -137,40 +136,27 @@ proptest! {
             );
         }
     }
+}
 
-    /// The loop-peeled periodic-x kernel keeps bit-parity across ISAs
-    /// for the x-derivative components (wrap cell + interior row).
-    #[test]
-    fn periodic_peel_bitwise_parity(
-        nx in 2usize..18,
-        comp_i in 0usize..12,
-        seed in 0u64..u64::MAX,
-    ) {
-        let dims = GridDims::new(nx, 3, 3);
-        let comp = Component::ALL[comp_i];
-        let reference = filled(dims, seed);
-        {
-            let g = RawGrid::new(&reference).with_isa(Isa::Scalar);
-            unsafe { update_component_row_periodic_x(&g, comp, 1, 1, 0..nx) };
-        }
-        for isa in available_isas() {
-            let state = filled(dims, seed);
-            {
-                let g = RawGrid::new(&state).with_isa(isa);
-                unsafe { update_component_row_periodic_x(&g, comp, 1, 1, 0..nx) };
-            }
-            prop_assert!(
-                state.fields.bit_eq(&reference.fields),
-                "{} periodic peel for {comp}",
-                isa.name()
-            );
+/// All twelve components on row `(y, z) = (2, 1)` with periodic x: the
+/// wrap halo refresh, then the Dirichlet kernel.
+fn periodic_row(state: &State, isa: Isa) {
+    let g = RawGrid::new(state).with_isa(isa);
+    let nx = state.dims().nx;
+    for comp in Component::ALL {
+        // SAFETY: single-threaded; each refresh precedes the one update
+        // that reads it.
+        unsafe {
+            wrap_x_halo(&g, comp, 1..2, 2..3, 0..nx);
+            update_component_rows(&g, comp, 1..2, 2..3, 0..nx);
         }
     }
 }
 
 /// A packed state (coefficient rows resolved through the row index into
 /// a three-row table) keeps bit-parity across ISAs on ragged `nx`, full
-/// sweeps and the peeled periodic-x rows alike.
+/// sweeps and periodic-x rows (wrap halo refresh + Dirichlet kernel)
+/// alike.
 #[test]
 fn packed_coefficients_bitwise_parity_across_isas() {
     for nx in [5, 13, 17] {
@@ -181,10 +167,7 @@ fn packed_coefficients_bitwise_parity_across_isas() {
         for _ in 0..2 {
             step_with_isa(&reference, Isa::Scalar);
         }
-        for comp in Component::ALL {
-            let g = RawGrid::new(&periodic).with_isa(Isa::Scalar);
-            unsafe { update_component_row_periodic_x(&g, comp, 2, 1, 0..nx) };
-        }
+        periodic_row(&periodic, Isa::Scalar);
         for isa in available_isas() {
             let state = packed(dims, 29 + nx as u64);
             for _ in 0..2 {
@@ -196,13 +179,10 @@ fn packed_coefficients_bitwise_parity_across_isas() {
                 isa.name()
             );
             let state = packed(dims, 29 + nx as u64);
-            for comp in Component::ALL {
-                let g = RawGrid::new(&state).with_isa(isa);
-                unsafe { update_component_row_periodic_x(&g, comp, 2, 1, 0..nx) };
-            }
+            periodic_row(&state, isa);
             assert!(
                 state.fields.bit_eq(&periodic.fields),
-                "{} periodic peel on packed {dims}",
+                "{} periodic-x row on packed {dims}",
                 isa.name()
             );
         }

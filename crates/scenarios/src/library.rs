@@ -218,8 +218,8 @@ pub fn vacuum_slab() -> ScenarioSpec {
 }
 
 /// A high-contrast photonic grating: a-Si bars (chains of overlapping
-/// spheres along y) over a glass substrate, on the loop-peeled
-/// periodic-x MWD engine — the physically periodic direction.
+/// spheres along y) over a glass substrate, on the periodic-x MWD
+/// engine — the physically periodic direction.
 pub fn photonic_grating() -> ScenarioSpec {
     let (nx, ny, nz) = (24usize, 24usize, 48usize);
     let mut spheres = Vec::new();

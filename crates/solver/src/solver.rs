@@ -22,15 +22,15 @@ pub enum Engine {
     /// Reference sweep, Dirichlet boundaries.
     Naive,
     /// Reference sweep with periodic horizontal boundaries (production
-    /// configuration; temporally blocked engines are Dirichlet-only,
-    /// matching the paper's benchmark scope).
+    /// configuration; the only engine periodic along y).
     NaivePeriodicXY,
     /// Spatially blocked baseline on `threads` threads.
     Spatial { cfg: SpatialConfig, threads: usize },
     /// Multicore wavefront diamond engine.
     Mwd(MwdConfig),
-    /// MWD with loop-peeled periodic x boundaries (the paper's outlook
-    /// feature): horizontal periodicity in the tiled engine itself.
+    /// MWD with periodic x boundaries (the paper's outlook feature): each
+    /// work item refreshes the x halo cells its rows read, then runs the
+    /// Dirichlet kernel.
     MwdPeriodicX(MwdConfig),
 }
 
@@ -618,7 +618,7 @@ mod tests {
 
     #[test]
     fn periodic_x_mwd_engine_preserves_x_uniformity() {
-        // With laterally uniform physics, the peeled periodic-x MWD
+        // With laterally uniform physics, the periodic-x MWD
         // engine must keep the fields exactly x-uniform — no Dirichlet
         // edge artifacts along x.
         let dims = GridDims::new(6, 6, 32);

@@ -3,7 +3,7 @@
 //! the same field pushed row by row through `CoeffRowBuilder` (rows the
 //! field repeats stored once) must drive every engine to the same bits
 //! — on every ISA the host has, on rows with ragged vector tails, and
-//! through the peeled periodic-x wrap cell.
+//! across the periodic-x wrap (halo refresh + Dirichlet kernel).
 //!
 //! The engines dispatch to `active_isa()`; CI runs this file once more
 //! under `MWD_SIMD=scalar` and `MWD_SIMD=avx2` so their scalar-tail and
@@ -13,9 +13,9 @@ use proptest::prelude::*;
 use thiim_mwd::field::{
     Array3C, CoeffArray, CoeffRowBuilder, Component, Cplx, GridDims, SourceArray, State,
 };
-use thiim_mwd::kernels::boundary::{step_naive_with_boundary, Boundary};
+use thiim_mwd::kernels::boundary::{step_naive_with_boundary, wrap_x_halo, Boundary};
 use thiim_mwd::kernels::simd::{detected_isa, Isa};
-use thiim_mwd::kernels::update::{update_component_rows, update_component_rows_periodic_x};
+use thiim_mwd::kernels::update::update_component_rows;
 use thiim_mwd::kernels::{run_naive, step_spatial_mt, RawGrid, SpatialConfig};
 use thiim_mwd::mwd::{run_mwd, MwdBoundary, MwdConfig, MwdRun, TgShape};
 
@@ -124,10 +124,9 @@ fn sweep_with_isa(state: &State, isa: Isa, periodic_x: bool) {
         // schedule.
         unsafe {
             if periodic_x {
-                update_component_rows_periodic_x(&g, comp, 0..d.nz, 0..d.ny, 0..d.nx);
-            } else {
-                update_component_rows(&g, comp, 0..d.nz, 0..d.ny, 0..d.nx);
+                wrap_x_halo(&g, comp, 0..d.nz, 0..d.ny, 0..d.nx);
             }
+            update_component_rows(&g, comp, 0..d.nz, 0..d.ny, 0..d.nx);
         }
     }
 }
@@ -223,9 +222,10 @@ proptest! {
             }
             prop_assert!(s.fields.bit_eq(&reference.fields), "spatial, {p:?} on {dims}");
 
-            // The span kernels on every ISA, Dirichlet and peeled wrap.
-            // The peeled reference is the halo-exchange sweep, whose
-            // field x-halo holds wrap values: compare interiors.
+            // The span kernels on every ISA, Dirichlet and periodic x.
+            // The periodic reference is the halo-exchange sweep, whose
+            // x halo holds both wrap columns of every array: compare
+            // interiors.
             for isa in available_isas() {
                 let s = start.clone();
                 for _ in 0..steps {
@@ -245,18 +245,22 @@ proptest! {
                 );
             }
 
-            // MWD: 1WD, x / z / component splits, two groups; then the
-            // periodic-x engine.
+            // MWD: 1WD, x / z / component splits, two groups; each also
+            // as the periodic-x engine. `tg.x = 2` puts x = 0 and
+            // x = nx - 1 on different members, so the two halo refreshes
+            // of a row have different writers.
+            let periodic_x = MwdRun { boundary: MwdBoundary::PeriodicX, ..MwdRun::default() };
             for cfg in mwd_configs() {
                 let mut s = start.clone();
                 run_mwd(&mut s, &cfg, steps).map_err(TestCaseError::fail)?;
                 prop_assert!(s.fields.bit_eq(&reference.fields), "{cfg:?}, {p:?} on {dims}");
+                let mut s = start.clone();
+                periodic_x.run(&mut s, &cfg, steps).map_err(TestCaseError::fail)?;
+                prop_assert!(
+                    interiors_bit_eq(&s, &reference_px),
+                    "{cfg:?} periodic-x, {p:?} on {dims}"
+                );
             }
-            let mut s = start.clone();
-            let run = MwdRun { boundary: MwdBoundary::PeriodicX, ..MwdRun::default() };
-            run.run(&mut s, &MwdConfig::one_wd(4, 2, 2), steps)
-                .map_err(TestCaseError::fail)?;
-            prop_assert!(interiors_bit_eq(&s, &reference_px), "mwd periodic-x, {p:?} on {dims}");
         }
     }
 }

@@ -1,6 +1,7 @@
 //! Smoke-level regeneration of every figure plus shape assertions against
 //! the paper's headline claims. The full regeneration is
-//! `cargo run -p em-bench --release --bin figures` (see EXPERIMENTS.md).
+//! `cargo run -p em_bench --release --bin figures` (see README.md,
+//! "Build, test, measure").
 
 use em_bench::{fig5, fig6, fig7, fig8, paper, sect3, validate, Scale};
 
